@@ -33,10 +33,8 @@ from .bounds import (
 from .eigensolver import (
     HermitianMatrix,
     SpectrumResult,
-    TridiagonalForm,
     lowest_two,
     spectral_scale,
-    tridiagonalize,
     write_spectrum,
 )
 from .errors import (

@@ -197,9 +197,9 @@ def g_expectations(
 
     h = assemble(spec).array
     gfull = np.repeat(gx, spec.n0)
-    gm = np.diag(gfull.astype(np.complex128))
-    comm = gm @ h - h @ gm
-    comm2 = gm @ comm - comm @ gm
+    # [G, X] for the diagonal G is a row scaling minus a column scaling
+    comm = gfull[:, None] * h - h * gfull[None, :]
+    comm2 = gfull[:, None] * comm - comm * gfull[None, :]
     hod_commutator = float(np.real(np.vdot(psi, comm2 @ psi)))
 
     lhs = delta_e0 * var_g
@@ -427,7 +427,7 @@ def verify_envelope(
         return EnvelopeCheck(empty, empty, empty, empty, tolerance)
     grid = np.arange(start, r_max + 1e-9 * grid_step, grid_step)
     bound_values = np.asarray(bound.evaluate(grid), dtype=float)
-    tail_values = np.array([tail(profile, mean, r) for r in grid])
+    tail_values = tail(profile, mean, grid)
     violations = grid[tail_values > bound_values + tolerance]
     for arr in (grid, bound_values, tail_values, violations):
         arr.flags.writeable = False

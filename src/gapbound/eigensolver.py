@@ -1,19 +1,19 @@
-"""Dense Hermitian eigensolver with certified residuals.
+"""Two lowest eigenpairs of a Hermitian matrix, with certified residuals.
 
-The decomposition pipeline is the classical one for dense Hermitian
-matrices:
+Only the ground state and the first excited state are needed downstream,
+so LAPACK is asked for those two pairs and never for the whole spectrum:
 
-1. unitary Householder reduction to tridiagonal form,
-2. a diagonal phase rotation that makes the subdiagonal real and
-   nonnegative (so the tridiagonal matrix is real symmetric),
-3. implicit-shift QL/QR iteration on the real symmetric tridiagonal
-   matrix for the full spectral decomposition (LAPACK ``stev``),
-4. back-transformation of the two lowest eigenvectors.
+* Tridiagonal input (every nearest-neighbour chain with one orbital per
+  site, diagonal input, ``n = 2``) is made real symmetric by a diagonal
+  phase rotation that turns the subdiagonal real and nonnegative, and is
+  then solved by bisection plus inverse iteration (LAPACK ``stebz`` +
+  ``stein`` through :func:`scipy.linalg.eigh_tridiagonal`).
+* All other input goes to :func:`scipy.linalg.eigh` restricted to the
+  two lowest indices (LAPACK ``heevr``).
 
-Steps 1, 2 and 4 are implemented here; step 3 is delegated to LAPACK
-through :func:`scipy.linalg.eigh_tridiagonal`.  Every accepted result is
-certified a posteriori: the 2-norm residuals ``|H v - E v|`` of both
-returned eigenpairs must not exceed ``tol * max(1, spectral_scale(H))``.
+Every accepted result is certified a posteriori: the 2-norm residuals
+``|H v - E v|`` of both returned eigenpairs against the stored matrix
+must not exceed ``tol * max(1, spectral_scale(H))``.
 
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
@@ -22,10 +22,11 @@ solver raises :class:`DegenerateGroundState`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import bandwidth, eigh, eigh_tridiagonal, eigvalsh
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
 
@@ -49,17 +50,20 @@ class HermitianMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
         a = a.astype(np.complex128, copy=True)
+        ah = a.conj().T
         if a.size:
             if not np.all(np.isfinite(a.view(np.float64))):
                 raise ValidationError("matrix contains non-finite entries")
             scale = max(1.0, float(np.max(np.abs(a))))
-            dev = float(np.max(np.abs(a - a.conj().T)))
+            dev = float(np.max(np.abs(a - ah)))
             if dev > tol * scale:
                 raise NonHermitianError(
                     f"matrix deviates from Hermiticity by {dev:.3e} "
                     f"(tolerance {tol * scale:.3e})"
                 )
-        a = 0.5 * (a + a.conj().T)
+        # in place, the same bits as 0.5 * (a + a.conj().T)
+        a += ah
+        a *= 0.5
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 
@@ -85,87 +89,6 @@ def spectral_scale(h) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-@dataclass(frozen=True)
-class TridiagonalForm:
-    """Result of the unitary reduction ``Q^dag H Q = T``.
-
-    ``diag`` and ``sub`` hold the real symmetric tridiagonal matrix T
-    (``sub`` is nonnegative); ``reflectors`` stores the Householder
-    vector of step k in column k below the diagonal, and ``phases`` the
-    diagonal phase rotation applied last.
-    """
-
-    diag: np.ndarray
-    sub: np.ndarray
-    reflectors: np.ndarray
-    phases: np.ndarray
-
-    def apply_q(self, z: np.ndarray) -> np.ndarray:
-        """Compute Q @ z, mapping tridiagonal eigenvectors back to H's basis."""
-        n = self.diag.shape[0]
-        y = np.asarray(z, dtype=np.complex128)
-        squeeze = y.ndim == 1
-        if squeeze:
-            y = y[:, None]
-        if y.shape[0] != n:
-            raise ValidationError(f"expected leading dimension {n}, got {y.shape[0]}")
-        y = self.phases[:, None] * y
-        for k in range(n - 3, -1, -1):
-            v = self.reflectors[k + 1 :, k]
-            if v.any():
-                y[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ y[k + 1 :, :])
-        return y[:, 0] if squeeze else y
-
-    def q_matrix(self) -> np.ndarray:
-        """Materialize the full unitary Q (mainly for testing)."""
-        return self.apply_q(np.eye(self.diag.shape[0], dtype=np.complex128))
-
-
-def tridiagonalize(h) -> TridiagonalForm:
-    """Householder reduction of a Hermitian matrix to real tridiagonal form.
-
-    Each step reflects one column onto the subdiagonal; a final diagonal
-    phase rotation turns the (generally complex) subdiagonal into real
-    nonnegative entries.  Input that is already tridiagonal skips the
-    reflection stage entirely.
-    """
-    hm = h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
-    a = hm.array.copy()
-    a.flags.writeable = True
-    n = a.shape[0]
-    reflectors = np.zeros((n, n), dtype=np.complex128)
-
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        if not x[1:].any():
-            continue
-        xnorm = float(np.linalg.norm(x))
-        alpha = x[0]
-        phase = alpha / abs(alpha) if alpha != 0 else 1.0
-        beta = -phase * xnorm
-        v = x.copy()
-        v[0] -= beta
-        v /= np.linalg.norm(v)
-        blk = a[k + 1 :, k + 1 :]
-        u = blk @ v
-        w = u - (v.conj() @ u) * v
-        blk -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, v.conj())
-        a[k + 1, k] = beta
-        a[k + 2 :, k] = 0.0
-        reflectors[k + 1 :, k] = v
-
-    diag = np.ascontiguousarray(a.diagonal().real)
-    subc = np.array([a[j + 1, j] for j in range(n - 1)], dtype=np.complex128)
-    phases = np.ones(n, dtype=np.complex128)
-    for j in range(n - 1):
-        m = abs(subc[j])
-        phases[j + 1] = phases[j] * (subc[j] / m) if m > 0 else phases[j]
-    sub = np.abs(subc)
-    for arr in (diag, sub, reflectors, phases):
-        arr.flags.writeable = False
-    return TridiagonalForm(diag=diag, sub=sub, reflectors=reflectors, phases=phases)
-
-
 def _fix_phase(psi: np.ndarray) -> np.ndarray:
     # reproducible global phase: largest-magnitude coefficient real positive
     idx = int(np.argmax(np.abs(psi)))
@@ -177,11 +100,11 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Lowest two eigenpairs plus the full (certified) eigenvalue list.
+    """Lowest two eigenpairs of a Hermitian matrix.
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
-    real and positive.  ``eigenvalues`` holds the full ascending spectrum
-    produced by the tridiagonal decomposition.
+    real and positive.  ``eigenvalues``, the full ascending spectrum, is
+    computed from ``matrix`` on first access only and then cached.
     """
 
     e0: float
@@ -191,7 +114,13 @@ class SpectrumResult:
     psi1: np.ndarray
     residual0: float
     residual1: float
-    eigenvalues: np.ndarray
+    matrix: HermitianMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        w = eigvalsh(self.matrix.array, check_finite=False)
+        w.flags.writeable = False
+        return w
 
 
 def lowest_two(
@@ -216,9 +145,22 @@ def lowest_two(
     if n < 2:
         raise ValidationError(f"need a matrix of dimension >= 2, got n={n}")
     scale = spectral_scale(hm)
+    a = hm.array
 
-    form = tridiagonalize(hm)
-    w, z = eigh_tridiagonal(form.diag, form.sub, lapack_driver="stev")
+    # the stored array is validated finite and read-only: no check, no overwrite
+    if max(bandwidth(a)) <= 1:
+        # D^dag A D is real symmetric with subdiagonal |s| for the phases
+        # D[j+1] = D[j] s_j / |s_j|; a zero entry keeps the previous phase
+        sub = a.diagonal(-1)
+        mag = np.abs(sub)
+        unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0)
+        phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+        w, z = eigh_tridiagonal(
+            a.diagonal().real, mag, select="i", select_range=(0, 1), check_finite=False
+        )
+        vecs = phases[:, None] * z
+    else:
+        w, vecs = eigh(a, subset_by_index=(0, 1), check_finite=False)
     gap = float(w[1] - w[0])
     if gap < degeneracy_tol * max(scale, np.finfo(float).tiny):
         raise DegenerateGroundState(
@@ -226,11 +168,9 @@ def lowest_two(
             f"{degeneracy_tol * scale:.3e} (scale {scale:.3e})"
         )
 
-    vecs = form.apply_q(z[:, :2].astype(np.complex128))
-    a = hm.array
     out = []
     residuals = []
-    for col, energy in zip(vecs.T, w[:2]):
+    for col, energy in zip(vecs.T, w):
         psi = col / np.linalg.norm(col)
         res = float(np.linalg.norm(a @ psi - energy * psi))
         if res > tol * max(1.0, scale):
@@ -243,8 +183,6 @@ def lowest_two(
         out.append(psi)
         residuals.append(res)
 
-    w = np.asarray(w, dtype=float)
-    w.flags.writeable = False
     return SpectrumResult(
         e0=float(w[0]),
         e1=float(w[1]),
@@ -253,7 +191,7 @@ def lowest_two(
         psi1=out[1],
         residual0=residuals[0],
         residual1=residuals[1],
-        eigenvalues=w,
+        matrix=hm,
     )
 
 

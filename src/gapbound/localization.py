@@ -97,11 +97,20 @@ def position_stats(profile: DensityProfile) -> PositionStats:
     return PositionStats(mean=mean, variance=max(variance, 0.0))
 
 
-def tail(profile: DensityProfile, mean: float, r: float) -> float:
-    """Tail probability ``P(|x - mean| >= r)`` over the integer sites."""
-    x = profile.sites()
-    mask = np.abs(x - mean) >= r
-    return float(profile.p[mask].sum())
+def tail(profile: DensityProfile, mean: float, r):
+    """Tail probability ``P(|x - mean| >= r)`` over the integer sites.
+
+    ``r`` may be a scalar (returns a float) or an array of radii (returns
+    an array).  The array path sorts the distances once and reads every
+    radius off suffix sums of ``p``, accumulated from the farthest site
+    inwards so that tiny tails are summed smallest terms first.
+    """
+    dist = np.abs(profile.sites() - mean)
+    if np.ndim(r) == 0:
+        return float(profile.p[dist >= r].sum())
+    order = np.argsort(dist, kind="stable")
+    suffix = np.append(np.cumsum(profile.p[order][::-1])[::-1], 0.0)
+    return suffix[np.searchsorted(dist[order], np.asarray(r, dtype=float), side="left")]
 
 
 def fit_localization_length(

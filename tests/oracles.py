@@ -9,6 +9,7 @@ summation.  None of them call LAPACK's symmetric eigensolvers.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import hessenberg
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -97,13 +98,13 @@ def bisect_eigenvalues(d: np.ndarray, e: np.ndarray, k: int | None = None) -> np
 def hermitian_eigenvalues_bisect(h, k: int | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix via tridiagonal Sturm bisection.
 
-    Reuses the package's unitary reduction (whose correctness is tested
-    separately through reconstruction) but not its spectral stage.
+    The unitary Hessenberg reduction of a Hermitian matrix is tridiagonal
+    up to rounding; a diagonal phase rotation makes its subdiagonal
+    ``|sub|``, so ``(diag.real, |sub|)`` has the same spectrum.  The
+    reduction is not an eigensolver, and none of the package's code runs.
     """
-    from gapbound import tridiagonalize
-
-    form = tridiagonalize(np.asarray(h))
-    return bisect_eigenvalues(form.diag, form.sub, k)
+    t = hessenberg(np.asarray(h, dtype=complex))
+    return bisect_eigenvalues(t.diagonal().real, np.abs(t.diagonal(-1)), k)
 
 
 def partial_series(term, rtol: float = 1e-18, max_terms: int = 100000) -> float:

@@ -118,6 +118,20 @@ def test_hod_routes_match_entrywise_brute_force():
     assert rep.hod_commutator == pytest.approx(brute, abs=1e-12)
 
 
+def test_commutator_route_matches_dense_matmul():
+    # the scaling form of [G, [G, H]] against the matmul with G = diag(g)
+    spec, _, _ = random_model(trial_rng(56, 0), size_range=(9, 9), n0_range=(3, 3))
+    res, _, _ = _solve(spec)
+    g = np.random.default_rng(1).normal(size=9)
+    rep = g_expectations(res.psi0, spec, WeightFunction(g), res.gap)
+    h = assemble(spec).array
+    gm = np.diag(np.repeat(g, spec.n0).astype(complex))
+    comm = gm @ h - h @ gm
+    comm2 = gm @ comm - comm @ gm
+    ref = float(np.real(np.vdot(res.psi0, comm2 @ res.psi0)))
+    assert rep.hod_commutator == pytest.approx(ref, rel=1e-12, abs=1e-14 * rep.scale)
+
+
 def test_weight_dimension_mismatch():
     spec = ModelSpec(3, 1, [(1, 2, [[1.0]])])
     res, _, _ = _solve(spec)

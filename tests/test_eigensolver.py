@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import bandwidth, eigh
 
+import gapbound.eigensolver as eigensolver_mod
 from gapbound import (
     DegenerateGroundState,
     HermitianMatrix,
     NonHermitianError,
     ValidationError,
+    assemble,
     lowest_two,
     spectral_scale,
-    tridiagonalize,
+    strip_model,
     write_spectrum,
 )
 
@@ -62,8 +65,10 @@ def test_input_validation():
 
 def test_hermitian_matrix_exact_symmetry_and_immutability():
     rng = np.random.default_rng(0)
-    hm = HermitianMatrix(random_hermitian(rng, 5) + 1e-14 * rng.normal(size=(5, 5)))
+    a = random_hermitian(rng, 5) + 1e-14 * rng.normal(size=(5, 5))
+    hm = HermitianMatrix(a)
     assert np.array_equal(hm.array, hm.array.conj().T)
+    assert np.array_equal(hm.array, 0.5 * (a + a.conj().T))
     with pytest.raises(ValueError):
         hm.array[0, 0] = 1.0
 
@@ -71,40 +76,6 @@ def test_hermitian_matrix_exact_symmetry_and_immutability():
 def test_spectral_scale_is_max_row_sum():
     h = np.array([[1.0, -2.0], [-2.0, 0.5]])
     assert spectral_scale(h) == 3.0
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 34])
-def test_tridiagonalize_reconstructs(n):
-    rng = np.random.default_rng(n)
-    h = random_hermitian(rng, n)
-    form = tridiagonalize(h)
-    assert np.all(form.sub >= 0.0)
-    q = form.q_matrix()
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(n), atol=1e-12)
-    t = np.diag(form.diag).astype(complex)
-    for j in range(n - 1):
-        t[j, j + 1] = t[j + 1, j] = form.sub[j]
-    np.testing.assert_allclose(q @ t @ q.conj().T, h, atol=1e-11 * spectral_scale(h))
-
-
-def test_tridiagonalize_fast_path_for_tridiagonal_input():
-    # complex Hermitian tridiagonal input: only the phase rotation acts
-    n = 7
-    rng = np.random.default_rng(3)
-    h = np.zeros((n, n), dtype=complex)
-    h[np.arange(n), np.arange(n)] = rng.normal(size=n)
-    sub = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-    for j in range(n - 1):
-        h[j + 1, j] = sub[j]
-        h[j, j + 1] = np.conj(sub[j])
-    form = tridiagonalize(h)
-    assert not form.reflectors.any()
-    np.testing.assert_allclose(form.sub, np.abs(sub), atol=1e-14)
-    q = form.q_matrix()
-    t = np.diag(form.diag).astype(complex)
-    for j in range(n - 1):
-        t[j, j + 1] = t[j + 1, j] = form.sub[j]
-    np.testing.assert_allclose(q @ t @ q.conj().T, h, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -218,3 +189,104 @@ def test_write_spectrum(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split() == ["0", "-1"]
     assert lines[1].split() == ["1", "1"]
+
+
+def _complex_tridiagonal(rng, n, sub=None):
+    h = np.diag(rng.normal(size=n)).astype(complex)
+    if sub is None:
+        sub = rng.normal(size=n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
+    idx = np.arange(n - 1)
+    h[idx + 1, idx] = sub
+    h[idx, idx + 1] = np.conj(sub)
+    return h
+
+
+@pytest.fixture()
+def routes(monkeypatch):
+    """Record which LAPACK route each lowest_two call takes."""
+    taken = []
+    for name in ("eigh", "eigh_tridiagonal"):
+        original = getattr(eigensolver_mod, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            taken.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver_mod, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("n", [3, 8, 31, 120])
+def test_complex_tridiagonal_route_matches_dense_route(n, routes):
+    rng = np.random.default_rng(300 + n)
+    h = _complex_tridiagonal(rng, n)
+    res = lowest_two(h)
+    assert routes == ["eigh_tridiagonal"]
+    # the dense route, called directly on the same matrix
+    w, v = eigh(h, subset_by_index=(0, 1))
+    scale = max(1.0, spectral_scale(h))
+    np.testing.assert_allclose([res.e0, res.e1], w, rtol=0, atol=1e-12 * scale)
+    assert abs(np.vdot(res.psi0, v[:, 0])) >= 1 - 1e-10
+    assert abs(np.vdot(res.psi1, v[:, 1])) >= 1 - 1e-10
+    assert res.residual0 <= 1e-10 * scale
+    assert res.residual1 <= 1e-10 * scale
+    a = HermitianMatrix(h).array
+    assert np.linalg.norm(a @ res.psi0 - res.e0 * res.psi0) <= 1e-10 * scale
+    np.testing.assert_allclose(
+        [res.e0, res.e1], hermitian_eigenvalues_bisect(h, k=2), atol=1e-11 * scale
+    )
+
+
+def test_zero_subdiagonal_entry_decoupled_blocks(routes):
+    # two decoupled copies of the same block: degenerate, refused
+    block = np.array([0.3, -1.1 + 0.4j])
+    sub = np.concatenate([block, [0.0], block])
+    rng = np.random.default_rng(11)
+    h = _complex_tridiagonal(rng, 6, sub)
+    h[np.arange(3, 6), np.arange(3, 6)] = h[np.arange(3), np.arange(3)]
+    with pytest.raises(DegenerateGroundState):
+        lowest_two(h)
+    # shift the second block up a little: psi0 lives on the first block and
+    # psi1 on the second, whose phases continue across the zero entry
+    h[np.arange(3, 6), np.arange(3, 6)] += 1e-3
+    res = lowest_two(h)
+    assert routes == ["eigh_tridiagonal", "eigh_tridiagonal"]
+    oracle = hermitian_eigenvalues_bisect(h, k=2)
+    np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-12)
+    assert res.gap == pytest.approx(1e-3, abs=1e-12)
+    np.testing.assert_allclose(res.psi0[3:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(res.psi1[:3], 0.0, atol=1e-12)
+    assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, spectral_scale(h))
+
+
+def test_diagonal_and_two_site_input(routes):
+    res = lowest_two(np.diag([2.0, -1.0, 5.0, 0.5]))
+    assert (res.e0, res.e1) == (-1.0, 0.5)
+    np.testing.assert_array_equal(np.abs(res.psi0), [0, 1, 0, 0])
+    res = lowest_two(np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -1.0]]))
+    assert res.e0 == pytest.approx(-math.sqrt(6.0), abs=1e-14)
+    assert res.e1 == pytest.approx(math.sqrt(6.0), abs=1e-14)
+    assert routes == ["eigh_tridiagonal", "eigh_tridiagonal"]
+
+
+def test_strip_takes_dense_route(routes):
+    h = assemble(strip_model(9, 3, t_along=1.0, t_across=0.7))
+    assert max(bandwidth(h.array)) > 1
+    res = lowest_two(h)
+    assert routes == ["eigh"]
+    scale = spectral_scale(h)
+    oracle = hermitian_eigenvalues_bisect(h.array, k=2)
+    np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-11 * scale)
+    assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, scale)
+
+
+def test_eigenvalues_computed_lazily():
+    rng = np.random.default_rng(5)
+    h = random_hermitian(rng, 12)
+    res = lowest_two(h)
+    assert "eigenvalues" not in vars(res)
+    w = res.eigenvalues
+    assert res.eigenvalues is w
+    assert not w.flags.writeable
+    assert w[0] == pytest.approx(res.e0, abs=1e-12)
+    assert w[1] == pytest.approx(res.e1, abs=1e-12)

@@ -103,6 +103,32 @@ def test_tail_monotone_and_matches_brute_force():
         assert tail(prof, mean, r) == pytest.approx(brute_tail(p, mean, r), abs=1e-15)
 
 
+def test_tail_array_path_matches_scalar_path():
+    rng = np.random.default_rng(10)
+    for length in (1, 2, 9, 64):
+        p = rng.random(length) ** 6
+        p /= p.sum()
+        prof = DensityProfile(p=p)
+        for mean in (position_stats(prof).mean, 1.0, length / 2 + 0.5):
+            # grid points on, between and beyond the integer distances
+            grid = np.concatenate([np.arange(0.0, length + 1.0, 0.25), [1e9]])
+            vals = tail(prof, mean, grid)
+            assert vals.shape == grid.shape
+            ref = np.array([tail(prof, mean, r) for r in grid])
+            # same terms, summed in another order
+            np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0)
+            assert np.array_equal(vals == 0.0, ref == 0.0)
+
+
+def test_tail_array_path_keeps_tiny_tails():
+    # a tail of 1e-200 must survive next to an O(1) bulk
+    p = np.array([1.0, 1e-200, 1e-210])
+    prof = DensityProfile(p=p / p.sum())
+    np.testing.assert_allclose(
+        tail(prof, 1.0, np.array([1.0, 2.0])), [1e-200 + 1e-210, 1e-210], rtol=1e-15
+    )
+
+
 def test_tail_chebyshev_consistency():
     rng = np.random.default_rng(9)
     for _ in range(10):
