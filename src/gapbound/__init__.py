@@ -31,6 +31,7 @@ from .bounds import (
     write_envelope_csv,
 )
 from .eigensolver import (
+    BandedHermitian,
     HermitianMatrix,
     SpectrumResult,
     lowest_two,

@@ -1,19 +1,26 @@
 """Two lowest eigenpairs of a Hermitian matrix, with certified residuals.
 
+A matrix reaches the solver in one of two forms: a :class:`HermitianMatrix`
+(a validated dense array) or a :class:`BandedHermitian` (the lower band in
+LAPACK layout, which is what :func:`gapbound.lattice.assemble` returns).
+
 Only the ground state and the first excited state are needed downstream,
 so LAPACK is asked for those two pairs and never for the whole spectrum:
 
-* Tridiagonal input (every nearest-neighbour chain with one orbital per
-  site, diagonal input, ``n = 2``) is made real symmetric by a diagonal
-  phase rotation that turns the subdiagonal real and nonnegative, and is
-  then solved by bisection plus inverse iteration (LAPACK ``stebz`` +
-  ``stein`` through :func:`scipy.linalg.eigh_tridiagonal`).
+* Tridiagonal input (bandwidth <= 1: every nearest-neighbour chain with
+  one orbital per site, diagonal input, ``n = 2``) is made real symmetric
+  by a diagonal phase rotation that turns the subdiagonal real and
+  nonnegative, and is then solved by bisection plus inverse iteration
+  (LAPACK ``stebz`` + ``stein`` through
+  :func:`scipy.linalg.eigh_tridiagonal`).  A banded operator hands over
+  its two band rows; no dense matrix is formed.
 * All other input goes to :func:`scipy.linalg.eigh` restricted to the
-  two lowest indices (LAPACK ``heevr``).
+  two lowest indices (LAPACK ``heevr``) on the dense array.
 
 Every accepted result is certified a posteriori: the 2-norm residuals
-``|H v - E v|`` of both returned eigenpairs against the stored matrix
-must not exceed ``tol * max(1, spectral_scale(H))``.
+``|H v - E v|`` of both returned eigenpairs against the stored operator
+(a banded matrix-vector product for a banded operator) must not exceed
+``tol * max(1, spectral_scale(H))``.
 
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
@@ -27,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import bandwidth, eigh, eigh_tridiagonal, eigvalsh
+from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
 
@@ -74,15 +82,98 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.array.shape[0]
 
+    @property
+    def bandwidth(self) -> int:
+        """Largest ``k`` with a nonzero entry ``H[j + k, j]`` (a scan of all n² entries)."""
+        return max(bandwidth(self.array))
+
+    def lower_diagonal(self, k: int) -> np.ndarray:
+        """The entries ``H[j + k, j]``, ``j = 0..n-k-1``."""
+        return self.array.diagonal(-k)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.array @ v
+
     def __repr__(self):
         return f"HermitianMatrix(n={self.n})"
+
+
+class BandedHermitian:
+    """Hermitian matrix stored as its lower band, in LAPACK lower-band layout.
+
+    ``band[k, j] = H[j + k, j]`` for ``k = 0..bandwidth``; entries with
+    ``j + k >= n`` are zero, the diagonal row is real.  Only this triangle
+    is stored, so the operator is Hermitian by construction.  Trailing
+    all-zero rows are dropped, so ``bandwidth`` is the true nonzero
+    bandwidth.  ``dense`` is a function returning the same matrix as a
+    dense array; it is called on the first read of :attr:`array` only.
+    Built by :func:`gapbound.lattice.assemble` from a validated model.
+    """
+
+    __slots__ = ("band", "_dense", "_array")
+
+    def __init__(self, band: np.ndarray, dense):
+        band = np.asarray(band, dtype=np.complex128)
+        if band.ndim != 2 or band.shape[0] < 1:
+            raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
+        rows = np.flatnonzero(band.any(axis=1))
+        band = band[: (rows[-1] if rows.size else 0) + 1]
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_array", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BandedHermitian is immutable")
+
+    @property
+    def n(self) -> int:
+        return self.band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
+
+    @property
+    def array(self) -> np.ndarray:
+        """The dense ``n x n`` matrix, read-only; built on first read."""
+        if self._array is None:
+            a = np.asarray(self._dense(), dtype=np.complex128)
+            a.flags.writeable = False
+            object.__setattr__(self, "_array", a)
+        return self._array
+
+    def lower_diagonal(self, k: int) -> np.ndarray:
+        """The entries ``H[j + k, j]``, ``j = 0..n-k-1``."""
+        if k > self.bandwidth:
+            return np.zeros(max(self.n - k, 0), dtype=np.complex128)
+        return self.band[k, : self.n - k]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``H @ v`` in O(n * bandwidth) (BLAS ``zhbmv``)."""
+        return zhbmv(self.bandwidth, 1.0, self.band, v, lower=1)
+
+    def abs_row_sums(self) -> np.ndarray:
+        """``sum_j |H[i, j]|`` for every row i, read off the band."""
+        a = np.abs(self.band)
+        rows = a[0].copy()
+        for k in range(1, a.shape[0]):
+            rows[k:] += a[k, : self.n - k]  # H[j + k, j] in row j + k
+            rows[: self.n - k] += a[k, : self.n - k]  # its mirror in row j
+        return rows
+
+    def __repr__(self):
+        return f"BandedHermitian(n={self.n}, bandwidth={self.bandwidth})"
 
 
 def spectral_scale(h) -> float:
     """Maximum row 1-norm of the matrix (its infinity norm).
 
     Used as the natural magnitude for residual and degeneracy tolerances.
+    A banded operator is read off its band in O(n * bandwidth).
     """
+    if isinstance(h, BandedHermitian):
+        return float(np.max(h.abs_row_sums()))
     a = h.array if isinstance(h, HermitianMatrix) else np.asarray(h)
     if a.size == 0:
         return 0.0
@@ -104,7 +195,8 @@ class SpectrumResult:
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
     real and positive.  ``eigenvalues``, the full ascending spectrum, is
-    computed from ``matrix`` on first access only and then cached.
+    computed from the dense form of ``matrix`` on first access only and
+    then cached.
     """
 
     e0: float
@@ -114,7 +206,7 @@ class SpectrumResult:
     psi1: np.ndarray
     residual0: float
     residual1: float
-    matrix: HermitianMatrix = field(repr=False, compare=False)
+    matrix: HermitianMatrix | BandedHermitian = field(repr=False, compare=False)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -128,39 +220,39 @@ def lowest_two(
     tol: float = DEFAULT_RESIDUAL_TOL,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> SpectrumResult:
-    """Two lowest eigenpairs of a dense Hermitian matrix.
+    """Two lowest eigenpairs of a Hermitian matrix.
 
     Parameters
     ----------
-    h : HermitianMatrix or array_like
-        Matrix to decompose (validated for Hermiticity).
+    h : BandedHermitian, HermitianMatrix or array_like
+        Matrix to decompose (an array is validated for Hermiticity).
     tol : float
         Residual acceptance threshold, relative to ``max(1, spectral_scale)``.
     degeneracy_tol : float
         Gap threshold (relative to the spectral scale) below which the
         ground state counts as degenerate and the solver refuses.
     """
-    hm = h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
+    hm = h if isinstance(h, (HermitianMatrix, BandedHermitian)) else HermitianMatrix(h)
     n = hm.n
     if n < 2:
         raise ValidationError(f"need a matrix of dimension >= 2, got n={n}")
     scale = spectral_scale(hm)
-    a = hm.array
 
-    # the stored array is validated finite and read-only: no check, no overwrite
-    if max(bandwidth(a)) <= 1:
+    # the stored arrays are validated finite and read-only: no check, no overwrite
+    if hm.bandwidth <= 1:
         # D^dag A D is real symmetric with subdiagonal |s| for the phases
         # D[j+1] = D[j] s_j / |s_j|; a zero entry keeps the previous phase
-        sub = a.diagonal(-1)
+        sub = hm.lower_diagonal(1)
         mag = np.abs(sub)
         unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0)
         phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
         w, z = eigh_tridiagonal(
-            a.diagonal().real, mag, select="i", select_range=(0, 1), check_finite=False
+            hm.lower_diagonal(0).real, mag, select="i", select_range=(0, 1),
+            check_finite=False,
         )
         vecs = phases[:, None] * z
     else:
-        w, vecs = eigh(a, subset_by_index=(0, 1), check_finite=False)
+        w, vecs = eigh(hm.array, subset_by_index=(0, 1), check_finite=False)
     gap = float(w[1] - w[0])
     if gap < degeneracy_tol * max(scale, np.finfo(float).tiny):
         raise DegenerateGroundState(
@@ -172,7 +264,7 @@ def lowest_two(
     residuals = []
     for col, energy in zip(vecs.T, w):
         psi = col / np.linalg.norm(col)
-        res = float(np.linalg.norm(a @ psi - energy * psi))
+        res = float(np.linalg.norm(hm.matvec(psi) - energy * psi))
         if res > tol * max(1.0, scale):
             raise GapboundError(
                 f"eigenpair residual {res:.3e} exceeds {tol * max(1.0, scale):.3e}; "

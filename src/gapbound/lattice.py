@@ -7,12 +7,24 @@ Supersites are labeled ``x = 1..L``; each carries ``N0`` internal states
 
     (x, i)  ->  (x - 1) * N0 + (i - 1)
 
-A model stores every off-diagonal hopping block exactly once, keyed by
-the ordered pair ``(x, x')`` with ``x < x'``.  Assembly places the block
-at ``(x, x')`` and its conjugate transpose at ``(x', x)``.  On-site
-blocks are stored once per site and must be Hermitian.  There is no
-implicit "+ h.c." doubling anywhere: what you store is what enters the
-matrix.
+A model stores every off-diagonal hopping block exactly once, for the
+ordered pair ``(x, x')`` with ``x < x'``.  The matrix holds the block at
+``(x, x')`` and its conjugate transpose at ``(x', x)``.  On-site blocks
+are stored once per site and must be Hermitian.  There is no implicit
+"+ h.c." doubling anywhere: what you store is what enters the matrix.
+
+Storage is by block bands.  The on-site blocks form one ``(L, N0, N0)``
+array.  Each distance ``d = x' - x`` that carries at least one hopping
+block has one ``(L - d, N0, N0)`` array, whose row ``x - 1`` is the block
+of the pair ``(x, x + d)``, and a boolean mask of the pairs that are
+stored (unstored rows are zero).  A nearest-neighbour chain therefore
+takes O(L * N0^2) memory.  The mappings :attr:`ModelSpec.offdiag` and
+:attr:`ModelSpec.onsite` are read-only views into these arrays.
+
+:func:`assemble` returns the matrix as a
+:class:`~gapbound.eigensolver.BandedHermitian`: its lower band in LAPACK
+layout, O(L * N0 * bandwidth) memory.  The dense ``n x n`` matrix is
+built only when a caller reads the operator's ``array``.
 
 The strength of the hopping between two supersites is measured by the
 spectral norm (largest singular value) of the N0 x N0 block; this equals
@@ -25,12 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .eigensolver import HermitianMatrix
+from .eigensolver import BandedHermitian
 from .errors import (
     EnvelopeViolation,
     LongRangeHopping,
@@ -81,13 +94,32 @@ class NNBound:
             raise ValidationError(f"nearest-neighbor bound must be >= 0, got {self.v0}")
 
 
+def _check_dims(length, n0) -> tuple[int, int]:
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ValidationError(f"length must be a positive integer, got {length!r}")
+    if not isinstance(n0, (int, np.integer)) or n0 < 1:
+        raise ValidationError(f"n0 must be a positive integer, got {n0!r}")
+    return int(length), int(n0)
+
+
 def _as_block(block, n0: int, what: str) -> np.ndarray:
     b = np.array(block, dtype=np.complex128)
     if b.shape != (n0, n0):
         raise ValidationError(f"{what} must have shape ({n0}, {n0}), got {b.shape}")
-    if not np.all(np.isfinite(b.view(np.float64))):
-        raise ValidationError(f"{what} contains non-finite entries")
     return b
+
+
+def _first_nonfinite(blocks: np.ndarray) -> int | None:
+    """Index of the first block with a non-finite entry, or None."""
+    ok = np.isfinite(blocks).reshape(blocks.shape[0], -1).all(axis=1)
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _norms(blocks: np.ndarray) -> np.ndarray:
+    """Spectral norm of every block of a ``(m, N0, N0)`` stack."""
+    if blocks.shape[1] == 1:
+        return np.abs(blocks[:, 0, 0])
+    return np.linalg.norm(blocks, 2, axis=(1, 2))
 
 
 class ModelSpec:
@@ -107,9 +139,12 @@ class ModelSpec:
         is rejected.
     label : str
         Free-form description.
+
+    :meth:`from_arrays` builds the same model from block-band arrays;
+    both constructors end in the same storage and the same validation.
     """
 
-    __slots__ = ("length", "n0", "label", "_offdiag", "_onsite")
+    __slots__ = ("length", "n0", "label", "_onsite", "_onsite_mask", "_bands", "_views")
 
     def __init__(
         self,
@@ -119,50 +154,131 @@ class ModelSpec:
         onsite_blocks: Iterable = (),
         label: str = "",
     ):
-        if not isinstance(length, (int, np.integer)) or length < 1:
-            raise ValidationError(f"length must be a positive integer, got {length!r}")
-        if not isinstance(n0, (int, np.integer)) or n0 < 1:
-            raise ValidationError(f"n0 must be a positive integer, got {n0!r}")
-        object.__setattr__(self, "length", int(length))
-        object.__setattr__(self, "n0", int(n0))
-        object.__setattr__(self, "label", str(label))
-
-        offdiag: dict[tuple[int, int], np.ndarray] = {}
+        length, n0 = _check_dims(length, n0)
+        by_distance: dict[int, tuple[list, list]] = {}
+        seen: set[tuple[int, int]] = set()
         for entry in offdiag_blocks:
             x, xp, block = entry
             x, xp = int(x), int(xp)
-            if not (1 <= x <= self.length and 1 <= xp <= self.length):
-                raise ValidationError(
-                    f"hopping pair ({x}, {xp}) out of range 1..{self.length}"
-                )
+            if not (1 <= x <= length and 1 <= xp <= length):
+                raise ValidationError(f"hopping pair ({x}, {xp}) out of range 1..{length}")
             if x >= xp:
                 raise ValidationError(f"hopping pair must have x < x', got ({x}, {xp})")
-            if (x, xp) in offdiag:
+            if (x, xp) in seen:
                 raise ValidationError(f"duplicate hopping pair ({x}, {xp})")
-            b = _as_block(block, self.n0, f"hopping block ({x}, {xp})")
-            b.flags.writeable = False
-            offdiag[(x, xp)] = b
+            seen.add((x, xp))
+            rows, blocks = by_distance.setdefault(xp - x, ([], []))
+            rows.append(x - 1)
+            blocks.append(_as_block(block, n0, f"hopping block ({x}, {xp})"))
+        bands = {}
+        for d, (rows, blocks) in by_distance.items():
+            packed = np.zeros((length - d, n0, n0), dtype=np.complex128)
+            packed[rows] = blocks
+            mask = np.zeros(length - d, dtype=bool)
+            mask[rows] = True
+            bands[d] = (packed, mask)
 
-        onsite: dict[int, np.ndarray] = {}
+        onsite = np.zeros((length, n0, n0), dtype=np.complex128)
+        onsite_mask = np.zeros(length, dtype=bool)
         for entry in onsite_blocks:
             x, block = entry
             x = int(x)
-            if not 1 <= x <= self.length:
-                raise ValidationError(f"on-site coordinate {x} out of range 1..{self.length}")
-            if x in onsite:
+            if not 1 <= x <= length:
+                raise ValidationError(f"on-site coordinate {x} out of range 1..{length}")
+            if onsite_mask[x - 1]:
                 raise ValidationError(f"duplicate on-site block at x={x}")
-            b = _as_block(block, self.n0, f"on-site block at x={x}")
-            dev = np.max(np.abs(b - b.conj().T)) if b.size else 0.0
-            if dev > HERMITIAN_TOL:
-                raise NonHermitianError(
-                    f"on-site block at x={x} deviates from Hermiticity by {dev:.3e}"
-                )
-            b = 0.5 * (b + b.conj().T)
-            b.flags.writeable = False
-            onsite[x] = b
+            onsite[x - 1] = _as_block(block, n0, f"on-site block at x={x}")
+            onsite_mask[x - 1] = True
+        self._store(length, n0, label, onsite, onsite_mask, bands)
 
-        object.__setattr__(self, "_offdiag", offdiag)
+    @classmethod
+    def from_arrays(
+        cls,
+        length: int,
+        n0: int,
+        hopping: Mapping[int, np.ndarray] | None = None,
+        onsite: np.ndarray | None = None,
+        onsite_mask: np.ndarray | None = None,
+        label: str = "",
+    ) -> "ModelSpec":
+        """Model from block-band arrays (the inputs are copied).
+
+        ``hopping`` maps a distance ``d`` to an ``(L - d, N0, N0)`` array
+        whose row ``x - 1`` is the block of the pair ``(x, x + d)``; every
+        pair at that distance is stored.  ``onsite`` is an ``(L, N0, N0)``
+        array of on-site blocks; ``onsite_mask`` marks the sites whose
+        block is stored (default: every site).
+        """
+        length, n0 = _check_dims(length, n0)
+        bands = {}
+        for d, blocks in (hopping or {}).items():
+            if not isinstance(d, (int, np.integer)) or not 1 <= d < length:
+                raise ValidationError(f"hopping distance must lie in 1..{length - 1}, got {d!r}")
+            blocks = np.array(blocks, dtype=np.complex128, order="C")
+            if blocks.shape != (length - int(d), n0, n0):
+                raise ValidationError(
+                    f"hopping band at distance {d} must have shape "
+                    f"({length - int(d)}, {n0}, {n0}), got {blocks.shape}"
+                )
+            bands[int(d)] = (blocks, np.ones(length - int(d), dtype=bool))
+        if onsite is None:
+            if onsite_mask is not None:
+                raise ValidationError("onsite_mask given without on-site blocks")
+            on = np.zeros((length, n0, n0), dtype=np.complex128)
+            mask = np.zeros(length, dtype=bool)
+        else:
+            on = np.array(onsite, dtype=np.complex128, order="C")
+            if on.shape != (length, n0, n0):
+                raise ValidationError(
+                    f"on-site blocks must have shape ({length}, {n0}, {n0}), got {on.shape}"
+                )
+            if onsite_mask is None:
+                mask = np.ones(length, dtype=bool)
+            else:
+                mask = np.array(onsite_mask, dtype=bool)
+                if mask.shape != (length,):
+                    raise ValidationError(
+                        f"onsite_mask must have shape ({length},), got {mask.shape}"
+                    )
+                on[~mask] = 0.0
+        spec = cls.__new__(cls)
+        spec._store(length, n0, label, on, mask, bands)
+        return spec
+
+    def _store(self, length, n0, label, onsite, onsite_mask, bands):
+        """Validate the band arrays with whole-array operations and freeze them."""
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "label", str(label))
+
+        for d, (blocks, mask) in bands.items():
+            bad = _first_nonfinite(blocks)
+            if bad is not None:
+                raise ValidationError(
+                    f"hopping block ({bad + 1}, {bad + 1 + d}) contains non-finite entries"
+                )
+        bad = _first_nonfinite(onsite)
+        if bad is not None:
+            raise ValidationError(f"on-site block at x={bad + 1} contains non-finite entries")
+        onsite_h = onsite.conj().transpose(0, 2, 1)
+        dev = np.abs(onsite - onsite_h).reshape(length, -1).max(axis=1)
+        if np.any(dev > HERMITIAN_TOL):
+            x = int(np.argmax(dev > HERMITIAN_TOL)) + 1
+            raise NonHermitianError(
+                f"on-site block at x={x} deviates from Hermiticity by {dev[x - 1]:.3e}"
+            )
+        onsite = 0.5 * (onsite + onsite_h)
+        onsite.flags.writeable = False
+        onsite_mask.flags.writeable = False
+        for blocks, mask in bands.values():
+            blocks.flags.writeable = False
+            mask.flags.writeable = False
         object.__setattr__(self, "_onsite", onsite)
+        object.__setattr__(self, "_onsite_mask", onsite_mask)
+        object.__setattr__(
+            self, "_bands", {d: bands[d] for d in sorted(bands) if bands[d][1].any()}
+        )
+        object.__setattr__(self, "_views", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelSpec is immutable")
@@ -173,14 +289,36 @@ class ModelSpec:
         return self.length * self.n0
 
     @property
+    def hopping_bands(self):
+        """Read-only mapping d -> (blocks, stored-pair mask), ascending d.
+
+        Only distances with at least one stored pair appear.  ``blocks``
+        has shape ``(L - d, N0, N0)``; row ``x - 1`` is the block of the
+        pair ``(x, x + d)`` and is zero where the mask is False.
+        """
+        return MappingProxyType(self._bands)
+
+    def _mappings(self):
+        if self._views is None:
+            pairs = sorted(
+                (int(x), d) for d, (_, mask) in self._bands.items() for x in np.flatnonzero(mask)
+            )
+            offdiag = {(x + 1, x + 1 + d): self._bands[d][0][x] for x, d in pairs}
+            onsite = {int(x) + 1: self._onsite[x] for x in np.flatnonzero(self._onsite_mask)}
+            object.__setattr__(
+                self, "_views", (MappingProxyType(offdiag), MappingProxyType(onsite))
+            )
+        return self._views
+
+    @property
     def offdiag(self):
-        """Read-only mapping (x, x') -> hopping block, x < x'."""
-        return MappingProxyType(self._offdiag)
+        """Read-only mapping (x, x') -> hopping block, x < x', sorted by pair."""
+        return self._mappings()[0]
 
     @property
     def onsite(self):
-        """Read-only mapping x -> on-site block."""
-        return MappingProxyType(self._onsite)
+        """Read-only mapping x -> on-site block, stored sites only."""
+        return self._mappings()[1]
 
     def flat_index(self, x: int, i: int) -> int:
         """Site-major flat index of basis state (x, i), indices 1-based."""
@@ -196,53 +334,96 @@ class ModelSpec:
         Returns None when the pair carries no hopping.  ``block(x', x)``
         is the conjugate transpose of ``block(x, x')``.
         """
-        if x == xp:
-            return self._onsite.get(x)
-        if x < xp:
-            return self._offdiag.get((x, xp))
-        b = self._offdiag.get((xp, x))
-        return None if b is None else b.conj().T
+        lo, hi = min(x, xp), max(x, xp)
+        if lo < 1 or hi > self.length:
+            return None
+        if lo == hi:
+            return self._onsite[lo - 1] if self._onsite_mask[lo - 1] else None
+        band = self._bands.get(hi - lo)
+        if band is None or not band[1][lo - 1]:
+            return None
+        b = band[0][lo - 1]
+        return b if x < xp else b.conj().T
 
     def with_shifted_onsite(self, c: float) -> "ModelSpec":
         """New model with ``c * identity`` added to every on-site block."""
-        eye = np.eye(self.n0)
-        onsite = {x: np.asarray(b) for x, b in self._onsite.items()}
-        for x in range(1, self.length + 1):
-            onsite[x] = onsite.get(x, np.zeros((self.n0, self.n0))) + c * eye
-        return ModelSpec(
+        spec = ModelSpec.__new__(ModelSpec)
+        spec._store(
             self.length,
             self.n0,
-            [(x, xp, b) for (x, xp), b in self._offdiag.items()],
-            list(onsite.items()),
-            label=self.label,
+            self.label,
+            self._onsite + c * np.eye(self.n0),
+            np.ones(self.length, dtype=bool),
+            dict(self._bands),
         )
+        return spec
 
     def __repr__(self):
+        hoppings = sum(int(mask.sum()) for _, mask in self._bands.values())
         return (
             f"ModelSpec(length={self.length}, n0={self.n0}, "
-            f"hoppings={len(self._offdiag)}, onsites={len(self._onsite)}, "
+            f"hoppings={hoppings}, onsites={int(self._onsite_mask.sum())}, "
             f"label={self.label!r})"
         )
 
 
-def assemble(spec: ModelSpec) -> HermitianMatrix:
-    """Assemble the dense one-particle matrix of a model.
+def _dense(spec: ModelSpec) -> np.ndarray:
+    """The dense matrix: each stored block at (x, x'), its conjugate transpose at (x', x).
 
-    The result is Hermitian by construction: every stored hopping block
-    is placed once at (x, x') and mirrored by conjugate transposition at
-    (x', x); on-site blocks land on the diagonal as given.
+    Each placed entry ``p`` with mirror entry ``q`` is written as
+    ``(p + conj(q)) * 0.5``: that is what
+    :class:`~gapbound.eigensolver.HermitianMatrix` makes of the placed
+    matrix (the product fixes the signs of zero imaginary parts), so the
+    bits are those of a validated dense input, at the cost of the stored
+    blocks only.
     """
     n0 = spec.n0
     m = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    for (x, xp), b in spec.offdiag.items():
-        r = (x - 1) * n0
-        c = (xp - 1) * n0
-        m[r : r + n0, c : c + n0] = b
-        m[c : c + n0, r : r + n0] = b.conj().T
-    for x, b in spec.onsite.items():
-        r = (x - 1) * n0
-        m[r : r + n0, r : r + n0] = b
-    return HermitianMatrix(m)
+    a, c = np.indices((n0, n0))
+    for d, (blocks, mask) in spec.hopping_bands.items():
+        b = blocks[mask]
+        x0 = np.flatnonzero(mask)[:, None, None]
+        rows, cols = x0 * n0 + a, (x0 + d) * n0 + c
+        m[rows, cols] = (b + b) * 0.5
+        m[cols, rows] = (b.conj() + b.conj()) * 0.5
+    o = spec._onsite[spec._onsite_mask]
+    x0 = np.flatnonzero(spec._onsite_mask)[:, None, None]
+    m[x0 * n0 + a, x0 * n0 + c] = (o + o.conj().transpose(0, 2, 1)) * 0.5
+    return m
+
+
+def assemble(spec: ModelSpec) -> BandedHermitian:
+    """The one-particle matrix of a model as a banded Hermitian operator.
+
+    Only the lower band is formed, ``band[k, j] = H[j + k, j]``, in
+    O(L * N0 * bandwidth) time and memory: on-site blocks contribute
+    their lower triangles, a stored hopping block ``h`` of the pair
+    ``(x, x + d)`` contributes ``h^dagger`` at block row ``x + d``.  The
+    operator's dense ``array`` holds each stored block at (x, x') and its
+    conjugate transpose at (x', x); it is built on first read.
+    """
+    n0, length = spec.n0, spec.length
+    dmax = max(spec.hopping_bands, default=0)
+    band = np.zeros(((dmax + 1) * n0, spec.dim), dtype=np.complex128)
+    a, c = np.indices((n0, n0))
+    # lower-block entry (a, c) of block row x + d, block column x sits at
+    # band row d * N0 + a - c, column (x - 1) * N0 + c
+    lower = a >= c
+    band[(a - c)[lower], np.arange(length)[:, None] * n0 + c[lower]] = spec._onsite[:, lower]
+    for d, (blocks, _) in spec.hopping_bands.items():
+        cols = np.arange(length - d)[:, None, None] * n0 + c
+        band[d * n0 + a - c, cols] = blocks.conj().transpose(0, 2, 1)
+    return BandedHermitian(band, partial(_dense, spec))
+
+
+def hopping_norms(spec: ModelSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(d, x, norms)`` per hopping distance: the first sites ``x`` of the
+    stored pairs ``(x, x + d)`` and the spectral norms of their blocks."""
+    out = []
+    for d, (blocks, mask) in spec.hopping_bands.items():
+        x0 = np.flatnonzero(mask)
+        out.append((d, x0 + 1, _norms(blocks[x0])))
+    return out
 
 
 def block_norm(spec: ModelSpec, x: int, xp: int) -> float:
@@ -252,13 +433,10 @@ def block_norm(spec: ModelSpec, x: int, xp: int) -> float:
     """
     if x == xp:
         raise ValidationError("block_norm is defined for distinct supersites only")
-    lo, hi = (x, xp) if x < xp else (xp, x)
-    b = spec.offdiag.get((lo, hi))
+    b = spec.block(min(x, xp), max(x, xp))
     if b is None:
         return 0.0
-    if spec.n0 == 1:
-        return float(abs(b[0, 0]))
-    return float(np.linalg.svd(b, compute_uv=False)[0])
+    return float(_norms(b[None])[0])
 
 
 def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
@@ -270,11 +448,9 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValidationError(f"decay rate mu must be positive, got {mu}")
-    if not spec.offdiag:
+    if not spec.hopping_bands:
         raise ValidationError("cannot fit an envelope: model has no hopping blocks")
-    cv = max(
-        block_norm(spec, x, xp) * math.exp(mu * (xp - x)) for (x, xp) in spec.offdiag
-    )
+    cv = max(float(np.max(norms)) * math.exp(mu * d) for d, _, norms in hopping_norms(spec))
     if cv <= 0:
         raise ValidationError("cannot fit an envelope: all hopping blocks vanish")
     return HoppingEnvelope(cv=cv, mu=mu)
@@ -289,15 +465,18 @@ def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
     exponential-envelope route instead.
     """
     offenders = [
-        (x, xp) for (x, xp), b in spec.offdiag.items() if xp - x >= 2 and b.any()
+        (int(x) + 1, int(x) + 1 + d)
+        for d, (blocks, mask) in spec.hopping_bands.items()
+        if d >= 2
+        for x in np.flatnonzero(mask & blocks.any(axis=(1, 2)))
     ]
     if offenders:
         raise LongRangeHopping(sorted(offenders))
-    v0 = 0.0
-    for (x, xp) in spec.offdiag:
-        if xp - x == 1:
-            v0 = max(v0, block_norm(spec, x, xp))
-    return NNBound(v0=v0)
+    nearest = spec.hopping_bands.get(1)
+    if nearest is None:
+        return NNBound(v0=0.0)
+    blocks, mask = nearest
+    return NNBound(v0=float(np.max(_norms(blocks[mask]))))
 
 
 def envelope_violations(
@@ -309,11 +488,10 @@ def envelope_violations(
     envelope dominates every block within ``tol`` relative slack.
     """
     bad = []
-    for (x, xp) in spec.offdiag:
-        norm = block_norm(spec, x, xp)
-        allowed = envelope.value(xp - x)
-        if norm > allowed * (1.0 + tol):
-            bad.append((x, xp, norm, allowed))
+    for d, xs, norms in hopping_norms(spec):
+        allowed = envelope.value(d)
+        over = norms > allowed * (1.0 + tol)
+        bad += [(int(x), int(x) + d, float(v), allowed) for x, v in zip(xs[over], norms[over])]
     return sorted(bad)
 
 
@@ -341,13 +519,17 @@ def impurity_model(length: int, h0: float) -> ModelSpec:
     if length % 2 != 0:
         raise ValidationError(f"length must be even, got {length}")
     sites = int(length) + 1
-    center = int(length) // 2 + 1
-    hops = [(x, x + 1, [[1.0]]) for x in range(1, sites)]
-    return ModelSpec(
+    center = int(length) // 2  # 0-based row of the site length // 2 + 1
+    onsite = np.zeros((sites, 1, 1))
+    onsite[center] = float(h0)
+    mask = np.zeros(sites, dtype=bool)
+    mask[center] = True
+    return ModelSpec.from_arrays(
         sites,
         1,
-        hops,
-        [(center, [[float(h0)]])],
+        {1: np.ones((sites - 1, 1, 1))},
+        onsite,
+        mask,
         label=f"impurity chain (L={length}, h0={h0})",
     )
 
@@ -367,9 +549,12 @@ def strip_model(
     across = np.zeros((width, width))
     for i in range(width - 1):
         across[i, i + 1] = across[i + 1, i] = t_across
-    hop = t_along * np.eye(width)
-    hops = [(x, x + 1, hop) for x in range(1, length)]
-    onsites = [(x, across) for x in range(1, length + 1)] if width > 1 else []
-    return ModelSpec(
-        length, width, hops, onsites, label=f"strip {width}x{length}"
+    hopping = {1: np.broadcast_to(t_along * np.eye(width), (length - 1, width, width))}
+    onsite = np.broadcast_to(across, (length, width, width)) if width > 1 else None
+    return ModelSpec.from_arrays(
+        length,
+        width,
+        hopping if length > 1 else None,
+        onsite,
+        label=f"strip {width}x{length}",
     )

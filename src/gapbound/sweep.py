@@ -14,17 +14,15 @@ to this benchmark model rather than a fitted envelope (a mu = 1 fit
 would give cv = e, since the nearest-neighbor norm is 1); the sweep
 verifies the resulting envelope pointwise on every row.
 
-Sweep points are independent; set ``GAPBOUND_THREADS`` to run them in a
-thread pool.  Rows are always merged in grid order, so the emitted CSV
-is byte-identical for identical configurations regardless of the thread
-count.
+Each point is solved on the banded chain operator in O(L) time and
+memory, so chains far longer than the default ``L = 500`` are cheap.
+Rows come back in grid order and the emitted CSV is byte-identical for
+identical configurations.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +34,6 @@ from .lattice import HoppingEnvelope, assemble, check_nearest_neighbor, impurity
 from .localization import density, fit_localization_length, position_stats
 
 SWEEP_CSV_HEADER = "h0,E0,E1,gap,deltaX,xi_fit,xi1,xi2,ratio1,ratio2,fit_r_squared"
-THREADS_ENV_VAR = "GAPBOUND_THREADS"
 
 
 def default_h0_grid(points: int = 100, lo: float = -1.0, hi: float = -0.01) -> np.ndarray:
@@ -137,34 +134,15 @@ def sweep_point(
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, min(cap, n_tasks))
-
-
 def run_sweep(config: SweepConfig, write: bool = True) -> list[SweepRow]:
     """Run the sweep; rows come back in grid order.
 
     Writes the CSV to ``config.output_path`` unless ``write`` is False.
     """
-    h0s = list(config.h0_grid)
-    workers = _worker_count(len(h0s))
-
-    def point(h0: float) -> SweepRow:
-        return sweep_point(config.L, h0, config.s, config.mu, config.grid_step)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, h0s))
-    else:
-        rows = [point(h0) for h0 in h0s]
-
+    rows = [
+        sweep_point(config.L, h0, config.s, config.mu, config.grid_step)
+        for h0 in config.h0_grid
+    ]
     if write:
         write_sweep_csv(rows, config.output_path)
     return rows

@@ -107,6 +107,27 @@ def hermitian_eigenvalues_bisect(h, k: int | None = None) -> np.ndarray:
     return bisect_eigenvalues(t.diagonal().real, np.abs(t.diagonal(-1)), k)
 
 
+def dense_assembly(spec) -> np.ndarray:
+    """Dense matrix of a model by per-block placement, symmetrised as a validated dense input.
+
+    Reads only the ``offdiag`` and ``onsite`` mappings: each stored block
+    goes to (x, x') and its conjugate transpose to (x', x), on-site blocks
+    to the diagonal, and the result is replaced by ``0.5 * (m + m^dagger)``.
+    """
+    n0 = spec.n0
+    m = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    for (x, xp), b in spec.offdiag.items():
+        r, c = (x - 1) * n0, (xp - 1) * n0
+        m[r : r + n0, c : c + n0] = b
+        m[c : c + n0, r : r + n0] = b.conj().T
+    for x, b in spec.onsite.items():
+        r = (x - 1) * n0
+        m[r : r + n0, r : r + n0] = b
+    m += m.conj().T
+    m *= 0.5
+    return m
+
+
 def partial_series(term, rtol: float = 1e-18, max_terms: int = 100000) -> float:
     """Sum term(k) for k = 0, 1, ... until terms drop below rtol * total."""
     total = 0.0

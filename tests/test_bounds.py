@@ -200,6 +200,24 @@ def test_site_coupling_envelope_brute_force_small():
         assert v[x - 1] == pytest.approx(brute, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "cv,mu,length",
+    [(1.0, 1.0, 1), (1.3, 0.6, 2), (0.7, 2.5, 17), (1.0, 1.0, 501), (0.5, 0.3, 400), (2.0, 0.05, 300)],
+)
+def test_site_coupling_envelope_closed_form_vs_brute_sum(cv, mu, length):
+    env = HoppingEnvelope(cv=cv, mu=mu)
+    v = site_coupling_profile(env, length)
+    x = np.arange(length, dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    brute = 2.0 * np.sum(cv * np.exp(-mu * d) * d * d, axis=1)
+    np.testing.assert_allclose(v, brute, rtol=1e-13, atol=0)
+    # sites 50/mu from both edges miss less than 1e-17 of the two-sided series
+    bulk = v[(x >= 50 / mu) & (x <= length - 1 - 50 / mu)]
+    if length >= 400:
+        assert bulk.size
+        np.testing.assert_allclose(bulk, envelope_coupling_partial(cv, mu), rtol=1e-13)
+
+
 def test_site_coupling_raw_spec():
     spec = ModelSpec(4, 1, [(1, 2, [[2.0]]), (2, 4, [[1.0]])])
     v = site_coupling_profile(spec)

@@ -14,11 +14,13 @@ from gapbound import (
     NonHermitianError,
     ValidationError,
     assemble,
+    impurity_model,
     lowest_two,
     spectral_scale,
     strip_model,
     write_spectrum,
 )
+from gapbound.fuzz import FAMILIES, NN_FAMILY, random_model, trial_rng
 
 from oracles import (
     bisect_eigenvalues,
@@ -290,3 +292,40 @@ def test_eigenvalues_computed_lazily():
     assert not w.flags.writeable
     assert w[0] == pytest.approx(res.e0, abs=1e-12)
     assert w[1] == pytest.approx(res.e1, abs=1e-12)
+
+
+def _nn_chains():
+    yield impurity_model(60, -0.4)
+    for i in range(20):
+        yield random_model(trial_rng(950, i), n0_range=(1, 1), family=NN_FAMILY)[0]
+
+
+def test_band_route_matches_dense_route(routes):
+    for spec in _nn_chains():
+        h = assemble(spec)
+        assert h.bandwidth <= 1
+        try:
+            res = lowest_two(h)
+        except DegenerateGroundState:
+            continue
+        assert routes[-1] == "eigh_tridiagonal"
+        assert h._array is None  # the band route never forms the dense matrix
+        w, v = eigh(h.array, subset_by_index=(0, 1))
+        scale = max(1.0, spectral_scale(h))
+        np.testing.assert_allclose([res.e0, res.e1], w, rtol=0, atol=1e-12 * scale)
+        assert abs(np.vdot(res.psi0, v[:, 0])) >= 1 - 1e-10
+        # the same operator given as a dense array takes the same route, same bits
+        dense = lowest_two(h.array)
+        assert (dense.e0, dense.e1) == (res.e0, res.e1)
+        assert dense.psi0.tobytes() == res.psi0.tobytes()
+
+
+def test_banded_matvec_and_scale_match_dense():
+    rng = np.random.default_rng(8)
+    specs = [strip_model(6, 3, 1.0, 0.4), impurity_model(20, -1.0)]
+    specs += [random_model(trial_rng(960, i), family=f)[0] for f in FAMILIES for i in range(10)]
+    for spec in specs:
+        h = assemble(spec)
+        v = rng.normal(size=h.n) + 1j * rng.normal(size=h.n)
+        np.testing.assert_allclose(h.matvec(v), h.array @ v, rtol=0, atol=1e-13 * np.abs(v).sum())
+        assert spectral_scale(h) == pytest.approx(spectral_scale(h.array), rel=1e-14)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import bandwidth
 
 from gapbound import (
+    BandedHermitian,
     EnvelopeViolation,
     HoppingEnvelope,
     LongRangeHopping,
@@ -21,9 +23,30 @@ from gapbound import (
     require_envelope,
     strip_model,
 )
-from gapbound.fuzz import random_model, trial_rng
+from gapbound.fuzz import FAMILIES, random_model, trial_rng
+from gapbound.modelfile import parse_model
 
-from oracles import charpoly_eigenvalues
+from oracles import charpoly_eigenvalues, dense_assembly
+
+MODEL_FILES = (
+    "L 2\nN0 1\nlabel dimer\nV 1 1 1 -0.5 0\nT 1 2 1 1 -1 0\n",
+    "L 3\nN0 2\nV 1 1 2 0.5 0.25\nV 2 2 2 -1 0\nT 1 2 2 1 0 1\nT 1 3 1 2 0.3 -0.2\n",
+    "L 5\nN0 1\nT 1 2 1 1 1 0\nT 2 3 1 1 1 0\nT 1 3 1 1 0.5 0\nV 3 1 1 -0.8 0\n",
+)
+
+
+def _model_families():
+    yield impurity_model(40, -0.3)
+    yield impurity_model(2, 0.0)
+    yield strip_model(7, 3, t_along=1.0, t_across=0.7)
+    yield strip_model(5, 1)
+    yield strip_model(1, 4)
+    for text in MODEL_FILES:
+        yield parse_model(text)
+    for family in FAMILIES:
+        for i in range(50):
+            yield random_model(trial_rng(900, i), family=family)[0]
+    yield random_model(trial_rng(901, 0))[0].with_shifted_onsite(1.7)
 
 
 def test_two_site_assembly():
@@ -281,3 +304,91 @@ def test_with_shifted_onsite():
     h0 = assemble(spec).array
     h1 = assemble(shifted).array
     np.testing.assert_allclose(h1, h0 + 2.5 * np.eye(5), atol=1e-15)
+
+
+def test_assemble_is_bit_identical_to_dense_placement():
+    for spec in _model_families():
+        h = assemble(spec)
+        assert isinstance(h, BandedHermitian)
+        dense = h.array
+        assert not dense.flags.writeable
+        assert dense.tobytes() == dense_assembly(spec).tobytes(), spec
+        # the band is the lower triangle of the same matrix, and nothing lies beyond it
+        assert h.bandwidth == max(bandwidth(dense))
+        for k in range(h.bandwidth + 1):
+            np.testing.assert_array_equal(h.band[k, : h.n - k], dense.diagonal(-k))
+            assert not h.band[k, h.n - k :].any()
+
+
+def test_assembly_builds_no_dense_matrix_until_read():
+    h = assemble(impurity_model(10, -0.5))
+    assert h._array is None
+    assert h.band.shape == (2, 11)
+    a = h.array
+    assert h.array is a
+
+
+def test_accessors_are_read_only_views():
+    b = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    onsite = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    spec = ModelSpec(4, 2, [(1, 3, b), (2, 3, 0.5 * b)], [(2, onsite)])
+    assert list(spec.offdiag) == [(1, 3), (2, 3)]
+    assert list(spec.onsite) == [2]
+    for block in (*spec.offdiag.values(), *spec.onsite.values(), spec.block(1, 3)):
+        assert not block.flags.writeable
+        assert block.base is not None
+    np.testing.assert_array_equal(spec.block(1, 3), b)
+    np.testing.assert_array_equal(spec.block(3, 1), b.conj().T)
+    np.testing.assert_array_equal(spec.block(2, 2), onsite)
+    for x, xp in ((1, 2), (2, 4), (1, 4), (1, 1), (0, 1), (4, 5), (3, 3)):
+        assert spec.block(x, xp) is None
+    assert spec.hopping_bands.keys() == {1, 2}
+    blocks, mask = spec.hopping_bands[2]
+    assert blocks.shape == (2, 2, 2) and mask.tolist() == [True, False]
+    assert not blocks.flags.writeable and not mask.flags.writeable
+
+
+def test_from_arrays_matches_tuple_constructor():
+    rng = np.random.default_rng(3)
+    hop = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    far = rng.normal(size=(3, 2, 2))
+    a = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    onsite = a + a.conj().transpose(0, 2, 1)
+    mask = np.array([True, False, True, True, False, False])
+    spec = ModelSpec.from_arrays(6, 2, {1: hop, 3: far}, onsite, mask, label="arrays")
+    ref = ModelSpec(
+        6,
+        2,
+        [(x, x + 1, hop[x - 1]) for x in range(1, 6)] + [(x, x + 3, far[x - 1]) for x in range(1, 4)],
+        [(x, onsite[x - 1]) for x in (1, 3, 4)],
+    )
+    assert spec.label == "arrays"
+    assert list(spec.offdiag) == list(ref.offdiag)
+    assert list(spec.onsite) == list(ref.onsite)
+    for key in ref.offdiag:
+        assert spec.offdiag[key].tobytes() == ref.offdiag[key].tobytes()
+    for key in ref.onsite:
+        assert spec.onsite[key].tobytes() == ref.onsite[key].tobytes()
+    assert assemble(spec).array.tobytes() == assemble(ref).array.tobytes()
+    hop[0, 0, 0] = 99.0  # the inputs were copied
+    assert spec.offdiag[(1, 2)][0, 0] != 99.0
+
+
+def test_from_arrays_validation_errors():
+    ones = np.ones((3, 1, 1))
+    with pytest.raises(ValidationError):
+        ModelSpec.from_arrays(4, 1, {1: ones[:2]})  # wrong band length
+    with pytest.raises(ValidationError):
+        ModelSpec.from_arrays(4, 1, {4: ones[:0]})  # distance beyond the lattice
+    with pytest.raises(ValidationError):
+        ModelSpec.from_arrays(4, 1, {1.0: ones})  # non-integer distance
+    with pytest.raises(ValidationError, match=r"\(2, 3\)"):
+        ModelSpec.from_arrays(4, 1, {1: [[[1.0]], [[np.inf]], [[1.0]]]})
+    with pytest.raises(ValidationError):
+        ModelSpec.from_arrays(4, 1, onsite=np.ones((3, 1, 1)))
+    with pytest.raises(ValidationError):
+        ModelSpec.from_arrays(4, 1, onsite_mask=np.ones(4, dtype=bool))
+    with pytest.raises(NonHermitianError, match="x=2"):
+        ModelSpec.from_arrays(2, 2, onsite=[np.eye(2), [[0, 1], [0, 0]]])
+    with pytest.raises(ValidationError, match="x=1"):
+        ModelSpec(2, 1, onsite_blocks=[(1, [[np.nan]])])

@@ -1,10 +1,15 @@
 """Sweep harness: determinism, CSV format, envelope guarantees."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapbound
 from gapbound import SweepConfig, ValidationError, read_sweep_csv, run_sweep
 from gapbound.sweep import (
     SWEEP_CSV_HEADER,
@@ -96,31 +101,41 @@ def test_sweep_determinism(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_sweep_threaded_matches_serial(tmp_path, monkeypatch):
-    config = SweepConfig(L=40, h0_grid=default_h0_grid(points=5),
-                         output_path=str(tmp_path / "serial.csv"))
-    run_sweep(config)
-    monkeypatch.setenv("GAPBOUND_THREADS", "3")
-    config2 = SweepConfig(L=40, h0_grid=default_h0_grid(points=5),
-                          output_path=str(tmp_path / "threaded.csv"))
-    run_sweep(config2)
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
-
-
-def test_threads_env_validation(monkeypatch, tmp_path):
-    monkeypatch.setenv("GAPBOUND_THREADS", "lots")
-    config = SweepConfig(L=40, h0_grid=np.array([-0.5]),
-                         output_path=str(tmp_path / "x.csv"))
-    with pytest.raises(ValidationError):
-        run_sweep(config)
-
-
 def test_single_point_values():
     row = sweep_point(40, -1.0)
     # strong defect: bound-state energy approaches -sqrt(5) for a long chain
     assert row.e0 == pytest.approx(-math.sqrt(5.0), abs=1e-6)
     assert row.xi_fit == pytest.approx(row.delta_x / math.sqrt(2), rel=0.05)
     assert row.fit_r_squared > 0.999
+
+
+# A dense 50001 x 50001 complex matrix needs 40 GB and an L x L float
+# array 20 GB; under a 2 GiB address-space limit either one raises
+# MemoryError at once instead of exhausting the host.
+LARGE_CHAIN_SCRIPT = """
+import resource
+limit = 2 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from gapbound.sweep import sweep_point
+row = sweep_point(50000, -0.01)
+print(row.violations1, row.violations2, repr(row.gap), repr(row.ratio2))
+"""
+
+
+def test_large_chain_sweep_point_runs_in_linear_memory():
+    src = str(Path(gapbound.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_CHAIN_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    v1, v2, gap, ratio2 = proc.stdout.split()
+    assert (v1, v2) == ("0", "0")
+    # the chain is long enough for the infinite-chain bound state gap
+    assert float(gap) == pytest.approx(math.sqrt(0.01**2 + 4.0) - 2.0, rel=1e-3)
+    assert 1.0 < float(ratio2) < 10.0
 
 
 def test_solver_failure_carries_offending_h0(monkeypatch):
