@@ -520,11 +520,9 @@ def verify_appendixB(
     u = np.abs(x - center)
     a = r_inner + delta_r / 3.0
     b = r_inner + 2.0 * delta_r / 3.0
-    v_piece = np.where(
-        u <= a,
-        c1 * np.exp(-envelope.mu * (a - u)),
-        np.where(u <= b, c1, c1 * np.exp(-envelope.mu * (u - b))),
-    )
+    # one exponent for all three pieces: the far-side exponent is never
+    # evaluated at a site, so nothing overflows far from the centre
+    v_piece = c1 * np.exp(-envelope.mu * (np.maximum(a - u, 0.0) + np.maximum(u - b, 0.0)))
 
     report = AppendixBReport(
         hod_abs=hod_abs,

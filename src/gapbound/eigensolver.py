@@ -5,17 +5,28 @@ A matrix reaches the solver in one of two forms: a :class:`HermitianMatrix`
 LAPACK layout, which is what :func:`gapbound.lattice.assemble` returns).
 
 Only the ground state and the first excited state are needed downstream,
-so LAPACK is asked for those two pairs and never for the whole spectrum:
+so LAPACK is asked for those two pairs and never for the whole spectrum.
+There are three routes, picked from the input:
 
 * Tridiagonal input (bandwidth <= 1: every nearest-neighbour chain with
   one orbital per site, diagonal input, ``n = 2``) is made real symmetric
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
   (LAPACK ``stebz`` + ``stein`` through
-  :func:`scipy.linalg.eigh_tridiagonal`).  A banded operator hands over
-  its two band rows; no dense matrix is formed.
-* All other input goes to :func:`scipy.linalg.eigh` restricted to the
-  two lowest indices (LAPACK ``heevr``) on the dense array.
+  :func:`scipy.linalg.eigh_tridiagonal`).
+* A banded operator with bandwidth > 1 (every assembled model with
+  ``N0 > 1`` or longer-range hopping) gets its two lowest eigenvalues
+  from the band (LAPACK ``hbevx``/``sbevx`` without vectors: a
+  band-to-tridiagonal reduction that forms no Q, then bisection by
+  index), and its two vectors by inverse iteration with the banded LU
+  factor of ``H - E_k I`` (LAPACK ``gbtrf`` + ``gbtrs``).  A band with
+  no imaginary part is solved in real arithmetic.  O(n * bandwidth)
+  memory and O(n^2 * bandwidth) time.
+* A dense :class:`HermitianMatrix` with bandwidth > 1 goes to
+  :func:`scipy.linalg.eigh` restricted to the two lowest indices
+  (LAPACK ``heevr``).
+
+The first two routes never form the dense matrix of a banded operator.
 
 Every accepted result is certified a posteriori: the 2-norm residuals
 ``|H v - E v|`` of both returned eigenpairs against the stored operator
@@ -24,7 +35,8 @@ Every accepted result is certified a posteriori: the 2-norm residuals
 
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
-solver raises :class:`DegenerateGroundState`.
+solver raises :class:`DegenerateGroundState`, before any eigenvector is
+computed.
 """
 
 from __future__ import annotations
@@ -33,13 +45,28 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import bandwidth, eigh, eigh_tridiagonal, eigvalsh
+from scipy.linalg import (
+    bandwidth,
+    eig_banded,
+    eigh,
+    eigh_tridiagonal,
+    eigvalsh,
+    get_lapack_funcs,
+)
 from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_DEGENERACY_TOL = 1e-8
+# Inverse-iteration solves per eigenvector on the band route.  Each solve
+# multiplies the other eigenvectors' share by about |E_k - lambda_k| / gap,
+# at most n * eps / degeneracy_tol (2e-5 for n = 1000 at the default).
+_INVERSE_STEPS = 3
+# Seed of the inverse-iteration start vector.  It is pseudo-random, not
+# all-ones, because a reflection-symmetric model's odd excited state is
+# orthogonal to all-ones.
+_START_SEED = 20140101
 
 
 class HermitianMatrix:
@@ -194,9 +221,11 @@ class SpectrumResult:
     """Lowest two eigenpairs of a Hermitian matrix.
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
-    real and positive.  ``eigenvalues``, the full ascending spectrum, is
-    computed from the dense form of ``matrix`` on first access only and
-    then cached.
+    real and positive.  The pairs come from one of the three routes in the
+    module docstring; for a banded ``matrix`` none of them forms the dense
+    matrix.  ``eigenvalues``, the full ascending spectrum, is computed from
+    the dense form of ``matrix`` on first access only and then cached; it
+    is the one place where a banded operator's dense matrix is built.
     """
 
     e0: float
@@ -213,6 +242,47 @@ class SpectrumResult:
         w = eigvalsh(self.matrix.array, check_finite=False)
         w.flags.writeable = False
         return w
+
+
+def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndarray:
+    """Eigenvectors of a lower-band Hermitian matrix at accurate eigenvalues.
+
+    For each ``E_k`` in order, ``H - E_k I`` is factored by banded LU with
+    partial pivoting (LAPACK ``gbtrf``) and ``_INVERSE_STEPS`` solves
+    (``gbtrs``) are applied to a fixed pseudo-random start vector; each
+    iterate is orthogonalised against the vectors already found.  As in
+    LAPACK ``stein``, pivots smaller than ``eps * scale`` (exactly zero
+    when ``E_k`` is an eigenvalue of a decoupled block) are replaced by
+    ``eps * scale``: the factor then belongs to a matrix within
+    ``eps * scale`` of ``H - E_k I``, which is all inverse iteration needs.
+    Returns the vectors as the columns of a complex ``(n, len(energies))``
+    array.
+    """
+    b, n = band.shape[0] - 1, band.shape[1]
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    # general band layout: A[i, j] at row 2b + i - j; rows 0..b-1 take the
+    # fill-in of the row interchanges
+    ab = np.zeros((3 * b + 1, n), dtype=band.dtype)
+    ab[2 * b:] = band
+    for k in range(1, b + 1):
+        ab[2 * b - k, k:] = band[k, : n - k].conj()
+    floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
+    start = np.random.default_rng(_START_SEED).standard_normal(n)
+    vecs = []
+    for energy in energies:
+        shifted = ab.copy()
+        shifted[2 * b] -= energy
+        lu, piv, _ = gbtrf(shifted, b, b, overwrite_ab=True)
+        pivots = lu[2 * b]  # the diagonal of U
+        pivots[np.abs(pivots) < floor] = floor
+        x = start
+        for _ in range(_INVERSE_STEPS):
+            x, _ = gbtrs(lu, b, b, x, piv)
+            for v in vecs:
+                x -= v * np.vdot(v, x)
+            x /= np.linalg.norm(x)
+        vecs.append(x)
+    return np.column_stack(vecs).astype(np.complex128, copy=False)
 
 
 def lowest_two(
@@ -239,6 +309,7 @@ def lowest_two(
     scale = spectral_scale(hm)
 
     # the stored arrays are validated finite and read-only: no check, no overwrite
+    band = None
     if hm.bandwidth <= 1:
         # D^dag A D is real symmetric with subdiagonal |s| for the phases
         # D[j+1] = D[j] s_j / |s_j|; a zero entry keeps the previous phase
@@ -251,6 +322,13 @@ def lowest_two(
             check_finite=False,
         )
         vecs = phases[:, None] * z
+    elif isinstance(hm, BandedHermitian):
+        band = hm.band if hm.band.imag.any() else hm.band.real
+        # eigenvalues only: with vectors, hbevx would form the n x n Q
+        w = eig_banded(
+            band, lower=True, eigvals_only=True, select="i", select_range=(0, 1),
+            check_finite=False,
+        )
     else:
         w, vecs = eigh(hm.array, subset_by_index=(0, 1), check_finite=False)
     gap = float(w[1] - w[0])
@@ -259,13 +337,15 @@ def lowest_two(
             f"gap {gap:.3e} below degeneracy threshold "
             f"{degeneracy_tol * scale:.3e} (scale {scale:.3e})"
         )
+    if band is not None:
+        vecs = _band_inverse_iteration(band, w, scale)
 
     out = []
     residuals = []
     for col, energy in zip(vecs.T, w):
         psi = col / np.linalg.norm(col)
         res = float(np.linalg.norm(hm.matvec(psi) - energy * psi))
-        if res > tol * max(1.0, scale):
+        if not res <= tol * max(1.0, scale):  # a NaN residual certifies nothing
             raise GapboundError(
                 f"eigenpair residual {res:.3e} exceeds {tol * max(1.0, scale):.3e}; "
                 "decomposition not certified"

@@ -199,9 +199,7 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
             problems.append(f"power-law tail bound violated at R={r:.3g}")
 
     r_max = max(stats.mean - 1.0, spec.length - stats.mean)
-    tails = np.array(
-        [tail(prof, stats.mean, r) for r in np.arange(0.0, r_max + 0.25, 0.25)]
-    )
+    tails = tail(prof, stats.mean, np.arange(0.0, r_max + 0.25, 0.25))
     if np.any(np.diff(tails) > 1e-12):
         problems.append("tail distribution is not monotone nonincreasing")
 

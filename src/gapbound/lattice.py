@@ -23,8 +23,11 @@ takes O(L * N0^2) memory.  The mappings :attr:`ModelSpec.offdiag` and
 
 :func:`assemble` returns the matrix as a
 :class:`~gapbound.eigensolver.BandedHermitian`: its lower band in LAPACK
-layout, O(L * N0 * bandwidth) memory.  The dense ``n x n`` matrix is
-built only when a caller reads the operator's ``array``.
+layout, O(L * N0 * bandwidth) memory.  Every model, of any ``N0`` and
+hopping range, is solved on this band by
+:func:`~gapbound.eigensolver.lowest_two`; the dense ``n x n`` matrix is
+built only when a caller reads the operator's ``array`` (the full
+spectrum of :attr:`~gapbound.eigensolver.SpectrumResult.eigenvalues`).
 
 The strength of the hopping between two supersites is measured by the
 spectral norm (largest singular value) of the N0 x N0 block; this equals

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,20 @@ def test_verify_appendixB_impurity():
         assert rep.ok
         assert rep.hod_abs <= rep.bound_direct + rep.tolerance
         assert rep.bound_direct <= rep.bound_piecewise + rep.tolerance
+
+
+def test_verify_appendixB_far_sites_do_not_overflow():
+    # exp(mu * (u - a)) overflows at sites far from the centre; the
+    # piecewise bound must not evaluate it there
+    spec = impurity_model(1600, -0.5)
+    res, _, stats = _solve(spec)
+    env = fit_envelope(spec, mu=1.0)
+    g = trapezoid_g(spec.length, stats.mean, 0.0, 6.0, "theorem1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_appendixB(spec, env, g, res.psi0, (0.0, 6.0, stats.mean))
+    assert rep.ok
+    assert np.isfinite(rep.bound_piecewise) and np.isfinite(rep.pointwise_margin)
 
 
 def test_verify_appendixB_degenerate_trapezoid_is_zero():

@@ -9,6 +9,7 @@ from scipy.linalg import bandwidth, eigh
 
 import gapbound.eigensolver as eigensolver_mod
 from gapbound import (
+    BandedHermitian,
     DegenerateGroundState,
     HermitianMatrix,
     NonHermitianError,
@@ -207,7 +208,7 @@ def _complex_tridiagonal(rng, n, sub=None):
 def routes(monkeypatch):
     """Record which LAPACK route each lowest_two call takes."""
     taken = []
-    for name in ("eigh", "eigh_tridiagonal"):
+    for name in ("eigh", "eigh_tridiagonal", "eig_banded"):
         original = getattr(eigensolver_mod, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -271,15 +272,107 @@ def test_diagonal_and_two_site_input(routes):
     assert routes == ["eigh_tridiagonal", "eigh_tridiagonal"]
 
 
-def test_strip_takes_dense_route(routes):
+def test_strip_takes_band_route(routes):
+    # reflection-symmetric strip: the first excited state is odd, so it has
+    # no overlap with an all-ones vector
     h = assemble(strip_model(9, 3, t_along=1.0, t_across=0.7))
-    assert max(bandwidth(h.array)) > 1
+    assert h.bandwidth > 1
     res = lowest_two(h)
-    assert routes == ["eigh"]
+    assert routes == ["eig_banded"]
+    assert h._array is None  # the band route never forms the dense matrix
     scale = spectral_scale(h)
     oracle = hermitian_eigenvalues_bisect(h.array, k=2)
     np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-11 * scale)
     assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, scale)
+    assert abs(res.psi1.sum()) <= 1e-10
+
+
+def _assert_matches_dense(res, h):
+    w, v = eigh(h.array, subset_by_index=(0, 1))
+    scale = max(1.0, spectral_scale(h))
+    np.testing.assert_allclose([res.e0, res.e1], w, rtol=0, atol=1e-12 * scale)
+    assert abs(np.vdot(res.psi0, v[:, 0])) >= 1 - 1e-10
+    assert abs(np.vdot(res.psi1, v[:, 1])) >= 1 - 1e-10
+    assert max(res.residual0, res.residual1) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_banded_models_match_dense_route(family, routes):
+    solved = set()
+    for i in range(40):
+        spec = random_model(trial_rng(970, i), n0_range=(1, 3), family=family)[0]
+        h = assemble(spec)
+        if h.bandwidth <= 1:
+            continue
+        try:
+            res = lowest_two(h)
+        except DegenerateGroundState:
+            continue
+        assert routes[-1] == "eig_banded"
+        assert h._array is None
+        _assert_matches_dense(res, h)
+        solved.add(spec.n0)
+    assert solved == ({1, 2, 3} if family == FAMILIES[0] else {2, 3})
+
+
+def _banded(a: np.ndarray) -> BandedHermitian:
+    """The banded operator of a dense Hermitian array."""
+    n, b = a.shape[0], max(bandwidth(a))
+    band = np.zeros((b + 1, n), dtype=complex)
+    for k in range(b + 1):
+        band[k, : n - k] = a.diagonal(-k)
+    return BandedHermitian(band, lambda: a)
+
+
+def _banded_block(rng, n):
+    a = random_hermitian(rng, n)
+    return np.triu(np.tril(a, 2), -2)
+
+
+def test_decoupled_banded_blocks_zero_pivot(routes):
+    rng = np.random.default_rng(31)
+    block = _banded_block(rng, 7)
+    # site 0 is isolated below the rest of the spectrum: H - E0 I has an
+    # exactly zero column, so its LU factor has an exactly zero pivot
+    a = np.zeros((8, 8), dtype=complex)
+    a[0, 0] = -10.0
+    a[1:, 1:] = block
+    h = _banded(a)
+    res = lowest_two(h)
+    assert routes == ["eig_banded"]
+    assert res.e0 == -10.0
+    np.testing.assert_allclose(np.abs(res.psi0), np.eye(8)[0], rtol=0, atol=1e-14)
+    _assert_matches_dense(res, h)
+    # two identical decoupled blocks: degenerate, refused
+    twin = np.zeros((14, 14), dtype=complex)
+    twin[:7, :7] = twin[7:, 7:] = block
+    with pytest.raises(DegenerateGroundState):
+        lowest_two(_banded(twin))
+
+
+def _near_degenerate(delta, eps=1e-10):
+    # a banded double well: two copies of one block, the second shifted up
+    # by delta, joined by a coupling eps inside the band
+    rng = np.random.default_rng(41)
+    block = _banded_block(rng, 10)
+    a = np.zeros((20, 20), dtype=complex)
+    a[:10, :10] = block
+    a[10:, 10:] = block + delta * np.eye(10)
+    a[10, 9] = eps
+    a[9, 10] = eps
+    return _banded(a)
+
+
+def test_near_degenerate_banded_gap():
+    h = _near_degenerate(0.0)
+    scale = spectral_scale(h)
+    h = _near_degenerate(1e-7 * scale)
+    res = lowest_two(h)
+    assert res.gap == pytest.approx(1e-7 * scale, rel=1e-3)
+    assert h._array is None
+    _assert_matches_dense(res, h)
+    with pytest.raises(DegenerateGroundState):
+        lowest_two(_near_degenerate(5e-9 * scale))
 
 
 def test_eigenvalues_computed_lazily():
