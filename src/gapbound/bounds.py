@@ -178,7 +178,8 @@ def g_expectations(
 
     ``<H_OD>`` is computed twice: from the stored hopping blocks and from
     the double commutator ``[G, [G, H]]`` on the band of the assembled
-    operator, in O(n * bandwidth).
+    operator (memoised on ``spec``, so the caller's solve and this check
+    share one band), in O(n * bandwidth).
     """
     if g.length != spec.length:
         raise ValidationError(

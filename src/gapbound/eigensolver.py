@@ -12,21 +12,24 @@ There are three routes, picked from the input:
   one orbital per site, diagonal input, ``n = 2``) is made real symmetric
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
-  (LAPACK ``stebz`` + ``stein`` through
-  :func:`scipy.linalg.eigh_tridiagonal`).
+  (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).
 * A banded operator with bandwidth > 1 (every assembled model with
   ``N0 > 1`` or longer-range hopping) gets its two lowest eigenvalues
   from the band (LAPACK ``hbevx``/``sbevx`` without vectors: a
   band-to-tridiagonal reduction that forms no Q, then bisection by
-  index), and its two vectors by inverse iteration with the banded LU
-  factor of ``H - E_k I`` (LAPACK ``gbtrf`` + ``gbtrs``).  A band with
-  no imaginary part is solved in real arithmetic.  O(n * bandwidth)
-  memory and O(n^2 * bandwidth) time.
+  index, ``_band_eigenvalues``), and its two vectors by inverse
+  iteration with the banded LU factor of ``H - E_k I`` (LAPACK
+  ``gbtrf`` + ``gbtrs``).  A band with no imaginary part is solved in
+  real arithmetic.  O(n * bandwidth) memory and O(n^2 * bandwidth) time.
 * A dense :class:`HermitianMatrix` with bandwidth > 1 goes to
   :func:`scipy.linalg.eigh` restricted to the two lowest indices
-  (LAPACK ``heevr``).
+  (LAPACK ``heevr``, ``_dense_pairs``).
 
 The first two routes never form the dense matrix of a banded operator.
+They call LAPACK through :func:`scipy.linalg.get_lapack_funcs`, with
+the arguments :func:`scipy.linalg.eigh_tridiagonal` and
+:func:`scipy.linalg.eig_banded` pass for the same selection, so the
+results are theirs bit for bit without their per-call wrapper cost.
 
 Every accepted result is certified a posteriori: the 2-norm residuals
 ``|H v - E v|`` of both returned eigenpairs against the stored operator
@@ -42,17 +45,10 @@ computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import (
-    bandwidth,
-    eig_banded,
-    eigh,
-    eigh_tridiagonal,
-    eigvalsh,
-    get_lapack_funcs,
-)
+from scipy.linalg import bandwidth, eigh, eigvalsh, get_lapack_funcs
 from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
@@ -135,9 +131,10 @@ class BandedHermitian:
     bandwidth.  ``dense`` is a function returning the same matrix as a
     dense array; it is called on the first read of :attr:`array` only.
     Built by :func:`gapbound.lattice.assemble` from a validated model.
+    The spectral scale is computed on first use and kept.
     """
 
-    __slots__ = ("band", "_dense", "_array")
+    __slots__ = ("band", "_dense", "_array", "_scale")
 
     def __init__(self, band: np.ndarray, dense):
         band = np.asarray(band, dtype=np.complex128)
@@ -149,6 +146,7 @@ class BandedHermitian:
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_array", None)
+        object.__setattr__(self, "_scale", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BandedHermitian is immutable")
@@ -197,10 +195,12 @@ def spectral_scale(h) -> float:
     """Maximum row 1-norm of the matrix (its infinity norm).
 
     Used as the natural magnitude for residual and degeneracy tolerances.
-    A banded operator is read off its band in O(n * bandwidth).
+    A banded operator is read off its band in O(n * bandwidth), once.
     """
     if isinstance(h, BandedHermitian):
-        return float(np.max(h.abs_row_sums()))
+        if h._scale is None:
+            object.__setattr__(h, "_scale", float(np.max(h.abs_row_sums())))
+        return h._scale
     a = h.array if isinstance(h, HermitianMatrix) else np.asarray(h)
     if a.size == 0:
         return 0.0
@@ -244,6 +244,59 @@ class SpectrumResult:
         return w
 
 
+def _check_info(info: int, routine: str):
+    if info != 0:
+        raise GapboundError(f"LAPACK {routine} failed (info={info})")
+
+
+def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray):
+    """Two lowest eigenpairs of the real symmetric tridiagonal ``(d, e)``.
+
+    Bisection by index (``stebz``, block order) plus inverse iteration
+    (``stein``), sorted ascending: the calls
+    ``eigh_tridiagonal(d, e, select="i", select_range=(0, 1))`` makes.
+    """
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, "B")
+    _check_info(info, "stebz")
+    w = w[:m]
+    z, info = stein(d, e, w, iblock, isplit)
+    _check_info(info, "stein")
+    order = np.argsort(w)
+    return w[order], z[:, order]
+
+
+def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
+    """Two lowest eigenvalues of a lower-band Hermitian (or real symmetric) matrix.
+
+    ``hbevx``/``sbevx`` by index, without vectors (which would form the
+    n x n Q), with the ``abstol`` of ``eig_banded``; the band is copied,
+    never overwritten.
+    """
+    name = "hbevx" if band.dtype.kind == "c" else "sbevx"
+    (bevx,) = get_lapack_funcs((name,), (band,))
+    (lamch,) = get_lapack_funcs(("lamch",), dtype=np.float64)
+    w, _, m, _, info = bevx(
+        band, 0.0, 1.0, 1, 2, compute_v=0, mmax=1, range=2, lower=1,
+        overwrite_ab=0, abstol=2 * lamch("s"),
+    )
+    _check_info(info, name)
+    return w[:m]
+
+
+def _dense_pairs(a: np.ndarray):
+    """Two lowest eigenpairs of a dense Hermitian matrix (``heevr``)."""
+    return eigh(a, subset_by_index=(0, 1), check_finite=False)
+
+
+@lru_cache(maxsize=128)
+def _start_vector(n: int) -> np.ndarray:
+    """The read-only inverse-iteration start vector of length ``n``."""
+    start = np.random.default_rng(_START_SEED).standard_normal(n)
+    start.flags.writeable = False
+    return start
+
+
 def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndarray:
     """Eigenvectors of a lower-band Hermitian matrix at accurate eigenvalues.
 
@@ -254,7 +307,8 @@ def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndar
     LAPACK ``stein``, pivots smaller than ``eps * scale`` (exactly zero
     when ``E_k`` is an eigenvalue of a decoupled block) are replaced by
     ``eps * scale``: the factor then belongs to a matrix within
-    ``eps * scale`` of ``H - E_k I``, which is all inverse iteration needs.
+    ``eps * scale`` of ``H - E_k I``, which is all inverse iteration needs
+    (so ``gbtrf``'s positive ``info``, an exactly zero pivot, is expected).
     Returns the vectors as the columns of a complex ``(n, len(energies))``
     array.
     """
@@ -267,17 +321,19 @@ def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndar
     for k in range(1, b + 1):
         ab[2 * b - k, k:] = band[k, : n - k].conj()
     floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
-    start = np.random.default_rng(_START_SEED).standard_normal(n)
     vecs = []
     for energy in energies:
         shifted = ab.copy()
         shifted[2 * b] -= energy
-        lu, piv, _ = gbtrf(shifted, b, b, overwrite_ab=True)
+        lu, piv, info = gbtrf(shifted, b, b, overwrite_ab=True)
+        if info < 0:
+            _check_info(info, "gbtrf")
         pivots = lu[2 * b]  # the diagonal of U
         pivots[np.abs(pivots) < floor] = floor
-        x = start
+        x = _start_vector(n)
         for _ in range(_INVERSE_STEPS):
-            x, _ = gbtrs(lu, b, b, x, piv)
+            x, info = gbtrs(lu, b, b, x, piv)
+            _check_info(info, "gbtrs")
             for v in vecs:
                 x -= v * np.vdot(v, x)
             x /= np.linalg.norm(x)
@@ -317,20 +373,13 @@ def lowest_two(
         mag = np.abs(sub)
         unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0)
         phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-        w, z = eigh_tridiagonal(
-            hm.lower_diagonal(0).real, mag, select="i", select_range=(0, 1),
-            check_finite=False,
-        )
+        w, z = _tridiagonal_pairs(hm.lower_diagonal(0).real, mag)
         vecs = phases[:, None] * z
     elif isinstance(hm, BandedHermitian):
         band = hm.band if hm.band.imag.any() else hm.band.real
-        # eigenvalues only: with vectors, hbevx would form the n x n Q
-        w = eig_banded(
-            band, lower=True, eigvals_only=True, select="i", select_range=(0, 1),
-            check_finite=False,
-        )
+        w = _band_eigenvalues(band)
     else:
-        w, vecs = eigh(hm.array, subset_by_index=(0, 1), check_finite=False)
+        w, vecs = _dense_pairs(hm.array)
     gap = float(w[1] - w[0])
     if gap < degeneracy_tol * max(scale, np.finfo(float).tiny):
         raise DegenerateGroundState(

@@ -91,13 +91,16 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def _random_block(rng: np.random.Generator, n0: int, target_norm: float) -> np.ndarray:
-    b = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0))
-    top = np.linalg.svd(b, compute_uv=False)[0]
-    if top == 0.0:
-        b = np.eye(n0, dtype=complex)
-        top = 1.0
-    return b * (target_norm / top)
+def _scaled_blocks(draws: list, targets: list) -> np.ndarray:
+    """Complex blocks from ``(2, N0, N0)`` real/imaginary draws, each scaled
+    to its target spectral norm (an all-zero draw becomes the identity)."""
+    draws = np.array(draws)
+    blocks = draws[:, 0] + 1j * draws[:, 1]
+    tops = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    zero = tops == 0.0
+    blocks[zero] = np.eye(blocks.shape[1])
+    tops[zero] = 1.0
+    return blocks * (np.array(targets) / tops)[:, None, None]
 
 
 def random_model(
@@ -106,10 +109,15 @@ def random_model(
     n0_range: tuple[int, int] = (1, 3),
     family: str = ENVELOPE_FAMILY,
 ):
-    """Draw one random model; returns (spec, envelope or None, nn or None)."""
+    """Draw one random model; returns (spec, envelope or None, nn or None).
+
+    Each hopping block is drawn as one ``(2, N0, N0)`` normal sample (real
+    and imaginary parts) in pair order; the spectral norms are taken and
+    the blocks scaled in one batch afterwards.
+    """
     length = int(rng.integers(size_range[0], size_range[1] + 1))
     n0 = int(rng.integers(n0_range[0], n0_range[1] + 1))
-    hops = []
+    pairs, draws, targets = [], [], []
     if family == ENVELOPE_FAMILY:
         env = HoppingEnvelope(cv=float(rng.uniform(0.5, 3.0)), mu=float(rng.uniform(0.4, 1.5)))
         nn = None
@@ -120,25 +128,30 @@ def random_model(
                 if xp > length:
                     break
                 if rng.random() < (0.9 if d == 1 else 0.4):
-                    target = float(rng.uniform(0.1, 1.0)) * env.value(d)
-                    hops.append((x, xp, _random_block(rng, n0, target)))
+                    targets.append(float(rng.uniform(0.1, 1.0)) * env.value(d))
+                    pairs.append((x, xp))
+                    draws.append(rng.normal(size=(2, n0, n0)))
     elif family == NN_FAMILY:
         env = None
         nn = NNBound(v0=float(rng.uniform(0.5, 2.0)))
         for x in range(1, length):
             if rng.random() < 0.95:
-                target = float(rng.uniform(0.1, 1.0)) * nn.v0
-                hops.append((x, x + 1, _random_block(rng, n0, target)))
+                targets.append(float(rng.uniform(0.1, 1.0)) * nn.v0)
+                pairs.append((x, x + 1))
+                draws.append(rng.normal(size=(2, n0, n0)))
     else:
         raise ValidationError(f"unknown family {family!r}")
-    if not hops:
-        target = 0.5 * (env.value(1) if env is not None else nn.v0)
-        hops.append((1, 2, _random_block(rng, n0, target)))
+    if not pairs:
+        targets.append(0.5 * (env.value(1) if env is not None else nn.v0))
+        pairs.append((1, 2))
+        draws.append(rng.normal(size=(2, n0, n0)))
+    hops = [(x, xp, b) for (x, xp), b in zip(pairs, _scaled_blocks(draws, targets))]
 
     onsites = []
     for x in range(1, length + 1):
         if rng.random() < 0.7:
-            a = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0))
+            a = rng.normal(size=(2, n0, n0))
+            a = a[0] + 1j * a[1]
             onsites.append((x, float(rng.uniform(0.0, 2.0)) * 0.5 * (a + a.conj().T)))
     return ModelSpec(length, n0, hops, onsites), env, nn
 

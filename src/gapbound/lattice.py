@@ -28,6 +28,9 @@ hopping range, is solved on this band by
 :func:`~gapbound.eigensolver.lowest_two`; the dense ``n x n`` matrix is
 built only when a caller reads the operator's ``array`` (the full
 spectrum of :attr:`~gapbound.eigensolver.SpectrumResult.eigenvalues`).
+A model is immutable, so its operator and its block norms
+(:func:`hopping_norms`) are computed on first use and kept on the model;
+every later :func:`assemble` of the same model returns the same operator.
 
 The strength of the hopping between two supersites is measured by the
 spectral norm (largest singular value) of the N0 x N0 block; this equals
@@ -147,7 +150,10 @@ class ModelSpec:
     both constructors end in the same storage and the same validation.
     """
 
-    __slots__ = ("length", "n0", "label", "_onsite", "_onsite_mask", "_bands", "_views")
+    __slots__ = (
+        "length", "n0", "label", "_onsite", "_onsite_mask", "_bands", "_views",
+        "_operator", "_hopping_norms",
+    )
 
     def __init__(
         self,
@@ -282,6 +288,9 @@ class ModelSpec:
             self, "_bands", {d: bands[d] for d in sorted(bands) if bands[d][1].any()}
         )
         object.__setattr__(self, "_views", None)
+        # memoised by assemble() and hopping_norms(): the model is immutable
+        object.__setattr__(self, "_operator", None)
+        object.__setattr__(self, "_hopping_norms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelSpec is immutable")
@@ -370,27 +379,29 @@ class ModelSpec:
         )
 
 
-def _dense(spec: ModelSpec) -> np.ndarray:
+def _dense(n0: int, dim: int, bands, onsite: np.ndarray, onsite_mask: np.ndarray) -> np.ndarray:
     """The dense matrix: each stored block at (x, x'), its conjugate transpose at (x', x).
 
-    Each placed entry ``p`` with mirror entry ``q`` is written as
-    ``(p + conj(q)) * 0.5``: that is what
+    Reads the model's block-band arrays, not the model, so that the
+    operator memoised on a :class:`ModelSpec` holds no reference back to
+    it (a reference cycle would outlive the model until a cyclic garbage
+    collection).  Each placed entry ``p`` with mirror entry ``q`` is
+    written as ``(p + conj(q)) * 0.5``: that is what
     :class:`~gapbound.eigensolver.HermitianMatrix` makes of the placed
     matrix (the product fixes the signs of zero imaginary parts), so the
     bits are those of a validated dense input, at the cost of the stored
     blocks only.
     """
-    n0 = spec.n0
-    m = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    m = np.zeros((dim, dim), dtype=np.complex128)
     a, c = np.indices((n0, n0))
-    for d, (blocks, mask) in spec.hopping_bands.items():
+    for d, (blocks, mask) in bands.items():
         b = blocks[mask]
         x0 = np.flatnonzero(mask)[:, None, None]
         rows, cols = x0 * n0 + a, (x0 + d) * n0 + c
         m[rows, cols] = (b + b) * 0.5
         m[cols, rows] = (b.conj() + b.conj()) * 0.5
-    o = spec._onsite[spec._onsite_mask]
-    x0 = np.flatnonzero(spec._onsite_mask)[:, None, None]
+    o = onsite[onsite_mask]
+    x0 = np.flatnonzero(onsite_mask)[:, None, None]
     m[x0 * n0 + a, x0 * n0 + c] = (o + o.conj().transpose(0, 2, 1)) * 0.5
     return m
 
@@ -404,7 +415,17 @@ def assemble(spec: ModelSpec) -> BandedHermitian:
     ``(x, x + d)`` contributes ``h^dagger`` at block row ``x + d``.  The
     operator's dense ``array`` holds each stored block at (x, x') and its
     conjugate transpose at (x', x); it is built on first read.
+
+    The operator is memoised on the (immutable) model: every call with
+    the same ``spec`` returns the same object, so the band, its spectral
+    scale and a dense array once read are computed once per model.
     """
+    if spec._operator is None:
+        object.__setattr__(spec, "_operator", _band_operator(spec))
+    return spec._operator
+
+
+def _band_operator(spec: ModelSpec) -> BandedHermitian:
     n0, length = spec.n0, spec.length
     dmax = max(spec.hopping_bands, default=0)
     band = np.zeros(((dmax + 1) * n0, spec.dim), dtype=np.complex128)
@@ -416,17 +437,30 @@ def assemble(spec: ModelSpec) -> BandedHermitian:
     for d, (blocks, _) in spec.hopping_bands.items():
         cols = np.arange(length - d)[:, None, None] * n0 + c
         band[d * n0 + a - c, cols] = blocks.conj().transpose(0, 2, 1)
-    return BandedHermitian(band, partial(_dense, spec))
+    dense = partial(_dense, n0, spec.dim, spec._bands, spec._onsite, spec._onsite_mask)
+    return BandedHermitian(band, dense)
 
 
-def hopping_norms(spec: ModelSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """``(d, x, norms)`` per hopping distance: the first sites ``x`` of the
-    stored pairs ``(x, x + d)`` and the spectral norms of their blocks."""
+    stored pairs ``(x, x + d)`` and the spectral norms of their blocks.
+
+    Computed once per model and memoised on it; the arrays are read-only.
+    """
+    if spec._hopping_norms is None:
+        object.__setattr__(spec, "_hopping_norms", _block_norms(spec))
+    return spec._hopping_norms
+
+
+def _block_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     out = []
     for d, (blocks, mask) in spec.hopping_bands.items():
         x0 = np.flatnonzero(mask)
-        out.append((d, x0 + 1, _norms(blocks[x0])))
-    return out
+        xs, norms = x0 + 1, _norms(blocks[x0])
+        xs.flags.writeable = False
+        norms.flags.writeable = False
+        out.append((d, xs, norms))
+    return tuple(out)
 
 
 def block_norm(spec: ModelSpec, x: int, xp: int) -> float:
@@ -475,11 +509,8 @@ def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
     ]
     if offenders:
         raise LongRangeHopping(sorted(offenders))
-    nearest = spec.hopping_bands.get(1)
-    if nearest is None:
-        return NNBound(v0=0.0)
-    blocks, mask = nearest
-    return NNBound(v0=float(np.max(_norms(blocks[mask]))))
+    nearest = [norms for d, _, norms in hopping_norms(spec) if d == 1]
+    return NNBound(v0=float(np.max(nearest[0])) if nearest else 0.0)
 
 
 def envelope_violations(

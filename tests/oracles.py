@@ -8,6 +8,8 @@ summation.  None of them call LAPACK's symmetric eigensolvers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import hessenberg
 
@@ -126,6 +128,58 @@ def dense_assembly(spec) -> np.ndarray:
     m += m.conj().T
     m *= 0.5
     return m
+
+
+def random_block(rng: np.random.Generator, n0: int, target_norm: float) -> np.ndarray:
+    """One hopping block drawn and scaled on its own: the per-block reference
+    for the batched draws of :func:`gapbound.fuzz.random_model`."""
+    b = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0))
+    top = np.linalg.svd(b, compute_uv=False)[0]
+    if top == 0.0:
+        b = np.eye(n0, dtype=complex)
+        top = 1.0
+    return b * (target_norm / top)
+
+
+def random_model_blocks(rng, size_range=(4, 40), n0_range=(1, 3), envelope_family=True):
+    """The draws of :func:`gapbound.fuzz.random_model`, one block at a time.
+
+    Returns ``(length, n0, hops, onsites, (cv, mu) or None, v0 or None)``
+    with ``hops`` as ``(x, x', block)`` and ``onsites`` as ``(x, block)``
+    lists, in the same random stream order as the package generator.
+    """
+    length = int(rng.integers(size_range[0], size_range[1] + 1))
+    n0 = int(rng.integers(n0_range[0], n0_range[1] + 1))
+    hops = []
+    env = v0 = None
+    if envelope_family:
+        env = (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.4, 1.5)))
+
+        def allowed(d):
+            return env[0] * math.exp(-env[1] * d)
+
+        for x in range(1, length):
+            for d in range(1, min(length - 1, 5) + 1):
+                if x + d > length:
+                    break
+                if rng.random() < (0.9 if d == 1 else 0.4):
+                    target = float(rng.uniform(0.1, 1.0)) * allowed(d)
+                    hops.append((x, x + d, random_block(rng, n0, target)))
+    else:
+        v0 = float(rng.uniform(0.5, 2.0))
+        for x in range(1, length):
+            if rng.random() < 0.95:
+                target = float(rng.uniform(0.1, 1.0)) * v0
+                hops.append((x, x + 1, random_block(rng, n0, target)))
+    if not hops:
+        target = 0.5 * (allowed(1) if env is not None else v0)
+        hops.append((1, 2, random_block(rng, n0, target)))
+    onsites = []
+    for x in range(1, length + 1):
+        if rng.random() < 0.7:
+            a = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0))
+            onsites.append((x, float(rng.uniform(0.0, 2.0)) * 0.5 * (a + a.conj().T)))
+    return length, n0, hops, onsites, env, v0
 
 
 def partial_series(term, rtol: float = 1e-18, max_terms: int = 100000) -> float:

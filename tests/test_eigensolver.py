@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import bandwidth, eigh
+from scipy.linalg import bandwidth, eig_banded, eigh, eigh_tridiagonal
 
 import gapbound.eigensolver as eigensolver_mod
 from gapbound import (
     BandedHermitian,
     DegenerateGroundState,
+    GapboundError,
     HermitianMatrix,
     NonHermitianError,
     ValidationError,
@@ -204,15 +205,22 @@ def _complex_tridiagonal(rng, n, sub=None):
     return h
 
 
+_ROUTES = {
+    "_tridiagonal_pairs": "tridiagonal",
+    "_band_eigenvalues": "band",
+    "_dense_pairs": "dense",
+}
+
+
 @pytest.fixture()
 def routes(monkeypatch):
-    """Record which LAPACK route each lowest_two call takes."""
+    """Record which route (module-level route helper) each lowest_two call takes."""
     taken = []
-    for name in ("eigh", "eigh_tridiagonal", "eig_banded"):
+    for name, route in _ROUTES.items():
         original = getattr(eigensolver_mod, name)
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            taken.append(_name)
+        def spy(*args, _route=route, _original=original, **kwargs):
+            taken.append(_route)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(eigensolver_mod, name, spy)
@@ -224,7 +232,7 @@ def test_complex_tridiagonal_route_matches_dense_route(n, routes):
     rng = np.random.default_rng(300 + n)
     h = _complex_tridiagonal(rng, n)
     res = lowest_two(h)
-    assert routes == ["eigh_tridiagonal"]
+    assert routes == ["tridiagonal"]
     # the dense route, called directly on the same matrix
     w, v = eigh(h, subset_by_index=(0, 1))
     scale = max(1.0, spectral_scale(h))
@@ -253,7 +261,7 @@ def test_zero_subdiagonal_entry_decoupled_blocks(routes):
     # psi1 on the second, whose phases continue across the zero entry
     h[np.arange(3, 6), np.arange(3, 6)] += 1e-3
     res = lowest_two(h)
-    assert routes == ["eigh_tridiagonal", "eigh_tridiagonal"]
+    assert routes == ["tridiagonal", "tridiagonal"]
     oracle = hermitian_eigenvalues_bisect(h, k=2)
     np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-12)
     assert res.gap == pytest.approx(1e-3, abs=1e-12)
@@ -269,7 +277,7 @@ def test_diagonal_and_two_site_input(routes):
     res = lowest_two(np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -1.0]]))
     assert res.e0 == pytest.approx(-math.sqrt(6.0), abs=1e-14)
     assert res.e1 == pytest.approx(math.sqrt(6.0), abs=1e-14)
-    assert routes == ["eigh_tridiagonal", "eigh_tridiagonal"]
+    assert routes == ["tridiagonal", "tridiagonal"]
 
 
 def test_strip_takes_band_route(routes):
@@ -278,7 +286,7 @@ def test_strip_takes_band_route(routes):
     h = assemble(strip_model(9, 3, t_along=1.0, t_across=0.7))
     assert h.bandwidth > 1
     res = lowest_two(h)
-    assert routes == ["eig_banded"]
+    assert routes == ["band"]
     assert h._array is None  # the band route never forms the dense matrix
     scale = spectral_scale(h)
     oracle = hermitian_eigenvalues_bisect(h.array, k=2)
@@ -308,7 +316,7 @@ def test_random_banded_models_match_dense_route(family, routes):
             res = lowest_two(h)
         except DegenerateGroundState:
             continue
-        assert routes[-1] == "eig_banded"
+        assert routes[-1] == "band"
         assert h._array is None
         _assert_matches_dense(res, h)
         solved.add(spec.n0)
@@ -339,7 +347,7 @@ def test_decoupled_banded_blocks_zero_pivot(routes):
     a[1:, 1:] = block
     h = _banded(a)
     res = lowest_two(h)
-    assert routes == ["eig_banded"]
+    assert routes == ["band"]
     assert res.e0 == -10.0
     np.testing.assert_allclose(np.abs(res.psi0), np.eye(8)[0], rtol=0, atol=1e-14)
     _assert_matches_dense(res, h)
@@ -375,10 +383,11 @@ def test_near_degenerate_banded_gap():
         lowest_two(_near_degenerate(5e-9 * scale))
 
 
-def test_eigenvalues_computed_lazily():
+def test_eigenvalues_computed_lazily(routes):
     rng = np.random.default_rng(5)
     h = random_hermitian(rng, 12)
     res = lowest_two(h)
+    assert routes == ["dense"]
     assert "eigenvalues" not in vars(res)
     w = res.eigenvalues
     assert res.eigenvalues is w
@@ -401,7 +410,7 @@ def test_band_route_matches_dense_route(routes):
             res = lowest_two(h)
         except DegenerateGroundState:
             continue
-        assert routes[-1] == "eigh_tridiagonal"
+        assert routes[-1] == "tridiagonal"
         assert h._array is None  # the band route never forms the dense matrix
         w, v = eigh(h.array, subset_by_index=(0, 1))
         scale = max(1.0, spectral_scale(h))
@@ -422,3 +431,51 @@ def test_banded_matvec_and_scale_match_dense():
         v = rng.normal(size=h.n) + 1j * rng.normal(size=h.n)
         np.testing.assert_allclose(h.matvec(v), h.array @ v, rtol=0, atol=1e-13 * np.abs(v).sum())
         assert spectral_scale(h) == pytest.approx(spectral_scale(h.array), rel=1e-14)
+
+
+def _route_test_operators():
+    rng = np.random.default_rng(990)
+    for n in (3, 8, 31, 120):
+        yield _banded(_complex_tridiagonal(rng, n))
+    yield assemble(impurity_model(60, -0.4))
+    yield assemble(strip_model(9, 3, t_along=1.0, t_across=0.7))
+    yield _banded(_banded_block(rng, 20))
+    for family in FAMILIES:
+        for i in range(20):
+            yield assemble(random_model(trial_rng(970, i), family=family)[0])
+
+
+def test_direct_lapack_calls_match_scipy_wrappers():
+    kinds = set()
+    for h in _route_test_operators():
+        if h.bandwidth <= 1:
+            d, e = h.lower_diagonal(0).real, np.abs(h.lower_diagonal(1))
+            w, z = eigensolver_mod._tridiagonal_pairs(d, e)
+            w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
+            assert w.tobytes() == w_ref.tobytes()
+            assert z.tobytes() == z_ref.tobytes()
+            kinds.add("tridiagonal")
+            continue
+        band = h.band if h.band.imag.any() else h.band.real
+        w = eigensolver_mod._band_eigenvalues(band)
+        w_ref = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 1))
+        assert w.tobytes() == w_ref.tobytes()
+        kinds.add(band.dtype.kind)
+    assert kinds == {"tridiagonal", "f", "c"}  # real and complex bands both covered
+
+
+def test_nonzero_lapack_info_is_refused(monkeypatch):
+    real = eigensolver_mod.get_lapack_funcs
+
+    def failing(names, *args, **kwargs):
+        def fail(f):
+            def call(*a, **k):
+                out = f(*a, **k)
+                return (*out[:-1], -1) if isinstance(out, tuple) else out
+            return call
+        return tuple(fail(f) for f in real(names, *args, **kwargs))
+
+    monkeypatch.setattr(eigensolver_mod, "get_lapack_funcs", failing)
+    for h in (assemble(impurity_model(10, -0.5)), assemble(strip_model(5, 2))):
+        with pytest.raises(GapboundError, match="LAPACK"):
+            lowest_two(h)

@@ -13,7 +13,12 @@ from gapbound import (
     run_fuzz,
     trial_rng,
 )
-from gapbound.fuzz import ENVELOPE_FAMILY, NN_FAMILY, random_model
+import gapbound.fuzz as fuzz_mod
+import gapbound.lattice as lattice_mod
+from gapbound.fuzz import ENVELOPE_FAMILY, NN_FAMILY, _scaled_blocks, random_model
+from gapbound.lattice import hopping_norms
+
+from oracles import random_model_blocks
 
 
 def test_config_validation():
@@ -95,3 +100,65 @@ def test_generated_models_respect_their_declarations():
         assert all(
             block_norm(spec, x, xp) <= nn.v0 * (1 + 1e-12) for (x, xp) in spec.offdiag
         )
+
+
+@pytest.mark.parametrize("family", [ENVELOPE_FAMILY, NN_FAMILY])
+def test_batched_draws_match_per_block_reference(family):
+    # batched draws and norms give byte-identical models, so recorded fuzz
+    # outputs stay valid
+    for i in range(200):
+        spec, env, nn = random_model(trial_rng(77, i), family=family)
+        length, n0, hops, onsites, ref_env, ref_v0 = random_model_blocks(
+            trial_rng(77, i), envelope_family=family == ENVELOPE_FAMILY
+        )
+        ref = ModelSpec(length, n0, hops, onsites)
+        assert (spec.length, spec.n0) == (length, n0)
+        assert spec.hopping_bands.keys() == ref.hopping_bands.keys()
+        for d, (blocks, mask) in spec.hopping_bands.items():
+            assert blocks.tobytes() == ref.hopping_bands[d][0].tobytes()
+            assert mask.tobytes() == ref.hopping_bands[d][1].tobytes()
+        assert spec._onsite.tobytes() == ref._onsite.tobytes()
+        assert spec._onsite_mask.tobytes() == ref._onsite_mask.tobytes()
+        assert env == (HoppingEnvelope(*ref_env) if ref_env else None)
+        assert nn == (NNBound(ref_v0) if ref_v0 is not None else None)
+
+
+def test_scaled_blocks_zero_draw_falls_back_to_identity():
+    draws = [np.zeros((2, 2, 2)), np.stack([np.eye(2) * 3.0, np.zeros((2, 2))])]
+    blocks = _scaled_blocks(draws, [0.5, 2.0])
+    np.testing.assert_array_equal(blocks, [0.5 * np.eye(2), 2.0 * np.eye(2)])
+
+
+def test_hopping_norms_are_read_only_and_memoised():
+    spec = random_model(trial_rng(78, 0))[0]
+    norms = hopping_norms(spec)
+    assert hopping_norms(spec) is norms
+    for _, xs, values in norms:
+        for arr in (xs, values):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+@pytest.mark.parametrize("family", [ENVELOPE_FAMILY, NN_FAMILY])
+def test_fuzz_builds_band_and_norms_once_per_model(family, monkeypatch):
+    # a call count, not a timing: each model pays for its band and its block
+    # norms exactly once however many checks read them
+    models, built = [], {"_band_operator": [], "_block_norms": []}
+
+    def drawing(*args, **kwargs):
+        out = random_model(*args, **kwargs)
+        models.append(out[0])  # kept alive, so identities stay unique
+        return out
+
+    for name, seen in built.items():
+        def spy(spec, _original=getattr(lattice_mod, name), _seen=seen):
+            _seen.append(spec)
+            return _original(spec)
+
+        monkeypatch.setattr(lattice_mod, name, spy)
+    monkeypatch.setattr(fuzz_mod, "random_model", drawing)
+    run_fuzz(FuzzConfig(trials=50, family=family))
+    assert len(models) == 50
+    for seen in built.values():
+        assert len(seen) == 50
+        assert all(a is b for a, b in zip(seen, models))

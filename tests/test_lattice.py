@@ -1,5 +1,6 @@
 """Model declaration, assembly, envelopes, and the impurity chain."""
 
+import gc
 import math
 
 import numpy as np
@@ -19,11 +20,16 @@ from gapbound import (
     check_nearest_neighbor,
     envelope_violations,
     fit_envelope,
+    g_expectations,
     impurity_model,
+    lowest_two,
+    position_weight,
     require_envelope,
+    spectral_scale,
     strip_model,
 )
 from gapbound.fuzz import FAMILIES, random_model, trial_rng
+from gapbound.lattice import hopping_norms
 from gapbound.modelfile import parse_model
 
 from oracles import charpoly_eigenvalues, dense_assembly
@@ -392,3 +398,37 @@ def test_from_arrays_validation_errors():
         ModelSpec.from_arrays(2, 2, onsite=[np.eye(2), [[0, 1], [0, 0]]])
     with pytest.raises(ValidationError, match="x=1"):
         ModelSpec(2, 1, onsite_blocks=[(1, [[np.nan]])])
+
+
+def test_assemble_is_memoised_on_the_model():
+    spec = strip_model(5, 2)
+    h = assemble(spec)
+    assert assemble(spec) is h
+    assert h._scale is None
+    scale = spectral_scale(h)
+    assert h._scale == scale  # computed once, then kept
+    # a new model gets a new operator
+    assert assemble(spec.with_shifted_onsite(1.0)) is not h
+
+
+def test_dropping_an_assembled_model_leaves_no_cycle():
+    # the memoised operator must not refer back to its model: a cycle would
+    # keep every model alive until a cyclic collection
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        spec = random_model(trial_rng(12, 0), n0_range=(2, 2))[0]
+        h = assemble(spec)
+        res = lowest_two(h)
+        h.array  # the dense builder has run
+        hopping_norms(spec)
+        g_expectations(res.psi0, spec, position_weight(spec.length), res.gap)
+        del spec, h, res
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, ModelSpec)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
