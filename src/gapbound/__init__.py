@@ -12,8 +12,7 @@ from .bounds import (
     AppendixBReport,
     ComplementaryReport,
     EnvelopeCheck,
-    Theorem1Bound,
-    Theorem2Bound,
+    TailEnvelope,
     WeightFunction,
     best_s,
     c1_constant,
@@ -55,7 +54,6 @@ from .lattice import (
     HoppingEnvelope,
     ModelSpec,
     NNBound,
-    SiteIndex,
     assemble,
     block_norm,
     check_nearest_neighbor,

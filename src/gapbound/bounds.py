@@ -27,10 +27,13 @@ Three tail bounds for ``P(|x - <x>| >= R)`` are derived from it:
 Both exponential envelopes have the form
 ``prefactor * exp(-(R - r1) / xi)`` for ``R >= r1``, with an onset radius
 ``r1`` proportional to the position spread and a decay length ``xi``
-scaling as ``gap^(-1/2)``.  ``verify_envelope`` checks a measured tail
-against an envelope pointwise; ``verify_appendixB`` checks the piecewise
-exponential bound on the trapezoid-weighted coupling strength that the
-general envelope rests on.
+scaling as ``gap^(-1/2)``; they differ only in their constants, so both
+functions return one type, :class:`TailEnvelope`, whose ``kind`` names
+the theorem and whose ``amplitude`` is ``c1`` (theorem 1) or ``v0``
+(theorem 2).  ``verify_envelope`` checks a measured tail against an
+envelope pointwise, within the fixed :data:`ENVELOPE_TOL`;
+``verify_appendixB`` checks the piecewise exponential bound on the
+trapezoid-weighted coupling strength that the general envelope rests on.
 """
 
 from __future__ import annotations
@@ -54,10 +57,12 @@ from .localization import DensityProfile, density, tail
 
 _E = math.e
 
-DEFAULT_ENVELOPE_TOL = 1e-12
+ENVELOPE_TOL = 1e-12
 COMPLEMENTARY_RTOL = 1e-9
 THEOREM1 = "theorem1"
 THEOREM2 = "theorem2"
+# the values of s that best_s tries
+S_GRID = tuple(np.arange(0.05, 0.951, 0.05).tolist())
 
 
 @dataclass(frozen=True)
@@ -234,6 +239,10 @@ def c1_constant(envelope: HoppingEnvelope) -> float:
     ``q = exp(-mu)``.
     """
     q = math.exp(-envelope.mu)
+    if q == 1.0:
+        raise ValidationError(
+            f"decay rate mu={envelope.mu:g} is too small: exp(-mu) rounds to 1"
+        )
     return 4.0 * envelope.cv * (1.0 + q) / (1.0 - q) ** 3
 
 
@@ -293,110 +302,69 @@ def _check_bound_params(delta_e0: float, s: float, delta_x: float):
 
 
 @dataclass(frozen=True)
-class Theorem1Bound:
-    """Exponential tail envelope for exponentially dominated hopping.
+class TailEnvelope:
+    """Exponential tail envelope ``prefactor * exp(-(R - r1) / xi)``, ``R >= r1``.
 
-    ``prefactor * exp(-(R - r1) / xi1)`` bounds the tail for
-    ``R >= r1 = sqrt((2e+1)/(1-s)) * delta_x`` with
-
-        xi1 = max( (3/2) sqrt((4e^2+1) c1 / (e s gap)),  3 ln(2e) / mu ).
+    ``kind`` names the theorem that produced it (:data:`THEOREM1` or
+    :data:`THEOREM2`) and ``amplitude`` its coupling constant: ``c1`` for
+    theorem 1, the nearest-neighbour norm bound ``v0`` for theorem 2.
     """
 
+    kind: str
     s: float
-    c1: float
+    amplitude: float
     r1: float
-    xi1: float
+    xi: float
     prefactor: float
     delta_e0: float
     delta_x: float
-
-    kind = THEOREM1
-
-    @property
-    def xi(self) -> float:
-        return self.xi1
-
-    @property
-    def amplitude(self) -> float:
-        return self.c1
 
     def evaluate(self, r) -> np.ndarray | float:
         """Envelope value at radius r (defined for r >= r1)."""
         r = np.asarray(r, dtype=float)
         if np.any(r < self.r1 - 1e-9):
             raise ValidationError(f"envelope defined for R >= r1 = {self.r1:g}")
-        out = self.prefactor * np.exp(-(r - self.r1) / self.xi1)
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class Theorem2Bound:
-    """Exponential tail envelope for strictly nearest-neighbor hopping.
-
-    ``prefactor * exp(-(R - r1) / xi2)`` bounds the tail for
-    ``R >= r1 = sqrt((e+1)/(1-s)) * delta_x`` with
-    ``xi2 = sqrt(e v0 / (s gap)) + 2``.
-    """
-
-    s: float
-    v0: float
-    r1: float
-    xi2: float
-    prefactor: float
-    delta_e0: float
-    delta_x: float
-
-    kind = THEOREM2
-
-    @property
-    def xi(self) -> float:
-        return self.xi2
-
-    @property
-    def amplitude(self) -> float:
-        return self.v0
-
-    def evaluate(self, r) -> np.ndarray | float:
-        """Envelope value at radius r (defined for r >= r1)."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self.r1 - 1e-9):
-            raise ValidationError(f"envelope defined for R >= r1 = {self.r1:g}")
-        out = self.prefactor * np.exp(-(r - self.r1) / self.xi2)
+        out = self.prefactor * np.exp(-(r - self.r1) / self.xi)
         return float(out) if out.ndim == 0 else out
 
 
 def theorem1_bound(
     envelope: HoppingEnvelope, delta_e0: float, s: float, delta_x: float
-) -> Theorem1Bound:
-    """Exponential tail envelope from an exponential hopping envelope."""
+) -> TailEnvelope:
+    """Exponential tail envelope from an exponential hopping envelope.
+
+    The envelope holds for ``R >= r1 = sqrt((2e+1)/(1-s)) * delta_x`` with
+
+        xi = max( (3/2) sqrt((4e^2+1) c1 / (e s gap)),  3 ln(2e) / mu )
+
+    and ``c1`` from :func:`c1_constant` as its amplitude.
+    """
     _check_bound_params(delta_e0, s, delta_x)
     c1 = c1_constant(envelope)
     r1 = math.sqrt((2.0 * _E + 1.0) / (1.0 - s)) * delta_x
-    xi1 = max(
+    xi = max(
         1.5 * math.sqrt((4.0 * _E * _E + 1.0) * c1 / (_E * s * delta_e0)),
         3.0 * math.log(2.0 * _E) / envelope.mu,
     )
     prefactor = (2.0 * _E * (2.0 - s) + 1.0) / (4.0 * (2.0 * _E + 1.0))
-    return Theorem1Bound(
-        s=s, c1=c1, r1=r1, xi1=xi1, prefactor=prefactor,
-        delta_e0=delta_e0, delta_x=delta_x,
-    )
+    return TailEnvelope(THEOREM1, s, c1, r1, xi, prefactor, delta_e0, delta_x)
 
 
 def theorem2_bound(
     v0: float, delta_e0: float, s: float, delta_x: float
-) -> Theorem2Bound:
-    """Exponential tail envelope for nearest-neighbor hopping of norm <= v0."""
+) -> TailEnvelope:
+    """Exponential tail envelope for nearest-neighbor hopping of norm <= v0.
+
+    The envelope holds for ``R >= r1 = sqrt((e+1)/(1-s)) * delta_x`` with
+    ``xi = sqrt(e v0 / (s gap)) + 2``, and ``v0`` as its amplitude.
+    """
     _check_bound_params(delta_e0, s, delta_x)
     if not v0 > 0:
         raise ValidationError(f"nearest-neighbor amplitude must be positive, got {v0}")
     r1 = math.sqrt((_E + 1.0) / (1.0 - s)) * delta_x
-    xi2 = math.sqrt(_E * v0 / (s * delta_e0)) + 2.0
+    xi = math.sqrt(_E * v0 / (s * delta_e0)) + 2.0
     prefactor = _E * (1.0 - s) / (_E + 1.0)
-    return Theorem2Bound(
-        s=s, v0=v0, r1=r1, xi2=xi2, prefactor=prefactor,
-        delta_e0=delta_e0, delta_x=delta_x,
-    )
+    return TailEnvelope(THEOREM2, s, v0, r1, xi, prefactor, delta_e0, delta_x)
 
 
 @dataclass(frozen=True)
@@ -417,11 +385,10 @@ class EnvelopeCheck:
 def verify_envelope(
     profile: DensityProfile,
     mean: float,
-    bound,
+    bound: TailEnvelope,
     grid_step: float = 0.5,
-    tolerance: float = DEFAULT_ENVELOPE_TOL,
 ) -> EnvelopeCheck:
-    """Check ``tail(R) <= envelope(R) + tolerance`` on a radius grid.
+    """Check ``tail(R) <= envelope(R) + ENVELOPE_TOL`` on a radius grid.
 
     The grid runs from the onset radius ``r1`` (or from ``grid_step``
     when r1 = 0: at R = 0 the tail is identically 1 and carries no
@@ -434,14 +401,14 @@ def verify_envelope(
     start = bound.r1 if bound.r1 > 0 else grid_step
     if start > r_max:
         empty = np.array([])
-        return EnvelopeCheck(empty, empty, empty, empty, tolerance)
+        return EnvelopeCheck(empty, empty, empty, empty, ENVELOPE_TOL)
     grid = np.arange(start, r_max + 1e-9 * grid_step, grid_step)
     bound_values = np.asarray(bound.evaluate(grid), dtype=float)
     tail_values = tail(profile, mean, grid)
-    violations = grid[tail_values > bound_values + tolerance]
+    violations = grid[tail_values > bound_values + ENVELOPE_TOL]
     for arr in (grid, bound_values, tail_values, violations):
         arr.flags.writeable = False
-    return EnvelopeCheck(grid, bound_values, tail_values, violations, tolerance)
+    return EnvelopeCheck(grid, bound_values, tail_values, violations, ENVELOPE_TOL)
 
 
 @dataclass(frozen=True)
@@ -551,19 +518,15 @@ def best_s(
     r: float,
     envelope: HoppingEnvelope | None = None,
     v0: float | None = None,
-    grid: np.ndarray | None = None,
-):
-    """Grid search for the s minimizing the envelope value at radius r.
+) -> tuple[float, TailEnvelope]:
+    """Search :data:`S_GRID` for the s minimizing the envelope value at radius r.
 
     Only s values whose onset radius satisfies ``r1(s) <= r`` are
     feasible.  Returns ``(s, bound)`` where ``bound`` is the envelope
     built with the winning s.
     """
-    if grid is None:
-        grid = np.arange(0.05, 0.951, 0.05)
     best = None
-    for s in grid:
-        s = float(s)
+    for s in S_GRID:
         if kind == THEOREM1:
             if envelope is None:
                 raise ValidationError("theorem1 search needs a hopping envelope")

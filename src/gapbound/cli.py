@@ -94,14 +94,14 @@ def cmd_bounds(args) -> int:
     b1 = theorem1_bound(envelope, result.gap, args.s, delta_x)
     bounds = [b1]
     print(
-        f"theorem1: xi1={b1.xi1:.6g}, r1={b1.r1:.6g}, prefactor={b1.prefactor:.6g}, "
-        f"c1={b1.c1:.6g}"
+        f"theorem1: xi1={b1.xi:.6g}, r1={b1.r1:.6g}, prefactor={b1.prefactor:.6g}, "
+        f"c1={b1.amplitude:.6g}"
     )
     try:
         nn = check_nearest_neighbor(spec)
         b2 = theorem2_bound(nn.v0, result.gap, args.s, delta_x)
         bounds.append(b2)
-        print(f"theorem2: xi2={b2.xi2:.6g}, r1={b2.r1:.6g}, prefactor={b2.prefactor:.6g}")
+        print(f"theorem2: xi2={b2.xi:.6g}, r1={b2.r1:.6g}, prefactor={b2.prefactor:.6g}")
     except LongRangeHopping:
         b2 = None
         print("theorem2: not applicable (hopping beyond nearest neighbors)")
@@ -123,7 +123,7 @@ def cmd_bounds(args) -> int:
 
     # toolkit convenience, not a claim: pointwise minimum with the power law
     r_max = max(stats.mean - 1.0, spec.length - stats.mean)
-    probes = sorted({min(b1.r1 + b1.xi1, r_max), r_max})
+    probes = sorted({min(b1.r1 + b1.xi, r_max), r_max})
     for r_probe in probes:
         if r_probe <= max(b1.r1, 0.0):
             continue
@@ -157,26 +157,35 @@ def _sweep_config(args) -> SweepConfig:
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"{args.config} is not valid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ValidationError(f"{args.config} must hold a JSON object")
         unknown = set(cfg) - {"L", "h0_min", "h0_max", "points", "s", "mu", "grid_step", "out"}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag, key, fallback):
-        return flag if flag is not None else cfg.get(key, fallback)
+    def pick(cast, flag, key, fallback):
+        value = flag if flag is not None else cfg.get(key, fallback)
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"config key {key!r}: bad value {value!r}") from None
 
     grid = default_h0_grid(
-        points=int(pick(args.points, "points", 100)),
-        lo=float(pick(args.h0_min, "h0_min", -1.0)),
-        hi=float(pick(args.h0_max, "h0_max", -0.01)),
+        points=pick(int, args.points, "points", 100),
+        lo=pick(float, args.h0_min, "h0_min", -1.0),
+        hi=pick(float, args.h0_max, "h0_max", -0.01),
     )
     return SweepConfig(
-        L=int(pick(args.L, "L", 500)),
+        L=pick(int, args.L, "L", 500),
         h0_grid=grid,
-        s=float(pick(args.s, "s", 0.5)),
-        mu=float(pick(args.mu, "mu", 1.0)),
-        grid_step=float(pick(args.grid_step, "grid_step", 0.5)),
-        output_path=str(pick(args.out, "out", "sweep.csv")),
+        s=pick(float, args.s, "s", 0.5),
+        mu=pick(float, args.mu, "mu", 1.0),
+        grid_step=pick(float, args.grid_step, "grid_step", 0.5),
+        output_path=pick(str, args.out, "out", "sweep.csv"),
     )
 
 

@@ -55,6 +55,9 @@ from .errors import DegenerateGroundState, GapboundError, NonHermitianError, Val
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_DEGENERACY_TOL = 1e-8
+# Entrywise Hermiticity tolerance of a dense matrix (relative to its largest
+# entry), of on-site blocks and of model-file diagonal entries.
+HERMITIAN_TOL = 1e-12
 # Inverse-iteration solves per eigenvector on the band route.  Each solve
 # multiplies the other eigenvectors' share by about |E_k - lambda_k| / gap,
 # at most n * eps / degeneracy_tol (2e-5 for n = 1000 at the default).
@@ -69,14 +72,14 @@ class HermitianMatrix:
     """Dense Hermitian matrix, validated and stored read-only.
 
     Accepts any square array equal to its conjugate transpose within
-    ``tol * max(1, max |entry|)`` entrywise; the stored array is the
+    ``HERMITIAN_TOL * max(1, max |entry|)`` entrywise; the stored array is the
     exact Hermitian part, so downstream code may rely on ``H == H.conj().T``
     holding exactly.
     """
 
     __slots__ = ("array",)
 
-    def __init__(self, array, tol: float = 1e-12):
+    def __init__(self, array):
         a = np.asarray(array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
@@ -87,10 +90,10 @@ class HermitianMatrix:
                 raise ValidationError("matrix contains non-finite entries")
             scale = max(1.0, float(np.max(np.abs(a))))
             dev = float(np.max(np.abs(a - ah)))
-            if dev > tol * scale:
+            if dev > HERMITIAN_TOL * scale:
                 raise NonHermitianError(
                     f"matrix deviates from Hermiticity by {dev:.3e} "
-                    f"(tolerance {tol * scale:.3e})"
+                    f"(tolerance {HERMITIAN_TOL * scale:.3e})"
                 )
         # in place, the same bits as 0.5 * (a + a.conj().T)
         a += ah

@@ -72,6 +72,8 @@ class FuzzConfig:
     family: str = ENVELOPE_FAMILY
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.trials < 1:
             raise ValidationError(f"need at least one trial, got {self.trials}")
         lo, hi = self.size_range

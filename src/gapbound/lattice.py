@@ -45,11 +45,11 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .eigensolver import BandedHermitian
+from .eigensolver import HERMITIAN_TOL, BandedHermitian
 from .errors import (
     EnvelopeViolation,
     LongRangeHopping,
@@ -57,14 +57,9 @@ from .errors import (
     ValidationError,
 )
 
-HERMITIAN_TOL = 1e-12
-
-
-class SiteIndex(NamedTuple):
-    """A lattice coordinate and internal index, both 1-based."""
-
-    x: int
-    i: int
+# relative slack of envelope_violations: a block norm up to
+# allowed * (1 + ENVELOPE_RTOL) counts as dominated
+ENVELOPE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -487,7 +482,12 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
         raise ValidationError(f"decay rate mu must be positive, got {mu}")
     if not spec.hopping_bands:
         raise ValidationError("cannot fit an envelope: model has no hopping blocks")
-    cv = max(float(np.max(norms)) * math.exp(mu * d) for d, _, norms in hopping_norms(spec))
+    try:
+        cv = max(float(np.max(norms)) * math.exp(mu * d) for d, _, norms in hopping_norms(spec))
+    except OverflowError:
+        raise ValidationError(
+            f"decay rate mu={mu:g} is too large: exp(mu * d) overflows"
+        ) from None
     if cv <= 0:
         raise ValidationError("cannot fit an envelope: all hopping blocks vanish")
     return HoppingEnvelope(cv=cv, mu=mu)
@@ -514,24 +514,24 @@ def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
 
 
 def envelope_violations(
-    spec: ModelSpec, envelope: HoppingEnvelope, tol: float = 1e-12
+    spec: ModelSpec, envelope: HoppingEnvelope
 ) -> list[tuple[int, int, float, float]]:
     """Pairs whose block norm exceeds the declared envelope.
 
     Returns a list of (x, x', norm, allowed) tuples; empty when the
-    envelope dominates every block within ``tol`` relative slack.
+    envelope dominates every block within ``ENVELOPE_RTOL`` relative slack.
     """
     bad = []
     for d, xs, norms in hopping_norms(spec):
         allowed = envelope.value(d)
-        over = norms > allowed * (1.0 + tol)
+        over = norms > allowed * (1.0 + ENVELOPE_RTOL)
         bad += [(int(x), int(x) + d, float(v), allowed) for x, v in zip(xs[over], norms[over])]
     return sorted(bad)
 
 
-def require_envelope(spec: ModelSpec, envelope: HoppingEnvelope, tol: float = 1e-12):
+def require_envelope(spec: ModelSpec, envelope: HoppingEnvelope):
     """Raise :class:`EnvelopeViolation` unless the envelope dominates the model."""
-    bad = envelope_violations(spec, envelope, tol)
+    bad = envelope_violations(spec, envelope)
     if bad:
         x, xp, norm, allowed = bad[0]
         raise EnvelopeViolation(

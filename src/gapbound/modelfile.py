@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelFormatError
-from .lattice import HERMITIAN_TOL, ModelSpec
+from .eigensolver import HERMITIAN_TOL
+from .lattice import ModelSpec
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:

@@ -124,10 +124,10 @@ def sweep_point(
         gap=res.gap,
         delta_x=delta_x,
         xi_fit=xi_fit,
-        xi1=b1.xi1,
-        xi2=b2.xi2,
-        ratio1=root2 * b1.xi1 / delta_x,
-        ratio2=root2 * b2.xi2 / delta_x,
+        xi1=b1.xi,
+        xi2=b2.xi,
+        ratio1=root2 * b1.xi / delta_x,
+        ratio2=root2 * b2.xi / delta_x,
         fit_r_squared=r2,
         violations1=int(chk1.violations.size),
         violations2=int(chk2.violations.size),

@@ -153,7 +153,7 @@ def test_potential_shift_invariance():
     assert rep2.hod_explicit == pytest.approx(rep.hod_explicit, abs=1e-10)
     b = theorem2_bound(1.0, res.gap, 0.5, stats.delta_x)
     b2 = theorem2_bound(1.0, res2.gap, 0.5, stats2.delta_x)
-    assert b2.xi2 == pytest.approx(b.xi2, rel=1e-8)
+    assert b2.xi == pytest.approx(b.xi, rel=1e-8)
     assert b2.r1 == pytest.approx(b.r1, rel=1e-8)
 
 
@@ -250,10 +250,10 @@ def test_variance_bound_on_random_specs():
 def test_theorem1_example_values():
     env = HoppingEnvelope(cv=1.0, mu=1.0)
     b = theorem1_bound(env, delta_e0=1.0, s=0.5, delta_x=1.0)
-    assert b.c1 == pytest.approx(c1_partial(1.0, 1.0), rel=1e-12)
-    first_branch = 1.5 * math.sqrt((4 * _E**2 + 1) * b.c1 / (_E * 0.5))
+    assert b.amplitude == pytest.approx(c1_partial(1.0, 1.0), rel=1e-12)
+    first_branch = 1.5 * math.sqrt((4 * _E**2 + 1) * b.amplitude / (_E * 0.5))
     assert first_branch == pytest.approx(33.1, abs=0.05)
-    assert b.xi1 == pytest.approx(first_branch, rel=1e-14)
+    assert b.xi == pytest.approx(first_branch, rel=1e-14)
     assert b.r1 == pytest.approx(math.sqrt(2 * (2 * _E + 1)), rel=1e-14)
     assert b.r1 == pytest.approx(3.588, abs=1e-3)
     assert b.prefactor == pytest.approx((2 * _E * 1.5 + 1) / (4 * (2 * _E + 1)), rel=1e-14)
@@ -263,34 +263,34 @@ def test_theorem1_example_values():
 def test_theorem1_floor_branch_and_scaling():
     env = HoppingEnvelope(cv=1.0, mu=1.0)
     floor = 3.0 * math.log(2 * _E)
-    assert theorem1_bound(env, 1e9, 0.5, 1.0).xi1 == pytest.approx(floor, rel=1e-14)
+    assert theorem1_bound(env, 1e9, 0.5, 1.0).xi == pytest.approx(floor, rel=1e-14)
     # exact halving under a fourfold gap while the first branch is active
     b1 = theorem1_bound(env, 0.01, 0.5, 1.0)
     b4 = theorem1_bound(env, 0.04, 0.5, 1.0)
-    assert b4.xi1 == pytest.approx(b1.xi1 / 2.0, rel=1e-14)
+    assert b4.xi == pytest.approx(b1.xi / 2.0, rel=1e-14)
 
 
 def test_theorem_monotonicity():
     env = HoppingEnvelope(cv=1.0, mu=1.0)
     gaps = np.logspace(-4, 4, 30)
-    xi1 = [theorem1_bound(env, g, 0.5, 1.0).xi1 for g in gaps]
-    xi2 = [theorem2_bound(1.0, g, 0.5, 1.0).xi2 for g in gaps]
+    xi1 = [theorem1_bound(env, g, 0.5, 1.0).xi for g in gaps]
+    xi2 = [theorem2_bound(1.0, g, 0.5, 1.0).xi for g in gaps]
     assert all(a >= b - 1e-12 for a, b in zip(xi1, xi1[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(xi2, xi2[1:]))
     cvs = np.linspace(0.1, 5.0, 20)
-    xi1_cv = [theorem1_bound(HoppingEnvelope(c, 1.0), 1.0, 0.5, 1.0).xi1 for c in cvs]
+    xi1_cv = [theorem1_bound(HoppingEnvelope(c, 1.0), 1.0, 0.5, 1.0).xi for c in cvs]
     assert all(b >= a - 1e-12 for a, b in zip(xi1_cv, xi1_cv[1:]))
 
 
 def test_theorem2_example_values():
     b = theorem2_bound(v0=1.0, delta_e0=2.0, s=0.5, delta_x=1.0)
-    assert b.xi2 == pytest.approx(math.sqrt(_E) + 2.0, rel=1e-14)
-    assert b.xi2 == pytest.approx(3.6487, abs=5e-5)
+    assert b.xi == pytest.approx(math.sqrt(_E) + 2.0, rel=1e-14)
+    assert b.xi == pytest.approx(3.6487, abs=5e-5)
     assert b.prefactor == pytest.approx(_E / (2 * (_E + 1)), rel=1e-14)
     assert b.prefactor == pytest.approx(0.3655, abs=1e-4)
     assert b.r1 == pytest.approx(math.sqrt((_E + 1) / 0.5), rel=1e-14)
     # additive floor at huge gaps
-    assert theorem2_bound(1.0, 1e12, 0.5, 1.0).xi2 == pytest.approx(2.0, abs=1e-5)
+    assert theorem2_bound(1.0, 1e12, 0.5, 1.0).xi == pytest.approx(2.0, abs=1e-5)
 
 
 def test_bound_parameter_validation():
@@ -480,7 +480,7 @@ def test_bound_and_envelope_csv(tmp_path):
     assert lines[0] == "kind,s,r1,xi,prefactor,C1_or_V0,deltaE0,deltaX"
     assert lines[1].startswith("theorem1,0.5,")
     assert lines[2].startswith("theorem2,0.5,")
-    assert float(lines[1].split(",")[5]) == b1.c1
+    assert float(lines[1].split(",")[5]) == b1.amplitude
 
     prof = DensityProfile(p=np.full(9, 1.0 / 9.0))
     chk = verify_envelope(prof, 5.0, b2)

@@ -95,6 +95,34 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{bad", "[]", '{"L": null}', '{"L": "abc"}'],
+    ids=["not-json", "not-an-object", "null-value", "non-numeric-value"],
+)
+def test_sweep_config_bad_file_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("mu", ["1000", "1e-20"])
+def test_bounds_extreme_mu_exits_1(model_path, capsys, mu):
+    # exp(mu * d) overflows in the envelope fit; exp(-mu) rounds to 1 in c1
+    code = main(["bounds", model_path, "--mu", mu])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: decay rate mu=")
+
+
+def test_fuzz_negative_seed_exits_1(capsys):
+    code = main(["fuzz", "--seed", "-1", "--trials", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seed must be")
+
+
 def test_fuzz(capsys):
     code = main(["fuzz", "--seed", "42", "--trials", "10"])
     out = capsys.readouterr().out

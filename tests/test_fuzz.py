@@ -30,6 +30,14 @@ def test_config_validation():
         FuzzConfig(family="chaotic")
 
 
+def test_config_rejects_negative_or_non_integer_seed():
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            FuzzConfig(seed=seed)
+    assert FuzzConfig(seed=0).seed == 0
+    assert FuzzConfig(seed=np.int64(3)).seed == 3
+
+
 def test_trial_rng_substreams_are_independent_of_history():
     a = trial_rng(42, 7).integers(0, 2**31)
     # consuming other substreams must not disturb trial 7

@@ -1,0 +1,46 @@
+"""The README's library example and the names the benchmark harness wraps."""
+
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import gapbound
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(monkeypatch, path: Path):
+    """Import a benchmark module from its file, writing no bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    name = f"_bench_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "README has no python example"
+    monkeypatch.chdir(tmp_path)
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
+
+
+def test_benchmark_entry_points_resolve(monkeypatch):
+    tracer = _load(monkeypatch, ROOT / "perfbench" / "tracer.py")
+    workloads = _load(monkeypatch, ROOT / "perfbench" / "workloads.py")
+    missing = [name for name in workloads.API_NAMES if not hasattr(gapbound, name)]
+    assert missing == []
+    api = workloads.default_api()
+    unresolved = []
+    for targets in tracer.SPANS.values():
+        for target in targets:
+            where, attr = target.split(":")
+            owner = api if where == "api" else importlib.import_module(where)
+            if not hasattr(owner, attr):
+                unresolved.append(target)
+    assert unresolved == []
