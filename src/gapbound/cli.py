@@ -153,6 +153,20 @@ def cmd_bounds(args) -> int:
     return 2 if failed else 0
 
 
+_CONFIG_INTS = ("L", "points")
+_CONFIG_FLOATS = ("h0_min", "h0_max", "s", "mu", "grid_step")
+
+
+def _config_value_ok(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if key in _CONFIG_INTS:
+        return isinstance(value, int)
+    if key in _CONFIG_FLOATS:
+        return isinstance(value, (int, float))
+    return isinstance(value, str) and value != ""  # "out"
+
+
 def _sweep_config(args) -> SweepConfig:
     cfg = {}
     if args.config:
@@ -163,15 +177,19 @@ def _sweep_config(args) -> SweepConfig:
                 raise ValidationError(f"{args.config} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValidationError(f"{args.config} must hold a JSON object")
-        unknown = set(cfg) - {"L", "h0_min", "h0_max", "points", "s", "mu", "grid_step", "out"}
+        unknown = set(cfg) - {*_CONFIG_INTS, *_CONFIG_FLOATS, "out"}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        # every value is checked, also one that a flag overrides
+        for key, value in cfg.items():
+            if not _config_value_ok(key, value):
+                raise ValidationError(f"config key {key!r}: bad value {value!r}")
 
     def pick(cast, flag, key, fallback):
         value = flag if flag is not None else cfg.get(key, fallback)
         try:
             return cast(value)
-        except (TypeError, ValueError):
+        except OverflowError:  # a JSON integer too large for a float
             raise ValidationError(f"config key {key!r}: bad value {value!r}") from None
 
     grid = default_h0_grid(

@@ -74,8 +74,8 @@ class FuzzConfig:
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.trials < 1:
-            raise ValidationError(f"need at least one trial, got {self.trials}")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         lo, hi = self.size_range
         if not (2 <= lo <= hi):
             raise ValidationError(f"bad size range {self.size_range}")
@@ -115,47 +115,68 @@ def random_model(
 
     Each hopping block is drawn as one ``(2, N0, N0)`` normal sample (real
     and imaginary parts) in pair order; the spectral norms are taken and
-    the blocks scaled in one batch afterwards.
+    the blocks scaled in one batch afterwards, and scattered into the
+    model's block bands.
     """
     length = int(rng.integers(size_range[0], size_range[1] + 1))
     n0 = int(rng.integers(n0_range[0], n0_range[1] + 1))
-    pairs, draws, targets = [], [], []
+    if length < 2:
+        raise ValidationError(f"a random model needs at least 2 sites, got {length}")
+    dists, draws, targets = [], [], []
     if family == ENVELOPE_FAMILY:
         env = HoppingEnvelope(cv=float(rng.uniform(0.5, 3.0)), mu=float(rng.uniform(0.4, 1.5)))
         nn = None
         max_d = min(length - 1, 5)
+        masks = {d: np.zeros(length - d, dtype=bool) for d in range(1, max_d + 1)}
         for x in range(1, length):
             for d in range(1, max_d + 1):
-                xp = x + d
-                if xp > length:
+                if x + d > length:
                     break
                 if rng.random() < (0.9 if d == 1 else 0.4):
                     targets.append(float(rng.uniform(0.1, 1.0)) * env.value(d))
-                    pairs.append((x, xp))
+                    masks[d][x - 1] = True
+                    dists.append(d)
                     draws.append(rng.normal(size=(2, n0, n0)))
     elif family == NN_FAMILY:
         env = None
         nn = NNBound(v0=float(rng.uniform(0.5, 2.0)))
+        masks = {1: np.zeros(length - 1, dtype=bool)}
         for x in range(1, length):
             if rng.random() < 0.95:
                 targets.append(float(rng.uniform(0.1, 1.0)) * nn.v0)
-                pairs.append((x, x + 1))
+                masks[1][x - 1] = True
+                dists.append(1)
                 draws.append(rng.normal(size=(2, n0, n0)))
     else:
         raise ValidationError(f"unknown family {family!r}")
-    if not pairs:
+    if not draws:
         targets.append(0.5 * (env.value(1) if env is not None else nn.v0))
-        pairs.append((1, 2))
+        masks[1][0] = True
+        dists.append(1)
         draws.append(rng.normal(size=(2, n0, n0)))
-    hops = [(x, xp, b) for (x, xp), b in zip(pairs, _scaled_blocks(draws, targets))]
+    blocks = _scaled_blocks(draws, targets)
+    dists = np.array(dists)
+    bands = {}
+    for d, mask in masks.items():
+        band = np.zeros((length - d, n0, n0), dtype=np.complex128)
+        band[mask] = blocks[dists == d]
+        bands[d] = (band, mask)
 
-    onsites = []
-    for x in range(1, length + 1):
+    onsite_mask = np.zeros(length, dtype=bool)
+    site_draws, scales = [], []
+    for x in range(length):
         if rng.random() < 0.7:
-            a = rng.normal(size=(2, n0, n0))
-            a = a[0] + 1j * a[1]
-            onsites.append((x, float(rng.uniform(0.0, 2.0)) * 0.5 * (a + a.conj().T)))
-    return ModelSpec(length, n0, hops, onsites), env, nn
+            onsite_mask[x] = True
+            site_draws.append(rng.normal(size=(2, n0, n0)))
+            scales.append(float(rng.uniform(0.0, 2.0)))
+    onsite = np.zeros((length, n0, n0), dtype=np.complex128)
+    if site_draws:
+        a = np.array(site_draws)
+        a = a[:, 0] + 1j * a[:, 1]
+        onsite[onsite_mask] = (np.array(scales) * 0.5)[:, None, None] * (
+            a + a.conj().transpose(0, 2, 1)
+        )
+    return ModelSpec._from_bands(length, n0, onsite, onsite_mask, bands), env, nn
 
 
 def _random_weight(rng: np.random.Generator, length: int) -> WeightFunction:

@@ -141,8 +141,11 @@ class ModelSpec:
     label : str
         Free-form description.
 
-    :meth:`from_arrays` builds the same model from block-band arrays;
-    both constructors end in the same storage and the same validation.
+    :meth:`from_arrays` builds the same model from block-band arrays.
+    Every model, however built, ends in the same storage and the same
+    validation; :meth:`_from_bands` is the constructor for arrays already
+    in that layout (used by :meth:`from_arrays`, the model-file parser and
+    the fuzz generator).
     """
 
     __slots__ = (
@@ -245,8 +248,19 @@ class ModelSpec:
                         f"onsite_mask must have shape ({length},), got {mask.shape}"
                     )
                 on[~mask] = 0.0
+        return cls._from_bands(length, n0, on, mask, bands, label)
+
+    @classmethod
+    def _from_bands(cls, length, n0, onsite, onsite_mask, bands, label="") -> "ModelSpec":
+        """Model that takes over arrays already in storage layout (no copy).
+
+        ``onsite`` is a complex ``(L, N0, N0)`` array and ``onsite_mask``
+        its stored-site mask; ``bands`` maps d to ``(blocks, mask)`` as in
+        :attr:`hopping_bands`, zero where the mask is False.  Shapes are
+        the caller's responsibility; values are validated by :meth:`_store`.
+        """
         spec = cls.__new__(cls)
-        spec._store(length, n0, label, on, mask, bands)
+        spec._store(length, n0, label, onsite, onsite_mask, bands)
         return spec
 
     def _store(self, length, n0, label, onsite, onsite_mask, bands):
@@ -354,16 +368,14 @@ class ModelSpec:
 
     def with_shifted_onsite(self, c: float) -> "ModelSpec":
         """New model with ``c * identity`` added to every on-site block."""
-        spec = ModelSpec.__new__(ModelSpec)
-        spec._store(
+        return ModelSpec._from_bands(
             self.length,
             self.n0,
-            self.label,
             self._onsite + c * np.eye(self.n0),
             np.ones(self.length, dtype=bool),
             dict(self._bands),
+            self.label,
         )
-        return spec
 
     def __repr__(self):
         hoppings = sum(int(mask.sum()) for _, mask in self._bands.values())

@@ -11,8 +11,15 @@ Format::
 
 ``L`` and ``N0`` must appear before the first V/T line.  Indices are
 1-based.  Diagonal on-site entries (i == j) must be real within 1e-12;
-the imaginary part is dropped inside that tolerance.  Parse errors
-report the line number and reason.
+the imaginary part is dropped inside that tolerance.
+
+Parsing is column-wise.  One pass splits the lines into tokens and sorts
+the V and T rows apart, keeping their line numbers; each numeric column
+is then converted in one ``int``/``float`` pass, every check runs on
+whole columns, and the values are scattered straight into the model's
+block-band arrays (see :mod:`gapbound.lattice`).  Errors are still
+reported for the first bad line in file order, with its line number and
+the reason of the first check that line fails.
 """
 
 from __future__ import annotations
@@ -23,123 +30,231 @@ from .errors import ModelFormatError
 from .eigensolver import HERMITIAN_TOL
 from .lattice import ModelSpec
 
+_ONSITE_COLUMNS = (("x", int), ("i", int), ("j", int), ("re", float), ("im", float))
+_HOPPING_COLUMNS = (("x", int), ("x'", int), ("i", int), ("j", int), ("re", float), ("im", float))
+_EXPECTED = {
+    "V": "expected 'V <x> <i> <j> <re> <im>'",
+    "T": "expected 'T <x> <x'> <i> <j> <re> <im>'",
+}
+# an integer beyond int64 lies outside every index range; the masks see it
+# clipped to this magnitude, the messages the parsed value
+_INT_CLIP = 2**62
 
-def _parse_int(token: str, line_no: int, what: str) -> int:
+
+def _bad_token(what: str, cast, token: str) -> str:
+    kind = "an integer" if cast is int else "a number"
+    return f"{what} must be {kind}, got {token!r}"
+
+
+def _converts(cast, token: str) -> bool:
     try:
-        return int(token)
+        cast(token)
     except ValueError:
-        raise ModelFormatError(line_no, f"{what} must be an integer, got {token!r}") from None
+        return False
+    return True
 
 
-def _parse_float(token: str, line_no: int, what: str) -> float:
+def _ints(values: list) -> np.ndarray:
     try:
-        return float(token)
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(v, -_INT_CLIP), _INT_CLIP) for v in values], dtype=np.int64)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key occurs at an earlier index."""
+    bad = np.ones(len(keys), dtype=bool)
+    bad[np.unique(keys, return_index=True)[1]] = False
+    return bad
+
+
+def _complex(re: list, im) -> np.ndarray:
+    """``complex(re, im)`` entrywise, without arithmetic (signed zeros kept)."""
+    v = np.empty(len(re), dtype=np.complex128)
+    v.real = re
+    v.imag = im
+    return v
+
+
+class _FirstBad:
+    """Whole-column checks over rows in file order, keeping the first bad row.
+
+    A check sees only the rows before the first bad row found so far, so
+    every row it sees passed the earlier checks, and the row it reports
+    fails no earlier check: the reason is the one the checks' order gives.
+    """
+
+    def __init__(self, rows: list):
+        self.rows = rows
+        self.n = len(rows)  # rows seen: the index of the first bad row, if any
+        self.reason = None
+
+    def fail(self, k: int, reason: str):
+        self.n, self.reason = k, reason
+
+    def check(self, bad: np.ndarray, reason):
+        """``bad`` masks at least the rows seen; ``reason(k)`` describes row k."""
+        bad = bad[: self.n]
+        if bad.any():
+            k = int(np.argmax(bad))
+            self.fail(k, reason(k))
+
+    def columns(self, spec) -> list[list]:
+        """The token columns after the first, each converted by its type."""
+        out = []
+        for (what, cast), col in zip(spec, list(zip(*self.rows))[1:]):
+            col = col[: self.n]
+            try:
+                out.append(list(map(cast, col)))
+            except ValueError:
+                k = next(k for k, token in enumerate(col) if not _converts(cast, token))
+                self.fail(k, _bad_token(what, cast, col[k]))
+                out.append(list(map(cast, col[:k])))
+        return [c[: self.n] for c in out]
+
+
+def _onsite(rows: list, length: int, n0: int):
+    """``(x, i, j, values), None`` for valid V rows, else ``None, (line_no, reason)``
+    of the first bad row."""
+    scan = _FirstBad(rows)
+    xs, is_, js, res, ims = scan.columns(_ONSITE_COLUMNS)
+    x, i, j = _ints(xs), _ints(is_), _ints(js)
+    scan.check((x < 1) | (x > length), lambda k: f"x={xs[k]} out of range 1..{length}")
+    scan.check(
+        (i < 1) | (i > n0) | (j < 1) | (j > n0),
+        lambda k: f"indices ({is_[k]},{js[k]}) out of range 1..{n0}",
+    )
+    scan.check(i > j, lambda k: f"on-site entries require i <= j, got ({is_[k]},{js[k]})")
+    n = scan.n
+    scan.check(
+        _repeats(((x[:n] - 1) * n0 + i[:n] - 1) * n0 + j[:n] - 1),
+        lambda k: f"duplicate on-site entry V {xs[k]} {is_[k]} {js[k]}",
+    )
+    im = np.array(ims[: scan.n], dtype=float)
+    diag = i[: scan.n] == j[: scan.n]
+    scan.check(
+        diag & (np.abs(im) > HERMITIAN_TOL),
+        lambda k: (
+            f"diagonal on-site entry must be real within {HERMITIAN_TOL:g}, "
+            f"got imaginary part {ims[k]!r}"
+        ),
+    )
+    if scan.reason is not None:
+        return None, (rows[scan.n][0], scan.reason)
+    return (x, i, j, _complex(res, np.where(diag, 0.0, im))), None
+
+
+def _hopping(rows: list, length: int, n0: int):
+    """``(x, x', i, j, values), None`` for valid T rows, else
+    ``None, (line_no, reason)`` of the first bad row."""
+    scan = _FirstBad(rows)
+    xs, xps, is_, js, res, ims = scan.columns(_HOPPING_COLUMNS)
+    x, xp, i, j = _ints(xs), _ints(xps), _ints(is_), _ints(js)
+    scan.check(
+        (x < 1) | (x > length) | (xp < 1) | (xp > length),
+        lambda k: f"pair ({xs[k]},{xps[k]}) out of range 1..{length}",
+    )
+    scan.check(x >= xp, lambda k: f"hopping requires x < x', got ({xs[k]},{xps[k]})")
+    scan.check(
+        (i < 1) | (i > n0) | (j < 1) | (j > n0),
+        lambda k: f"indices ({is_[k]},{js[k]}) out of range 1..{n0}",
+    )
+    n = scan.n
+    scan.check(
+        _repeats((((x[:n] - 1) * length + xp[:n] - 1) * n0 + i[:n] - 1) * n0 + j[:n] - 1),
+        lambda k: f"duplicate hopping entry T {xs[k]} {xps[k]} {is_[k]} {js[k]}",
+    )
+    if scan.reason is not None:
+        return None, (rows[scan.n][0], scan.reason)
+    return (x, xp, i, j, _complex(res, ims)), None
+
+
+def _header(tokens: list, line_no: int, current) -> int:
+    """The value of an ``L`` or ``N0`` line."""
+    tag = tokens[0]
+    if current is not None:
+        raise ModelFormatError(line_no, f"duplicate {tag} header")
+    if len(tokens) != 2:
+        raise ModelFormatError(line_no, f"expected '{tag} <int>'")
+    try:
+        value = int(tokens[1])
     except ValueError:
-        raise ModelFormatError(line_no, f"{what} must be a number, got {token!r}") from None
+        raise ModelFormatError(line_no, _bad_token(tag, int, tokens[1])) from None
+    if value < 1:
+        raise ModelFormatError(line_no, f"{tag} must be >= 1, got {value}")
+    return value
 
 
 def parse_model(text: str) -> ModelSpec:
     """Parse a model from text; see the module docstring for the format."""
-    length = None
-    n0 = None
+    length = n0 = None
     label = ""
-    onsite: dict[int, np.ndarray] = {}
-    offdiag: dict[tuple[int, int], np.ndarray] = {}
-    seen_onsite: set[tuple[int, int, int]] = set()
-    seen_hop: set[tuple[int, int, int, int]] = set()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        tag = tokens[0]
-
-        if tag == "L":
-            if length is not None:
-                raise ModelFormatError(line_no, "duplicate L header")
-            if len(tokens) != 2:
-                raise ModelFormatError(line_no, "expected 'L <int>'")
-            length = _parse_int(tokens[1], line_no, "L")
-            if length < 1:
-                raise ModelFormatError(line_no, f"L must be >= 1, got {length}")
-        elif tag == "N0":
-            if n0 is not None:
-                raise ModelFormatError(line_no, "duplicate N0 header")
-            if len(tokens) != 2:
-                raise ModelFormatError(line_no, "expected 'N0 <int>'")
-            n0 = _parse_int(tokens[1], line_no, "N0")
-            if n0 < 1:
-                raise ModelFormatError(line_no, f"N0 must be >= 1, got {n0}")
-        elif tag == "label":
-            label = line[len("label") :].strip()
-        elif tag in ("V", "T"):
-            if length is None or n0 is None:
-                raise ModelFormatError(line_no, "L and N0 must be declared before entries")
-            if tag == "V":
-                if len(tokens) != 6:
-                    raise ModelFormatError(line_no, "expected 'V <x> <i> <j> <re> <im>'")
-                x = _parse_int(tokens[1], line_no, "x")
-                i = _parse_int(tokens[2], line_no, "i")
-                j = _parse_int(tokens[3], line_no, "j")
-                re = _parse_float(tokens[4], line_no, "re")
-                im = _parse_float(tokens[5], line_no, "im")
-                if not 1 <= x <= length:
-                    raise ModelFormatError(line_no, f"x={x} out of range 1..{length}")
-                if not (1 <= i <= n0 and 1 <= j <= n0):
-                    raise ModelFormatError(line_no, f"indices ({i},{j}) out of range 1..{n0}")
-                if i > j:
-                    raise ModelFormatError(
-                        line_no, f"on-site entries require i <= j, got ({i},{j})"
-                    )
-                if (x, i, j) in seen_onsite:
-                    raise ModelFormatError(line_no, f"duplicate on-site entry V {x} {i} {j}")
-                seen_onsite.add((x, i, j))
-                if i == j:
-                    if abs(im) > HERMITIAN_TOL:
-                        raise ModelFormatError(
-                            line_no,
-                            f"diagonal on-site entry must be real within {HERMITIAN_TOL:g}, "
-                            f"got imaginary part {im!r}",
-                        )
-                    im = 0.0
-                block = onsite.setdefault(x, np.zeros((n0, n0), dtype=np.complex128))
-                block[i - 1, j - 1] = complex(re, im)
-                block[j - 1, i - 1] = complex(re, -im)
+    # V and T rows in file order, each with its tag replaced by its line number
+    v_rows, t_rows = [], []
+    declared = False
+    # a header or row-shape error ends the scan: only the rows before its
+    # line can still hold an earlier error
+    pending = None
+    lines = text.splitlines()
+    try:
+        for line_no, tokens in enumerate(map(str.split, lines), start=1):
+            if not tokens:
+                continue
+            tag = tokens[0]
+            if tag == "V" and declared and len(tokens) == 6:
+                tokens[0] = line_no
+                v_rows.append(tokens)
+            elif tag == "T" and declared and len(tokens) == 7:
+                tokens[0] = line_no
+                t_rows.append(tokens)
+            elif tag[0] == "#":
+                continue
+            elif tag in _EXPECTED:
+                if not declared:
+                    raise ModelFormatError(line_no, "L and N0 must be declared before entries")
+                raise ModelFormatError(line_no, _EXPECTED[tag])
+            elif tag == "L":
+                length = _header(tokens, line_no, length)
+                declared = n0 is not None
+            elif tag == "N0":
+                n0 = _header(tokens, line_no, n0)
+                declared = length is not None
+            elif tag == "label":
+                label = lines[line_no - 1].strip()[len("label") :].strip()
             else:
-                if len(tokens) != 7:
-                    raise ModelFormatError(line_no, "expected 'T <x> <x'> <i> <j> <re> <im>'")
-                x = _parse_int(tokens[1], line_no, "x")
-                xp = _parse_int(tokens[2], line_no, "x'")
-                i = _parse_int(tokens[3], line_no, "i")
-                j = _parse_int(tokens[4], line_no, "j")
-                re = _parse_float(tokens[5], line_no, "re")
-                im = _parse_float(tokens[6], line_no, "im")
-                if not (1 <= x <= length and 1 <= xp <= length):
-                    raise ModelFormatError(line_no, f"pair ({x},{xp}) out of range 1..{length}")
-                if x >= xp:
-                    raise ModelFormatError(line_no, f"hopping requires x < x', got ({x},{xp})")
-                if not (1 <= i <= n0 and 1 <= j <= n0):
-                    raise ModelFormatError(line_no, f"indices ({i},{j}) out of range 1..{n0}")
-                if (x, xp, i, j) in seen_hop:
-                    raise ModelFormatError(line_no, f"duplicate hopping entry T {x} {xp} {i} {j}")
-                seen_hop.add((x, xp, i, j))
-                block = offdiag.setdefault(
-                    (x, xp), np.zeros((n0, n0), dtype=np.complex128)
-                )
-                block[i - 1, j - 1] = complex(re, im)
-        else:
-            raise ModelFormatError(line_no, f"unknown directive {tag!r}")
+                raise ModelFormatError(line_no, f"unknown directive {tag!r}")
+    except ModelFormatError as exc:
+        pending = exc
 
-    if length is None or n0 is None:
+    onsite, bad_onsite = _onsite(v_rows, length, n0) if v_rows else (None, None)
+    hopping, bad_hopping = _hopping(t_rows, length, n0) if t_rows else (None, None)
+    errors = [e for e in (bad_onsite, bad_hopping) if e is not None]
+    if errors:
+        raise ModelFormatError(*min(errors))
+    if pending is not None:
+        raise pending
+    if not declared:
         raise ModelFormatError(0, "model file must declare L and N0")
-    return ModelSpec(
-        length,
-        n0,
-        [(x, xp, b) for (x, xp), b in offdiag.items()],
-        list(onsite.items()),
-        label=label,
-    )
+
+    on = np.zeros((length, n0, n0), dtype=np.complex128)
+    on_mask = np.zeros(length, dtype=bool)
+    if onsite is not None:
+        x, i, j, v = onsite
+        on[x - 1, i - 1, j - 1] = v
+        on[x - 1, j - 1, i - 1] = v.conj()
+        on_mask[x - 1] = True
+    bands = {}
+    if hopping is not None:
+        x, xp, i, j, v = hopping
+        dist = xp - x
+        for d in np.unique(dist).tolist():
+            at = dist == d
+            blocks = np.zeros((length - d, n0, n0), dtype=np.complex128)
+            mask = np.zeros(length - d, dtype=bool)
+            blocks[x[at] - 1, i[at] - 1, j[at] - 1] = v[at]
+            mask[x[at] - 1] = True
+            bands[d] = (blocks, mask)
+    return ModelSpec._from_bands(length, n0, on, on_mask, bands, label)
 
 
 def load_model(path) -> ModelSpec:
@@ -149,27 +264,41 @@ def load_model(path) -> ModelSpec:
 
 
 def format_model(spec: ModelSpec) -> str:
-    """Render a model in the text format (round-trips through parse_model)."""
+    """Render a model in the text format (round-trips through parse_model).
+
+    Entries are read from the block-band arrays in one pass over their
+    nonzero entries: V lines by site and then upper-triangle entry, T lines
+    by pair ``(x, x')`` and then block entry.
+    """
     lines = [f"L {spec.length}", f"N0 {spec.n0}"]
     if spec.label:
         lines.append(f"label {spec.label}")
-    for x in sorted(spec.onsite):
-        b = spec.onsite[x]
-        for i in range(spec.n0):
-            for j in range(i, spec.n0):
-                v = b[i, j]
-                if v != 0:
-                    lines.append(
-                        f"V {x} {i + 1} {j + 1} {v.real:.17g} "
-                        f"{0.0 if i == j else v.imag:.17g}"
-                    )
-    for (x, xp) in sorted(spec.offdiag):
-        b = spec.offdiag[(x, xp)]
-        for i in range(spec.n0):
-            for j in range(spec.n0):
-                v = b[i, j]
-                if v != 0:
-                    lines.append(f"T {x} {xp} {i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}")
+    on = spec._onsite
+    x, i, j = np.nonzero(
+        (on != 0) & spec._onsite_mask[:, None, None] & np.triu(np.ones(on.shape[1:], dtype=bool))
+    )
+    v = on[x, i, j]
+    im = np.where(i == j, 0.0, v.imag)
+    lines += [
+        "V %d %d %d %.17g %.17g" % entry
+        for entry in zip(
+            (x + 1).tolist(), (i + 1).tolist(), (j + 1).tolist(), v.real.tolist(), im.tolist()
+        )
+    ]
+    hops = []
+    for d, (blocks, mask) in spec.hopping_bands.items():
+        x, i, j = np.nonzero((blocks != 0) & mask[:, None, None])
+        hops.append((x + 1, x + 1 + d, i + 1, j + 1, blocks[x, i, j]))
+    if hops:
+        x, xp, i, j, v = (np.concatenate(c) for c in zip(*hops))
+        order = np.lexsort((j, i, xp, x))
+        lines += [
+            "T %d %d %d %d %.17g %.17g" % entry
+            for entry in zip(
+                x[order].tolist(), xp[order].tolist(), i[order].tolist(), j[order].tolist(),
+                v.real[order].tolist(), v.imag[order].tolist(),
+            )
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -97,8 +97,16 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["{bad", "[]", '{"L": null}', '{"L": "abc"}'],
-    ids=["not-json", "not-an-object", "null-value", "non-numeric-value"],
+    [
+        "{bad", "[]", '{"L": null}', '{"L": "abc"}', '{"out": null}', '{"out": ""}',
+        '{"out": 3}', '{"points": 2.9}', '{"L": 40.0}', '{"points": true}', '{"grid_step": true}',
+        '{"mu": "1"}',
+    ],
+    ids=[
+        "not-json", "not-an-object", "null-value", "non-numeric-value", "null-out", "empty-out",
+        "numeric-out", "fractional-int", "float-for-int", "bool-for-int", "bool-for-float",
+        "string-for-float",
+    ],
 )
 def test_sweep_config_bad_file_exits_1(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

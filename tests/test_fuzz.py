@@ -38,6 +38,15 @@ def test_config_rejects_negative_or_non_integer_seed():
     assert FuzzConfig(seed=np.int64(3)).seed == 3
 
 
+def test_config_rejects_non_integer_or_nonpositive_trials():
+    for trials in (0, -1, 1.5, 2.0, "3", None):
+        with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+            FuzzConfig(trials=trials)
+    assert FuzzConfig(trials=np.int64(2)).trials == 2
+    report = run_fuzz(FuzzConfig(seed=5, trials=np.int64(1)))
+    assert report.passed + report.skipped_degenerate == 1
+
+
 def test_trial_rng_substreams_are_independent_of_history():
     a = trial_rng(42, 7).integers(0, 2**31)
     # consuming other substreams must not disturb trial 7
@@ -55,6 +64,8 @@ def test_random_model_families():
     spec, env, nn = random_model(trial_rng(1, 1), family=NN_FAMILY)
     assert env is None and nn is not None
     assert all(xp - x == 1 for (x, xp) in spec.offdiag)
+    with pytest.raises(ValidationError):
+        random_model(trial_rng(1, 2), size_range=(1, 1))
 
 
 @pytest.mark.parametrize("family", [ENVELOPE_FAMILY, NN_FAMILY])

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from gapbound import ModelFormatError, assemble, impurity_model, parse_model
-from gapbound.fuzz import random_model, trial_rng
+from gapbound import (
+    ModelFormatError,
+    ModelSpec,
+    ValidationError,
+    assemble,
+    impurity_model,
+    parse_model,
+    strip_model,
+)
+from gapbound.fuzz import FAMILIES, random_model, trial_rng
 from gapbound.modelfile import dump_model, format_model, load_model
+
+from oracles import reference_format_model, reference_parse_model
+from test_lattice import MODEL_FILES
 
 
 BASIC = """\
@@ -93,3 +104,140 @@ def test_roundtrip_impurity(tmp_path):
     assert back.label == spec.label
     # second render is byte-identical
     assert format_model(back) == text
+
+
+def _disordered_strip(length, width, seed):
+    rng = np.random.default_rng(seed)
+    base = strip_model(length, width)
+    onsite = np.array(base._onsite)
+    onsite[:, np.arange(width), np.arange(width)] += rng.uniform(-3, 3, size=(length, width))
+    hops = {d: blocks for d, (blocks, _) in base.hopping_bands.items()}
+    return ModelSpec.from_arrays(length, width, hops, onsite, label=f"disordered strip {seed}")
+
+
+def _valid_specs():
+    for family in FAMILIES:
+        for i in range(15):
+            yield random_model(trial_rng(505, i), family=family)[0]
+    yield random_model(trial_rng(506, 0))[0].with_shifted_onsite(-0.4)
+    yield strip_model(6, 3, t_along=0.8, t_across=0.6)
+    yield strip_model(1, 4)
+    yield _disordered_strip(12, 5, 1)
+    yield impurity_model(40, -0.3)
+    yield impurity_model(2, 0.0)
+
+
+VALID_TEXTS = (
+    *MODEL_FILES,
+    BASIC,
+    "\n# c\n  \nL 2\nN0 2\n\tlabel  two   words \r\n# another\nT 1 2 2 1 -0 -0.0\n"
+    "V 2 1 1 1_0 -0\nV 2 2 2 +2.5 1e-13\nV 1 1 2 1e300 -1e-300\n",
+    "L 1\nN0 1\n",
+)
+# well-formed, but the model rejects the values
+NONFINITE_TEXTS = ("L 3\nN0 1\nV 2 1 1 inf 0\n", "L 3\nN0 1\nT 1 3 1 1 nan 0\n")
+
+
+def _outcome(parse, text):
+    """The arrays a parser builds, or the error it raises, as comparable values."""
+    try:
+        spec = parse(text)
+    except ValidationError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return (
+        spec.length,
+        spec.n0,
+        spec.label,
+        spec._onsite.tobytes(),
+        spec._onsite_mask.tobytes(),
+        [(d, blocks.tobytes(), mask.tobytes()) for d, (blocks, mask) in spec.hopping_bands.items()],
+    )
+
+
+def _entries(lines):
+    """Indices of the well-formed V/T lines."""
+    out = []
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        width = {"V": 6, "T": 7}.get(tokens[0] if tokens else "")
+        if len(tokens) == width and all(t.isdigit() for t in tokens[1 : width - 2]):
+            out.append(k)
+    return out
+
+
+def _mutate(lines, k, kind, rng):
+    """``lines`` with one change at entry line ``k`` of the given kind."""
+    lines = list(lines)
+    tokens = lines[k].split()
+    tag = tokens[0]
+    if kind == "bad-token":
+        c = int(rng.integers(1, len(tokens)))
+        tokens[c] = str(rng.choice(["abc", "1.5", "0x10", "1e400", "nan", "-0", "1_0", "", "--1"]))
+    elif kind == "out-of-range":
+        c = int(rng.integers(1, len(tokens) - 2))
+        tokens[c] = str(rng.choice(["0", "-1", "10000", "99999999999999999999999"]))
+    elif kind == "i-greater-than-j":
+        if tag == "V":
+            tokens[2], tokens[3] = str(int(tokens[3]) + 1), tokens[3]
+        else:
+            tokens[1], tokens[2] = tokens[2], tokens[1]
+    elif kind == "duplicate":
+        tokens[-2] = "0.125"
+        lines.insert(int(rng.integers(k + 1, len(lines) + 1)), " ".join(tokens))
+        return lines
+    elif kind == "before-header":
+        lines.insert(0, lines.pop(k))
+        return lines
+    elif kind == "imaginary-diagonal":
+        if tag == "V":
+            tokens[3] = tokens[2]
+        tokens[-1] = "0.5"
+    elif kind == "unknown-tag":
+        tokens[0] = str(rng.choice(["Q", "v", "LL", "n0"]))
+    elif kind == "token-count":
+        tokens = tokens[:-1] if rng.random() < 0.5 else tokens + ["0"]
+    elif kind == "header":
+        header = str(rng.choice(["L 3", "N0 2", "L x", "N0 0", "L", "label late"]))
+        lines.insert(k, header)
+        return lines
+    lines[k] = " ".join(tokens)
+    return lines
+
+
+MUTATIONS = (
+    "bad-token", "out-of-range", "i-greater-than-j", "duplicate", "before-header",
+    "imaginary-diagonal", "unknown-tag", "token-count", "header",
+)
+
+
+def test_parser_matches_line_reference_on_valid_files():
+    texts = [format_model(spec) for spec in _valid_specs()] + [*VALID_TEXTS, *NONFINITE_TEXTS]
+    for text in texts:
+        assert _outcome(parse_model, text) == _outcome(reference_parse_model, text), text
+
+
+def test_parser_matches_line_reference_on_mutated_files():
+    # one or two changed lines per file: the same first bad line, with the
+    # same reason, as the line-by-line reference
+    rng = np.random.default_rng(2024)
+    texts = [format_model(spec) for spec in _valid_specs()] + list(MODEL_FILES)
+    failures = 0
+    for text in texts:
+        lines = text.splitlines()
+        for kind in MUTATIONS:
+            for _ in range(2):
+                mutated = _mutate(lines, int(rng.choice(_entries(lines))), kind, rng)
+                if rng.random() < 0.5 and _entries(mutated):
+                    k = int(rng.choice(_entries(mutated)))
+                    mutated = _mutate(mutated, k, str(rng.choice(MUTATIONS)), rng)
+                mutated = "\n".join(mutated) + "\n"
+                want = _outcome(reference_parse_model, mutated)
+                assert _outcome(parse_model, mutated) == want, mutated
+                failures += isinstance(want[0], type)
+    assert failures > 0.9 * len(texts) * len(MUTATIONS) * 2
+
+
+def test_format_matches_entry_reference():
+    specs = list(_valid_specs()) + [parse_model(text) for text in VALID_TEXTS]
+    for spec in specs:
+        assert format_model(spec) == reference_format_model(spec)
