@@ -2,7 +2,7 @@
 
 Subcommands: ``solve``, ``bounds``, ``sweep``, ``fuzz``, ``plot``.
 Exit codes: 0 success, 1 validation error (bad input, malformed file,
-degenerate ground state), 2 invariant or assertion failure.
+degenerate ground state, out of memory), 2 invariant or assertion failure.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_bounds(args) -> int:
     checks = []
     failed = 0
     for b in bounds:
-        chk = verify_envelope(prof, stats.mean, b, grid_step=args.grid_step)
+        chk = verify_envelope(prof, stats.mean, b)
         checks.append((b, chk))
         n_bad = int(chk.violations.size)
         failed += n_bad
@@ -154,7 +154,8 @@ def cmd_bounds(args) -> int:
 
 
 _CONFIG_INTS = ("L", "points")
-_CONFIG_FLOATS = ("h0_min", "h0_max", "s", "mu", "grid_step")
+_CONFIG_FLOATS = ("h0_min", "h0_max", "s", "mu")
+_CONFIG_KEYS = (*_CONFIG_INTS, *_CONFIG_FLOATS, "out")
 
 
 def _config_value_ok(key: str, value) -> bool:
@@ -177,7 +178,7 @@ def _sweep_config(args) -> SweepConfig:
                 raise ValidationError(f"{args.config} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValidationError(f"{args.config} must hold a JSON object")
-        unknown = set(cfg) - {*_CONFIG_INTS, *_CONFIG_FLOATS, "out"}
+        unknown = set(cfg) - set(_CONFIG_KEYS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         # every value is checked, also one that a flag overrides
@@ -202,7 +203,6 @@ def _sweep_config(args) -> SweepConfig:
         h0_grid=grid,
         s=pick(float, args.s, "s", 0.5),
         mu=pick(float, args.mu, "mu", 1.0),
-        grid_step=pick(float, args.grid_step, "grid_step", 0.5),
         output_path=pick(str, args.out, "out", "sweep.csv"),
     )
 
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_args(p)
     p.add_argument("--s", type=float, default=0.5, help="bound parameter in (0,1), default 0.5")
     p.add_argument("--mu", type=float, default=1.0, help="envelope decay rate for the fit")
-    p.add_argument("--grid-step", type=float, default=0.5, help="radius grid step")
     p.add_argument("--center", type=float, default=None,
                    help="decay-fit center (default: density maximum)")
     p.add_argument("--scan-s", type=float, default=None, metavar="R",
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=None, help="grid points (default 100)")
     p.add_argument("--s", type=float, default=None, help="bound parameter (default 0.5)")
     p.add_argument("--mu", type=float, default=None, help="envelope decay rate (default 1)")
-    p.add_argument("--grid-step", type=float, default=None, help="envelope check step (default 0.5)")
     p.add_argument("--out", default=None, help="output CSV path (default sweep.csv)")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.set_defaults(func=cmd_sweep)
@@ -323,6 +321,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -228,10 +228,10 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     vb = variance_upper_bound(src, spec.length, res.gap)
     if stats.variance > vb * (1.0 + 1e-9) + 1e-12:
         problems.append(f"variance bound violated ({stats.variance:.6g} > {vb:.6g})")
-    for k in (1.0, 2.0, 5.0):
-        r = k * max(stats.delta_x, 0.5)
+    radii = np.array([1.0, 2.0, 5.0]) * max(stats.delta_x, 0.5)
+    for r, t in zip(radii, tail(prof, stats.mean, radii)):
         cb = chebyshev_tail_bound(src, spec.length, res.gap, r)
-        if tail(prof, stats.mean, r) > cb + 1e-12:
+        if t > cb + 1e-12:
             problems.append(f"power-law tail bound violated at R={r:.3g}")
 
     r_max = max(stats.mean - 1.0, spec.length - stats.mean)

@@ -97,20 +97,31 @@ def position_stats(profile: DensityProfile) -> PositionStats:
     return PositionStats(mean=mean, variance=max(variance, 0.0))
 
 
+def tail_steps(profile: DensityProfile, mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct site distances ``d = |x - mean|``, ascending, and ``P(|x - mean| >= d)``.
+
+    The tail is constant on ``(d_k, d_{k+1}]`` and 0 past the last distance.
+    It is read off suffix sums of ``p``, accumulated from the farthest site
+    inwards so that tiny tails are summed smallest terms first.
+    """
+    dist = np.abs(profile.sites() - mean)
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    suffix = np.cumsum(profile.p[order[::-1]])[::-1]
+    first = np.ones(dist.size, dtype=bool)
+    np.not_equal(dist[1:], dist[:-1], out=first[1:])
+    return dist[first], suffix[first]
+
+
 def tail(profile: DensityProfile, mean: float, r):
     """Tail probability ``P(|x - mean| >= r)`` over the integer sites.
 
     ``r`` may be a scalar (returns a float) or an array of radii (returns
-    an array).  The array path sorts the distances once and reads every
-    radius off suffix sums of ``p``, accumulated from the farthest site
-    inwards so that tiny tails are summed smallest terms first.
+    an array); both are read off :func:`tail_steps`.
     """
-    dist = np.abs(profile.sites() - mean)
-    if np.ndim(r) == 0:
-        return float(profile.p[dist >= r].sum())
-    order = np.argsort(dist, kind="stable")
-    suffix = np.append(np.cumsum(profile.p[order][::-1])[::-1], 0.0)
-    return suffix[np.searchsorted(dist[order], np.asarray(r, dtype=float), side="left")]
+    radii, tails = tail_steps(profile, mean)
+    out = np.append(tails, 0.0)[np.searchsorted(radii, r, side="left")]
+    return float(out) if out.ndim == 0 else out
 
 
 def fit_localization_length(

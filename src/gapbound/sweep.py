@@ -56,7 +56,6 @@ class SweepConfig:
     s: float = 0.5
     mu: float = 1.0
     output_path: str = "sweep.csv"
-    grid_step: float = 0.5
 
     def __post_init__(self):
         grid = np.asarray(self.h0_grid, dtype=float)
@@ -92,9 +91,7 @@ class SweepRow:
     violations2: int = 0
 
 
-def sweep_point(
-    length: int, h0: float, s: float = 0.5, mu: float = 1.0, grid_step: float = 0.5
-) -> SweepRow:
+def sweep_point(length: int, h0: float, s: float = 0.5, mu: float = 1.0) -> SweepRow:
     """Solve one impurity chain and evaluate both envelopes against it."""
     spec = impurity_model(length, h0)
     try:
@@ -113,8 +110,8 @@ def sweep_point(
 
     b1 = theorem1_bound(HoppingEnvelope(cv=1.0, mu=mu), res.gap, s, delta_x)
     b2 = theorem2_bound(check_nearest_neighbor(spec).v0, res.gap, s, delta_x)
-    chk1 = verify_envelope(prof, stats.mean, b1, grid_step=grid_step)
-    chk2 = verify_envelope(prof, stats.mean, b2, grid_step=grid_step)
+    chk1 = verify_envelope(prof, stats.mean, b1)
+    chk2 = verify_envelope(prof, stats.mean, b2)
 
     root2 = math.sqrt(2.0)
     return SweepRow(
@@ -139,10 +136,7 @@ def run_sweep(config: SweepConfig, write: bool = True) -> list[SweepRow]:
 
     Writes the CSV to ``config.output_path`` unless ``write`` is False.
     """
-    rows = [
-        sweep_point(config.L, h0, config.s, config.mu, config.grid_step)
-        for h0 in config.h0_grid
-    ]
+    rows = [sweep_point(config.L, h0, config.s, config.mu) for h0 in config.h0_grid]
     if write:
         write_sweep_csv(rows, config.output_path)
     return rows
@@ -172,14 +166,16 @@ def write_sweep_csv(rows, path):
 def read_sweep_csv(path) -> list[SweepRow]:
     """Read rows back from a sweep CSV (violation counts are not stored)."""
     with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != SWEEP_CSV_HEADER:
         raise ValidationError(f"{path} is not a sweep CSV (bad header)")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 11:
-            raise ValidationError(f"malformed sweep row: {ln!r}")
-        vals = [float(v) for v in parts]
+    for no, ln in lines[1:]:
+        try:
+            vals = [float(v) for v in ln.split(",")]
+        except ValueError:
+            vals = []
+        if len(vals) != 11:
+            raise ValidationError(f"{path}, line {no}: malformed sweep row: {ln!r}")
         rows.append(SweepRow(*vals))
     return rows

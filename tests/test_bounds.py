@@ -14,6 +14,7 @@ from gapbound import (
     InvariantViolation,
     ModelSpec,
     NNBound,
+    TailEnvelope,
     ValidationError,
     WeightFunction,
     assemble,
@@ -37,9 +38,10 @@ from gapbound import (
     write_bound_csv,
     write_envelope_csv,
 )
+from gapbound.bounds import ENVELOPE_TOL
 from gapbound.fuzz import random_model, trial_rng
 
-from oracles import c1_partial, envelope_coupling_partial
+from oracles import brute_tail, c1_partial, envelope_coupling_partial
 
 _E = math.e
 
@@ -343,7 +345,8 @@ def test_verify_envelope_impurity_theorem2():
     b = theorem2_bound(1.0, res.gap, 0.5, stats.delta_x)
     chk = verify_envelope(prof, stats.mean, b)
     assert chk.ok
-    assert chk.r_grid.size > 400
+    dist = np.unique(np.abs(np.arange(1, prof.length + 1) - stats.mean))
+    np.testing.assert_array_equal(chk.r_grid, dist[dist >= b.r1])
     assert np.all(np.diff(chk.r_grid) > 0)
     assert np.all(chk.tail_values <= chk.bound_values + chk.tolerance)
 
@@ -358,7 +361,7 @@ def test_verify_envelope_delta_profile():
     assert b.r1 == 0.0
     chk = verify_envelope(prof, stats.mean, b)
     assert chk.ok and chk.r_grid.size > 0
-    assert chk.r_grid[0] == 0.5  # the R = 0 point carries no information
+    assert chk.r_grid[0] == 1.0  # the R = 0 point carries no information
 
 
 def test_verify_envelope_detects_corruption():
@@ -383,6 +386,60 @@ def test_verify_envelope_empty_grid_when_onset_exceeds_lattice():
     b = theorem2_bound(1.0, 1.0, 0.5, 100.0)  # r1 far beyond the chain
     chk = verify_envelope(prof, 3.0, b)
     assert chk.ok and chk.r_grid.size == 0
+
+
+def test_verify_envelope_finds_violation_between_grid_radii(tmp_path):
+    # mean 11, the far site at distance 9; env(9) < 0.1 < env(8.75), so a
+    # radius grid of step 0.5 from r1 = 0.25 steps over the violation
+    p = np.zeros(21)
+    p[9], p[19] = 0.9, 0.1
+    prof = DensityProfile(p=p)
+    mean = position_stats(prof).mean
+    assert mean == 11.0
+    r1, xi = 0.25, 2.0
+    b = TailEnvelope("theorem2", 0.5, 1.0, r1, xi, 0.099 * math.exp((9.0 - r1) / xi), 1.0, 0.0)
+    assert b.evaluate(9.0) < 0.1 < b.evaluate(8.75)
+    chk = verify_envelope(prof, mean, b)
+    np.testing.assert_array_equal(chk.r_grid, np.arange(1.0, 11.0))
+    np.testing.assert_array_equal(chk.violations, [9.0])
+    assert not chk.ok
+    path = tmp_path / "env.csv"
+    write_envelope_csv(chk, path)
+    flags = {float(ln.split(",")[0]): ln.split(",")[3] for ln in path.read_text().splitlines()[1:]}
+    assert flags == {r: ("1" if r == 9.0 else "0") for r in np.arange(1.0, 11.0)}
+
+
+def test_verify_envelope_is_exact_over_all_radii():
+    # the oracle probes every distance >= r1, every midpoint between two
+    # neighbouring distances and a point just above each distance
+    rng = np.random.default_rng(12)
+    flagged = 0
+    for trial in range(300):
+        length = int(rng.integers(1, 40))
+        p = rng.random(length) ** 4
+        p /= p.sum()
+        prof = DensityProfile(p=p)
+        mean = (position_stats(prof).mean, float(rng.integers(1, length + 1)),
+                rng.integers(1, 2 * length + 1) / 2.0)[trial % 3]
+        dist = np.unique(np.abs(np.arange(1, length + 1) - mean))
+        r1 = float(rng.choice([0.0, rng.uniform(0.0, dist[-1] + 1.0)]))
+        xi = float(rng.uniform(0.3, 10.0))
+        # pin the envelope near the tail at one distance so both outcomes occur
+        d0 = float(rng.choice(dist[dist >= r1])) if np.any(dist >= r1) else r1
+        prefactor = (brute_tail(p, mean, d0) * math.exp((d0 - r1) / xi)
+                     * rng.uniform(0.7, 1.3))
+        b = TailEnvelope("theorem1", 0.5, 1.0, r1, xi, prefactor, 1.0, 0.0)
+
+        probes = np.concatenate([dist, (dist[1:] + dist[:-1]) / 2.0, dist + 1e-9, [r1]])
+        probes = probes[(probes >= r1) & (probes > 0.0)]
+        oracle_ok = all(
+            brute_tail(p, mean, r) <= b.evaluate(r) + ENVELOPE_TOL for r in probes
+        )
+        chk = verify_envelope(prof, mean, b)
+        assert chk.ok == oracle_ok, (trial, mean, r1)
+        np.testing.assert_array_equal(chk.r_grid, dist[(dist >= r1) & (dist > 0.0)])
+        flagged += not chk.ok
+    assert 50 < flagged < 250
 
 
 def test_verify_appendixB_impurity():

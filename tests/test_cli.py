@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapbound
 from gapbound import impurity_model
 from gapbound.cli import main
 from gapbound.modelfile import dump_model
@@ -95,11 +100,24 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_radius_grid_step_is_gone(tmp_path, model_path, capsys):
+    # envelopes are checked at the tail's own breakpoints; no step is settable
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_step": 0.5}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['grid_step']" in capsys.readouterr().err
+    for argv in (["bounds", model_path], ["sweep"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid-step", "0.5"])
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "{bad", "[]", '{"L": null}', '{"L": "abc"}', '{"out": null}', '{"out": ""}',
-        '{"out": 3}', '{"points": 2.9}', '{"L": 40.0}', '{"points": true}', '{"grid_step": true}',
+        '{"out": 3}', '{"points": 2.9}', '{"L": 40.0}', '{"points": true}', '{"s": true}',
         '{"mu": "1"}',
     ],
     ids=[
@@ -159,3 +177,40 @@ def test_degenerate_model_exits_1(tmp_path, capsys):
     code = main(["solve", str(path)])
     assert code == 1
     assert "degeneracy" in capsys.readouterr().err
+
+
+def test_plot_non_numeric_field_exits_1(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    header = "h0,E0,E1,gap,deltaX,xi_fit,xi1,xi2,ratio1,ratio2,fit_r_squared"
+    path.write_text(f"{header}\n\n1,2,3,4,5,6,7,8,9,abc,11\n")
+    code = main(["plot", str(path), "--out", str(tmp_path / "fig.svg")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err
+    assert not (tmp_path / "fig.svg").exists()
+
+
+# The model asks for a 2.3 PiB block array; under a 2 GiB address-space
+# limit the allocation fails at once instead of exhausting the host.
+HUGE_MODEL_SCRIPT = """
+import resource, sys
+limit = 2 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from gapbound.cli import main
+sys.exit(main(["bounds", sys.argv[1]]))
+"""
+
+
+def test_model_too_large_for_memory_exits_1(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("L 10000000000000\nN0 4\n")
+    src = str(Path(gapbound.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_MODEL_SCRIPT, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr

@@ -1,12 +1,14 @@
-"""The README's library example and the names the benchmark harness wraps."""
+"""The README's examples and option lists, and the names the benchmark harness wraps."""
 
 import importlib
 import importlib.util
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import gapbound
+from gapbound import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +30,22 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for code in blocks:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", readme, re.S)
+    lines = [ln for ln in block.splitlines() if ln.startswith("gapbound ")]
+    assert lines, "README has no command-line example"
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])  # exits on an unknown option
+
+
+def test_readme_config_keys_match_the_cli():
+    text = (ROOT / "README.md").read_text()
+    (keys,) = re.findall(r"--config cfg\.json` with keys\s+`([^`]*)`", text)
+    assert sorted(k.strip() for k in keys.split(",")) == sorted(cli._CONFIG_KEYS)
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):
