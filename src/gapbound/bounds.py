@@ -515,8 +515,10 @@ def best_s(
 
     Only s values whose onset radius satisfies ``r1(s) <= r`` are
     feasible.  Returns ``(s, bound)`` where ``bound`` is the envelope
-    built with the winning s.
+    built with the winning s.  ``r`` must be finite and > 0.
     """
+    if not (math.isfinite(r) and r > 0):
+        raise ValidationError(f"radius r must be finite and > 0, got {r!r}")
     best = None
     for s in S_GRID:
         if kind == THEOREM1:

@@ -25,11 +25,13 @@ There are three routes, picked from the input:
   :func:`scipy.linalg.eigh` restricted to the two lowest indices
   (LAPACK ``heevr``, ``_dense_pairs``).
 
-The first two routes never form the dense matrix of a banded operator.
-They call LAPACK through :func:`scipy.linalg.get_lapack_funcs`, with
-the arguments :func:`scipy.linalg.eigh_tridiagonal` and
-:func:`scipy.linalg.eig_banded` pass for the same selection, so the
-results are theirs bit for bit without their per-call wrapper cost.
+The first two routes call LAPACK through
+:func:`scipy.linalg.get_lapack_funcs`, with the arguments
+:func:`scipy.linalg.eigh_tridiagonal` and :func:`scipy.linalg.eig_banded`
+pass for the same selection, so the results are theirs bit for bit
+without their per-call wrapper cost.  Nothing forms the dense matrix of
+a banded operator, not even the full spectrum
+(:attr:`SpectrumResult.eigenvalues`).
 
 Every accepted result is certified a posteriori: the 2-norm residuals
 ``|H v - E v|`` of both returned eigenpairs against the stored operator
@@ -44,11 +46,12 @@ computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import bandwidth, eigh, eigvalsh, get_lapack_funcs
+from scipy.linalg import bandwidth, eig_banded, eigh, eigvalsh, get_lapack_funcs
 from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
@@ -131,15 +134,14 @@ class BandedHermitian:
     ``j + k >= n`` are zero, the diagonal row is real.  Only this triangle
     is stored, so the operator is Hermitian by construction.  Trailing
     all-zero rows are dropped, so ``bandwidth`` is the true nonzero
-    bandwidth.  ``dense`` is a function returning the same matrix as a
-    dense array; it is called on the first read of :attr:`array` only.
-    Built by :func:`gapbound.lattice.assemble` from a validated model.
-    The spectral scale is computed on first use and kept.
+    bandwidth.  The band is the only form of the matrix.  Built by
+    :func:`gapbound.lattice.assemble` from a validated model.  The
+    spectral scale is computed on first use and kept.
     """
 
-    __slots__ = ("band", "_dense", "_array", "_scale")
+    __slots__ = ("band", "_scale")
 
-    def __init__(self, band: np.ndarray, dense):
+    def __init__(self, band: np.ndarray):
         band = np.asarray(band, dtype=np.complex128)
         if band.ndim != 2 or band.shape[0] < 1:
             raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
@@ -147,8 +149,6 @@ class BandedHermitian:
         band = band[: (rows[-1] if rows.size else 0) + 1]
         band.flags.writeable = False
         object.__setattr__(self, "band", band)
-        object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_array", None)
         object.__setattr__(self, "_scale", None)
 
     def __setattr__(self, name, value):
@@ -163,13 +163,9 @@ class BandedHermitian:
         return self.band.shape[0] - 1
 
     @property
-    def array(self) -> np.ndarray:
-        """The dense ``n x n`` matrix, read-only; built on first read."""
-        if self._array is None:
-            a = np.asarray(self._dense(), dtype=np.complex128)
-            a.flags.writeable = False
-            object.__setattr__(self, "_array", a)
-        return self._array
+    def shape(self) -> tuple[int, int]:
+        """``(n, n)``, the shape of the matrix the band stands for."""
+        return (self.n, self.n)
 
     def lower_diagonal(self, k: int) -> np.ndarray:
         """The entries ``H[j + k, j]``, ``j = 0..n-k-1``."""
@@ -225,10 +221,10 @@ class SpectrumResult:
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
     real and positive.  The pairs come from one of the three routes in the
-    module docstring; for a banded ``matrix`` none of them forms the dense
-    matrix.  ``eigenvalues``, the full ascending spectrum, is computed from
-    the dense form of ``matrix`` on first access only and then cached; it
-    is the one place where a banded operator's dense matrix is built.
+    module docstring.  ``eigenvalues``, the full ascending spectrum, is
+    computed on first access only and then cached: from the band of a
+    banded ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth)
+    memory), from the array of a dense one.
     """
 
     e0: float
@@ -242,9 +238,18 @@ class SpectrumResult:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        w = eigvalsh(self.matrix.array, check_finite=False)
+        h = self.matrix
+        if isinstance(h, BandedHermitian):
+            w = eig_banded(_lapack_band(h), lower=True, eigvals_only=True, check_finite=False)
+        else:
+            w = eigvalsh(h.array, check_finite=False)
         w.flags.writeable = False
         return w
+
+
+def _lapack_band(h: BandedHermitian) -> np.ndarray:
+    """The band to hand to LAPACK: real when it has no imaginary part."""
+    return h.band if h.band.imag.any() else h.band.real
 
 
 def _check_info(info: int, routine: str):
@@ -360,7 +365,11 @@ def lowest_two(
     degeneracy_tol : float
         Gap threshold (relative to the spectral scale) below which the
         ground state counts as degenerate and the solver refuses.
+        Both tolerances must be finite and > 0.
     """
+    for name, value in (("tol", tol), ("degeneracy_tol", degeneracy_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
     hm = h if isinstance(h, (HermitianMatrix, BandedHermitian)) else HermitianMatrix(h)
     n = hm.n
     if n < 2:
@@ -379,7 +388,7 @@ def lowest_two(
         w, z = _tridiagonal_pairs(hm.lower_diagonal(0).real, mag)
         vecs = phases[:, None] * z
     elif isinstance(hm, BandedHermitian):
-        band = hm.band if hm.band.imag.any() else hm.band.real
+        band = _lapack_band(hm)
         w = _band_eigenvalues(band)
     else:
         w, vecs = _dense_pairs(hm.array)
@@ -421,6 +430,7 @@ def lowest_two(
 
 def write_spectrum(result: SpectrumResult, path):
     """Dump the full spectrum as ``<index> <eigenvalue>`` lines."""
+    eigenvalues = result.eigenvalues  # before open(): a failure leaves no file
     with open(path, "w", newline="\n") as fh:
-        for i, e in enumerate(result.eigenvalues):
+        for i, e in enumerate(eigenvalues):
             fh.write(f"{i} {e:.17g}\n")

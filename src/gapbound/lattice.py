@@ -25,9 +25,9 @@ takes O(L * N0^2) memory.  The mappings :attr:`ModelSpec.offdiag` and
 :class:`~gapbound.eigensolver.BandedHermitian`: its lower band in LAPACK
 layout, O(L * N0 * bandwidth) memory.  Every model, of any ``N0`` and
 hopping range, is solved on this band by
-:func:`~gapbound.eigensolver.lowest_two`; the dense ``n x n`` matrix is
-built only when a caller reads the operator's ``array`` (the full
-spectrum of :attr:`~gapbound.eigensolver.SpectrumResult.eigenvalues`).
+:func:`~gapbound.eigensolver.lowest_two`, and its full spectrum
+(:attr:`~gapbound.eigensolver.SpectrumResult.eigenvalues`) is computed
+from the band too; no dense ``n x n`` matrix is built from a model.
 A model is immutable, so its operator and its block norms
 (:func:`hopping_norms`) are computed on first use and kept on the model;
 every later :func:`assemble` of the same model returns the same operator.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -386,33 +385,6 @@ class ModelSpec:
         )
 
 
-def _dense(n0: int, dim: int, bands, onsite: np.ndarray, onsite_mask: np.ndarray) -> np.ndarray:
-    """The dense matrix: each stored block at (x, x'), its conjugate transpose at (x', x).
-
-    Reads the model's block-band arrays, not the model, so that the
-    operator memoised on a :class:`ModelSpec` holds no reference back to
-    it (a reference cycle would outlive the model until a cyclic garbage
-    collection).  Each placed entry ``p`` with mirror entry ``q`` is
-    written as ``(p + conj(q)) * 0.5``: that is what
-    :class:`~gapbound.eigensolver.HermitianMatrix` makes of the placed
-    matrix (the product fixes the signs of zero imaginary parts), so the
-    bits are those of a validated dense input, at the cost of the stored
-    blocks only.
-    """
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    a, c = np.indices((n0, n0))
-    for d, (blocks, mask) in bands.items():
-        b = blocks[mask]
-        x0 = np.flatnonzero(mask)[:, None, None]
-        rows, cols = x0 * n0 + a, (x0 + d) * n0 + c
-        m[rows, cols] = (b + b) * 0.5
-        m[cols, rows] = (b.conj() + b.conj()) * 0.5
-    o = onsite[onsite_mask]
-    x0 = np.flatnonzero(onsite_mask)[:, None, None]
-    m[x0 * n0 + a, x0 * n0 + c] = (o + o.conj().transpose(0, 2, 1)) * 0.5
-    return m
-
-
 def assemble(spec: ModelSpec) -> BandedHermitian:
     """The one-particle matrix of a model as a banded Hermitian operator.
 
@@ -420,12 +392,13 @@ def assemble(spec: ModelSpec) -> BandedHermitian:
     O(L * N0 * bandwidth) time and memory: on-site blocks contribute
     their lower triangles, a stored hopping block ``h`` of the pair
     ``(x, x + d)`` contributes ``h^dagger`` at block row ``x + d``.  The
-    operator's dense ``array`` holds each stored block at (x, x') and its
-    conjugate transpose at (x', x); it is built on first read.
+    matrix it stands for holds each stored block at (x, x') and its
+    conjugate transpose at (x', x); no dense form of it is ever built.
 
     The operator is memoised on the (immutable) model: every call with
-    the same ``spec`` returns the same object, so the band, its spectral
-    scale and a dense array once read are computed once per model.
+    the same ``spec`` returns the same object, so the band and its
+    spectral scale are computed once per model.  The operator holds no
+    reference back to the model.
     """
     if spec._operator is None:
         object.__setattr__(spec, "_operator", _band_operator(spec))
@@ -444,8 +417,7 @@ def _band_operator(spec: ModelSpec) -> BandedHermitian:
     for d, (blocks, _) in spec.hopping_bands.items():
         cols = np.arange(length - d)[:, None, None] * n0 + c
         band[d * n0 + a - c, cols] = blocks.conj().transpose(0, 2, 1)
-    dense = partial(_dense, n0, spec.dim, spec._bands, spec._onsite, spec._onsite_mask)
-    return BandedHermitian(band, dense)
+    return BandedHermitian(band)
 
 
 def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:

@@ -76,17 +76,23 @@ class DecayFit:
 
 
 def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
-    """Particle density per supersite from a normalized coefficient vector."""
+    """Particle density per supersite from a normalized coefficient vector.
+
+    Its squared norm, the density's sum, must be 1 within ``DENSITY_SUM_TOL``.
+    """
     psi = np.asarray(psi0, dtype=np.complex128)
     if psi.ndim != 1 or psi.size != spec.dim:
         raise ValidationError(
             f"coefficient vector has size {psi.size}, model needs {spec.dim}"
         )
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValidationError(f"coefficient vector norm is {nrm!r}, expected 1")
-    p = np.abs(psi.reshape(spec.length, spec.n0)) ** 2
-    return DensityProfile(p=p.sum(axis=1))
+    p = (np.abs(psi.reshape(spec.length, spec.n0)) ** 2).sum(axis=1)
+    norm2 = float(p.sum())
+    if not abs(norm2 - 1.0) <= DENSITY_SUM_TOL:
+        raise ValidationError(
+            f"coefficient vector has squared norm {norm2!r}, "
+            f"expected 1 within {DENSITY_SUM_TOL:g}"
+        )
+    return DensityProfile(p=p)
 
 
 def position_stats(profile: DensityProfile) -> PositionStats:
@@ -144,6 +150,8 @@ def fit_localization_length(
     NonDecaying
         The fitted slope is not negative.
     """
+    if not math.isfinite(center):
+        raise ValidationError(f"fit center must be finite, got {center!r}")
     p = profile.p
     length = profile.length
     x = profile.sites()

@@ -135,6 +135,22 @@ def dense_assembly(spec) -> np.ndarray:
     return m
 
 
+def band_to_dense(h) -> np.ndarray:
+    """Dense matrix of a banded operator: each band diagonal and its mirror.
+
+    ``H[j + k, j] = band[k, j]`` below the diagonal and
+    ``H[j, j + k] = conj(band[k, j])`` above it.  Reads only ``h.band``.
+    """
+    n = h.band.shape[1]
+    m = np.zeros((n, n), dtype=np.complex128)
+    j = np.arange(n)
+    m[j, j] = h.band[0]
+    for k in range(1, h.band.shape[0]):
+        m[j[: n - k] + k, j[: n - k]] = h.band[k, : n - k]
+        m[j[: n - k], j[: n - k] + k] = h.band[k, : n - k].conj()
+    return m
+
+
 def random_block(rng: np.random.Generator, n0: int, target_norm: float) -> np.ndarray:
     """One hopping block drawn and scaled on its own: the per-block reference
     for the batched draws of :func:`gapbound.fuzz.random_model`."""

@@ -41,7 +41,7 @@ from gapbound import (
 from gapbound.bounds import ENVELOPE_TOL
 from gapbound.fuzz import random_model, trial_rng
 
-from oracles import brute_tail, c1_partial, envelope_coupling_partial
+from oracles import band_to_dense, brute_tail, c1_partial, envelope_coupling_partial
 
 _E = math.e
 
@@ -108,7 +108,7 @@ def test_hod_routes_match_entrywise_brute_force():
     res, _, _ = _solve(spec)
     g = np.random.default_rng(0).normal(size=7)
     rep = g_expectations(res.psi0, spec, WeightFunction(g), res.gap)
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     gfull = np.repeat(g, spec.n0)
     brute = 0.0
     for a in range(h.shape[0]):
@@ -127,7 +127,7 @@ def test_commutator_route_matches_dense_matmul():
     res, _, _ = _solve(spec)
     g = np.random.default_rng(1).normal(size=9)
     rep = g_expectations(res.psi0, spec, WeightFunction(g), res.gap)
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     gm = np.diag(np.repeat(g, spec.n0).astype(complex))
     comm = gm @ h - h @ gm
     comm2 = gm @ comm - comm @ gm

@@ -179,6 +179,55 @@ def test_degenerate_model_exits_1(tmp_path, capsys):
     assert "degeneracy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--tol", "--degeneracy-tol"])
+def test_solver_tolerance_must_be_positive_and_finite(tmp_path, capsys, flag, value):
+    # equal on-site energies: a non-positive degeneracy tolerance would let
+    # the degenerate ground state through with "gap = 0"
+    from gapbound import ModelSpec
+
+    path = tmp_path / "degen.txt"
+    dump_model(ModelSpec(2, 1, onsite_blocks=[(1, [[1.0]]), (2, [[1.0]])]), path)
+    code = main(["solve", str(path), flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "gap" not in captured.out
+    name = flag.lstrip("-").replace("-", "_")
+    assert captured.err.startswith(f"error: {name} must be finite and > 0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_bounds_nonfinite_center_exits_1(model_path, capsys, value):
+    code = main(["bounds", model_path, f"--center={value}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: fit center must be finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bounds_scan_radius_must_be_positive_and_finite(model_path, capsys, value):
+    code = main(["bounds", model_path, "--scan-s", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "best s=" not in captured.out
+    assert captured.err.startswith("error: radius r must be finite and > 0")
+
+
+def test_failed_spectrum_leaves_no_file(model_path, tmp_path, capsys, monkeypatch):
+    from gapbound.eigensolver import SpectrumResult
+
+    def broken(self):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(SpectrumResult, "eigenvalues", property(broken))
+    spectrum = tmp_path / "spectrum.txt"
+    code = main(["solve", model_path, "--spectrum-out", str(spectrum)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: out of memory: synthetic")
+    assert not spectrum.exists()
+
+
 def test_plot_non_numeric_field_exits_1(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     header = "h0,E0,E1,gap,deltaX,xi_fit,xi1,xi2,ratio1,ratio2,fit_r_squared"
@@ -190,27 +239,52 @@ def test_plot_non_numeric_field_exits_1(tmp_path, capsys):
     assert not (tmp_path / "fig.svg").exists()
 
 
-# The model asks for a 2.3 PiB block array; under a 2 GiB address-space
-# limit the allocation fails at once instead of exhausting the host.
-HUGE_MODEL_SCRIPT = """
+# Runs the CLI in a child process under a 2 GiB address-space limit, so
+# that an allocation too large for it fails at once instead of exhausting
+# the host.
+LIMITED_CLI_SCRIPT = """
 import resource, sys
 limit = 2 * 2**30
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from gapbound.cli import main
-sys.exit(main(["bounds", sys.argv[1]]))
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_model_too_large_for_memory_exits_1(tmp_path):
-    path = tmp_path / "huge.txt"
-    path.write_text("L 10000000000000\nN0 4\n")
+def _run_cli_under_2gib(*argv, timeout):
     src = str(Path(gapbound.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", HUGE_MODEL_SCRIPT, str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_model_too_large_for_memory_exits_1(tmp_path):
+    # the model asks for a 2.3 PiB block array
+    path = tmp_path / "huge.txt"
+    path.write_text("L 10000000000000\nN0 4\n")
+    proc = _run_cli_under_2gib("bounds", str(path), timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+def test_large_chain_spectrum_runs_in_linear_memory(tmp_path):
+    # the full spectrum comes from the band: the dense matrix of this
+    # 12001-site chain alone would take 2.15 GiB
+    from gapbound.modelfile import format_model
+
+    path = tmp_path / "chain.txt"
+    path.write_text(format_model(impurity_model(12000, -0.3)))
+    spectrum = tmp_path / "spectrum.txt"
+    proc = _run_cli_under_2gib("solve", str(path), "--spectrum-out", str(spectrum), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = spectrum.read_text().splitlines()
+    assert len(lines) == 12001
+    values = [float(line.split()[1]) for line in lines]
+    assert values == sorted(values)
+    # a unit-hopping chain with one defect: the band [-2, 2] and one bound state below it
+    assert -2.0 - 1e-12 <= values[1] and values[-1] <= 2.0 + 1e-12
+    assert values[0] == pytest.approx(-(0.3**2 + 4.0) ** 0.5, rel=1e-10)

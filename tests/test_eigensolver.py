@@ -13,6 +13,7 @@ from gapbound import (
     DegenerateGroundState,
     GapboundError,
     HermitianMatrix,
+    ModelSpec,
     NonHermitianError,
     ValidationError,
     assemble,
@@ -25,8 +26,10 @@ from gapbound import (
 from gapbound.fuzz import FAMILIES, NN_FAMILY, random_model, trial_rng
 
 from oracles import (
+    band_to_dense,
     bisect_eigenvalues,
     charpoly_eigenvalues,
+    dense_assembly,
     hermitian_eigenvalues_bisect,
     random_hermitian,
 )
@@ -195,6 +198,37 @@ def test_write_spectrum(tmp_path):
     assert lines[1].split() == ["1", "1"]
 
 
+def _spectrum_models():
+    for family in FAMILIES:
+        for i in range(30):
+            yield random_model(trial_rng(980, i), n0_range=(1, 3), family=family)[0]
+    yield strip_model(9, 3, t_along=1.0, t_across=0.7)
+    yield strip_model(4, 5, t_along=0.3, t_across=1.2)
+    yield impurity_model(60, -0.4)
+    # hopping-free: a diagonal band, and a complex band of on-site blocks only
+    yield ModelSpec(4, 1, onsite_blocks=[(1, [[0.3]]), (2, [[-1.0]]), (4, [[2.0]])])
+    onsite = [(1, [[0.5, 0.2j], [-0.2j, -1.0]]), (3, [[2.0, 0], [0, 0.1]])]
+    yield ModelSpec(3, 2, onsite_blocks=onsite)
+
+
+def test_banded_spectrum_matches_dense_assembly():
+    kinds = set()
+    for spec in _spectrum_models():
+        h = assemble(spec)
+        try:
+            res = lowest_two(h)
+        except DegenerateGroundState:
+            continue
+        w = res.eigenvalues
+        assert not w.flags.writeable
+        ref = np.linalg.eigvalsh(dense_assembly(spec))
+        scale = max(1.0, spectral_scale(h))
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12 * scale)
+        kinds.add((min(h.bandwidth, 2), bool(h.band.imag.any())))
+    # a diagonal band (always real), and tridiagonal and wider bands, real and complex
+    assert kinds == {(0, False)} | {(b, c) for b in (1, 2) for c in (False, True)}
+
+
 def _complex_tridiagonal(rng, n, sub=None):
     h = np.diag(rng.normal(size=n)).astype(complex)
     if sub is None:
@@ -287,16 +321,15 @@ def test_strip_takes_band_route(routes):
     assert h.bandwidth > 1
     res = lowest_two(h)
     assert routes == ["band"]
-    assert h._array is None  # the band route never forms the dense matrix
     scale = spectral_scale(h)
-    oracle = hermitian_eigenvalues_bisect(h.array, k=2)
+    oracle = hermitian_eigenvalues_bisect(band_to_dense(h), k=2)
     np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-11 * scale)
     assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, scale)
     assert abs(res.psi1.sum()) <= 1e-10
 
 
 def _assert_matches_dense(res, h):
-    w, v = eigh(h.array, subset_by_index=(0, 1))
+    w, v = eigh(band_to_dense(h), subset_by_index=(0, 1))
     scale = max(1.0, spectral_scale(h))
     np.testing.assert_allclose([res.e0, res.e1], w, rtol=0, atol=1e-12 * scale)
     assert abs(np.vdot(res.psi0, v[:, 0])) >= 1 - 1e-10
@@ -317,7 +350,6 @@ def test_random_banded_models_match_dense_route(family, routes):
         except DegenerateGroundState:
             continue
         assert routes[-1] == "band"
-        assert h._array is None
         _assert_matches_dense(res, h)
         solved.add(spec.n0)
     assert solved == ({1, 2, 3} if family == FAMILIES[0] else {2, 3})
@@ -329,7 +361,7 @@ def _banded(a: np.ndarray) -> BandedHermitian:
     band = np.zeros((b + 1, n), dtype=complex)
     for k in range(b + 1):
         band[k, : n - k] = a.diagonal(-k)
-    return BandedHermitian(band, lambda: a)
+    return BandedHermitian(band)
 
 
 def _banded_block(rng, n):
@@ -377,7 +409,6 @@ def test_near_degenerate_banded_gap():
     h = _near_degenerate(1e-7 * scale)
     res = lowest_two(h)
     assert res.gap == pytest.approx(1e-7 * scale, rel=1e-3)
-    assert h._array is None
     _assert_matches_dense(res, h)
     with pytest.raises(DegenerateGroundState):
         lowest_two(_near_degenerate(5e-9 * scale))
@@ -411,13 +442,12 @@ def test_band_route_matches_dense_route(routes):
         except DegenerateGroundState:
             continue
         assert routes[-1] == "tridiagonal"
-        assert h._array is None  # the band route never forms the dense matrix
-        w, v = eigh(h.array, subset_by_index=(0, 1))
+        w, v = eigh(band_to_dense(h), subset_by_index=(0, 1))
         scale = max(1.0, spectral_scale(h))
         np.testing.assert_allclose([res.e0, res.e1], w, rtol=0, atol=1e-12 * scale)
         assert abs(np.vdot(res.psi0, v[:, 0])) >= 1 - 1e-10
         # the same operator given as a dense array takes the same route, same bits
-        dense = lowest_two(h.array)
+        dense = lowest_two(band_to_dense(h))
         assert (dense.e0, dense.e1) == (res.e0, res.e1)
         assert dense.psi0.tobytes() == res.psi0.tobytes()
 
@@ -429,8 +459,9 @@ def test_banded_matvec_and_scale_match_dense():
     for spec in specs:
         h = assemble(spec)
         v = rng.normal(size=h.n) + 1j * rng.normal(size=h.n)
-        np.testing.assert_allclose(h.matvec(v), h.array @ v, rtol=0, atol=1e-13 * np.abs(v).sum())
-        assert spectral_scale(h) == pytest.approx(spectral_scale(h.array), rel=1e-14)
+        dense = band_to_dense(h)
+        np.testing.assert_allclose(h.matvec(v), dense @ v, rtol=0, atol=1e-13 * np.abs(v).sum())
+        assert spectral_scale(h) == pytest.approx(spectral_scale(dense), rel=1e-14)
 
 
 def _route_test_operators():

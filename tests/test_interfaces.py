@@ -62,3 +62,14 @@ def test_benchmark_entry_points_resolve(monkeypatch):
             if not hasattr(owner, attr):
                 unresolved.append(target)
     assert unresolved == []
+
+
+def test_tracer_solve_hook_reads_the_band_only(monkeypatch):
+    # the hook sizes the operator by np.shape, which reads BandedHermitian.shape
+    tracer = _load(monkeypatch, ROOT / "perfbench" / "tracer.py")
+    h = gapbound.assemble(gapbound.strip_model(40, 3))
+    res = gapbound.lowest_two(h)
+    t = tracer.Tracer()
+    t._on_solve((h,), {}, res)
+    assert t.counters["eigensolver.dim_max"] == h.n == 120
+    assert not hasattr(h, "array")

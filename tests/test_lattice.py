@@ -32,7 +32,7 @@ from gapbound.fuzz import FAMILIES, random_model, trial_rng
 from gapbound.lattice import hopping_norms
 from gapbound.modelfile import parse_model
 
-from oracles import charpoly_eigenvalues, dense_assembly
+from oracles import band_to_dense, charpoly_eigenvalues, dense_assembly
 
 MODEL_FILES = (
     "L 2\nN0 1\nlabel dimer\nV 1 1 1 -0.5 0\nT 1 2 1 1 -1 0\n",
@@ -57,14 +57,14 @@ def _model_families():
 
 def test_two_site_assembly():
     spec = ModelSpec(2, 1, [(1, 2, [[-1.0]])])
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     np.testing.assert_array_equal(h, np.array([[0, -1], [-1, 0]], dtype=complex))
 
 
 def test_assemble_places_conjugate_transpose():
     b = np.array([[1 + 2j, 0.5], [0.25j, -1.0]])
     spec = ModelSpec(3, 2, [(1, 3, b)])
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     np.testing.assert_array_equal(h[0:2, 4:6], b)
     np.testing.assert_array_equal(h[4:6, 0:2], b.conj().T)
     assert not h[0:2, 2:4].any()
@@ -75,7 +75,7 @@ def test_assemble_hermitian_with_random_onsite():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     onsite = 0.5 * (a + a.conj().T)
     spec = ModelSpec(3, 2, [(1, 2, [[0.3, 0], [0, 0.3]])], [(2, onsite)])
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     # independent entrywise Hermiticity check
     for r in range(h.shape[0]):
         for c in range(h.shape[1]):
@@ -85,7 +85,7 @@ def test_assemble_hermitian_with_random_onsite():
 @pytest.mark.parametrize("seed", range(8))
 def test_assemble_hermitian_fuzzed(seed):
     spec, _, _ = random_model(trial_rng(101, seed), size_range=(3, 12))
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     assert np.array_equal(h, h.conj().T)
 
 
@@ -260,7 +260,7 @@ def test_impurity_model_structure():
 
 def test_impurity_model_trivial_cases():
     spec = impurity_model(2, 0.0)
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     assert h.shape == (3, 3)
     assert not h.diagonal().any()
     with pytest.raises(ValidationError):
@@ -270,12 +270,12 @@ def test_impurity_model_trivial_cases():
 
 
 def test_impurity_model_zero_defect_zero_diagonal():
-    h = assemble(impurity_model(10, 0.0)).array
+    h = band_to_dense(assemble(impurity_model(10, 0.0)))
     assert not h.diagonal().any()
 
 
 def test_impurity_model_small_spectrum_vs_charpoly():
-    h = assemble(impurity_model(4, -0.5)).array
+    h = band_to_dense(assemble(impurity_model(4, -0.5)))
     mine = np.linalg.eigvalsh(h)  # oracle comparison targets assembly, not the solver
     oracle = charpoly_eigenvalues(h)
     np.testing.assert_allclose(mine, oracle, atol=1e-10)
@@ -285,7 +285,7 @@ def test_strip_model_matches_brute_2d_assembly():
     width, length = 2, 3
     t_along, t_across = 1.0, 0.7
     spec = strip_model(length, width, t_along, t_across)
-    h = assemble(spec).array
+    h = band_to_dense(assemble(spec))
     # brute-force 2D rectangular lattice, same flattening (column-major sites)
     n = width * length
     ref = np.zeros((n, n), dtype=complex)
@@ -307,31 +307,30 @@ def test_strip_model_matches_brute_2d_assembly():
 def test_with_shifted_onsite():
     spec = impurity_model(4, -0.5)
     shifted = spec.with_shifted_onsite(2.5)
-    h0 = assemble(spec).array
-    h1 = assemble(shifted).array
+    h0 = band_to_dense(assemble(spec))
+    h1 = band_to_dense(assemble(shifted))
     np.testing.assert_allclose(h1, h0 + 2.5 * np.eye(5), atol=1e-15)
 
 
-def test_assemble_is_bit_identical_to_dense_placement():
+def test_band_is_lower_triangle_of_dense_placement():
     for spec in _model_families():
         h = assemble(spec)
         assert isinstance(h, BandedHermitian)
-        dense = h.array
-        assert not dense.flags.writeable
-        assert dense.tobytes() == dense_assembly(spec).tobytes(), spec
-        # the band is the lower triangle of the same matrix, and nothing lies beyond it
+        dense = dense_assembly(spec)
+        # the band is the lower triangle of the placed matrix, and nothing lies beyond it
         assert h.bandwidth == max(bandwidth(dense))
         for k in range(h.bandwidth + 1):
             np.testing.assert_array_equal(h.band[k, : h.n - k], dense.diagonal(-k))
             assert not h.band[k, h.n - k :].any()
+        np.testing.assert_array_equal(band_to_dense(h), dense)
 
 
-def test_assembly_builds_no_dense_matrix_until_read():
+def test_assembled_operator_holds_only_its_band():
     h = assemble(impurity_model(10, -0.5))
-    assert h._array is None
     assert h.band.shape == (2, 11)
-    a = h.array
-    assert h.array is a
+    assert h.shape == (11, 11)
+    assert not hasattr(h, "array")
+    assert not hasattr(h, "__dict__")
 
 
 def test_accessors_are_read_only_views():
@@ -375,7 +374,7 @@ def test_from_arrays_matches_tuple_constructor():
         assert spec.offdiag[key].tobytes() == ref.offdiag[key].tobytes()
     for key in ref.onsite:
         assert spec.onsite[key].tobytes() == ref.onsite[key].tobytes()
-    assert assemble(spec).array.tobytes() == assemble(ref).array.tobytes()
+    assert assemble(spec).band.tobytes() == assemble(ref).band.tobytes()
     hop[0, 0, 0] = 99.0  # the inputs were copied
     assert spec.offdiag[(1, 2)][0, 0] != 99.0
 
@@ -422,7 +421,7 @@ def test_dropping_an_assembled_model_leaves_no_cycle():
         spec = random_model(trial_rng(12, 0), n0_range=(2, 2))[0]
         h = assemble(spec)
         res = lowest_two(h)
-        h.array  # the dense builder has run
+        res.eigenvalues  # the full spectrum has been computed
         hopping_norms(spec)
         g_expectations(res.psi0, spec, position_weight(spec.length), res.gap)
         del spec, h, res

@@ -59,6 +59,21 @@ def test_density_validation():
         density(np.ones(3), spec)  # not normalized
 
 
+@pytest.mark.parametrize("scale", [1 - 4e-13, 1 + 4e-13, 1 - 6e-13, 1 + 6e-13, 1 + 5e-11])
+def test_density_norm_is_checked_once_at_the_profile_tolerance(scale):
+    # the squared norm is the sum of the density: the vector is accepted
+    # exactly when its profile sums to 1 within DENSITY_SUM_TOL = 1e-12
+    spec = ModelSpec(3, 2)
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi *= scale / np.linalg.norm(psi)
+    if abs(scale**2 - 1.0) <= 1e-12:
+        assert abs(density(psi, spec).p.sum() - 1.0) <= 1e-12
+    else:
+        with pytest.raises(ValidationError, match="coefficient vector has squared norm"):
+            density(psi, spec)
+
+
 def test_density_profile_invariants():
     with pytest.raises(ValidationError):
         DensityProfile(p=np.array([0.5, 0.4]))  # does not sum to 1
