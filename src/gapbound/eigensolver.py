@@ -6,26 +6,62 @@ LAPACK layout, which is what :func:`gapbound.lattice.assemble` returns).
 
 Only the ground state and the first excited state are needed downstream,
 so LAPACK is asked for those two pairs and never for the whole spectrum.
-There are three routes, picked from the input:
+There are four routes, picked from the input:
 
 * Tridiagonal input (bandwidth <= 1: every nearest-neighbour chain with
   one orbital per site, diagonal input, ``n = 2``) is made real symmetric
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
   (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).
-* A banded operator with bandwidth > 1 (every assembled model with
-  ``N0 > 1`` or longer-range hopping) gets its two lowest eigenvalues
-  from the band (LAPACK ``hbevx``/``sbevx`` without vectors: a
-  band-to-tridiagonal reduction that forms no Q, then bisection by
-  index, ``_band_eigenvalues``), and its two vectors by inverse
-  iteration with the banded LU factor of ``H - E_k I`` (LAPACK
-  ``gbtrf`` + ``gbtrs``).  A band with no imaginary part is solved in
-  real arithmetic.  O(n * bandwidth) memory and O(n^2 * bandwidth) time.
+* A large banded operator with bandwidth b > 1, ``n >= max(400, 1600 // b)``
+  (every ``N0 = 4..8`` strip of 100 supersites and longer), goes to the
+  inertia route (``_inertia_pairs``), O(n * b^2) time and O(n * b) memory.
+  Bisection from ``[-scale, scale]`` on inertia counts isolates the two
+  lowest eigenvalues: the number of eigenvalues below a shift is the
+  number of negative pivots of an unpivoted LDLᴴ of ``H - sigma I``
+  (Sylvester's law of inertia), computed by LAPACK ``pbtrf`` with one
+  rank-1 Schur update after each nonpositive pivot (``_band_ldl``).
+  Inverse iteration at the bracket midpoints and again at the Rayleigh
+  quotients (``_band_inverse_iteration``) gives the pairs; ``E_k`` are the
+  final Rayleigh quotients.  A pair is accepted only after the residual
+  gate below and a two-count certificate: with ``r_k`` the residuals and
+  ``pad_k`` a shift margin plus the factorization's a posteriori backward
+  error (``_certified_count``, whose docstring states the bound), there
+  is no eigenvalue below ``E0 - r0 - pad0``, at most one below
+  ``E1 - r1 - pad1``, and ``E1 - r1 - pad1 > E0 + r0``.  That proves
+  ``E0`` and ``E1`` approximate the two lowest eigenvalues to within
+  ``r_k + pad_k``.  If anything fails the matrix takes the next route
+  instead, so no uncertified pair leaves this one.
+* Any other banded operator with bandwidth > 1 (every fuzz-sized model)
+  gets its two lowest eigenvalues from the band (LAPACK ``hbevx``/``sbevx``
+  without vectors: a band-to-tridiagonal reduction that forms no Q, then
+  bisection by index, ``_band_eigenvalues``), and its two vectors by
+  inverse iteration with the banded LU factor of ``H - E_k I`` (LAPACK
+  ``gbtrf`` + ``gbtrs``).  O(n * b) memory and O(n^2 * b) time.
 * A dense :class:`HermitianMatrix` with bandwidth > 1 goes to
   :func:`scipy.linalg.eigh` restricted to the two lowest indices
   (LAPACK ``heevr``, ``_dense_pairs``).
 
-The first two routes call LAPACK through
+A band with no imaginary part is solved in real arithmetic.  The
+crossover of the inertia route was measured on disordered strips (unit
+hopping, on-site energies uniform in ``[-3, 3]``), best of 5, one
+thread, 2-core host, ms per solve of the ``sbevx`` route / the inertia
+route:
+
+=====  ==========  ==========  ==========  ===========
+b      n = 300     n = 400     n = 600     n = 800
+=====  ==========  ==========  ==========  ===========
+2      1.15 / 2.28 1.65 / 2.26 2.97 / 2.85 4.52 / 3.49
+3      1.36 / 2.09 2.25 / 2.66 3.96 / 2.96 6.54 / 3.38
+4      1.74 / 2.45 2.50 / 2.51 5.26 / 3.37 7.98 / 3.86
+8      2.56 / 2.86 4.32 / 3.45 9.10 / 4.47 16.40 / 5.75
+16     3.40 / 4.96 5.41 / 5.57 13.76 / 8.04 27.84 / 10.71
+=====  ==========  ==========  ==========  ===========
+
+The inertia route's E0/E1 agree with ``sbevx``'s to about ``1e-15 * scale``
+but are not bit-identical to them.
+
+The tridiagonal and ``sbevx`` routes call LAPACK through
 :func:`scipy.linalg.get_lapack_funcs`, with the arguments
 :func:`scipy.linalg.eigh_tridiagonal` and :func:`scipy.linalg.eig_banded`
 pass for the same selection, so the results are theirs bit for bit
@@ -36,12 +72,15 @@ a banded operator, not even the full spectrum
 Every accepted result is certified a posteriori: the 2-norm residuals
 ``|H v - E v|`` of both returned eigenpairs against the stored operator
 (a banded matrix-vector product for a banded operator) must not exceed
-``tol * max(1, spectral_scale(H))``.
+``tol * max(1, spectral_scale(H))``.  The spectral scale itself must not
+exceed ``MAX_SPECTRAL_SCALE``.
 
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
-solver raises :class:`DegenerateGroundState`, before any eigenvector is
-computed.
+solver raises :class:`DegenerateGroundState`.  The tridiagonal, ``sbevx``
+and dense routes decide before any eigenvector is computed, the inertia
+route on its final values, or earlier when bisection finds both
+eigenvalues in one interval narrower than that threshold.
 """
 
 from __future__ import annotations
@@ -69,6 +108,23 @@ _INVERSE_STEPS = 3
 # all-ones, because a reflection-symmetric model's odd excited state is
 # orthogonal to all-ones.
 _START_SEED = 20140101
+# Largest spectral scale lowest_two accepts.  LAPACK stein's inverse
+# iteration breaks down from about 1e102 (an impurity chain with one huge
+# on-site entry), the band and dense routes from about 1e155.
+MAX_SPECTRAL_SCALE = 1e90
+# Inertia route (_inertia_pairs): bisection stops once each bracket is at
+# most this fraction of the distance between the bracket midpoints, and
+# gives up (the caller falls back) after this many counts.
+_BRACKET_RATIO = 1 / 8
+_MAX_BISECTIONS = 200
+# Inverse-iteration passes at the Rayleigh quotients after the one at the
+# bracket midpoints; the second runs only when the first leaves a residual
+# above the gate (a start vector with little weight on the eigenvector).
+_RAYLEIGH_PASSES = 2
+# A band of bandwidth b > 1 takes the inertia route when n >= max(400, 1600 // b),
+# the crossover measured in the module docstring.
+_INERTIA_MIN_N = 400
+_INERTIA_MIN_NB = 1600
 
 
 class HermitianMatrix:
@@ -145,6 +201,8 @@ class BandedHermitian:
         band = np.asarray(band, dtype=np.complex128)
         if band.ndim != 2 or band.shape[0] < 1:
             raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
+        if not np.isfinite(band).all():
+            raise ValidationError("band contains non-finite entries")
         rows = np.flatnonzero(band.any(axis=1))
         band = band[: (rows[-1] if rows.size else 0) + 1]
         band.flags.writeable = False
@@ -179,15 +237,21 @@ class BandedHermitian:
 
     def abs_row_sums(self) -> np.ndarray:
         """``sum_j |H[i, j]|`` for every row i, read off the band."""
-        a = np.abs(self.band)
-        rows = a[0].copy()
-        for k in range(1, a.shape[0]):
-            rows[k:] += a[k, : self.n - k]  # H[j + k, j] in row j + k
-            rows[: self.n - k] += a[k, : self.n - k]  # its mirror in row j
-        return rows
+        return _abs_row_sums(self.band)
 
     def __repr__(self):
         return f"BandedHermitian(n={self.n}, bandwidth={self.bandwidth})"
+
+
+def _abs_row_sums(band: np.ndarray) -> np.ndarray:
+    """``sum_j |H[i, j]|`` for every row i of the Hermitian lower band ``band``."""
+    a = np.abs(band)
+    n = a.shape[1]
+    rows = a[0].copy()
+    for k in range(1, a.shape[0]):
+        rows[k:] += a[k, : n - k]  # H[j + k, j] in row j + k
+        rows[: n - k] += a[k, : n - k]  # its mirror in row j
+    return rows
 
 
 def spectral_scale(h) -> float:
@@ -220,7 +284,7 @@ class SpectrumResult:
     """Lowest two eigenpairs of a Hermitian matrix.
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
-    real and positive.  The pairs come from one of the three routes in the
+    real and positive.  The pairs come from one of the four routes in the
     module docstring.  ``eigenvalues``, the full ascending spectrum, is
     computed on first access only and then cached: from the band of a
     banded ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth)
@@ -306,9 +370,10 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndarray:
-    """Eigenvectors of a lower-band Hermitian matrix at accurate eigenvalues.
+    """Eigenvectors of a lower-band Hermitian matrix near the energies ``E_k``.
 
-    For each ``E_k`` in order, ``H - E_k I`` is factored by banded LU with
+    The energies are accurate eigenvalues, or, on the inertia route,
+    bracket midpoints and Rayleigh quotients.  For each ``E_k`` in order, ``H - E_k I`` is factored by banded LU with
     partial pivoting (LAPACK ``gbtrf``) and ``_INVERSE_STEPS`` solves
     (``gbtrs``) are applied to a fixed pseudo-random start vector; each
     iterate is orthogonalised against the vectors already found.  As in
@@ -349,6 +414,247 @@ def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndar
     return np.column_stack(vecs).astype(np.complex128, copy=False)
 
 
+@lru_cache(maxsize=256)
+def _band_mask(b: int, m: int) -> np.ndarray:
+    """The entries ``0 <= r - c <= b`` of an m x m window: its lower band."""
+    d = np.subtract.outer(np.arange(m), np.arange(m))
+    mask = (d >= 0) & (d <= b)
+    mask.flags.writeable = False
+    return mask
+
+
+def _band_window(ab: np.ndarray, j0: int, m: int) -> np.ndarray:
+    """The m x m view ``X[r, c] = ab[r - c, j0 + c]`` of a Fortran-ordered band.
+
+    Where ``_band_mask`` holds, ``X`` is the lower band of the diagonal
+    block ``H[j0:j0+m, j0:j0+m]`` and writes through to ``ab``; elsewhere it
+    aliases other band entries.  Needs ``j0 + m <= n``.
+    """
+    b, size = ab.shape[0] - 1, ab.itemsize
+    return np.ndarray((m, m), ab.dtype, buffer=ab.T, offset=j0 * (b + 1) * size,
+                      strides=(size, b * size))
+
+
+def _band_ldl(band: np.ndarray, sigma: float, floor: float, cap: int, factor: bool = False):
+    """Unpivoted LDLᴴ of ``H - sigma I``, up to its ``cap``-th negative pivot.
+
+    ``band`` is a Fortran-ordered lower band.  Returns ``(negatives, g,
+    signs)``: the number of negative pivots found (at most ``cap``; by
+    Sylvester's law of inertia the number of eigenvalues below ``sigma``
+    once the factorization completes) and, with ``factor``, the lower
+    band ``g`` and pivot signs ``s`` of the factor,
+    ``H - sigma I ~ G diag(s) Gᴴ`` (else ``None, None``).
+
+    LAPACK ``pbtrf`` (banded Cholesky) runs until a nonpositive pivot at
+    column k.  The rows k..k+b are then taken out of the partial factor:
+    their Schur complement is the window of the shifted band minus
+    ``Mᴴ M``, with ``M = L_T⁻¹ C`` for the trailing triangle ``L_T`` of the
+    Cholesky factor and the band's coupling block ``C`` (LAPACK ``trtrs``).
+    Its leading entry is the pivot (one below ``floor`` in magnitude
+    becomes ``-floor``, a perturbation the certificate measures); one
+    rank-1 Schur update of the next b x b window eliminates it, and
+    ``pbtrf`` restarts at column k + 1.  Nothing reads the trailing band
+    a failed ``pbtrf`` leaves behind, whose state depends on LAPACK's
+    blocking.  O(n * b^2) time, O(n * b) memory.
+    """
+    b, n = band.shape[0] - 1, band.shape[1]
+    pbtrf, trtrs = get_lapack_funcs(("pbtrf", "trtrs"), (band,))
+    ab = band.copy(order="F")
+    ab[0] -= sigma
+    g = np.zeros_like(ab) if factor else None
+    signs = np.ones(n) if factor else None
+    negatives = start = 0
+    while True:
+        f, info = pbtrf(ab[:, start:], lower=1)
+        if info < 0:
+            _check_info(info, "pbtrf")
+        if info == 0:
+            if factor:
+                g[:, start:] = f
+            return negatives, g, signs
+        k = start + info - 1
+        t0 = max(start, k - b)
+        m, w = k - t0, min(b, n - 1 - k) + 1  # tail columns t0..k-1, window rows k..k+w-1
+        mask = _band_mask(b, m + w)
+        low = np.where(mask, _band_window(ab, t0, m + w), 0)
+        schur = low[m:, m:]  # only its lower triangle is read from here on
+        if m:
+            coupling, info = trtrs(_band_window(f, t0 - start, m), low[m:, :m].conj().T, lower=1)
+            _check_info(info, "trtrs")
+            schur -= coupling.conj().T @ coupling
+        d = float(schur[0, 0].real)
+        if abs(d) < floor:  # zero to rounding: keep pbtrf's sign and bound the growth
+            d = -floor
+        negatives += d < 0
+        if factor:
+            g[:, start:k] = f[:, : k - start]
+            if m:  # rows k.. of the tail columns: G[k + a, t0 + c] = conj(coupling[c, a])
+                window = _band_window(g, t0, m + w)[m:, :m]
+                np.copyto(window, coupling.conj().T, where=mask[m:, :m])
+            g[:w, k] = schur[:, 0] / math.sqrt(abs(d))
+            g[0, k] = math.copysign(math.sqrt(abs(d)), d)
+            signs[k] = math.copysign(1.0, d)
+        if negatives == cap or w == 1:
+            return negatives, g, signs
+        nxt = schur[1:, 1:] - schur[1:, :1] * (schur[1:, 0].conj() / d)
+        np.copyto(_band_window(ab, k + 1, w - 1), nxt, where=_band_mask(b, w - 1))
+        start = k + 1
+
+
+def _certified_count(band: np.ndarray, sigma: float, floor: float, scale: float):
+    """Negative pivots of ``H - sigma I`` and a bound on the factorization's backward error.
+
+    The factor ``G diag(s) Gᴴ`` of :func:`_band_ldl` is multiplied out
+    band by band and compared with the shifted band, in O(n * b^2).  With
+    ``R`` that computed difference, ``E = G diag(s) Gᴴ - (H - sigma I)`` in
+    exact arithmetic obeys ``||E||_2 <= ||E||_inf <= bound``, where
+
+        bound = 2 ||R||_inf + 4 (b + 2) eps (|| |G| |G|ᴴ ||_inf + 2 (scale + |sigma|))
+
+    covers the rounding of the product, of the difference and of the
+    shift.  ``H + E - sigma I`` has exactly ``negatives`` negative
+    eigenvalues, so by Weyl's inequality ``H`` has at least ``negatives``
+    eigenvalues below ``sigma + bound`` and at most ``negatives`` below
+    ``sigma - bound``.  The bound also absorbs the rounding of a computed
+    residual norm at an energy near ``sigma`` (a small multiple of
+    ``(2b + 3) eps (scale + |sigma|)``).  A second negative pivot ends the
+    factorization: the count is 2 and the bound infinite.
+    """
+    negatives, g, signs = _band_ldl(band, sigma, floor, cap=2, factor=True)
+    if negatives >= 2:
+        return negatives, math.inf
+    b, n = g.shape[0] - 1, g.shape[1]
+    g = np.ascontiguousarray(g)  # the loops below run along contiguous rows
+    band = np.ascontiguousarray(band)
+    gs = g * signs
+    product = np.zeros_like(g)
+    for j in range(b + 1):  # column c adds gs[i, c] conj(g[j, c]) to entry (c + i, c + j)
+        product[: b + 1 - j, j:] += gs[j:, : n - j] * g[j, : n - j].conj()
+    product[0] += sigma
+    gabs = np.abs(g)
+    colsums = gabs.sum(axis=0)
+    growth = gabs[0] * colsums
+    for q in range(1, b + 1):
+        growth[q:] += gabs[q, : n - q] * colsums[: n - q]
+    residual = float(np.max(_abs_row_sums(product - band)))
+    rounding = 4 * (b + 2) * np.finfo(float).eps
+    bound = 2 * residual + rounding * (float(np.max(growth)) + 2 * (scale + abs(sigma)))
+    return negatives, bound
+
+
+def _bisect_two(band: np.ndarray, scale: float, floor: float, threshold: float,
+                resolution: float):
+    """Midpoints of disjoint, narrow brackets of the two lowest eigenvalues.
+
+    Bisection on ``_band_ldl`` counts from ``[-scale, scale]``, which holds
+    the whole spectrum.  Bracket k of ``lambda_{k+1}`` (k = 0, 1, 2) keeps
+    ``count(lo) <= k`` and ``count(hi) >= k + 1``.  A bracket is narrow once
+    its half-width is at most ``_BRACKET_RATIO`` times the distance from
+    its midpoint to the nearest point that may hold another eigenvalue, so
+    that inverse iteration at the midpoint converges; the third bracket
+    only has to come apart from the second.  The second bracket also
+    counts as narrow once its half-width is below ``resolution``: a
+    cluster ``lambda_2 ~ lambda_3`` that tight gives residuals below it.
+    Each count is capped where a larger one could not move a bracket.
+    Raises :class:`DegenerateGroundState` when ``lambda_1`` and
+    ``lambda_2`` lie in one bracket narrower than ``threshold``.  Returns
+    ``None`` when bisection stalls (the caller falls back).
+    """
+    lo, hi = [-scale] * 3, [scale] * 3
+    for _ in range(_MAX_BISECTIONS):
+        mids = [0.5 * (lo[k] + hi[k]) for k in range(2)]
+        if hi[0] > lo[1]:  # lambda_1 and lambda_2 not yet apart: both in [lo[0], hi[0]]
+            if hi[0] - lo[0] < threshold:
+                raise DegenerateGroundState(
+                    f"two lowest eigenvalues within {hi[0] - lo[0]:.3e}, below degeneracy "
+                    f"threshold {threshold:.3e} (scale {scale:.3e})"
+                )
+            k, cap = 0, 2
+        elif hi[0] - mids[0] > _BRACKET_RATIO * (lo[1] - mids[0]):
+            k, cap = 0, 1  # below lo[1]: the count is 0 or 1
+        elif (hi[1] - mids[1] > _BRACKET_RATIO * min(mids[1] - hi[0], lo[2] - mids[1])
+              and hi[1] - mids[1] > resolution):
+            k, cap = 1, 3
+        else:
+            return mids
+        mid = mids[k]
+        if not lo[k] < mid < hi[k]:
+            return None
+        count = _band_ldl(band, mid, floor, cap)[0]
+        for j in range(3):
+            if j < count:
+                hi[j] = min(hi[j], mid)
+            elif count < cap:  # a capped count says only "at least cap"
+                lo[j] = max(lo[j], mid)
+    return None
+
+
+def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray):
+    """Normalised columns of ``vecs``, their Rayleigh quotients and residual norms."""
+    w, psis, residuals = [], [], []
+    for col in vecs.T:
+        psi = col / np.linalg.norm(col)
+        hpsi = hm.matvec(psi)
+        energy = float(np.vdot(psi, hpsi).real)
+        w.append(energy)
+        psis.append(psi)
+        residuals.append(float(np.linalg.norm(hpsi - energy * psi)))
+    return np.array(w), np.column_stack(psis), residuals
+
+
+def _takes_inertia_route(n: int, bandwidth: int) -> bool:
+    """Whether a band of bandwidth > 1 goes to :func:`_inertia_pairs` (see the module docstring)."""
+    return n >= max(_INERTIA_MIN_N, _INERTIA_MIN_NB // bandwidth)
+
+
+def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: float,
+                   threshold: float):
+    """Certified two lowest eigenpairs of a band, in O(n * b^2), or ``None``.
+
+    Bisection (:func:`_bisect_two`) isolates the two eigenvalues;
+    :func:`_band_inverse_iteration` at the bracket midpoints and again at
+    the Rayleigh quotients of its vectors (up to ``_RAYLEIGH_PASSES``
+    times, until both residuals pass the gate) gives the pairs, whose
+    energies are the final Rayleigh quotients.  The pairs are returned only if both
+    residuals ``r_k`` are within ``limit`` and two certified counts
+    (:func:`_certified_count`) at ``sigma_k = E_k - r_k - margin_k``, with
+    ``pad_k = margin_k + bound_k``, show
+
+    * no eigenvalue below ``E0 - r0 - pad0``,
+    * at most one eigenvalue below ``E1 - r1 - pad1``,
+    * ``E1 - r1 - pad1 > E0 + r0``.
+
+    Since ``[E_k - r_k, E_k + r_k]`` holds an eigenvalue, this proves
+    ``lambda_1`` in ``[E0 - r0 - pad0, E0 + r0]`` and ``lambda_2`` in
+    ``[E1 - r1 - pad1, E1 + r1]``.  (The first count already follows from
+    the other two conditions and the residual bound on ``E0``; it stays as
+    an independent check of the counting.)  ``None`` (fall back) otherwise.
+    """
+    b = band.shape[0] - 1
+    floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
+    band = np.asfortranarray(band)
+    mids = _bisect_two(band, scale, floor, threshold, limit / 8)
+    if mids is None:
+        return None
+    w, vecs, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale))
+    for _ in range(_RAYLEIGH_PASSES):
+        w, vecs, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale))
+        if max(residuals) <= limit:
+            break
+    else:
+        return None
+    pads = []
+    for energy, r in zip(w, residuals):
+        margin = (b + 2) ** 2 * np.finfo(float).eps * (scale + abs(energy))
+        count, bound = _certified_count(band, energy - r - margin, floor, scale)
+        pads.append((count, margin + bound))
+    (count0, pad0), (count1, pad1) = pads
+    (e0, e1), (r0, r1) = w, residuals
+    if count0 == 0 and count1 <= 1 and e1 - r1 - pad1 > e0 + r0:
+        return w, vecs
+    return None
+
+
 def lowest_two(
     h,
     tol: float = DEFAULT_RESIDUAL_TOL,
@@ -359,7 +665,8 @@ def lowest_two(
     Parameters
     ----------
     h : BandedHermitian, HermitianMatrix or array_like
-        Matrix to decompose (an array is validated for Hermiticity).
+        Matrix to decompose (an array is validated for Hermiticity).  Its
+        spectral scale must not exceed ``MAX_SPECTRAL_SCALE``.
     tol : float
         Residual acceptance threshold, relative to ``max(1, spectral_scale)``.
     degeneracy_tol : float
@@ -375,9 +682,15 @@ def lowest_two(
     if n < 2:
         raise ValidationError(f"need a matrix of dimension >= 2, got n={n}")
     scale = spectral_scale(hm)
+    if not scale <= MAX_SPECTRAL_SCALE:
+        raise ValidationError(
+            f"spectral scale {scale:.3e} exceeds the solver's limit {MAX_SPECTRAL_SCALE:.0e}"
+        )
+    limit = tol * max(1.0, scale)
+    threshold = degeneracy_tol * max(scale, np.finfo(float).tiny)
 
     # the stored arrays are validated finite and read-only: no check, no overwrite
-    band = None
+    band = vecs = None
     if hm.bandwidth <= 1:
         # D^dag A D is real symmetric with subdiagonal |s| for the phases
         # D[j+1] = D[j] s_j / |s_j|; a zero entry keeps the previous phase
@@ -389,16 +702,22 @@ def lowest_two(
         vecs = phases[:, None] * z
     elif isinstance(hm, BandedHermitian):
         band = _lapack_band(hm)
-        w = _band_eigenvalues(band)
+        pairs = None
+        if _takes_inertia_route(n, hm.bandwidth):
+            pairs = _inertia_pairs(hm, band, scale, limit, threshold)
+        if pairs is None:
+            w = _band_eigenvalues(band)
+        else:
+            w, vecs = pairs
     else:
         w, vecs = _dense_pairs(hm.array)
     gap = float(w[1] - w[0])
-    if gap < degeneracy_tol * max(scale, np.finfo(float).tiny):
+    if gap < threshold:
         raise DegenerateGroundState(
             f"gap {gap:.3e} below degeneracy threshold "
             f"{degeneracy_tol * scale:.3e} (scale {scale:.3e})"
         )
-    if band is not None:
+    if vecs is None:
         vecs = _band_inverse_iteration(band, w, scale)
 
     out = []
@@ -406,9 +725,9 @@ def lowest_two(
     for col, energy in zip(vecs.T, w):
         psi = col / np.linalg.norm(col)
         res = float(np.linalg.norm(hm.matvec(psi) - energy * psi))
-        if not res <= tol * max(1.0, scale):  # a NaN residual certifies nothing
+        if not res <= limit:  # a NaN residual certifies nothing
             raise GapboundError(
-                f"eigenpair residual {res:.3e} exceeds {tol * max(1.0, scale):.3e}; "
+                f"eigenpair residual {res:.3e} exceeds {limit:.3e}; "
                 "decomposition not certified"
             )
         psi = _fix_phase(psi)

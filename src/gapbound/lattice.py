@@ -284,7 +284,9 @@ class ModelSpec:
             raise NonHermitianError(
                 f"on-site block at x={x} deviates from Hermiticity by {dev[x - 1]:.3e}"
             )
-        onsite = 0.5 * (onsite + onsite_h)
+        # halves first: the sum of two entries above ~9e307 would overflow;
+        # every normal value keeps its bits
+        onsite = 0.5 * onsite + 0.5 * onsite_h
         onsite.flags.writeable = False
         onsite_mask.flags.writeable = False
         for blocks, mask in bands.values():

@@ -40,6 +40,9 @@ def default_h0_grid(points: int = 100, lo: float = -1.0, hi: float = -0.01) -> n
     """Log-spaced defect strengths from lo to hi (both negative)."""
     if points < 1:
         raise ValidationError(f"need at least one grid point, got {points}")
+    for name, value in (("h0_min", lo), ("h0_max", hi)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if not (lo < 0 and hi < 0):
         raise ValidationError(f"defect strengths must be negative, got [{lo}, {hi}]")
     if points == 1:

@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: eigenvalues come
 from characteristic polynomials (companion-matrix roots) or from Sturm
 bisection on the tridiagonal form, series constants from direct partial
-summation.  None of them call LAPACK's symmetric eigensolvers.  The model-file
-reference parser and formatter read and write one entry at a time.
+summation.  Only ``dense_counts`` calls a LAPACK symmetric eigensolver, on
+the dense matrix, to check the banded inertia counts, which never form it.
+The model-file reference parser and formatter read and write one entry at
+a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import hessenberg
+from scipy.linalg import eigvalsh, hessenberg
 
 from gapbound import ModelSpec
 from gapbound.eigensolver import HERMITIAN_TOL
@@ -70,6 +72,13 @@ def sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
         if q < 0.0:
             count += 1
     return count
+
+
+def dense_counts(h, shifts, cap: int) -> np.ndarray:
+    """Eigenvalues of a banded operator strictly below each shift, capped at
+    ``cap``, from ``eigvalsh`` of its dense matrix (:func:`band_to_dense`)."""
+    w = eigvalsh(band_to_dense(h))
+    return np.minimum((w < np.asarray(shifts)[:, None]).sum(axis=1), cap)
 
 
 def bisect_eigenvalues(d: np.ndarray, e: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,31 @@ def test_solver_tolerance_must_be_positive_and_finite(tmp_path, capsys, flag, va
     assert "gap" not in captured.out
     name = flag.lstrip("-").replace("-", "_")
     assert captured.err.startswith(f"error: {name} must be finite and > 0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--points", "3", "--h0-min=-inf"], "error: h0_min must be finite"),
+        (["--points", "3", "--h0-max=nan"], "error: h0_max must be finite"),
+        # on-site entries whose sum would overflow, and a spectral scale past the solver's limit
+        (["--L", "40", "--points", "1", "--h0-min=-1e308"], "error: eigensolver failed at h0=-1e+308: "
+         "spectral scale 1.000e+308 exceeds the solver's limit"),
+        (["--L", "40", "--points", "1", "--h0-min=-1e150"], "error: eigensolver failed at h0=-1e+150: "
+         "spectral scale 1.000e+150 exceeds the solver's limit"),
+    ],
+    ids=["h0-min-inf", "h0-max-nan", "h0-min-1e308", "h0-min-1e150"],
+)
+def test_sweep_extreme_defect_exits_1_without_warnings(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message)
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -30,6 +30,7 @@ from oracles import (
     bisect_eigenvalues,
     charpoly_eigenvalues,
     dense_assembly,
+    dense_counts,
     hermitian_eigenvalues_bisect,
     random_hermitian,
 )
@@ -241,6 +242,7 @@ def _complex_tridiagonal(rng, n, sub=None):
 
 _ROUTES = {
     "_tridiagonal_pairs": "tridiagonal",
+    "_inertia_pairs": "inertia",
     "_band_eigenvalues": "band",
     "_dense_pairs": "dense",
 }
@@ -510,3 +512,169 @@ def test_nonzero_lapack_info_is_refused(monkeypatch):
     for h in (assemble(impurity_model(10, -0.5)), assemble(strip_model(5, 2))):
         with pytest.raises(GapboundError, match="LAPACK"):
             lowest_two(h)
+
+
+def _disordered_strip(length, width, seed, disorder=6.0):
+    """A strip with unit hopping and on-site energies uniform in [-disorder/2, disorder/2]."""
+    base = strip_model(length, width)
+    rng = np.random.default_rng([width, length, seed])
+    onsite = [
+        (x, base.onsite.get(x, np.zeros((width, width)))
+         + np.diag(rng.uniform(-disorder / 2, disorder / 2, size=width)))
+        for x in range(1, length + 1)
+    ]
+    hops = [(x, xp, b) for (x, xp), b in base.offdiag.items()]
+    return ModelSpec(length, width, hops, onsite)
+
+
+def _random_band(rng, n, b, complex_band):
+    band = rng.normal(size=(b + 1, n)) + (1j * rng.normal(size=(b + 1, n)) if complex_band else 0)
+    band[0] = 3 * band[0].real
+    for k in range(1, b + 1):
+        band[k, n - k:] = 0
+    return BandedHermitian(band)
+
+
+# b < 32, 32 <= b <= 64, and b > 64, where LAPACK pbtrf runs blocked and
+# leaves a trailing band that is not the Schur complement
+@pytest.mark.parametrize("b", [2, 5, 17, 33, 47, 70])
+@pytest.mark.parametrize("complex_band", [False, True], ids=["real", "complex"])
+def test_inertia_counts_match_dense_oracle(b, complex_band):
+    rng = np.random.default_rng([b, complex_band])
+    h = _random_band(rng, max(3 * b + 5, 60), b, complex_band)
+    band = np.asfortranarray(eigensolver_mod._lapack_band(h))
+    scale = spectral_scale(h)
+    floor = np.finfo(float).eps * scale
+    w = np.linalg.eigvalsh(band_to_dense(h))
+    w = np.concatenate([w[:6], w[6 :: len(w) // 10]])  # the bottom, and a sample above it
+    shifts = np.concatenate([w - 1e-9, w + 1e-9])
+    for cap in (1, 2, 3):
+        want = dense_counts(h, shifts, cap)
+        got = [eigensolver_mod._band_ldl(band, x, floor, cap)[0] for x in shifts]
+        np.testing.assert_array_equal(got, want)
+    # the certifying count, with its a posteriori backward-error bound
+    for x, want in zip(shifts, dense_counts(h, shifts, 2)):
+        count, bound = eigensolver_mod._certified_count(band, x, floor, scale)
+        assert count == want
+        assert (bound == math.inf) if count == 2 else (0 < bound < 1e-9 * scale)
+
+
+def test_inertia_route_taken_above_the_crossover(routes):
+    spec = random_model(trial_rng(970, 0), n0_range=(3, 3))[0]
+    h = assemble(spec)
+    assert h.bandwidth > 1 and h.n <= 120
+    lowest_two(h)
+    assert routes == ["band"]
+    routes.clear()
+    h = assemble(_disordered_strip(100, 4, 0))
+    assert (h.n, h.bandwidth) == (400, 4)
+    res = lowest_two(h)
+    assert routes == ["inertia"]
+    _assert_matches_dense(res, h)
+
+
+@pytest.mark.parametrize("length", [100, 1000, 3000])
+def test_inertia_route_matches_eig_banded(length, routes):
+    h = assemble(_disordered_strip(length, 4, 1))
+    res = lowest_two(h)
+    assert routes == ["inertia"]
+    band = eigensolver_mod._lapack_band(h)
+    w = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 1))
+    scale = spectral_scale(h)
+    np.testing.assert_allclose([res.e0, res.e1], w, rtol=0, atol=1e-12 * scale)
+    assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, scale)
+
+
+def test_failed_certificate_falls_back_to_the_band_route(monkeypatch, routes):
+    h = assemble(_disordered_strip(100, 5, 2))
+    # a count that never certifies anything
+    monkeypatch.setattr(eigensolver_mod, "_certified_count", lambda *args: (2, math.inf))
+    res = lowest_two(h)
+    assert routes == ["inertia", "band"]
+    monkeypatch.setattr(eigensolver_mod, "_takes_inertia_route", lambda n, b: False)
+    ref = lowest_two(h)
+    assert routes == ["inertia", "band", "band"]
+    assert (res.e0, res.e1, res.gap) == (ref.e0, ref.e1, ref.gap)
+    assert res.psi0.tobytes() == ref.psi0.tobytes()
+    assert res.psi1.tobytes() == ref.psi1.tobytes()
+    assert (res.residual0, res.residual1) == (ref.residual0, ref.residual1)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (0, 2)], ids=["skips-lambda1", "skips-lambda2"])
+def test_certificate_rejects_a_pair_that_skips_an_eigenvalue(monkeypatch, routes, pair):
+    # bisection steered to the wrong eigenvalues: both pairs pass the residual
+    # gate, and only the counts below E_k - r_k - pad_k expose them
+    h = assemble(_disordered_strip(100, 4, 5))
+    w = np.linalg.eigvalsh(band_to_dense(h))
+    monkeypatch.setattr(eigensolver_mod, "_bisect_two", lambda *args: [w[pair[0]], w[pair[1]]])
+    res = lowest_two(h)
+    assert routes == ["inertia", "band"]
+    _assert_matches_dense(res, h)
+
+
+def test_inertia_route_refuses_a_degenerate_ground_state(routes):
+    # two identical, decoupled disordered strips: every eigenvalue is double
+    block = assemble(_disordered_strip(60, 4, 3)).band
+    band = np.concatenate([block, block], axis=1)
+    assert band.shape[1] >= 400
+    h = BandedHermitian(band)
+    with pytest.raises(DegenerateGroundState):
+        lowest_two(h)
+    assert routes == ["inertia"]
+
+
+def test_nonfinite_band_is_rejected():
+    for rows in (2, 4):  # the tridiagonal and the band route
+        for bad in (np.nan, np.inf):
+            band = np.ones((rows, 6), dtype=complex, order="F")  # any memory layout
+            band[rows - 1, 1] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                BandedHermitian(band)
+            band[rows - 1, 1] = 1.0
+            band[0, 2] = complex(0.0, bad)
+            with pytest.raises(ValidationError, match="non-finite"):
+                BandedHermitian(band)
+
+
+def _at_scale(h, target):
+    """``h`` scaled so that its spectral scale is just below ``target``."""
+    return BandedHermitian(h.band * (0.999 * target / spectral_scale(h)))
+
+
+def _scale_limit_operators():
+    limit = eigensolver_mod.MAX_SPECTRAL_SCALE
+    # an impurity chain with one huge on-site entry, and the chain scaled whole
+    yield "tridiagonal", assemble(impurity_model(500, -0.999 * limit))
+    yield "tridiagonal", _at_scale(assemble(impurity_model(500, -0.3)), limit)
+    strip = assemble(_disordered_strip(20, 3, 4))
+    yield "band", _at_scale(strip, limit)
+    defect = strip.band.copy()
+    defect[0, 7] = -0.999 * limit
+    yield "band", BandedHermitian(defect)
+    strip = assemble(_disordered_strip(100, 4, 4))
+    yield "inertia", _at_scale(strip, limit)
+    defect = strip.band.copy()
+    defect[0, 201] = -0.999 * limit
+    yield "inertia", BandedHermitian(defect)
+    rng = np.random.default_rng(12)
+    a = random_hermitian(rng, 30)
+    yield "dense", a * (0.999 * limit / spectral_scale(a))
+
+
+def test_every_route_works_up_to_the_scale_limit(routes):
+    limit = eigensolver_mod.MAX_SPECTRAL_SCALE
+    taken = []
+    for route, h in _scale_limit_operators():
+        routes.clear()
+        res = lowest_two(h)
+        assert routes == [route]
+        taken.append(route)
+        scale = spectral_scale(h)
+        assert 0.99 * limit <= scale <= limit
+        assert np.isfinite([res.e0, res.e1, res.gap]).all()
+        assert max(res.residual0, res.residual1) <= 1e-10 * scale
+        assert np.isfinite(res.psi0).all() and np.isfinite(res.psi1).all()
+        # and just above the limit every route refuses
+        with pytest.raises(ValidationError, match="spectral scale"):
+            lowest_two(BandedHermitian(h.band * 1.01) if isinstance(h, BandedHermitian) else h * 1.01)
+    assert taken == ["tridiagonal"] * 2 + ["band"] * 2 + ["inertia"] * 2 + ["dense"]

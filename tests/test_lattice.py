@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_modelspec_symmetrizes_near_hermitian_onsite():
     spec = ModelSpec(1, 2, onsite_blocks=[(1, b)])
     stored = spec.onsite[1]
     np.testing.assert_array_equal(stored, stored.conj().T)
+
+
+def test_onsite_symmetrization_keeps_bits_and_does_not_overflow():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    b = a + a.conj().T + 1e-14 * rng.normal(size=(3, 3))  # Hermitian within tolerance
+    stored = ModelSpec(1, 3, onsite_blocks=[(1, b)]).onsite[1]
+    assert stored.tobytes() == (0.5 * (b + b.conj().T)).tobytes()
+    huge = np.diag([-1e308, 1.7e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = ModelSpec(1, 3, onsite_blocks=[(1, huge)]).onsite[1]
+    np.testing.assert_array_equal(stored, huge)
 
 
 def test_modelspec_immutable():

@@ -45,6 +45,14 @@ def test_config_validation():
         default_h0_grid(points=0)
 
 
+@pytest.mark.parametrize("name", ["lo", "hi"])
+@pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+def test_default_grid_rejects_nonfinite_bounds(name, value):
+    flag = {"lo": "h0_min", "hi": "h0_max"}[name]
+    with pytest.raises(ValidationError, match=f"{flag} must be finite"):
+        default_h0_grid(points=3, **{name: value})
+
+
 def test_rows_are_sane(small_rows):
     for row in small_rows:
         assert row.gap > 0
