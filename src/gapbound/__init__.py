@@ -31,7 +31,6 @@ from .bounds import (
 )
 from .eigensolver import (
     BandedHermitian,
-    HermitianMatrix,
     SpectrumResult,
     lowest_two,
     spectral_scale,

@@ -1,20 +1,23 @@
 """Two lowest eigenpairs of a Hermitian matrix, with certified residuals.
 
-A matrix reaches the solver in one of two forms: a :class:`HermitianMatrix`
-(a validated dense array) or a :class:`BandedHermitian` (the lower band in
-LAPACK layout, which is what :func:`gapbound.lattice.assemble` returns).
+A matrix reaches the solver in one form: a :class:`BandedHermitian`, the
+lower band in LAPACK layout.  :func:`gapbound.lattice.assemble` returns
+one; an array given to :func:`lowest_two` is validated and converted once
+by :meth:`BandedHermitian.from_dense`, which keeps the band up to its
+true bandwidth (a dense array is a band of bandwidth ``n - 1``).
 
 Only the ground state and the first excited state are needed downstream,
 so LAPACK is asked for those two pairs and never for the whole spectrum.
-There are four routes, picked from the input:
+There are three routes, picked from ``(n, bandwidth)``:
 
 * Tridiagonal input (bandwidth <= 1: every nearest-neighbour chain with
   one orbital per site, diagonal input, ``n = 2``) is made real symmetric
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
   (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).
-* A large banded operator with bandwidth b > 1, ``n >= max(400, 1600 // b)``
-  (every ``N0 = 4..8`` strip of 100 supersites and longer), goes to the
+* A large banded operator with bandwidth b > 1,
+  ``n >= max(400, 1600 // b, 400 + 2 (b - 16))`` (every ``N0 = 4..8``
+  strip of 100 supersites and longer, never a dense array), goes to the
   inertia route (``_inertia_pairs``), O(n * b^2) time and O(n * b) memory.
   Bisection from ``[-scale, scale]`` on inertia counts isolates the two
   lowest eigenvalues: the number of eigenvalues below a shift is the
@@ -38,9 +41,6 @@ There are four routes, picked from the input:
   bisection by index, ``_band_eigenvalues``), and its two vectors by
   inverse iteration with the banded LU factor of ``H - E_k I`` (LAPACK
   ``gbtrf`` + ``gbtrs``).  O(n * b) memory and O(n^2 * b) time.
-* A dense :class:`HermitianMatrix` with bandwidth > 1 goes to
-  :func:`scipy.linalg.eigh` restricted to the two lowest indices
-  (LAPACK ``heevr``, ``_dense_pairs``).
 
 A band with no imaginary part is solved in real arithmetic.  The
 crossover of the inertia route was measured on disordered strips (unit
@@ -58,6 +58,27 @@ b      n = 300     n = 400     n = 600     n = 800
 16     3.40 / 4.96 5.41 / 5.57 13.76 / 8.04 27.84 / 10.71
 =====  ==========  ==========  ==========  ===========
 
+Past b = 16 the crossover grows with the bandwidth, and a dense array
+(``b = n - 1``) is 4-5 times faster on ``sbevx``.  Measured on a real band
+with on-site energies uniform in ``[-3, 3]`` and hopping ``-1/k`` at every
+distance ``k <= b``, best of 3 (of 2 for ``n - 1`` at n = 800), one
+thread, same host, ms per solve of the ``sbevx`` route / the inertia route:
+
+=====  =============  =============  =============  =============  =============
+b      n = 400        n = 600        n = 800        n = 1200       n = 1600
+=====  =============  =============  =============  =============  =============
+32     9.98 / 11.4    20.6 / 14.5    31.2 / 14.0    79.0 / 27.1    140 / 33.3
+64     17.3 / 26.2    37.5 / 31.0    59.2 / 32.3    152 / 51.9     260 / 78.8
+128    34.4 / 53.7    71.6 / 84.7    114 / 82.4     314 / 159      550 / 194
+256    66.7 / 141     164 / 221      298 / 294      801 / 456      1642 / 622
+512                   242 / 518      559 / 943      1781 / 1525    3702 / 2215
+n - 1  54.6 / 258                    349 / 1646
+=====  =============  =============  =============  =============  =============
+
+Near the rule's line the route it does not pick is at most about 15%
+faster: n = 1200, b = 512 goes to ``sbevx``, 1.17 times the inertia cost
+in this grid, and n = 800, b = 256 to ``sbevx`` at a tie.
+
 The inertia route's E0/E1 agree with ``sbevx``'s to about ``1e-15 * scale``
 but are not bit-identical to them.
 
@@ -70,15 +91,15 @@ a banded operator, not even the full spectrum
 (:attr:`SpectrumResult.eigenvalues`).
 
 Every accepted result is certified a posteriori: the 2-norm residuals
-``|H v - E v|`` of both returned eigenpairs against the stored operator
-(a banded matrix-vector product for a banded operator) must not exceed
+``|H v - E v|`` of both returned eigenpairs against the stored band
+(a banded matrix-vector product, computed once per pair) must not exceed
 ``tol * max(1, spectral_scale(H))``.  The spectral scale itself must not
 exceed ``MAX_SPECTRAL_SCALE``.
 
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
-solver raises :class:`DegenerateGroundState`.  The tridiagonal, ``sbevx``
-and dense routes decide before any eigenvector is computed, the inertia
+solver raises :class:`DegenerateGroundState`.  The tridiagonal and
+``sbevx`` routes decide before any eigenvector is computed, the inertia
 route on its final values, or earlier when bisection finds both
 eigenvalues in one interval narrower than that threshold.
 """
@@ -90,7 +111,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import bandwidth, eig_banded, eigh, eigvalsh, get_lapack_funcs
+from scipy.linalg import bandwidth, eig_banded, get_lapack_funcs
 from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
@@ -121,24 +142,50 @@ _MAX_BISECTIONS = 200
 # bracket midpoints; the second runs only when the first leaves a residual
 # above the gate (a start vector with little weight on the eigenvector).
 _RAYLEIGH_PASSES = 2
-# A band of bandwidth b > 1 takes the inertia route when n >= max(400, 1600 // b),
-# the crossover measured in the module docstring.
+# A band of bandwidth b > 1 takes the inertia route when
+# n >= max(400, 1600 // b, 400 + 2 (b - 16)), the crossover measured in the
+# module docstring: past b = 16, n must grow by 2 per unit of b.
 _INERTIA_MIN_N = 400
 _INERTIA_MIN_NB = 1600
+_INERTIA_WIDE_B = 16
 
 
-class HermitianMatrix:
-    """Dense Hermitian matrix, validated and stored read-only.
+class BandedHermitian:
+    """Hermitian matrix stored as its lower band, in LAPACK lower-band layout.
 
-    Accepts any square array equal to its conjugate transpose within
-    ``HERMITIAN_TOL * max(1, max |entry|)`` entrywise; the stored array is the
-    exact Hermitian part, so downstream code may rely on ``H == H.conj().T``
-    holding exactly.
+    ``band[k, j] = H[j + k, j]`` for ``k = 0..bandwidth``; entries with
+    ``j + k >= n`` are zero, the diagonal row is real.  Only this triangle
+    is stored, so the operator is Hermitian by construction.  Trailing
+    all-zero rows are dropped, so ``bandwidth`` is the true nonzero
+    bandwidth.  The band is the only form of the matrix.  Built by
+    :func:`gapbound.lattice.assemble` from a validated model, or by
+    :meth:`from_dense` from an array.  The spectral scale is computed on
+    first use and kept.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("band", "_scale")
 
-    def __init__(self, array):
+    def __init__(self, band: np.ndarray):
+        band = np.asarray(band, dtype=np.complex128)
+        if band.ndim != 2 or band.shape[0] < 1:
+            raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
+        if not np.isfinite(band).all():
+            raise ValidationError("band contains non-finite entries")
+        rows = np.flatnonzero(band.any(axis=1))
+        band = band[: (rows[-1] if rows.size else 0) + 1]
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "_scale", None)
+
+    @classmethod
+    def from_dense(cls, array) -> BandedHermitian:
+        """The band of a dense Hermitian array, validated.
+
+        Accepts any square, finite array equal to its conjugate transpose
+        within ``HERMITIAN_TOL * max(1, max |entry|)`` entrywise (else
+        :class:`NonHermitianError`), and keeps the lower band of its exact
+        Hermitian part ``(A + Aᴴ) / 2`` up to the true bandwidth.
+        """
         a = np.asarray(array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
@@ -157,57 +204,11 @@ class HermitianMatrix:
         # in place, the same bits as 0.5 * (a + a.conj().T)
         a += ah
         a *= 0.5
-        a.flags.writeable = False
-        object.__setattr__(self, "array", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def bandwidth(self) -> int:
-        """Largest ``k`` with a nonzero entry ``H[j + k, j]`` (a scan of all n² entries)."""
-        return max(bandwidth(self.array))
-
-    def lower_diagonal(self, k: int) -> np.ndarray:
-        """The entries ``H[j + k, j]``, ``j = 0..n-k-1``."""
-        return self.array.diagonal(-k)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.array @ v
-
-    def __repr__(self):
-        return f"HermitianMatrix(n={self.n})"
-
-
-class BandedHermitian:
-    """Hermitian matrix stored as its lower band, in LAPACK lower-band layout.
-
-    ``band[k, j] = H[j + k, j]`` for ``k = 0..bandwidth``; entries with
-    ``j + k >= n`` are zero, the diagonal row is real.  Only this triangle
-    is stored, so the operator is Hermitian by construction.  Trailing
-    all-zero rows are dropped, so ``bandwidth`` is the true nonzero
-    bandwidth.  The band is the only form of the matrix.  Built by
-    :func:`gapbound.lattice.assemble` from a validated model.  The
-    spectral scale is computed on first use and kept.
-    """
-
-    __slots__ = ("band", "_scale")
-
-    def __init__(self, band: np.ndarray):
-        band = np.asarray(band, dtype=np.complex128)
-        if band.ndim != 2 or band.shape[0] < 1:
-            raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
-        if not np.isfinite(band).all():
-            raise ValidationError("band contains non-finite entries")
-        rows = np.flatnonzero(band.any(axis=1))
-        band = band[: (rows[-1] if rows.size else 0) + 1]
-        band.flags.writeable = False
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "_scale", None)
+        n, b = a.shape[0], max(bandwidth(a))
+        band = np.zeros((b + 1, n), dtype=np.complex128)
+        for k in range(b + 1):
+            band[k, : n - k] = a.diagonal(-k)
+        return cls(band)
 
     def __setattr__(self, name, value):
         raise AttributeError("BandedHermitian is immutable")
@@ -225,19 +226,9 @@ class BandedHermitian:
         """``(n, n)``, the shape of the matrix the band stands for."""
         return (self.n, self.n)
 
-    def lower_diagonal(self, k: int) -> np.ndarray:
-        """The entries ``H[j + k, j]``, ``j = 0..n-k-1``."""
-        if k > self.bandwidth:
-            return np.zeros(max(self.n - k, 0), dtype=np.complex128)
-        return self.band[k, : self.n - k]
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``H @ v`` in O(n * bandwidth) (BLAS ``zhbmv``)."""
         return zhbmv(self.bandwidth, 1.0, self.band, v, lower=1)
-
-    def abs_row_sums(self) -> np.ndarray:
-        """``sum_j |H[i, j]|`` for every row i, read off the band."""
-        return _abs_row_sums(self.band)
 
     def __repr__(self):
         return f"BandedHermitian(n={self.n}, bandwidth={self.bandwidth})"
@@ -262,9 +253,9 @@ def spectral_scale(h) -> float:
     """
     if isinstance(h, BandedHermitian):
         if h._scale is None:
-            object.__setattr__(h, "_scale", float(np.max(h.abs_row_sums())))
+            object.__setattr__(h, "_scale", float(np.max(_abs_row_sums(h.band))))
         return h._scale
-    a = h.array if isinstance(h, HermitianMatrix) else np.asarray(h)
+    a = np.asarray(h)
     if a.size == 0:
         return 0.0
     return float(np.max(np.sum(np.abs(a), axis=1)))
@@ -284,11 +275,10 @@ class SpectrumResult:
     """Lowest two eigenpairs of a Hermitian matrix.
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
-    real and positive.  The pairs come from one of the four routes in the
+    real and positive.  The pairs come from one of the three routes in the
     module docstring.  ``eigenvalues``, the full ascending spectrum, is
-    computed on first access only and then cached: from the band of a
-    banded ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth)
-    memory), from the array of a dense one.
+    computed on first access only and then cached, from the band of
+    ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth) memory).
     """
 
     e0: float
@@ -298,15 +288,11 @@ class SpectrumResult:
     psi1: np.ndarray
     residual0: float
     residual1: float
-    matrix: HermitianMatrix | BandedHermitian = field(repr=False, compare=False)
+    matrix: BandedHermitian = field(repr=False, compare=False)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        h = self.matrix
-        if isinstance(h, BandedHermitian):
-            w = eig_banded(_lapack_band(h), lower=True, eigvals_only=True, check_finite=False)
-        else:
-            w = eigvalsh(h.array, check_finite=False)
+        w = eig_banded(_lapack_band(self.matrix), lower=True, eigvals_only=True, check_finite=False)
         w.flags.writeable = False
         return w
 
@@ -354,11 +340,6 @@ def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
     )
     _check_info(info, name)
     return w[:m]
-
-
-def _dense_pairs(a: np.ndarray):
-    """Two lowest eigenpairs of a dense Hermitian matrix (``heevr``)."""
-    return eigh(a, subset_by_index=(0, 1), check_finite=False)
 
 
 @lru_cache(maxsize=128)
@@ -589,22 +570,28 @@ def _bisect_two(band: np.ndarray, scale: float, floor: float, threshold: float,
     return None
 
 
-def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray):
-    """Normalised columns of ``vecs``, their Rayleigh quotients and residual norms."""
+def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray, energies=None):
+    """Normalised columns of ``vecs``, their energies and residual norms.
+
+    The energies are ``energies`` when given, else the Rayleigh quotients;
+    the residuals are ``|H psi - E psi|``.  Returns ``(w, psis, residuals)``
+    with ``psis`` a list of vectors.
+    """
     w, psis, residuals = [], [], []
-    for col in vecs.T:
+    for k, col in enumerate(vecs.T):
         psi = col / np.linalg.norm(col)
         hpsi = hm.matvec(psi)
-        energy = float(np.vdot(psi, hpsi).real)
+        energy = float(np.vdot(psi, hpsi).real) if energies is None else float(energies[k])
         w.append(energy)
         psis.append(psi)
         residuals.append(float(np.linalg.norm(hpsi - energy * psi)))
-    return np.array(w), np.column_stack(psis), residuals
+    return np.array(w), psis, residuals
 
 
 def _takes_inertia_route(n: int, bandwidth: int) -> bool:
     """Whether a band of bandwidth > 1 goes to :func:`_inertia_pairs` (see the module docstring)."""
-    return n >= max(_INERTIA_MIN_N, _INERTIA_MIN_NB // bandwidth)
+    wide = _INERTIA_MIN_N + 2 * (bandwidth - _INERTIA_WIDE_B)
+    return n >= max(_INERTIA_MIN_N, _INERTIA_MIN_NB // bandwidth, wide)
 
 
 def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: float,
@@ -628,7 +615,9 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     ``lambda_1`` in ``[E0 - r0 - pad0, E0 + r0]`` and ``lambda_2`` in
     ``[E1 - r1 - pad1, E1 + r1]``.  (The first count already follows from
     the other two conditions and the residual bound on ``E0``; it stays as
-    an independent check of the counting.)  ``None`` (fall back) otherwise.
+    an independent check of the counting.)  Returns ``(w, psis,
+    residuals)`` as :func:`_rayleigh_pairs` does, ``None`` (fall back)
+    otherwise.
     """
     b = band.shape[0] - 1
     floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
@@ -636,9 +625,9 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     mids = _bisect_two(band, scale, floor, threshold, limit / 8)
     if mids is None:
         return None
-    w, vecs, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale))
+    w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale))
     for _ in range(_RAYLEIGH_PASSES):
-        w, vecs, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale))
+        w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale))
         if max(residuals) <= limit:
             break
     else:
@@ -651,7 +640,7 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     (count0, pad0), (count1, pad1) = pads
     (e0, e1), (r0, r1) = w, residuals
     if count0 == 0 and count1 <= 1 and e1 - r1 - pad1 > e0 + r0:
-        return w, vecs
+        return w, psis, residuals
     return None
 
 
@@ -664,9 +653,11 @@ def lowest_two(
 
     Parameters
     ----------
-    h : BandedHermitian, HermitianMatrix or array_like
-        Matrix to decompose (an array is validated for Hermiticity).  Its
-        spectral scale must not exceed ``MAX_SPECTRAL_SCALE``.
+    h : BandedHermitian or array_like
+        Matrix to decompose.  An array is converted once by
+        :meth:`BandedHermitian.from_dense`, which validates it, and is
+        solved on its band.  The spectral scale must not exceed
+        ``MAX_SPECTRAL_SCALE``.
     tol : float
         Residual acceptance threshold, relative to ``max(1, spectral_scale)``.
     degeneracy_tol : float
@@ -677,7 +668,7 @@ def lowest_two(
     for name, value in (("tol", tol), ("degeneracy_tol", degeneracy_tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
-    hm = h if isinstance(h, (HermitianMatrix, BandedHermitian)) else HermitianMatrix(h)
+    hm = h if isinstance(h, BandedHermitian) else BandedHermitian.from_dense(h)
     n = hm.n
     if n < 2:
         raise ValidationError(f"need a matrix of dimension >= 2, got n={n}")
@@ -689,42 +680,36 @@ def lowest_two(
     limit = tol * max(1.0, scale)
     threshold = degeneracy_tol * max(scale, np.finfo(float).tiny)
 
-    # the stored arrays are validated finite and read-only: no check, no overwrite
-    band = vecs = None
+    # the stored band is validated finite and read-only: no check, no overwrite
+    band, pairs, vecs = hm.band, None, None
     if hm.bandwidth <= 1:
         # D^dag A D is real symmetric with subdiagonal |s| for the phases
         # D[j+1] = D[j] s_j / |s_j|; a zero entry keeps the previous phase
-        sub = hm.lower_diagonal(1)
+        sub = band[1, : n - 1] if hm.bandwidth else np.zeros(n - 1, dtype=np.complex128)
         mag = np.abs(sub)
         unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0)
         phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-        w, z = _tridiagonal_pairs(hm.lower_diagonal(0).real, mag)
+        w, z = _tridiagonal_pairs(band[0].real, mag)
         vecs = phases[:, None] * z
-    elif isinstance(hm, BandedHermitian):
+    else:
         band = _lapack_band(hm)
-        pairs = None
         if _takes_inertia_route(n, hm.bandwidth):
             pairs = _inertia_pairs(hm, band, scale, limit, threshold)
-        if pairs is None:
-            w = _band_eigenvalues(band)
-        else:
-            w, vecs = pairs
-    else:
-        w, vecs = _dense_pairs(hm.array)
+        w = _band_eigenvalues(band) if pairs is None else pairs[0]
     gap = float(w[1] - w[0])
     if gap < threshold:
         raise DegenerateGroundState(
             f"gap {gap:.3e} below degeneracy threshold "
             f"{degeneracy_tol * scale:.3e} (scale {scale:.3e})"
         )
-    if vecs is None:
-        vecs = _band_inverse_iteration(band, w, scale)
+    if pairs is None:
+        if vecs is None:
+            vecs = _band_inverse_iteration(band, w, scale)
+        pairs = _rayleigh_pairs(hm, vecs, w)
+    _, psis, residuals = pairs
 
     out = []
-    residuals = []
-    for col, energy in zip(vecs.T, w):
-        psi = col / np.linalg.norm(col)
-        res = float(np.linalg.norm(hm.matvec(psi) - energy * psi))
+    for psi, res in zip(psis, residuals):
         if not res <= limit:  # a NaN residual certifies nothing
             raise GapboundError(
                 f"eigenpair residual {res:.3e} exceeds {limit:.3e}; "
@@ -733,7 +718,6 @@ def lowest_two(
         psi = _fix_phase(psi)
         psi.flags.writeable = False
         out.append(psi)
-        residuals.append(res)
 
     return SpectrumResult(
         e0=float(w[0]),

@@ -54,7 +54,7 @@ from .lattice import (
     fit_envelope,
     require_envelope,
 )
-from .localization import density, position_stats, tail
+from .localization import density, position_stats, tail, tail_steps
 
 ENVELOPE_FAMILY = "envelope-constrained"
 NN_FAMILY = "nearest-neighbor"
@@ -234,9 +234,8 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
         if t > cb + 1e-12:
             problems.append(f"power-law tail bound violated at R={r:.3g}")
 
-    r_max = max(stats.mean - 1.0, spec.length - stats.mean)
-    tails = tail(prof, stats.mean, np.arange(0.0, r_max + 0.25, 0.25))
-    if np.any(np.diff(tails) > 1e-12):
+    # the tail is a step function: its values at the breakpoints are all of it
+    if np.any(np.diff(tail_steps(prof, stats.mean)[1]) > 1e-12):
         problems.append("tail distribution is not monotone nonincreasing")
 
     fitted = env if env is not None else fit_envelope(spec, mu=1.0)

@@ -145,6 +145,8 @@ def fit_localization_length(
 
     Raises
     ------
+    ValidationError
+        ``center`` is not a finite point of the lattice ``1..L``.
     InsufficientData
         Fewer than 4 usable points.
     NonDecaying
@@ -154,6 +156,8 @@ def fit_localization_length(
         raise ValidationError(f"fit center must be finite, got {center!r}")
     p = profile.p
     length = profile.length
+    if not 1 <= center <= length:
+        raise ValidationError(f"fit center {center!r} lies outside the lattice 1..{length}")
     x = profile.sites()
     usable = (p >= floor) & (x > boundary_margin) & (x <= length - boundary_margin)
     if int(usable.sum()) < 4:

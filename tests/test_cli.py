@@ -231,6 +231,20 @@ def test_bounds_nonfinite_center_exits_1(model_path, capsys, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e200", "-1e200", "0", "61.5"])
+def test_bounds_center_off_the_lattice_exits_1_without_warnings(tmp_path, capsys, value):
+    # a far centre used to overflow inside the fit and end in "slope not negative"
+    path = tmp_path / "chain.txt"
+    dump_model(impurity_model(60, -0.5), path)  # L = 61 sites
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bounds", str(path), f"--center={value}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: fit center {float(value)!r} lies outside the lattice 1..61")
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_bounds_scan_radius_must_be_positive_and_finite(model_path, capsys, value):
     code = main(["bounds", model_path, "--scan-s", value])

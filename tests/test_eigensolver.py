@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import bandwidth, eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
 
 import gapbound.eigensolver as eigensolver_mod
 from gapbound import (
     BandedHermitian,
     DegenerateGroundState,
     GapboundError,
-    HermitianMatrix,
     ModelSpec,
     NonHermitianError,
     ValidationError,
@@ -66,19 +65,26 @@ def test_input_validation():
     with pytest.raises(NonHermitianError):
         lowest_two(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValidationError):
-        HermitianMatrix(np.zeros((2, 3)))
+        BandedHermitian.from_dense(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        HermitianMatrix(np.array([[np.nan, 0], [0, 1.0]]))
+        BandedHermitian.from_dense(np.array([[np.nan, 0], [0, 1.0]]))
+    with pytest.raises(NonHermitianError):
+        BandedHermitian.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_hermitian_matrix_exact_symmetry_and_immutability():
+def test_from_dense_exact_symmetry_and_immutability():
     rng = np.random.default_rng(0)
     a = random_hermitian(rng, 5) + 1e-14 * rng.normal(size=(5, 5))
-    hm = HermitianMatrix(a)
-    assert np.array_equal(hm.array, hm.array.conj().T)
-    assert np.array_equal(hm.array, 0.5 * (a + a.conj().T))
+    hm = BandedHermitian.from_dense(a)
+    assert hm.bandwidth == 4
+    dense = band_to_dense(hm)
+    assert np.array_equal(dense, dense.conj().T)
+    assert np.array_equal(dense, 0.5 * (a + a.conj().T))
     with pytest.raises(ValueError):
-        hm.array[0, 0] = 1.0
+        hm.band[0, 0] = 1.0
+    # the band stops at the true bandwidth
+    assert BandedHermitian.from_dense(np.diag([1.0, 2.0, 3.0])).bandwidth == 0
+    assert BandedHermitian.from_dense(np.triu(np.tril(a, 2), -2)).bandwidth == 2
 
 
 def test_spectral_scale_is_max_row_sum():
@@ -244,7 +250,6 @@ _ROUTES = {
     "_tridiagonal_pairs": "tridiagonal",
     "_inertia_pairs": "inertia",
     "_band_eigenvalues": "band",
-    "_dense_pairs": "dense",
 }
 
 
@@ -277,7 +282,7 @@ def test_complex_tridiagonal_route_matches_dense_route(n, routes):
     assert abs(np.vdot(res.psi1, v[:, 1])) >= 1 - 1e-10
     assert res.residual0 <= 1e-10 * scale
     assert res.residual1 <= 1e-10 * scale
-    a = HermitianMatrix(h).array
+    a = band_to_dense(BandedHermitian.from_dense(h))
     assert np.linalg.norm(a @ res.psi0 - res.e0 * res.psi0) <= 1e-10 * scale
     np.testing.assert_allclose(
         [res.e0, res.e1], hermitian_eigenvalues_bisect(h, k=2), atol=1e-11 * scale
@@ -357,15 +362,6 @@ def test_random_banded_models_match_dense_route(family, routes):
     assert solved == ({1, 2, 3} if family == FAMILIES[0] else {2, 3})
 
 
-def _banded(a: np.ndarray) -> BandedHermitian:
-    """The banded operator of a dense Hermitian array."""
-    n, b = a.shape[0], max(bandwidth(a))
-    band = np.zeros((b + 1, n), dtype=complex)
-    for k in range(b + 1):
-        band[k, : n - k] = a.diagonal(-k)
-    return BandedHermitian(band)
-
-
 def _banded_block(rng, n):
     a = random_hermitian(rng, n)
     return np.triu(np.tril(a, 2), -2)
@@ -379,7 +375,7 @@ def test_decoupled_banded_blocks_zero_pivot(routes):
     a = np.zeros((8, 8), dtype=complex)
     a[0, 0] = -10.0
     a[1:, 1:] = block
-    h = _banded(a)
+    h = BandedHermitian.from_dense(a)
     res = lowest_two(h)
     assert routes == ["band"]
     assert res.e0 == -10.0
@@ -389,7 +385,7 @@ def test_decoupled_banded_blocks_zero_pivot(routes):
     twin = np.zeros((14, 14), dtype=complex)
     twin[:7, :7] = twin[7:, 7:] = block
     with pytest.raises(DegenerateGroundState):
-        lowest_two(_banded(twin))
+        lowest_two(BandedHermitian.from_dense(twin))
 
 
 def _near_degenerate(delta, eps=1e-10):
@@ -402,7 +398,7 @@ def _near_degenerate(delta, eps=1e-10):
     a[10:, 10:] = block + delta * np.eye(10)
     a[10, 9] = eps
     a[9, 10] = eps
-    return _banded(a)
+    return BandedHermitian.from_dense(a)
 
 
 def test_near_degenerate_banded_gap():
@@ -420,7 +416,7 @@ def test_eigenvalues_computed_lazily(routes):
     rng = np.random.default_rng(5)
     h = random_hermitian(rng, 12)
     res = lowest_two(h)
-    assert routes == ["dense"]
+    assert routes == ["band"]
     assert "eigenvalues" not in vars(res)
     w = res.eigenvalues
     assert res.eigenvalues is w
@@ -454,6 +450,23 @@ def test_band_route_matches_dense_route(routes):
         assert dense.psi0.tobytes() == res.psi0.tobytes()
 
 
+def test_wide_array_is_solved_on_its_band(routes):
+    # bandwidth >= 2 on the sbevx route and on the inertia route: the array
+    # and the band it stands for give the same bits
+    for h in (assemble(strip_model(9, 3, t_along=1.0, t_across=0.7)),
+              assemble(random_model(trial_rng(970, 0), n0_range=(3, 3))[0]),
+              assemble(_disordered_strip(100, 4, 0))):
+        assert h.bandwidth >= 2
+        res, dense = lowest_two(h), lowest_two(band_to_dense(h))
+        assert routes[-2] == routes[-1]
+        assert (dense.e0, dense.e1, dense.gap) == (res.e0, res.e1, res.gap)
+        assert (dense.residual0, dense.residual1) == (res.residual0, res.residual1)
+        assert dense.psi0.tobytes() == res.psi0.tobytes()
+        assert dense.psi1.tobytes() == res.psi1.tobytes()
+        assert np.array_equal(dense.matrix.band, h.band)
+    assert routes == ["band"] * 4 + ["inertia"] * 2
+
+
 def test_banded_matvec_and_scale_match_dense():
     rng = np.random.default_rng(8)
     specs = [strip_model(6, 3, 1.0, 0.4), impurity_model(20, -1.0)]
@@ -469,10 +482,10 @@ def test_banded_matvec_and_scale_match_dense():
 def _route_test_operators():
     rng = np.random.default_rng(990)
     for n in (3, 8, 31, 120):
-        yield _banded(_complex_tridiagonal(rng, n))
+        yield BandedHermitian.from_dense(_complex_tridiagonal(rng, n))
     yield assemble(impurity_model(60, -0.4))
     yield assemble(strip_model(9, 3, t_along=1.0, t_across=0.7))
-    yield _banded(_banded_block(rng, 20))
+    yield BandedHermitian.from_dense(_banded_block(rng, 20))
     for family in FAMILIES:
         for i in range(20):
             yield assemble(random_model(trial_rng(970, i), family=family)[0])
@@ -482,7 +495,7 @@ def test_direct_lapack_calls_match_scipy_wrappers():
     kinds = set()
     for h in _route_test_operators():
         if h.bandwidth <= 1:
-            d, e = h.lower_diagonal(0).real, np.abs(h.lower_diagonal(1))
+            d, e = h.band[0].real, np.abs(h.band[1, : h.n - 1])
             w, z = eigensolver_mod._tridiagonal_pairs(d, e)
             w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
             assert w.tobytes() == w_ref.tobytes()
@@ -573,6 +586,21 @@ def test_inertia_route_taken_above_the_crossover(routes):
     _assert_matches_dense(res, h)
 
 
+def test_wide_bands_stay_on_the_band_route(routes):
+    # past b = 16 the crossover grows with the bandwidth; a dense array never
+    # takes the inertia route
+    rule = eigensolver_mod._takes_inertia_route
+    assert [rule(400, b) for b in (2, 4, 16, 32, 128)] == [False, True, True, False, False]
+    assert [rule(600, b) for b in (64, 256)] == [True, False]
+    assert [rule(800, b) for b in (128, 512)] == [True, False]
+    assert rule(1600, 512) and not rule(1600, 1024)
+    assert not any(rule(n, n - 1) for n in (400, 800, 1600, 10**6))
+    h = _random_band(np.random.default_rng(400), 400, 32, complex_band=True)
+    res = lowest_two(h)
+    assert routes == ["band"]
+    _assert_matches_dense(res, h)
+
+
 @pytest.mark.parametrize("length", [100, 1000, 3000])
 def test_inertia_route_matches_eig_banded(length, routes):
     h = assemble(_disordered_strip(length, 4, 1))
@@ -658,7 +686,7 @@ def _scale_limit_operators():
     yield "inertia", BandedHermitian(defect)
     rng = np.random.default_rng(12)
     a = random_hermitian(rng, 30)
-    yield "dense", a * (0.999 * limit / spectral_scale(a))
+    yield "band", a * (0.999 * limit / spectral_scale(a))
 
 
 def test_every_route_works_up_to_the_scale_limit(routes):
@@ -677,4 +705,4 @@ def test_every_route_works_up_to_the_scale_limit(routes):
         # and just above the limit every route refuses
         with pytest.raises(ValidationError, match="spectral scale"):
             lowest_two(BandedHermitian(h.band * 1.01) if isinstance(h, BandedHermitian) else h * 1.01)
-    assert taken == ["tridiagonal"] * 2 + ["band"] * 2 + ["inertia"] * 2 + ["dense"]
+    assert taken == ["tridiagonal"] * 2 + ["band"] * 2 + ["inertia"] * 2 + ["band"]

@@ -7,6 +7,7 @@ from gapbound import (
     EnvelopeViolation,
     FuzzConfig,
     HoppingEnvelope,
+    InvariantViolation,
     ModelSpec,
     NNBound,
     ValidationError,
@@ -88,6 +89,22 @@ def test_seed_42_five_hundred_nn_trials_pass():
     report = run_fuzz(FuzzConfig(seed=42, trials=500, family=NN_FAMILY))
     assert not report.failures
     assert report.passed + report.skipped_degenerate == 500
+
+
+def test_tail_check_reads_every_breakpoint(monkeypatch):
+    # a rise of 1e-9 at the last breakpoint, however close it sits to the
+    # one before it, fails the monotonicity check
+    real = fuzz_mod.tail_steps
+
+    def bumped(profile, mean):
+        radii, tails = real(profile, mean)
+        tails = tails.copy()
+        tails[-1] = tails[-2] + 1e-9
+        return radii, tails
+
+    monkeypatch.setattr(fuzz_mod, "tail_steps", bumped)
+    with pytest.raises(InvariantViolation, match="not monotone"):
+        run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
 
 
 def test_bad_envelope_declaration_is_rejected_not_reported():
