@@ -27,14 +27,10 @@ There are three routes, picked from ``(n, bandwidth)``:
   Inverse iteration at the bracket midpoints and again at the Rayleigh
   quotients (``_band_inverse_iteration``) gives the pairs; ``E_k`` are the
   final Rayleigh quotients.  A pair is accepted only after the residual
-  gate below and a two-count certificate: with ``r_k`` the residuals and
-  ``pad_k`` a shift margin plus the factorization's a posteriori backward
-  error (``_certified_count``, whose docstring states the bound), there
-  is no eigenvalue below ``E0 - r0 - pad0``, at most one below
-  ``E1 - r1 - pad1``, and ``E1 - r1 - pad1 > E0 + r0``.  That proves
-  ``E0`` and ``E1`` approximate the two lowest eigenvalues to within
-  ``r_k + pad_k``.  If anything fails the matrix takes the next route
-  instead, so no uncertified pair leaves this one.
+  gate below and one certified count: at most one eigenvalue below
+  ``E1 - r1 - pad1``, which exceeds ``E0 + r0 + margin0`` (``r_k`` the
+  residuals; ``_inertia_pairs`` defines the pads and gives the proof).
+  If anything fails the matrix takes the next route instead.
 * Any other banded operator with bandwidth > 1 (every fuzz-sized model)
   gets its two lowest eigenvalues from the band (LAPACK ``hbevx``/``sbevx``
   without vectors: a band-to-tridiagonal reduction that forms no Q, then
@@ -98,10 +94,10 @@ exceed ``MAX_SPECTRAL_SCALE``.
 
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
-solver raises :class:`DegenerateGroundState`.  The tridiagonal and
-``sbevx`` routes decide before any eigenvector is computed, the inertia
-route on its final values, or earlier when bisection finds both
-eigenvalues in one interval narrower than that threshold.
+solver raises :class:`DegenerateGroundState`.  The ``sbevx`` route
+decides before any eigenvector is computed, the tridiagonal route after
+``stein``, the inertia route on its final values, or earlier when
+bisection finds both eigenvalues in one interval narrower than that threshold.
 """
 
 from __future__ import annotations
@@ -154,13 +150,14 @@ class BandedHermitian:
     """Hermitian matrix stored as its lower band, in LAPACK lower-band layout.
 
     ``band[k, j] = H[j + k, j]`` for ``k = 0..bandwidth``; entries with
-    ``j + k >= n`` are zero, the diagonal row is real.  Only this triangle
-    is stored, so the operator is Hermitian by construction.  Trailing
-    all-zero rows are dropped, so ``bandwidth`` is the true nonzero
-    bandwidth.  The band is the only form of the matrix.  Built by
-    :func:`gapbound.lattice.assemble` from a validated model, or by
-    :meth:`from_dense` from an array.  The spectral scale is computed on
-    first use and kept.
+    ``j + k >= n`` are zero, the diagonal row is real (an imaginary part
+    above ``HERMITIAN_TOL * max(1, max |entry|)`` is refused, a smaller
+    one dropped).  Only this triangle is stored, so the operator is
+    Hermitian by construction.  Trailing all-zero rows are dropped, so
+    ``bandwidth`` is the true nonzero bandwidth.  The band is the only
+    form of the matrix.  Built by :func:`gapbound.lattice.assemble` from a
+    validated model, or by :meth:`from_dense` from an array.  The spectral
+    scale is computed on first use and kept.
     """
 
     __slots__ = ("band", "_scale")
@@ -171,6 +168,13 @@ class BandedHermitian:
             raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
         if not np.isfinite(band).all():
             raise ValidationError("band contains non-finite entries")
+        imag = float(np.abs(band[0].imag).max(initial=0.0))
+        if imag:
+            tol = HERMITIAN_TOL * max(1.0, float(np.abs(band).max()))
+            if imag > tol:
+                raise NonHermitianError(f"diagonal imaginary part {imag:.3e} exceeds {tol:.3e}")
+            band = band.copy()  # not the caller's array
+            band.imag[0] = 0.0
         rows = np.flatnonzero(band.any(axis=1))
         band = band[: (rows[-1] if rows.size else 0) + 1]
         band.flags.writeable = False
@@ -190,20 +194,19 @@ class BandedHermitian:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
         a = a.astype(np.complex128, copy=True)
-        ah = a.conj().T
-        if a.size:
-            if not np.all(np.isfinite(a.view(np.float64))):
-                raise ValidationError("matrix contains non-finite entries")
-            scale = max(1.0, float(np.max(np.abs(a))))
-            dev = float(np.max(np.abs(a - ah)))
-            if dev > HERMITIAN_TOL * scale:
-                raise NonHermitianError(
-                    f"matrix deviates from Hermiticity by {dev:.3e} "
-                    f"(tolerance {HERMITIAN_TOL * scale:.3e})"
-                )
-        # in place, the same bits as 0.5 * (a + a.conj().T)
-        a += ah
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix contains non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+        # halves first, as ModelSpec._store does: no sum overflows, normal values keep their bits
         a *= 0.5
+        ah = a.conj().T
+        dev = 2 * float(np.max(np.abs(a - ah), initial=0.0))
+        if dev > HERMITIAN_TOL * scale:
+            raise NonHermitianError(
+                f"matrix deviates from Hermiticity by {dev:.3e} "
+                f"(tolerance {HERMITIAN_TOL * scale:.3e})"
+            )
+        a += ah
         n, b = a.shape[0], max(bandwidth(a))
         band = np.zeros((b + 1, n), dtype=np.complex128)
         for k in range(b + 1):
@@ -239,9 +242,10 @@ def _abs_row_sums(band: np.ndarray) -> np.ndarray:
     a = np.abs(band)
     n = a.shape[1]
     rows = a[0].copy()
-    for k in range(1, a.shape[0]):
-        rows[k:] += a[k, : n - k]  # H[j + k, j] in row j + k
-        rows[: n - k] += a[k, : n - k]  # its mirror in row j
+    with np.errstate(over="ignore"):  # a sum past the float limit is inf, which callers refuse
+        for k in range(1, a.shape[0]):
+            rows[k:] += a[k, : n - k]  # H[j + k, j] in row j + k
+            rows[: n - k] += a[k, : n - k]  # its mirror in row j
     return rows
 
 
@@ -602,22 +606,19 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     :func:`_band_inverse_iteration` at the bracket midpoints and again at
     the Rayleigh quotients of its vectors (up to ``_RAYLEIGH_PASSES``
     times, until both residuals pass the gate) gives the pairs, whose
-    energies are the final Rayleigh quotients.  The pairs are returned only if both
-    residuals ``r_k`` are within ``limit`` and two certified counts
-    (:func:`_certified_count`) at ``sigma_k = E_k - r_k - margin_k``, with
-    ``pad_k = margin_k + bound_k``, show
+    energies are the final Rayleigh quotients.  With ``margin_k = (b + 2)^2
+    eps (scale + |E_k|)`` and ``pad1 = margin1 + bound1``, the pairs are
+    returned only if both residuals ``r_k`` are within ``limit``, one
+    certified count (:func:`_certified_count`) at ``sigma1 = E1 - r1 -
+    margin1`` finds at most one eigenvalue below ``E1 - r1 - pad1``, and
+    ``E1 - r1 - pad1 > E0 + r0 + margin0``.
 
-    * no eigenvalue below ``E0 - r0 - pad0``,
-    * at most one eigenvalue below ``E1 - r1 - pad1``,
-    * ``E1 - r1 - pad1 > E0 + r0``.
-
-    Since ``[E_k - r_k, E_k + r_k]`` holds an eigenvalue, this proves
-    ``lambda_1`` in ``[E0 - r0 - pad0, E0 + r0]`` and ``lambda_2`` in
-    ``[E1 - r1 - pad1, E1 + r1]``.  (The first count already follows from
-    the other two conditions and the residual bound on ``E0``; it stays as
-    an independent check of the counting.)  Returns ``(w, psis,
-    residuals)`` as :func:`_rayleigh_pairs` does, ``None`` (fall back)
-    otherwise.
+    The residual puts an eigenvalue within ``r0 + margin0`` of ``E0``
+    (``margin0`` pads the rounding of the computed ``r0``), so below
+    ``E1 - r1 - pad1``; the count says it is the only one there, so it is
+    ``lambda_1``.  The eigenvalue within ``r1`` of ``E1`` then lies in
+    ``[E1 - r1 - pad1, E1 + r1]``, so it is ``lambda_2``.  Returns ``(w,
+    psis, residuals)`` as :func:`_rayleigh_pairs` does, else ``None``.
     """
     b = band.shape[0] - 1
     floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
@@ -632,14 +633,11 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
             break
     else:
         return None
-    pads = []
-    for energy, r in zip(w, residuals):
-        margin = (b + 2) ** 2 * np.finfo(float).eps * (scale + abs(energy))
-        count, bound = _certified_count(band, energy - r - margin, floor, scale)
-        pads.append((count, margin + bound))
-    (count0, pad0), (count1, pad1) = pads
     (e0, e1), (r0, r1) = w, residuals
-    if count0 == 0 and count1 <= 1 and e1 - r1 - pad1 > e0 + r0:
+    margin0, margin1 = ((b + 2) ** 2 * np.finfo(float).eps * (scale + abs(e)) for e in w)
+    sigma1 = e1 - r1 - margin1
+    count, bound = _certified_count(band, sigma1, floor, scale)
+    if count <= 1 and sigma1 - bound > e0 + r0 + margin0:
         return w, psis, residuals
     return None
 

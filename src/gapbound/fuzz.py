@@ -122,35 +122,30 @@ def random_model(
     n0 = int(rng.integers(n0_range[0], n0_range[1] + 1))
     if length < 2:
         raise ValidationError(f"a random model needs at least 2 sites, got {length}")
-    dists, draws, targets = [], [], []
     if family == ENVELOPE_FAMILY:
         env = HoppingEnvelope(cv=float(rng.uniform(0.5, 3.0)), mu=float(rng.uniform(0.4, 1.5)))
-        nn = None
-        max_d = min(length - 1, 5)
-        masks = {d: np.zeros(length - d, dtype=bool) for d in range(1, max_d + 1)}
-        for x in range(1, length):
-            for d in range(1, max_d + 1):
-                if x + d > length:
-                    break
-                if rng.random() < (0.9 if d == 1 else 0.4):
-                    targets.append(float(rng.uniform(0.1, 1.0)) * env.value(d))
-                    masks[d][x - 1] = True
-                    dists.append(d)
-                    draws.append(rng.normal(size=(2, n0, n0)))
+        nn, nearest = None, 0.9
+        amplitudes = [env.value(d) for d in range(1, min(length - 1, 5) + 1)]
     elif family == NN_FAMILY:
-        env = None
+        env, nearest = None, 0.95
         nn = NNBound(v0=float(rng.uniform(0.5, 2.0)))
-        masks = {1: np.zeros(length - 1, dtype=bool)}
-        for x in range(1, length):
-            if rng.random() < 0.95:
-                targets.append(float(rng.uniform(0.1, 1.0)) * nn.v0)
-                masks[1][x - 1] = True
-                dists.append(1)
-                draws.append(rng.normal(size=(2, n0, n0)))
+        amplitudes = [nn.v0]
     else:
         raise ValidationError(f"unknown family {family!r}")
+    max_d = len(amplitudes)
+    dists, draws, targets = [], [], []
+    masks = {d: np.zeros(length - d, dtype=bool) for d in range(1, max_d + 1)}
+    for x in range(1, length):
+        for d in range(1, max_d + 1):
+            if x + d > length:
+                break
+            if rng.random() < (nearest if d == 1 else 0.4):
+                targets.append(float(rng.uniform(0.1, 1.0)) * amplitudes[d - 1])
+                masks[d][x - 1] = True
+                dists.append(d)
+                draws.append(rng.normal(size=(2, n0, n0)))
     if not draws:
-        targets.append(0.5 * (env.value(1) if env is not None else nn.v0))
+        targets.append(0.5 * amplitudes[0])
         masks[1][0] = True
         dists.append(1)
         draws.append(rng.normal(size=(2, n0, n0)))

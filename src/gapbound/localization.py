@@ -34,11 +34,11 @@ class DensityProfile:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("density profile must be a nonempty 1-d array")
-        if np.min(p) < -1e-15:
-            raise ValidationError(f"negative density entry {np.min(p):.3e}")
+        if not np.min(p) >= -1e-15:  # NaN fails too
+            raise ValidationError(f"negative or NaN density entry {np.min(p):.3e}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
-        if abs(total - 1.0) > DENSITY_SUM_TOL:
+        if not abs(total - 1.0) <= DENSITY_SUM_TOL:
             raise ValidationError(f"density sums to {total!r}, expected 1 within 1e-12")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)

@@ -222,6 +222,19 @@ def test_sweep_extreme_defect_exits_1_without_warnings(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+def test_solve_past_the_float_limit_exits_1_without_warnings(tmp_path, capsys):
+    # finite entries whose row sum overflows: the scale limit refuses the model
+    path = tmp_path / "huge.txt"
+    path.write_text("L 2\nN0 1\nV 1 1 1 1e308 0\nT 1 2 1 1 1e308 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: spectral scale inf exceeds the solver's limit")
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_bounds_nonfinite_center_exits_1(model_path, capsys, value):
     code = main(["bounds", model_path, f"--center={value}"])

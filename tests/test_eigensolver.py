@@ -70,6 +70,23 @@ def test_input_validation():
         BandedHermitian.from_dense(np.array([[np.nan, 0], [0, 1.0]]))
     with pytest.raises(NonHermitianError):
         BandedHermitian.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # row sums past the float limit: refused by the scale limit, with no
+    # overflow warning on the way (the halves are summed, not the entries)
+    with pytest.raises(ValidationError, match="spectral scale inf"):
+        lowest_two(np.full((2, 2), 1e308))
+    with pytest.raises(NonHermitianError, match="by inf"):
+        lowest_two(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_imaginary_diagonal_is_refused_or_dropped():
+    with pytest.raises(NonHermitianError, match="imaginary part 5.000e"):
+        lowest_two(BandedHermitian(np.array([[1 + 5j, 2, 3], [0.5, 0.5, 0]])))
+    # within HERMITIAN_TOL * max(1, max |entry|) the imaginary part is
+    # dropped, and the caller's array is left as it was
+    band = np.array([[1 + 1e-13j, 2, 3], [0.5, 0.5, 0]])
+    h = BandedHermitian(band)
+    assert band[0, 0] == 1 + 1e-13j
+    assert h.band[0].tobytes() == np.array([1, 2, 3], dtype=complex).tobytes()
 
 
 def test_from_dense_exact_symmetry_and_immutability():
@@ -628,10 +645,27 @@ def test_failed_certificate_falls_back_to_the_band_route(monkeypatch, routes):
     assert (res.residual0, res.residual1) == (ref.residual0, ref.residual1)
 
 
+def test_inertia_route_makes_one_certified_count(monkeypatch, routes):
+    calls = []
+    original = eigensolver_mod._certified_count
+
+    def spy(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(eigensolver_mod, "_certified_count", spy)
+    h = assemble(_disordered_strip(100, 4, 5))
+    res = lowest_two(h)
+    assert routes == ["inertia"]
+    assert len(calls) == 1
+    assert res.e0 + res.residual0 < calls[0] < res.e1 - res.residual1  # at sigma1
+
+
 @pytest.mark.parametrize("pair", [(1, 2), (0, 2)], ids=["skips-lambda1", "skips-lambda2"])
 def test_certificate_rejects_a_pair_that_skips_an_eigenvalue(monkeypatch, routes, pair):
     # bisection steered to the wrong eigenvalues: both pairs pass the residual
-    # gate, and only the counts below E_k - r_k - pad_k expose them
+    # gate, and the one count below E1 - r1 - pad1 exposes both (it finds
+    # two eigenvalues there)
     h = assemble(_disordered_strip(100, 4, 5))
     w = np.linalg.eigvalsh(band_to_dense(h))
     monkeypatch.setattr(eigensolver_mod, "_bisect_two", lambda *args: [w[pair[0]], w[pair[1]]])

@@ -79,6 +79,9 @@ def test_density_profile_invariants():
         DensityProfile(p=np.array([0.5, 0.4]))  # does not sum to 1
     with pytest.raises(ValidationError):
         DensityProfile(p=np.array([1.5, -0.5]))
+    for p in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValidationError):
+            DensityProfile(p=np.array(p))
 
 
 def test_position_stats_examples():
