@@ -277,16 +277,17 @@ class ModelSpec:
         bad = _first_nonfinite(onsite)
         if bad is not None:
             raise ValidationError(f"on-site block at x={bad + 1} contains non-finite entries")
-        onsite_h = onsite.conj().transpose(0, 2, 1)
-        dev = np.abs(onsite - onsite_h).reshape(length, -1).max(axis=1)
-        if np.any(dev > HERMITIAN_TOL):
-            x = int(np.argmax(dev > HERMITIAN_TOL)) + 1
+        # halves first: the sum or difference of two entries above ~9e307
+        # would overflow; every normal value keeps its bits
+        half = 0.5 * onsite
+        half_h = half.conj().transpose(0, 2, 1)
+        dev = np.abs(half - half_h).reshape(length, -1).max(axis=1)
+        if np.any(dev > HERMITIAN_TOL / 2):
+            x = int(np.argmax(dev > HERMITIAN_TOL / 2)) + 1
             raise NonHermitianError(
-                f"on-site block at x={x} deviates from Hermiticity by {dev[x - 1]:.3e}"
+                f"on-site block at x={x} deviates from Hermiticity by {2 * float(dev[x - 1]):.3e}"
             )
-        # halves first: the sum of two entries above ~9e307 would overflow;
-        # every normal value keeps its bits
-        onsite = 0.5 * onsite + 0.5 * onsite_h
+        onsite = half + half_h
         onsite.flags.writeable = False
         onsite_mask.flags.writeable = False
         for blocks, mask in bands.values():

@@ -11,18 +11,26 @@ Format::
 
 ``L`` and ``N0`` must appear before the first V/T line.  Indices are
 1-based.  Diagonal on-site entries (i == j) must be real within 1e-12;
-the imaginary part is dropped inside that tolerance.
+the imaginary part is dropped inside that tolerance.  Files are UTF-8.
 
-Parsing is column-wise.  One pass splits the lines into tokens and sorts
-the V and T rows apart, keeping their line numbers; each numeric column
-is then converted in one ``int``/``float`` pass, every check runs on
-whole columns, and the values are scattered straight into the model's
-block-band arrays (see :mod:`gapbound.lattice`).  Errors are still
-reported for the first bad line in file order, with its line number and
-the reason of the first check that line fails.
+Parsing is column-wise.  One pass over the lines handles the headers,
+labels and comments and keeps the line number and the text after the tag
+of every V and T line.  All V bodies are then converted in C by one
+``np.loadtxt`` call into int64 and float64 columns, and all T bodies by a
+second; every check runs on whole columns, and the values are scattered
+straight into the model's block-band arrays (see :mod:`gapbound.lattice`).
+``loadtxt`` reads a subset of what ``int``/``float`` read, to the same
+values, and fails on anything else and on a row of the wrong width.  Only
+then are that kind's bodies split into tokens and converted column by
+column with ``int``/``float``: that finds the first bad line, and also
+converts the tokens only Python reads (``1_0``, non-ASCII digits).  Errors
+are reported for the first bad line in file order, with its line number
+and the reason of the first check that line fails.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -30,8 +38,14 @@ from .errors import ModelFormatError
 from .eigensolver import HERMITIAN_TOL
 from .lattice import ModelSpec
 
-_ONSITE_COLUMNS = (("x", int), ("i", int), ("j", int), ("re", float), ("im", float))
-_HOPPING_COLUMNS = (("x", int), ("x'", int), ("i", int), ("j", int), ("re", float), ("im", float))
+_COLUMNS = {
+    "V": (("x", int), ("i", int), ("j", int), ("re", float), ("im", float)),
+    "T": (("x", int), ("x'", int), ("i", int), ("j", int), ("re", float), ("im", float)),
+}
+_DTYPES = {
+    tag: np.dtype([(what, np.int64 if cast is int else np.float64) for what, cast in spec])
+    for tag, spec in _COLUMNS.items()
+}
 _EXPECTED = {
     "V": "expected 'V <x> <i> <j> <re> <im>'",
     "T": "expected 'T <x> <x'> <i> <j> <re> <im>'",
@@ -54,7 +68,7 @@ def _converts(cast, token: str) -> bool:
     return True
 
 
-def _ints(values: list) -> np.ndarray:
+def _ints(values) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -68,12 +82,26 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _complex(re: list, im) -> np.ndarray:
+def _complex(re, im) -> np.ndarray:
     """``complex(re, im)`` entrywise, without arithmetic (signed zeros kept)."""
     v = np.empty(len(re), dtype=np.complex128)
     v.real = re
     v.imag = im
     return v
+
+
+def _table(bodies: list, tag: str):
+    """The bodies converted in C, one field per column, or ``None`` if a body
+    has the wrong width or a token that does not convert."""
+    with warnings.catch_warnings():
+        # numpy 1.x reads '1.0' into an int column with a DeprecationWarning
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(bodies, dtype=_DTYPES[tag], comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    # loadtxt skips an empty body instead of refusing it
+    return table if len(table) == len(bodies) else None
 
 
 class _FirstBad:
@@ -84,9 +112,8 @@ class _FirstBad:
     fails no earlier check: the reason is the one the checks' order gives.
     """
 
-    def __init__(self, rows: list):
-        self.rows = rows
-        self.n = len(rows)  # rows seen: the index of the first bad row, if any
+    def __init__(self, n: int):
+        self.n = n  # rows seen: the index of the first bad row, if any
         self.reason = None
 
     def fail(self, k: int, reason: str):
@@ -99,10 +126,10 @@ class _FirstBad:
             k = int(np.argmax(bad))
             self.fail(k, reason(k))
 
-    def columns(self, spec) -> list[list]:
-        """The token columns after the first, each converted by its type."""
+    def columns(self, rows: list, spec) -> list[list]:
+        """The token columns of ``rows``, each converted by its type."""
         out = []
-        for (what, cast), col in zip(spec, list(zip(*self.rows))[1:]):
+        for (what, cast), col in zip(spec, zip(*rows[: self.n])):
             col = col[: self.n]
             try:
                 out.append(list(map(cast, col)))
@@ -113,11 +140,10 @@ class _FirstBad:
         return [c[: self.n] for c in out]
 
 
-def _onsite(rows: list, length: int, n0: int):
-    """``(x, i, j, values), None`` for valid V rows, else ``None, (line_no, reason)``
-    of the first bad row."""
-    scan = _FirstBad(rows)
-    xs, is_, js, res, ims = scan.columns(_ONSITE_COLUMNS)
+def _onsite(scan: _FirstBad, columns, length: int, n0: int):
+    """``(x, i, j, values)`` of valid V rows, else ``None`` with the first bad
+    row kept on ``scan``."""
+    xs, is_, js, res, ims = columns
     x, i, j = _ints(xs), _ints(is_), _ints(js)
     scan.check((x < 1) | (x > length), lambda k: f"x={xs[k]} out of range 1..{length}")
     scan.check(
@@ -136,19 +162,18 @@ def _onsite(rows: list, length: int, n0: int):
         diag & (np.abs(im) > HERMITIAN_TOL),
         lambda k: (
             f"diagonal on-site entry must be real within {HERMITIAN_TOL:g}, "
-            f"got imaginary part {ims[k]!r}"
+            f"got imaginary part {float(ims[k])!r}"
         ),
     )
     if scan.reason is not None:
-        return None, (rows[scan.n][0], scan.reason)
-    return (x, i, j, _complex(res, np.where(diag, 0.0, im))), None
+        return None
+    return x, i, j, _complex(res, np.where(diag, 0.0, im))
 
 
-def _hopping(rows: list, length: int, n0: int):
-    """``(x, x', i, j, values), None`` for valid T rows, else
-    ``None, (line_no, reason)`` of the first bad row."""
-    scan = _FirstBad(rows)
-    xs, xps, is_, js, res, ims = scan.columns(_HOPPING_COLUMNS)
+def _hopping(scan: _FirstBad, columns, length: int, n0: int):
+    """``(x, x', i, j, values)`` of valid T rows, else ``None`` with the first
+    bad row kept on ``scan``."""
+    xs, xps, is_, js, res, ims = columns
     x, xp, i, j = _ints(xs), _ints(xps), _ints(is_), _ints(js)
     scan.check(
         (x < 1) | (x > length) | (xp < 1) | (xp > length),
@@ -165,8 +190,11 @@ def _hopping(rows: list, length: int, n0: int):
         lambda k: f"duplicate hopping entry T {xs[k]} {xps[k]} {is_[k]} {js[k]}",
     )
     if scan.reason is not None:
-        return None, (rows[scan.n][0], scan.reason)
-    return (x, xp, i, j, _complex(res, ims)), None
+        return None
+    return x, xp, i, j, _complex(res, ims)
+
+
+_CHECKS = {"V": _onsite, "T": _hopping}
 
 
 def _header(tokens: list, line_no: int, current) -> int:
@@ -189,46 +217,71 @@ def parse_model(text: str) -> ModelSpec:
     """Parse a model from text; see the module docstring for the format."""
     length = n0 = None
     label = ""
-    # V and T rows in file order, each with its tag replaced by its line number
-    v_rows, t_rows = [], []
+    # line numbers and bodies (the text after the tag) of the V and T lines
+    v_lines, v_bodies, t_lines, t_bodies = [], [], [], []
     declared = False
-    # a header or row-shape error ends the scan: only the rows before its
-    # line can still hold an earlier error
+    # a header error ends the scan: only the lines before it can still hold
+    # an earlier error
     pending = None
-    lines = text.splitlines()
     try:
-        for line_no, tokens in enumerate(map(str.split, lines), start=1):
-            if not tokens:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            parts = line.split(None, 1)
+            if not parts:
                 continue
-            tag = tokens[0]
-            if tag == "V" and declared and len(tokens) == 6:
-                tokens[0] = line_no
-                v_rows.append(tokens)
-            elif tag == "T" and declared and len(tokens) == 7:
-                tokens[0] = line_no
-                t_rows.append(tokens)
+            tag = parts[0]
+            if tag == "V" and declared:
+                v_lines.append(line_no)
+                v_bodies.append(parts[1] if len(parts) == 2 else "")
+            elif tag == "T" and declared:
+                t_lines.append(line_no)
+                t_bodies.append(parts[1] if len(parts) == 2 else "")
             elif tag[0] == "#":
                 continue
             elif tag in _EXPECTED:
-                if not declared:
-                    raise ModelFormatError(line_no, "L and N0 must be declared before entries")
-                raise ModelFormatError(line_no, _EXPECTED[tag])
+                raise ModelFormatError(line_no, "L and N0 must be declared before entries")
             elif tag == "L":
-                length = _header(tokens, line_no, length)
+                length = _header(line.split(), line_no, length)
                 declared = n0 is not None
             elif tag == "N0":
-                n0 = _header(tokens, line_no, n0)
+                n0 = _header(line.split(), line_no, n0)
                 declared = length is not None
             elif tag == "label":
-                label = lines[line_no - 1].strip()[len("label") :].strip()
+                label = parts[1].strip() if len(parts) == 2 else ""
             else:
                 raise ModelFormatError(line_no, f"unknown directive {tag!r}")
     except ModelFormatError as exc:
         pending = exc
 
-    onsite, bad_onsite = _onsite(v_rows, length, n0) if v_rows else (None, None)
-    hopping, bad_hopping = _hopping(t_rows, length, n0) if t_rows else (None, None)
-    errors = [e for e in (bad_onsite, bad_hopping) if e is not None]
+    # each kind converts in C, or else is split into tokens; a row of the
+    # wrong width ends the file as a header error does
+    kinds = {}
+    for tag, lines, bodies in (("V", v_lines, v_bodies), ("T", t_lines, t_bodies)):
+        if not bodies:
+            continue
+        table, rows = _table(bodies, tag), None
+        if table is None:
+            rows = [body.split() for body in bodies]
+            width = len(_COLUMNS[tag])
+            k = next((k for k, row in enumerate(rows) if len(row) != width), None)
+            if k is not None and (pending is None or lines[k] < pending.line_no):
+                pending = ModelFormatError(lines[k], _EXPECTED[tag])
+        kinds[tag] = (lines, table, rows)
+
+    parsed, errors = {}, []
+    for tag, (lines, table, rows) in kinds.items():
+        n = len(lines)
+        if pending is not None:
+            n = int(np.searchsorted(lines, pending.line_no))
+        if n == 0:
+            continue
+        scan = _FirstBad(n)
+        if table is None:
+            columns = scan.columns(rows, _COLUMNS[tag])
+        else:
+            columns = [table[what][:n] for what, _ in _COLUMNS[tag]]
+        parsed[tag] = _CHECKS[tag](scan, columns, length, n0)
+        if scan.reason is not None:
+            errors.append((lines[scan.n], scan.reason))
     if errors:
         raise ModelFormatError(*min(errors))
     if pending is not None:
@@ -238,14 +291,14 @@ def parse_model(text: str) -> ModelSpec:
 
     on = np.zeros((length, n0, n0), dtype=np.complex128)
     on_mask = np.zeros(length, dtype=bool)
-    if onsite is not None:
-        x, i, j, v = onsite
+    if "V" in parsed:
+        x, i, j, v = parsed["V"]
         on[x - 1, i - 1, j - 1] = v
         on[x - 1, j - 1, i - 1] = v.conj()
         on_mask[x - 1] = True
     bands = {}
-    if hopping is not None:
-        x, xp, i, j, v = hopping
+    if "T" in parsed:
+        x, xp, i, j, v = parsed["T"]
         dist = xp - x
         for d in np.unique(dist).tolist():
             at = dist == d
@@ -258,9 +311,16 @@ def parse_model(text: str) -> ModelSpec:
 
 
 def load_model(path) -> ModelSpec:
-    """Parse a model file from disk."""
-    with open(path, "r") as fh:
-        return parse_model(fh.read())
+    """Parse a UTF-8 model file from disk."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is one more than the line breaks before it
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ModelFormatError(line_no, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    return parse_model(text)
 
 
 def format_model(spec: ModelSpec) -> str:
@@ -303,6 +363,6 @@ def format_model(spec: ModelSpec) -> str:
 
 
 def dump_model(spec: ModelSpec, path):
-    """Write a model file to disk."""
-    with open(path, "w", newline="\n") as fh:
+    """Write a model file to disk, as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_model(spec))

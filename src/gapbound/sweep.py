@@ -162,14 +162,23 @@ def format_sweep_csv(rows) -> str:
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_sweep_csv(rows))
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
-    """Read rows back from a sweep CSV (violation counts are not stored)."""
-    with open(path, "r") as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    """Read rows back from a UTF-8 sweep CSV (violation counts are not stored)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is one more than the line breaks before it
+        no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValidationError(
+            f"{path}, line {no}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != SWEEP_CSV_HEADER:
         raise ValidationError(f"{path} is not a sweep CSV (bad header)")
     rows = []

@@ -165,6 +165,29 @@ def test_malformed_model_exits_1(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,name,data",
+    [
+        ("solve", "bad.txt", b"L 2\r\nN0 1\nlabel caf\xff\nV 1 1 1 0 0\n"),
+        (
+            "plot",
+            "bad.csv",
+            b"h0,E0,E1,gap,deltaX,xi_fit,xi1,xi2,ratio1,ratio2,fit_r_squared\n\n"
+            b"1,2,3,4,5,6,7,8,9,10,11\xff\n",
+        ),
+    ],
+    ids=["model", "csv"],
+)
+def test_undecodable_input_exits_1(tmp_path, capsys, command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    extra = ["--out", str(tmp_path / "fig.svg")] if command == "plot" else []
+    code = main([command, str(path), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "line 3" in err and "0xff" in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "nope.txt")])
     assert code == 1

@@ -122,6 +122,9 @@ def test_onsite_symmetrization_keeps_bits_and_does_not_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stored = ModelSpec(1, 3, onsite_blocks=[(1, huge)]).onsite[1]
+        # the Hermiticity check of entries of opposite sign must not overflow either
+        with pytest.raises(NonHermitianError, match="x=1"):
+            ModelSpec(1, 2, onsite_blocks=[(1, [[0, 1e308], [-1e308, 0]])])
     np.testing.assert_array_equal(stored, huge)
 
 
