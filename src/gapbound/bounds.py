@@ -8,10 +8,14 @@ real site weight ``g(x)`` define the diagonal operator
 
 On a non-degenerate ground state the spectral gap and the variance of G
 obey ``gap * var(G) <= |<H_OD>| / 2``.  The expectation ``<H_OD>`` can be
-computed two independent ways: directly as the weighted pair sum, or as
-``<[G, [G, H]]>`` via matrix commutators; both are recorded and must
-agree.  (On the ground state the signed value is never positive; the
-absolute value is what enters the inequality.)
+computed two independent ways: directly as the weighted pair sum over the
+stored hopping blocks, or as ``<[G, [G, H]]>`` on the band of the
+assembled operator; both are recorded and must agree.  (On the ground
+state the signed value is never positive; the absolute value is what
+enters the inequality.)  Both routes weight products of the ground state
+that do not depend on ``g``: a per-state record computes the density and
+these products once, and every complementary and Appendix-B check on the
+state reads them, so each further weight costs a few dot products.
 
 Three tail bounds for ``P(|x - <x>| >= R)`` are derived from it:
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,16 +167,170 @@ class ComplementaryReport:
         return self.slack >= -tol and self.agreement <= tol
 
 
-def _hod_explicit(psi: np.ndarray, spec: ModelSpec, gvals: np.ndarray) -> float:
-    """<H_OD> as 2 * sum over stored pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
-    a = psi.reshape(spec.length, spec.n0)
-    acc = 0.0
+def _stored_pair_products(a: np.ndarray, spec: ModelSpec):
+    """``(left, right, pair)``: the 0-based sites ``x`` and ``x + d`` of every
+    stored pair, all distances concatenated, and ``Re(a_x^dag h a_{x+d})``."""
+    none = np.zeros(0, dtype=np.intp)
+    left, right, pair = [none], [none], [np.zeros(0)]
     for d, (blocks, mask) in spec.hopping_bands.items():
         x0 = np.flatnonzero(mask)
-        dg = gvals[x0] - gvals[x0 + d]
-        pair = np.einsum("mi,mij,mj->m", a[x0].conj(), blocks[x0], a[x0 + d]).real
-        acc += 2.0 * float(np.sum(dg * dg * pair))
-    return acc
+        left.append(x0)
+        right.append(x0 + d)
+        # every row at once, then the stored ones: cheaper than gathering blocks
+        pair.append(np.einsum("mi,mij,mj->m", a[:-d].conj(), blocks, a[d:]).real[x0])
+    return np.concatenate(left), np.concatenate(right), np.concatenate(pair)
+
+
+@dataclass(frozen=True)
+class _GroundState:
+    """The weight-independent products of one ground state, computed once.
+
+    ``<H_OD> = 2 sum (g(x) - g(x'))^2 Re(psi_x^dag H[x, x'] psi_x')`` is a
+    weighted sum of products that do not depend on ``g``.  Built by
+    :meth:`of`, the record holds the validated density ``profile`` and the
+    stored-pair products (``left``, ``right``, ``pair``); the products of
+    the assembled band are formed on the first commutator evaluation, so
+    a caller that only runs the Appendix-B check never pays for them.
+    Each weight then costs a few dot products.
+    """
+
+    spec: ModelSpec
+    psi: np.ndarray
+    profile: DensityProfile
+    left: np.ndarray
+    right: np.ndarray
+    pair: np.ndarray
+
+    @classmethod
+    def of(cls, psi0: np.ndarray, spec: ModelSpec) -> "_GroundState":
+        psi = np.asarray(psi0, dtype=np.complex128)
+        profile = density(psi, spec)
+        a = psi.reshape(spec.length, spec.n0)
+        return cls(spec, psi, profile, *_stored_pair_products(a, spec))
+
+    def hod_explicit(self, gx: np.ndarray) -> float:
+        """<H_OD> as 2 * sum over stored pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
+        dg = gx[self.left] - gx[self.right]
+        return 2.0 * float(np.dot(dg * dg, self.pair))
+
+    @cached_property
+    def _operator(self):
+        return assemble(self.spec)
+
+    @cached_property
+    def _band_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row_site, col_site, prod)`` over the nonzero entries ``(k, j)``,
+        ``k >= 1``, of the band: ``prod = Re(conj(psi_{j+k}) H[j+k, j] psi_j)``
+        and the 0-based sites of row ``j + k`` and column ``j``.
+
+        Row ``k = 0`` is left out: ``[G, [G, H]]`` has a zero diagonal.
+        """
+        band = self._operator.band
+        k, j = np.nonzero(band[1:])
+        k += 1
+        i = j + k
+        prod = (self.psi[i].conj() * band[k, j] * self.psi[j]).real
+        return i // self.spec.n0, j // self.spec.n0, prod
+
+    def hod_commutator(self, gx: np.ndarray) -> float:
+        """<psi, [G, [G, H]] psi> read off the band of the assembled operator.
+
+        ``[G, X]`` for the diagonal ``G`` is a row scaling minus a column
+        scaling, so the band entry ``(k, j)`` of ``[G, [G, H]]`` is
+        ``(g_{j+k} - g_j)^2 H[j+k, j]``; each lower entry stands for itself
+        and its conjugate mirror.
+        """
+        row_site, col_site, prod = self._band_products
+        dg = gx[row_site] - gx[col_site]
+        return 2.0 * float(np.dot(dg * dg, prod))
+
+    def complementary(self, g: WeightFunction, delta_e0: float) -> ComplementaryReport:
+        """The complementary inequality for the weight ``g`` (see :func:`g_expectations`)."""
+        spec = self.spec
+        if g.length != spec.length:
+            raise ValidationError(
+                f"weight function has {g.length} sites, model has {spec.length}"
+            )
+        gx = g.g
+        # Python floats: an overflow gives inf or nan here, never an exception
+        gmax = max(1.0, float(np.max(np.abs(gx))))
+        scale = spectral_scale(self._operator) * (gmax * gmax)
+        if not math.isfinite(scale):
+            raise ValidationError(
+                f"weight function too large: max|g|^2 * spectral scale = {scale} "
+                f"(max|g| = {gmax:.6g})"
+            )
+        p = self.profile.p
+        mean_g = float(np.dot(gx, p))
+        mean_g2 = float(np.dot(gx * gx, p))
+        var_g = float(np.dot((gx - mean_g) ** 2, p))
+        hod_explicit = self.hod_explicit(gx)
+        lhs = delta_e0 * var_g
+        rhs = abs(hod_explicit) / 2.0
+        return ComplementaryReport(
+            mean_g=mean_g,
+            mean_g2=mean_g2,
+            var_g=var_g,
+            hod_explicit=hod_explicit,
+            hod_commutator=self.hod_commutator(gx),
+            lhs=lhs,
+            rhs=rhs,
+            slack=rhs - lhs,
+            scale=scale,
+        )
+
+    def appendixB(
+        self,
+        envelope: HoppingEnvelope,
+        g: WeightFunction,
+        region: tuple[float, float, float],
+    ) -> AppendixBReport:
+        """The trapezoid coupling bound for ``g`` (see :func:`verify_appendixB`)."""
+        spec = self.spec
+        r_inner, delta_r, center = region
+        expected = trapezoid_g(spec.length, center, r_inner, delta_r, THEOREM1)
+        if g.length != spec.length or np.max(np.abs(g.g - expected.g)) > 1e-9 * max(
+            1.0, delta_r
+        ):
+            raise ValidationError(
+                "mismatched g shape: weight function does not match the "
+                f"theorem1 trapezoid for region (r_inner={r_inner}, "
+                f"delta_r={delta_r}, center={center})"
+            )
+        require_envelope(spec, envelope)
+
+        gx = g.g
+        p = self.profile.p
+        x = np.arange(1, spec.length + 1, dtype=float)
+        d = np.abs(x[:, None] - x[None, :])
+        dg2 = (gx[:, None] - gx[None, :]) ** 2
+        v_direct = 2.0 * np.sum(dg2 * envelope.cv * np.exp(-envelope.mu * d), axis=1)
+
+        c1 = c1_constant(envelope)
+        u = np.abs(x - center)
+        a = r_inner + delta_r / 3.0
+        b = r_inner + 2.0 * delta_r / 3.0
+        # one exponent for all three pieces: the far-side exponent is never
+        # evaluated at a site, so nothing overflows far from the centre
+        v_piece = c1 * np.exp(-envelope.mu * (np.maximum(a - u, 0.0) + np.maximum(u - b, 0.0)))
+
+        report = AppendixBReport(
+            hod_abs=abs(self.hod_explicit(gx)),
+            bound_direct=float(np.dot(v_direct, p)),
+            bound_piecewise=float(np.dot(v_piece, p)),
+            pointwise_margin=float(np.min(v_piece - v_direct)),
+            c1=c1,
+            region=(float(r_inner), float(delta_r), float(center)),
+        )
+        if not report.ok:
+            raise InvariantViolation(
+                "trapezoid coupling bound failed: "
+                f"|<H_OD>|={report.hod_abs:.6g}, direct={report.bound_direct:.6g}, "
+                f"piecewise={report.bound_piecewise:.6g}, "
+                f"pointwise margin={report.pointwise_margin:.3e}",
+                report=report,
+            )
+        return report
 
 
 def g_expectations(
@@ -185,52 +344,11 @@ def g_expectations(
     ``<H_OD>`` is computed twice: from the stored hopping blocks and from
     the double commutator ``[G, [G, H]]`` on the band of the assembled
     operator (memoised on ``spec``, so the caller's solve and this check
-    share one band), in O(n * bandwidth).
+    share one band), in O(n * bandwidth).  ``scale`` is
+    ``spectral_scale * max(1, max|g|)^2``; a weight for which it is not a
+    finite float is refused with :class:`ValidationError`.
     """
-    if g.length != spec.length:
-        raise ValidationError(
-            f"weight function has {g.length} sites, model has {spec.length}"
-        )
-    psi = np.asarray(psi0, dtype=np.complex128)
-    prof = density(psi, spec)
-    gx = g.g
-    p = prof.p
-    mean_g = float(np.dot(gx, p))
-    mean_g2 = float(np.dot(gx * gx, p))
-    var_g = float(np.dot((gx - mean_g) ** 2, p))
-
-    hod_explicit = _hod_explicit(psi, spec, gx)
-
-    h = assemble(spec)
-    band = h.band
-    gfull = np.repeat(gx, spec.n0)
-    # [G, X] for the diagonal G is a row scaling minus a column scaling; the
-    # band entry (k, j) sits in row j + k and column j.  Entries past the end
-    # of the band are zero, so the padding values never matter.
-    rows = np.arange(band.shape[0])[:, None] + np.arange(h.n)
-    pad = np.zeros(band.shape[0] - 1)
-    g_row = np.concatenate((gfull, pad))[rows]
-    comm = g_row * band - band * gfull
-    comm2 = g_row * comm - comm * gfull
-    # <psi, C psi> for the Hermitian C = [G, [G, H]]: its diagonal is zero,
-    # each lower entry stands for itself and its conjugate mirror
-    psi_row = np.concatenate((psi, pad))[rows]
-    hod_commutator = 2.0 * float(np.real(np.sum(psi_row.conj() * comm2 * psi)))
-
-    lhs = delta_e0 * var_g
-    rhs = abs(hod_explicit) / 2.0
-    scale = spectral_scale(h) * max(1.0, float(np.max(np.abs(gx)))) ** 2
-    return ComplementaryReport(
-        mean_g=mean_g,
-        mean_g2=mean_g2,
-        var_g=var_g,
-        hod_explicit=hod_explicit,
-        hod_commutator=hod_commutator,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        scale=scale,
-    )
+    return _GroundState.of(psi0, spec).complementary(g, delta_e0)
 
 
 def c1_constant(envelope: HoppingEnvelope) -> float:
@@ -286,11 +404,18 @@ def variance_upper_bound(source, length: int, delta_e0: float) -> float:
     return float(np.max(site_coupling_profile(source, length))) / (2.0 * delta_e0)
 
 
-def chebyshev_tail_bound(source, length: int, delta_e0: float, r: float) -> float:
-    """Power-law tail bound ``min(1, max_x V_x / (2 R^2 gap))``."""
-    if not r > 0:
-        raise ValidationError(f"radius must be positive, got {r}")
-    return min(1.0, variance_upper_bound(source, length, delta_e0) / (r * r))
+def chebyshev_tail_bound(source, length: int, delta_e0: float, r):
+    """Power-law tail bound ``min(1, max_x V_x / (2 R^2 gap))``.
+
+    ``r`` may be a scalar (returns a float) or an array of radii (returns
+    an array); the coupling profile is computed once for all of them.
+    """
+    r = np.asarray(r, dtype=float)
+    bad = ~(r > 0)  # NaN fails too
+    if np.any(bad):
+        raise ValidationError(f"radius must be positive, got {r[bad][0]}")
+    out = np.minimum(1.0, variance_upper_bound(source, length, delta_e0) / (r * r))
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_bound_params(delta_e0: float, s: float, delta_x: float):
@@ -454,53 +579,7 @@ def verify_appendixB(
     and ``|<H_OD>| <= sum_x V_{g,x} p_x`` for any model the envelope
     dominates.  Raises :class:`InvariantViolation` if either stage fails.
     """
-    r_inner, delta_r, center = region
-    expected = trapezoid_g(spec.length, center, r_inner, delta_r, THEOREM1)
-    if g.length != spec.length or np.max(np.abs(g.g - expected.g)) > 1e-9 * max(
-        1.0, delta_r
-    ):
-        raise ValidationError(
-            "mismatched g shape: weight function does not match the "
-            f"theorem1 trapezoid for region (r_inner={r_inner}, "
-            f"delta_r={delta_r}, center={center})"
-        )
-    require_envelope(spec, envelope)
-
-    psi = np.asarray(psi0, dtype=np.complex128)
-    prof = density(psi, spec)
-    gx = g.g
-    hod_abs = abs(_hod_explicit(psi, spec, gx))
-
-    x = np.arange(1, spec.length + 1, dtype=float)
-    d = np.abs(x[:, None] - x[None, :])
-    dg2 = (gx[:, None] - gx[None, :]) ** 2
-    v_direct = 2.0 * np.sum(dg2 * envelope.cv * np.exp(-envelope.mu * d), axis=1)
-
-    c1 = c1_constant(envelope)
-    u = np.abs(x - center)
-    a = r_inner + delta_r / 3.0
-    b = r_inner + 2.0 * delta_r / 3.0
-    # one exponent for all three pieces: the far-side exponent is never
-    # evaluated at a site, so nothing overflows far from the centre
-    v_piece = c1 * np.exp(-envelope.mu * (np.maximum(a - u, 0.0) + np.maximum(u - b, 0.0)))
-
-    report = AppendixBReport(
-        hod_abs=hod_abs,
-        bound_direct=float(np.dot(v_direct, prof.p)),
-        bound_piecewise=float(np.dot(v_piece, prof.p)),
-        pointwise_margin=float(np.min(v_piece - v_direct)),
-        c1=c1,
-        region=(float(r_inner), float(delta_r), float(center)),
-    )
-    if not report.ok:
-        raise InvariantViolation(
-            "trapezoid coupling bound failed: "
-            f"|<H_OD>|={report.hod_abs:.6g}, direct={report.bound_direct:.6g}, "
-            f"piecewise={report.bound_piecewise:.6g}, "
-            f"pointwise margin={report.pointwise_margin:.3e}",
-            report=report,
-        )
-    return report
+    return _GroundState.of(psi0, spec).appendixB(envelope, g, region)
 
 
 def best_s(

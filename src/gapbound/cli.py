@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -171,7 +172,7 @@ def _config_value_ok(key: str, value) -> bool:
 def _sweep_config(args) -> SweepConfig:
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
             except ValueError as exc:
@@ -185,6 +186,15 @@ def _sweep_config(args) -> SweepConfig:
         for key, value in cfg.items():
             if not _config_value_ok(key, value):
                 raise ValidationError(f"config key {key!r}: bad value {value!r}")
+        # a JSON string may hold a file name the file system cannot: refuse it
+        # before the sweep runs, so that no file is left behind
+        try:
+            os.fsencode(cfg.get("out", ""))
+        except UnicodeEncodeError:
+            raise ValidationError(
+                f"config key 'out': {cfg['out']!r} cannot be encoded as a file name "
+                f"in the file-system encoding {sys.getfilesystemencoding()!r}"
+            ) from None
 
     def pick(cast, flag, key, fallback):
         value = flag if flag is not None else cfg.get(key, fallback)

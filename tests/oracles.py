@@ -6,7 +6,9 @@ bisection on the tridiagonal form, series constants from direct partial
 summation.  Only ``dense_counts`` calls a LAPACK symmetric eigensolver, on
 the dense matrix, to check the banded inertia counts, which never form it.
 The model-file reference parser and formatter read and write one entry at
-a time.
+a time.  The complementary and Appendix-B references recompute every
+weight-independent product from ``psi0`` on each call, per hopping
+distance, as the package did before it shared them per ground state.
 """
 
 from __future__ import annotations
@@ -388,3 +390,83 @@ def reference_format_model(spec) -> str:
                 if v != 0:
                     lines.append(f"T {x} {xp} {i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def reference_hod_explicit(psi, spec, gvals) -> float:
+    """<H_OD> summed one hopping distance at a time over the stored pairs."""
+    a = psi.reshape(spec.length, spec.n0)
+    acc = 0.0
+    for d, (blocks, mask) in spec.hopping_bands.items():
+        x0 = np.flatnonzero(mask)
+        dg = gvals[x0] - gvals[x0 + d]
+        pair = np.einsum("mi,mij,mj->m", a[x0].conj(), blocks[x0], a[x0 + d]).real
+        acc += 2.0 * float(np.sum(dg * dg * pair))
+    return acc
+
+
+def reference_g_expectations(psi0, spec, g, delta_e0) -> dict:
+    """Every field of the complementary report, from ``psi0`` afresh.
+
+    The commutator route forms ``[G, [G, H]]`` on the whole band, its
+    diagonal row included, by two row-minus-column scalings.
+    """
+    from gapbound import assemble
+    from gapbound.eigensolver import spectral_scale
+
+    psi = np.asarray(psi0, dtype=np.complex128)
+    p = (np.abs(psi.reshape(spec.length, spec.n0)) ** 2).sum(axis=1)
+    gx = g.g
+    mean_g = float(np.dot(gx, p))
+    var_g = float(np.dot((gx - mean_g) ** 2, p))
+    hod_explicit = reference_hod_explicit(psi, spec, gx)
+    h = assemble(spec)
+    band = h.band
+    gfull = np.repeat(gx, spec.n0)
+    rows = np.arange(band.shape[0])[:, None] + np.arange(h.n)
+    pad = np.zeros(band.shape[0] - 1)
+    g_row = np.concatenate((gfull, pad))[rows]
+    comm = g_row * band - band * gfull
+    comm2 = g_row * comm - comm * gfull
+    psi_row = np.concatenate((psi, pad))[rows]
+    lhs = delta_e0 * var_g
+    rhs = abs(hod_explicit) / 2.0
+    return {
+        "mean_g": mean_g,
+        "mean_g2": float(np.dot(gx * gx, p)),
+        "var_g": var_g,
+        "hod_explicit": hod_explicit,
+        "hod_commutator": 2.0 * float(np.real(np.sum(psi_row.conj() * comm2 * psi))),
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": rhs - lhs,
+        "scale": spectral_scale(h) * max(1.0, float(np.max(np.abs(gx)))) ** 2,
+    }
+
+
+def reference_appendixB(spec, envelope, g, psi0, region) -> dict:
+    """Every field of the Appendix-B report, from ``psi0`` afresh, by site loops."""
+    r_inner, delta_r, center = region
+    psi = np.asarray(psi0, dtype=np.complex128)
+    p = (np.abs(psi.reshape(spec.length, spec.n0)) ** 2).sum(axis=1)
+    gx = g.g
+    q = math.exp(-envelope.mu)
+    c1 = 4.0 * envelope.cv * (1.0 + q) / (1.0 - q) ** 3
+    a = r_inner + delta_r / 3.0
+    b = r_inner + 2.0 * delta_r / 3.0
+    v_direct, v_piece = [], []
+    for x in range(spec.length):
+        v_direct.append(2.0 * sum(
+            (gx[x] - gx[y]) ** 2 * envelope.cv * math.exp(-envelope.mu * abs(x - y))
+            for y in range(spec.length)
+        ))
+        u = abs(x + 1 - center)
+        v_piece.append(c1 * math.exp(-envelope.mu * (max(a - u, 0.0) + max(u - b, 0.0))))
+    v_direct, v_piece = np.array(v_direct), np.array(v_piece)
+    return {
+        "hod_abs": abs(reference_hod_explicit(psi, spec, gx)),
+        "bound_direct": float(np.dot(v_direct, p)),
+        "bound_piecewise": float(np.dot(v_piece, p)),
+        "pointwise_margin": float(np.min(v_piece - v_direct)),
+        "c1": c1,
+        "region": (float(r_inner), float(delta_r), float(center)),
+    }

@@ -38,10 +38,20 @@ from gapbound import (
     write_bound_csv,
     write_envelope_csv,
 )
-from gapbound.bounds import ENVELOPE_TOL
-from gapbound.fuzz import random_model, trial_rng
+from gapbound.bounds import ENVELOPE_TOL, _GroundState
+from gapbound.eigensolver import spectral_scale
+from gapbound.errors import DegenerateGroundState
+from gapbound.fuzz import FAMILIES, _random_weight, random_model, trial_rng
+from gapbound.lattice import strip_model
 
-from oracles import band_to_dense, brute_tail, c1_partial, envelope_coupling_partial
+from oracles import (
+    band_to_dense,
+    brute_tail,
+    c1_partial,
+    envelope_coupling_partial,
+    reference_appendixB,
+    reference_g_expectations,
+)
 
 _E = math.e
 
@@ -142,6 +152,73 @@ def test_weight_dimension_mismatch():
         g_expectations(res.psi0, spec, position_weight(4), res.gap)
 
 
+def test_g_expectations_refuses_a_weight_it_cannot_square():
+    spec = impurity_model(10, -0.5)
+    res = lowest_two(assemble(spec))
+    scale = spectral_scale(assemble(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for top in (1e200, 1e154, np.sqrt(np.finfo(float).max / scale) * 1.001):
+            g = WeightFunction(np.linspace(0.0, top, spec.length))
+            with pytest.raises(ValidationError, match="weight function too large"):
+                g_expectations(res.psi0, spec, g, res.gap)
+        # the largest weights whose squared maximum times the scale is finite
+        for top in (1e150, np.sqrt(np.finfo(float).max / scale) * 0.999):
+            rep = g_expectations(res.psi0, spec, WeightFunction(np.linspace(0.0, top, spec.length)), res.gap)
+            assert np.isfinite(rep.scale) and np.isfinite(rep.hod_commutator)
+            assert rep.ok
+
+
+def _differential_cases():
+    """(spec, envelope or None, rng) for 100 fuzz models of each family, one
+    disordered strip and one impurity chain."""
+    for family in FAMILIES:
+        for i in range(100):
+            rng = trial_rng(2718, i)
+            spec, env, _ = random_model(rng, family=family)
+            yield spec, env, rng
+    rng = np.random.default_rng(5)
+    strip = strip_model(24, 3)
+    onsite = [(x, b + np.diag(rng.uniform(-3.0, 3.0, 3))) for x, b in strip.onsite.items()]
+    hops = [(x, xp, b) for (x, xp), b in strip.offdiag.items()]
+    yield ModelSpec(24, 3, hops, onsite), None, rng
+    yield impurity_model(60, -0.5), None, rng
+
+
+def test_ground_state_record_matches_per_call_formulas():
+    # the fuzz trial's three weights and its trapezoid, read off one record,
+    # against the formulas that recompute everything from psi0 per call
+    solved = 0
+    for spec, env, rng in _differential_cases():
+        try:
+            res = lowest_two(assemble(spec))
+        except DegenerateGroundState:
+            continue
+        solved += 1
+        state = _GroundState.of(res.psi0, spec)
+        g = _random_weight(rng, spec.length)
+        for w in (g, WeightFunction(g.g + 7.5), WeightFunction(2.0 * g.g)):
+            rep = state.complementary(w, res.gap)
+            assert rep == g_expectations(res.psi0, spec, w, res.gap)
+            want = reference_g_expectations(res.psi0, spec, w, res.gap)
+            tol = 1e-12 * want["scale"]
+            for name, value in want.items():
+                assert abs(getattr(rep, name) - value) <= tol, name
+        stats = position_stats(state.profile)
+        env = env or fit_envelope(spec, mu=1.0)
+        region = (float(rng.uniform(0.0, spec.length / 4.0)),
+                  float(rng.uniform(3.2, max(4.2, spec.length / 3.0))), stats.mean)
+        gtrap = trapezoid_g(spec.length, stats.mean, region[0], region[1], "theorem1")
+        rep = state.appendixB(env, gtrap, region)
+        assert rep == verify_appendixB(spec, env, gtrap, res.psi0, region)
+        want = reference_appendixB(spec, env, gtrap, res.psi0, region)
+        assert rep.region == want.pop("region")
+        tol = 1e-12 * max(want["c1"], spectral_scale(assemble(spec)) * max(1.0, region[1]) ** 2)
+        for name, value in want.items():
+            assert abs(getattr(rep, name) - value) <= tol, name
+    assert solved >= 190
+
+
 def test_potential_shift_invariance():
     spec = impurity_model(10, -0.7)
     res, prof, stats = _solve(spec)
@@ -235,6 +312,21 @@ def test_chebyshev_limits():
         chebyshev_tail_bound(env, 100, 1.0, 0.0)
     with pytest.raises(ValidationError):
         variance_upper_bound(env, 100, 0.0)
+
+
+def test_chebyshev_takes_an_array_of_radii():
+    # one coupling profile for all radii, and each value bit for bit the scalar call's
+    radii = np.array([0.3, 1.0, 2.5, 7.0, 1e9, np.inf])
+    for src in (HoppingEnvelope(cv=1.3, mu=0.7), NNBound(v0=0.8)):
+        got = chebyshev_tail_bound(src, 30, 0.05, radii)
+        assert isinstance(got, np.ndarray) and got.shape == radii.shape
+        want = [chebyshev_tail_bound(src, 30, 0.05, float(r)) for r in radii]
+        assert all(isinstance(w, float) for w in want)
+        assert got.tobytes() == np.array(want).tobytes()
+    env = HoppingEnvelope(cv=1.0, mu=1.0)
+    for bad in ([1.0, 0.0], [2.0, -1.0], [np.nan, 1.0], np.nan, -3.0):
+        with pytest.raises(ValidationError, match="radius must be positive"):
+            chebyshev_tail_bound(env, 100, 1.0, bad)
 
 
 def test_variance_bound_on_random_specs():

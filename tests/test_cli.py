@@ -136,6 +136,38 @@ def test_sweep_config_bad_file_exits_1(tmp_path, capsys, text):
     assert not (tmp_path / "s.csv").exists()
 
 
+# the C locale with both of Python's UTF-8 fallbacks off: the locale encoding
+# and the file-system encoding are ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"L": 40, "points": 2, "out": "s.csv", "h0_m\u00edn": -1.0}, "unknown config keys"),
+        ({"L": 40, "points": 2, "out": "caf\u00e9.csv"}, "cannot be encoded as a file name"),
+    ],
+    ids=["read", "write"],
+)
+def test_sweep_config_is_utf8_in_an_ascii_locale(tmp_path, config, message):
+    # the config is read as UTF-8 whatever the locale; an output name the
+    # file system cannot hold is refused before anything is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps(config, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(gapbound.__file__).resolve().parents[1])
+    env = dict(os.environ, **ASCII_LOCALE)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapbound.cli", "sweep", "--config", str(cfg)],
+        env=env, cwd=tmp_path, capture_output=True, timeout=120,
+    )
+    err = proc.stderr.decode("ascii", "replace")
+    assert proc.returncode == 1, err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("mu", ["1000", "1e-20"])
 def test_bounds_extreme_mu_exits_1(model_path, capsys, mu):
     # exp(mu * d) overflows in the envelope fit; exp(-mu) rounds to 1 in c1

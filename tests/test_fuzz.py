@@ -14,6 +14,7 @@ from gapbound import (
     run_fuzz,
     trial_rng,
 )
+import gapbound.bounds as bounds_mod
 import gapbound.fuzz as fuzz_mod
 import gapbound.lattice as lattice_mod
 from gapbound.fuzz import ENVELOPE_FAMILY, NN_FAMILY, _scaled_blocks, random_model
@@ -198,3 +199,27 @@ def test_fuzz_builds_band_and_norms_once_per_model(family, monkeypatch):
     for seen in built.values():
         assert len(seen) == 50
         assert all(a is b for a, b in zip(seen, models))
+
+
+@pytest.mark.parametrize("family", [ENVELOPE_FAMILY, NN_FAMILY])
+def test_fuzz_reads_one_record_per_ground_state(family, monkeypatch):
+    # a call count, not a timing: the complementary checks of three weights
+    # and the Appendix-B check share one density and one pair-product pass,
+    # and the power-law radii share one coupling profile
+    counts = dict.fromkeys(("density", "_stored_pair_products", "site_coupling_profile"), 0)
+    for owner, name in ((bounds_mod, "density"), (fuzz_mod, "density"),
+                        (bounds_mod, "_stored_pair_products"),
+                        (bounds_mod, "site_coupling_profile")):
+        def spy(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    report = run_fuzz(FuzzConfig(trials=50, family=family))
+    # a skipped (degenerate) trial stops at its solve
+    assert report.passed > 40
+    assert counts == {
+        "density": report.passed,
+        "_stored_pair_products": report.passed,
+        "site_coupling_profile": 2 * report.passed,
+    }

@@ -64,6 +64,23 @@ def test_benchmark_entry_points_resolve(monkeypatch):
     assert unresolved == []
 
 
+def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
+    # one item of each workload under the tracer: every wrapped entry point
+    # and every counter hook runs, and the item still matches its reference
+    tracer = _load(monkeypatch, ROOT / "perfbench" / "tracer.py")
+    workloads = _load(monkeypatch, ROOT / "perfbench" / "workloads.py")
+    reference = _load(monkeypatch, ROOT / "perfbench" / "reference.py")
+    for name, workload in workloads.WORKLOADS.items():
+        item = workload.setup(1, tmp_path / name)[0]
+        api = workloads.default_api()
+        t = tracer.Tracer()
+        with t.installed(api):
+            out = workload.run(api, item)  # a hook that raises fails here
+        assert t.calls, name
+        _, problems = workload.check(item, out, reference.load_reference(name).get(item.key))
+        assert problems == [], (name, item.key)
+
+
 def test_tracer_solve_hook_reads_the_band_only(monkeypatch):
     # the hook sizes the operator by np.shape, which reads BandedHermitian.shape
     tracer = _load(monkeypatch, ROOT / "perfbench" / "tracer.py")
