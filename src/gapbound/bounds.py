@@ -253,12 +253,16 @@ class _GroundState:
             )
         gx = g.g
         # Python floats: an overflow gives inf or nan here, never an exception
-        gmax = max(1.0, float(np.max(np.abs(gx))))
-        scale = spectral_scale(self._operator) * (gmax * gmax)
-        if not math.isfinite(scale):
+        hi, lo = float(np.max(gx)), float(np.min(gx))
+        gmax = max(1.0, abs(hi), abs(lo))
+        op_scale = spectral_scale(self._operator)
+        scale = op_scale * (gmax * gmax)
+        # the largest (g(x) - g(x'))^2, up to 4 max|g|^2, times the scale
+        dg_scale = op_scale * ((hi - lo) * (hi - lo))
+        if not (math.isfinite(scale) and math.isfinite(dg_scale)):
             raise ValidationError(
-                f"weight function too large: max|g|^2 * spectral scale = {scale} "
-                f"(max|g| = {gmax:.6g})"
+                f"weight function too large: max|g|^2 * spectral scale = {scale}, "
+                f"(max g - min g)^2 * spectral scale = {dg_scale} (max|g| = {gmax:.6g})"
             )
         p = self.profile.p
         mean_g = float(np.dot(gx, p))
@@ -345,8 +349,9 @@ def g_expectations(
     the double commutator ``[G, [G, H]]`` on the band of the assembled
     operator (memoised on ``spec``, so the caller's solve and this check
     share one band), in O(n * bandwidth).  ``scale`` is
-    ``spectral_scale * max(1, max|g|)^2``; a weight for which it is not a
-    finite float is refused with :class:`ValidationError`.
+    ``spectral_scale * max(1, max|g|)^2``; a weight for which it, or
+    ``spectral_scale * (max g - min g)^2``, is not a finite float is
+    refused with :class:`ValidationError`.
     """
     return _GroundState.of(psi0, spec).complementary(g, delta_e0)
 
@@ -448,7 +453,7 @@ class TailEnvelope:
     def evaluate(self, r) -> np.ndarray | float:
         """Envelope value at radius r (defined for r >= r1)."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < self.r1 - 1e-9):
+        if not np.all(r >= self.r1 - 1e-9):  # NaN fails too
             raise ValidationError(f"envelope defined for R >= r1 = {self.r1:g}")
         out = self.prefactor * np.exp(-(r - self.r1) / self.xi)
         return float(out) if out.ndim == 0 else out
@@ -598,28 +603,23 @@ def best_s(
     """
     if not (math.isfinite(r) and r > 0):
         raise ValidationError(f"radius r must be finite and > 0, got {r!r}")
-    best = None
-    for s in S_GRID:
-        if kind == THEOREM1:
-            if envelope is None:
-                raise ValidationError("theorem1 search needs a hopping envelope")
-            b = theorem1_bound(envelope, delta_e0, s, delta_x)
-        elif kind == THEOREM2:
-            if v0 is None:
-                raise ValidationError("theorem2 search needs a nearest-neighbor bound")
-            b = theorem2_bound(v0, delta_e0, s, delta_x)
-        else:
-            raise ValidationError(f"unknown bound kind {kind!r}")
-        if b.r1 > r:
-            continue
-        value = b.evaluate(r)
-        if best is None or value < best[0]:
-            best = (value, s, b)
-    if best is None:
+    if kind == THEOREM1:
+        if envelope is None:
+            raise ValidationError("theorem1 search needs a hopping envelope")
+        bounds = (theorem1_bound(envelope, delta_e0, s, delta_x) for s in S_GRID)
+    elif kind == THEOREM2:
+        if v0 is None:
+            raise ValidationError("theorem2 search needs a nearest-neighbor bound")
+        bounds = (theorem2_bound(v0, delta_e0, s, delta_x) for s in S_GRID)
+    else:
+        raise ValidationError(f"unknown bound kind {kind!r}")
+    feasible = [b for b in bounds if b.r1 <= r]
+    if not feasible:
         raise ValidationError(
             f"no s in the grid has onset radius r1 <= {r:g}; increase r"
         )
-    return best[1], best[2]
+    best = min(feasible, key=lambda b: b.evaluate(r))
+    return best.s, best
 
 
 def write_bound_csv(bounds, path):

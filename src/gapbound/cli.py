@@ -32,7 +32,7 @@ from .errors import (
     NonDecaying,
     ValidationError,
 )
-from .eigensolver import lowest_two, write_spectrum
+from .eigensolver import DEFAULT_DEGENERACY_TOL, DEFAULT_RESIDUAL_TOL, lowest_two, write_spectrum
 from .fuzz import FAMILIES, FuzzConfig, run_fuzz
 from .lattice import assemble, check_nearest_neighbor, fit_envelope
 from .localization import (
@@ -44,7 +44,15 @@ from .localization import (
 )
 from .modelfile import load_model
 from .svgplot import emit_plot
-from .sweep import SweepConfig, default_h0_grid, read_sweep_csv, run_sweep
+from .sweep import (
+    _H0_MAX,
+    _H0_MIN,
+    _H0_POINTS,
+    SweepConfig,
+    default_h0_grid,
+    read_sweep_csv,
+    run_sweep,
+)
 
 
 def _solve_pipeline(args):
@@ -106,9 +114,6 @@ def cmd_bounds(args) -> int:
     except LongRangeHopping:
         b2 = None
         print("theorem2: not applicable (hopping beyond nearest neighbors)")
-    except ValidationError as exc:
-        b2 = None
-        print(f"theorem2: not applicable ({exc})")
 
     checks = []
     failed = 0
@@ -154,19 +159,23 @@ def cmd_bounds(args) -> int:
     return 2 if failed else 0
 
 
-_CONFIG_INTS = ("L", "points")
-_CONFIG_FLOATS = ("h0_min", "h0_max", "s", "mu")
-_CONFIG_KEYS = (*_CONFIG_INTS, *_CONFIG_FLOATS, "out")
+# The sweep settings: config key (and flag, with "-" for "_"), type (the cast,
+# and the JSON type: a float key takes integers too), help text, default.
+_CONFIG_KEYS = {
+    "L": (int, "chain length parameter (default {})", SweepConfig.L),
+    "h0_min": (float, "strongest defect (default {:g})", _H0_MIN),
+    "h0_max": (float, "weakest defect (default {:g})", _H0_MAX),
+    "points": (int, "grid points (default {})", _H0_POINTS),
+    "s": (float, "bound parameter (default {:g})", SweepConfig.s),
+    "mu": (float, "envelope decay rate (default {:g})", SweepConfig.mu),
+    "out": (str, "output CSV path (default {})", SweepConfig.output_path),
+}
 
 
 def _config_value_ok(key: str, value) -> bool:
-    if isinstance(value, bool):
-        return False
-    if key in _CONFIG_INTS:
-        return isinstance(value, int)
-    if key in _CONFIG_FLOATS:
-        return isinstance(value, (int, float))
-    return isinstance(value, str) and value != ""  # "out"
+    kind = _CONFIG_KEYS[key][0]
+    ok = (int, float) if kind is float else kind
+    return isinstance(value, ok) and not isinstance(value, bool) and value != ""
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -196,24 +205,18 @@ def _sweep_config(args) -> SweepConfig:
                 f"in the file-system encoding {sys.getfilesystemencoding()!r}"
             ) from None
 
-    def pick(cast, flag, key, fallback):
-        value = flag if flag is not None else cfg.get(key, fallback)
+    def pick(key):
+        cast, _, default = _CONFIG_KEYS[key]
+        flag = getattr(args, key)
+        value = flag if flag is not None else cfg.get(key, default)
         try:
             return cast(value)
         except OverflowError:  # a JSON integer too large for a float
             raise ValidationError(f"config key {key!r}: bad value {value!r}") from None
 
-    grid = default_h0_grid(
-        points=pick(int, args.points, "points", 100),
-        lo=pick(float, args.h0_min, "h0_min", -1.0),
-        hi=pick(float, args.h0_max, "h0_max", -0.01),
-    )
+    grid = default_h0_grid(points=pick("points"), lo=pick("h0_min"), hi=pick("h0_max"))
     return SweepConfig(
-        L=pick(int, args.L, "L", 500),
-        h0_grid=grid,
-        s=pick(float, args.s, "s", 0.5),
-        mu=pick(float, args.mu, "mu", 1.0),
-        output_path=pick(str, args.out, "out", "sweep.csv"),
+        L=pick("L"), h0_grid=grid, s=pick("s"), mu=pick("mu"), output_path=pick("out")
     )
 
 
@@ -268,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_args(p):
         p.add_argument("model", help="model file (see README for the format)")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="residual acceptance tolerance (default 1e-10)")
-        p.add_argument("--degeneracy-tol", type=float, default=1e-8,
+        p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
+                       help="residual acceptance tolerance (default %(default)s)")
+        p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL,
                        help="relative gap below which the ground state counts as degenerate")
 
     p = sub.add_parser("solve", help="diagonalize a model and report ground-state statistics")
@@ -291,24 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="run the impurity-chain tightness sweep")
-    p.add_argument("--L", type=int, default=None, help="chain length parameter (default 500)")
-    p.add_argument("--h0-min", type=float, default=None, help="strongest defect (default -1)")
-    p.add_argument("--h0-max", type=float, default=None, help="weakest defect (default -0.01)")
-    p.add_argument("--points", type=int, default=None, help="grid points (default 100)")
-    p.add_argument("--s", type=float, default=None, help="bound parameter (default 0.5)")
-    p.add_argument("--mu", type=float, default=None, help="envelope decay rate (default 1)")
-    p.add_argument("--out", default=None, help="output CSV path (default sweep.csv)")
+    for key, (cast, text, default) in _CONFIG_KEYS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=cast, help=text.format(default))
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fuzz", help="fuzz the certified-inequality suite")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
-    p.add_argument("--min-size", type=int, default=4)
-    p.add_argument("--max-size", type=int, default=40)
-    p.add_argument("--min-n0", type=int, default=1)
-    p.add_argument("--max-n0", type=int, default=3)
+    p.add_argument("--seed", type=int, default=FuzzConfig.seed)
+    p.add_argument("--trials", type=int, default=FuzzConfig.trials)
+    p.add_argument("--family", choices=FAMILIES, default=FuzzConfig.family)
+    p.add_argument("--min-size", type=int, default=FuzzConfig.size_range[0])
+    p.add_argument("--max-size", type=int, default=FuzzConfig.size_range[1])
+    p.add_argument("--min-n0", type=int, default=FuzzConfig.n0_range[0])
+    p.add_argument("--max-n0", type=int, default=FuzzConfig.n0_range[1])
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("plot", help="render a sweep CSV as a two-panel SVG")

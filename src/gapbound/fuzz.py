@@ -109,9 +109,9 @@ def _scaled_blocks(draws: list, targets: list) -> np.ndarray:
 
 def random_model(
     rng: np.random.Generator,
-    size_range: tuple[int, int] = (4, 40),
-    n0_range: tuple[int, int] = (1, 3),
-    family: str = ENVELOPE_FAMILY,
+    size_range: tuple[int, int] = FuzzConfig.size_range,
+    n0_range: tuple[int, int] = FuzzConfig.n0_range,
+    family: str = FuzzConfig.family,
 ):
     """Draw one random model; returns (spec, envelope or None, nn or None).
 
@@ -288,23 +288,19 @@ class FuzzReport:
         return "\n".join(lines) + "\n"
 
 
-def run_fuzz(config: FuzzConfig, model_factory=None) -> FuzzReport:
+def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the fuzz schedule; aborts on the first invariant failure.
 
-    ``model_factory(rng) -> (spec, envelope, nn)`` may override the
-    default family generator.  Declared envelopes and nearest-neighbor
-    bounds are validated before any theorem check: a factory whose
-    declaration does not dominate its own blocks is rejected with
-    :class:`EnvelopeViolation` rather than reported as a theorem failure.
+    Each model's declared envelope or nearest-neighbor bound is validated
+    before any theorem check: a declaration that does not dominate the
+    model's own blocks is rejected with :class:`EnvelopeViolation` rather
+    than reported as a theorem failure.
     """
-    factory = model_factory or (
-        lambda rng: random_model(rng, config.size_range, config.n0_range, config.family)
-    )
     passed = 0
     skipped = 0
     for i in range(config.trials):
         rng = trial_rng(config.seed, i)
-        spec, env, nn = factory(rng)
+        spec, env, nn = random_model(rng, config.size_range, config.n0_range, config.family)
         if env is not None:
             require_envelope(spec, env)
         if nn is not None:

@@ -110,6 +110,8 @@ def tail_steps(profile: DensityProfile, mean: float) -> tuple[np.ndarray, np.nda
     It is read off suffix sums of ``p``, accumulated from the farthest site
     inwards so that tiny tails are summed smallest terms first.
     """
+    if not math.isfinite(mean):
+        raise ValidationError(f"mean position must be finite, got {mean!r}")
     dist = np.abs(profile.sites() - mean)
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
@@ -123,8 +125,10 @@ def tail(profile: DensityProfile, mean: float, r):
     """Tail probability ``P(|x - mean| >= r)`` over the integer sites.
 
     ``r`` may be a scalar (returns a float) or an array of radii (returns
-    an array); both are read off :func:`tail_steps`.
+    an array); both are read off :func:`tail_steps`.  A NaN radius is refused.
     """
+    if np.isnan(r).any():
+        raise ValidationError("tail radius must not be NaN")
     radii, tails = tail_steps(profile, mean)
     out = np.append(tails, 0.0)[np.searchsorted(radii, r, side="left")]
     return float(out) if out.ndim == 0 else out

@@ -310,17 +310,22 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec._from_bands(length, n0, on, on_mask, bands, label)
 
 
-def load_model(path) -> ModelSpec:
-    """Parse a UTF-8 model file from disk."""
+def _read_utf8(path, refuse) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises
+    ``refuse(line_no, reason)`` for the line that holds it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bad byte's line is one more than the line breaks before it
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ModelFormatError(line_no, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-    return parse_model(text)
+        raise refuse(line_no, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+
+
+def load_model(path) -> ModelSpec:
+    """Parse a UTF-8 model file from disk."""
+    return parse_model(_read_utf8(path, ModelFormatError))
 
 
 def format_model(spec: ModelSpec) -> str:

@@ -32,11 +32,22 @@ from .eigensolver import lowest_two
 from .errors import GapboundError, InsufficientData, NonDecaying, ValidationError
 from .lattice import HoppingEnvelope, assemble, check_nearest_neighbor, impurity_model
 from .localization import density, fit_localization_length, position_stats
+from .modelfile import _read_utf8
 
-SWEEP_CSV_HEADER = "h0,E0,E1,gap,deltaX,xi_fit,xi1,xi2,ratio1,ratio2,fit_r_squared"
+# the CSV columns in order: header name and SweepRow attribute
+_CSV_COLUMNS = (
+    ("h0", "h0"), ("E0", "e0"), ("E1", "e1"), ("gap", "gap"), ("deltaX", "delta_x"),
+    ("xi_fit", "xi_fit"), ("xi1", "xi1"), ("xi2", "xi2"), ("ratio1", "ratio1"),
+    ("ratio2", "ratio2"), ("fit_r_squared", "fit_r_squared"),
+)
+SWEEP_CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+# the default defect grid: its size and its strongest and weakest h0
+_H0_POINTS, _H0_MIN, _H0_MAX = 100, -1.0, -0.01
 
 
-def default_h0_grid(points: int = 100, lo: float = -1.0, hi: float = -0.01) -> np.ndarray:
+def default_h0_grid(
+    points: int = _H0_POINTS, lo: float = _H0_MIN, hi: float = _H0_MAX
+) -> np.ndarray:
     """Log-spaced defect strengths from lo to hi (both negative)."""
     if points < 1:
         raise ValidationError(f"need at least one grid point, got {points}")
@@ -94,7 +105,9 @@ class SweepRow:
     violations2: int = 0
 
 
-def sweep_point(length: int, h0: float, s: float = 0.5, mu: float = 1.0) -> SweepRow:
+def sweep_point(
+    length: int, h0: float, s: float = SweepConfig.s, mu: float = SweepConfig.mu
+) -> SweepRow:
     """Solve one impurity chain and evaluate both envelopes against it."""
     spec = impurity_model(length, h0)
     try:
@@ -149,15 +162,7 @@ def format_sweep_csv(rows) -> str:
     """Render sweep rows with 17 significant digits per float."""
     lines = [SWEEP_CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (
-                    r.h0, r.e0, r.e1, r.gap, r.delta_x, r.xi_fit,
-                    r.xi1, r.xi2, r.ratio1, r.ratio2, r.fit_r_squared,
-                )
-            )
-        )
+        lines.append(",".join(f"{getattr(r, attr):.17g}" for _, attr in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -168,16 +173,7 @@ def write_sweep_csv(rows, path):
 
 def read_sweep_csv(path) -> list[SweepRow]:
     """Read rows back from a UTF-8 sweep CSV (violation counts are not stored)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bad byte's line is one more than the line breaks before it
-        no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ValidationError(
-            f"{path}, line {no}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        ) from None
+    text = _read_utf8(path, lambda no, reason: ValidationError(f"{path}, line {no}: {reason}"))
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != SWEEP_CSV_HEADER:
         raise ValidationError(f"{path} is not a sweep CSV (bad header)")
@@ -187,7 +183,7 @@ def read_sweep_csv(path) -> list[SweepRow]:
             vals = [float(v) for v in ln.split(",")]
         except ValueError:
             vals = []
-        if len(vals) != 11:
+        if len(vals) != len(_CSV_COLUMNS):
             raise ValidationError(f"{path}, line {no}: malformed sweep row: {ln!r}")
-        rows.append(SweepRow(*vals))
+        rows.append(SweepRow(**{attr: v for (_, attr), v in zip(_CSV_COLUMNS, vals)}))
     return rows

@@ -38,6 +38,7 @@ from gapbound import (
     write_bound_csv,
     write_envelope_csv,
 )
+from gapbound.localization import tail, tail_steps
 from gapbound.bounds import ENVELOPE_TOL, _GroundState
 from gapbound.eigensolver import spectral_scale
 from gapbound.errors import DegenerateGroundState
@@ -158,10 +159,15 @@ def test_g_expectations_refuses_a_weight_it_cannot_square():
     scale = spectral_scale(assemble(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        alternating = 8e153 * (-1.0) ** np.arange(1, spec.length + 1)
         for top in (1e200, 1e154, np.sqrt(np.finfo(float).max / scale) * 1.001):
             g = WeightFunction(np.linspace(0.0, top, spec.length))
             with pytest.raises(ValidationError, match="weight function too large"):
                 g_expectations(res.psi0, spec, g, res.gap)
+        # max|g|^2 * scale is finite, but (g(x) - g(x'))^2 = 2.56e308 is not
+        assert np.isfinite(np.max(np.abs(alternating)) ** 2 * scale)
+        with pytest.raises(ValidationError, match="weight function too large"):
+            g_expectations(res.psi0, spec, WeightFunction(alternating), res.gap)
         # the largest weights whose squared maximum times the scale is finite
         for top in (1e150, np.sqrt(np.finfo(float).max / scale) * 0.999):
             rep = g_expectations(res.psi0, spec, WeightFunction(np.linspace(0.0, top, spec.length)), res.gap)
@@ -327,6 +333,28 @@ def test_chebyshev_takes_an_array_of_radii():
     for bad in ([1.0, 0.0], [2.0, -1.0], [np.nan, 1.0], np.nan, -3.0):
         with pytest.raises(ValidationError, match="radius must be positive"):
             chebyshev_tail_bound(env, 100, 1.0, bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda prof, b: tail(prof, 2.0, np.nan), "tail radius must not be NaN"),
+        (lambda prof, b: tail(prof, 2.0, [1.0, np.nan]), "tail radius must not be NaN"),
+        (lambda prof, b: b.evaluate(np.nan), "envelope defined for R >= r1"),
+        (lambda prof, b: b.evaluate([3.0, np.nan]), "envelope defined for R >= r1"),
+        (lambda prof, b: tail_steps(prof, np.nan), "mean position must be finite"),
+        (lambda prof, b: tail_steps(prof, -np.inf), "mean position must be finite"),
+    ],
+    ids=["tail", "tail-array", "envelope", "envelope-array", "steps-nan-mean", "steps-inf-mean"],
+)
+def test_nan_radius_or_mean_is_refused(call, message):
+    # a NaN radius used to read a tail of 0.0 and an envelope value of nan
+    prof = DensityProfile(np.array([0.25, 0.5, 0.25]))
+    bound = theorem2_bound(1.0, 0.5, 0.5, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            call(prof, bound)
 
 
 def test_variance_bound_on_random_specs():

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -52,6 +53,23 @@ def test_bounds(model_path, tmp_path, capsys):
     assert header == "kind,s,r1,xi,prefactor,C1_or_V0,deltaE0,deltaX"
 
 
+def test_bounds_reports_the_decay_fit_and_combined_bounds(tmp_path, capsys):
+    # a strongly localized chain: the fit window has points and the probes
+    # lie past the onset radius
+    path = tmp_path / "chain.txt"
+    dump_model(impurity_model(60, -2.0), path)
+    prefix = str(tmp_path / "report")
+    code = main(["bounds", str(path), "--out-prefix", prefix])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "density decay fit: xi_fit=" in out
+    combined = [ln for ln in out.splitlines() if ln.startswith("combined bound at R=")]
+    assert combined and all("chebyshev=" in ln and "theorem2=" in ln for ln in combined)
+    fit = (tmp_path / "report_fit.csv").read_text().splitlines()
+    assert fit[0] == "xi_fit,intercept,r_squared,window_lo,window_hi"
+    assert len(fit) == 2 and float(fit[1].split(",")[0]) > 0
+
+
 def test_bounds_long_range_note(tmp_path, capsys):
     from gapbound import ModelSpec
 
@@ -82,6 +100,25 @@ def test_sweep_and_plot(tmp_path, capsys):
     code = main(["plot", str(csv_path), "--out", str(svg_path)])
     assert code == 0
     assert svg_path.read_text().startswith("<?xml")
+
+
+def test_sweep_envelope_violation_exits_2(tmp_path, capsys, monkeypatch):
+    # a theorem-2 envelope shrunk a millionfold fails on every row
+    import gapbound.sweep as sweep_mod
+
+    real = sweep_mod.theorem2_bound
+
+    def shrunk(*args):
+        b = real(*args)
+        return dataclasses.replace(b, prefactor=b.prefactor * 1e-6)
+
+    monkeypatch.setattr(sweep_mod, "theorem2_bound", shrunk)
+    code = main(["sweep", "--L", "40", "--points", "2", "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    bad = int(captured.out.split("envelope violations: ")[1].split()[0])
+    assert bad > 0
+    assert captured.err == "invariant violation: a guaranteed envelope failed\n"
 
 
 def test_sweep_config_file_with_flag_override(tmp_path):
@@ -187,6 +224,32 @@ def test_fuzz(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "status:  OK" in out
+
+
+def test_fuzz_failure_prints_the_report_and_exits_2(capsys, monkeypatch):
+    # a rise at the last breakpoint fails the first trial's monotonicity check
+    import gapbound.fuzz as fuzz_mod
+
+    real = fuzz_mod.tail_steps
+
+    def bumped(profile, mean):
+        radii, tails = real(profile, mean)
+        tails = tails.copy()
+        tails[-1] = tails[-2] + 1e-9
+        return radii, tails
+
+    monkeypatch.setattr(fuzz_mod, "tail_steps", bumped)
+    code = main(["fuzz", "--seed", "42", "--trials", "3", "--family", "nearest-neighbor"])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert "trials:  3 (passed 0, skipped 0 degenerate, failed 1)" in lines
+    assert "status:  FAIL at trial 0: tail distribution is not monotone nonincreasing" in lines
+    assert lines[-1] == (
+        "reproduce: FuzzConfig(seed=42, trials=1, size_range=(4, 40), n0_range=(1, 3), "
+        "family='nearest-neighbor'), trial index 0"
+    )
+    assert captured.err.startswith("invariant violation: fuzz trial 0 failed")
 
 
 def test_malformed_model_exits_1(tmp_path, capsys):

@@ -108,22 +108,36 @@ def test_tail_check_reads_every_breakpoint(monkeypatch):
         run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
 
 
-def test_bad_envelope_declaration_is_rejected_not_reported():
-    def factory(rng):
+def test_bad_envelope_declaration_is_rejected_not_reported(monkeypatch):
+    def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(x, x + 1, [[1.0]]) for x in range(1, 4)])
         return spec, HoppingEnvelope(cv=0.01, mu=1.0), None
 
+    monkeypatch.setattr(fuzz_mod, "random_model", drawing)
     with pytest.raises(EnvelopeViolation):
-        run_fuzz(FuzzConfig(seed=1, trials=3), model_factory=factory)
+        run_fuzz(FuzzConfig(seed=1, trials=3))
 
 
-def test_bad_nn_declaration_is_rejected():
-    def factory(rng):
+def test_bad_nn_declaration_is_rejected(monkeypatch):
+    def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(x, x + 1, [[2.0]]) for x in range(1, 4)])
         return spec, None, NNBound(v0=1.0)
 
+    monkeypatch.setattr(fuzz_mod, "random_model", drawing)
     with pytest.raises(EnvelopeViolation):
-        run_fuzz(FuzzConfig(seed=1, trials=3), model_factory=factory)
+        run_fuzz(FuzzConfig(seed=1, trials=3))
+
+
+def test_degenerate_model_is_counted_as_skipped(monkeypatch):
+    # two decoupled identical dimers: the ground state is twofold degenerate
+    def drawing(rng, *args):
+        spec = ModelSpec(4, 1, [(1, 2, [[1.0]]), (3, 4, [[1.0]])])
+        return spec, None, NNBound(v0=1.0)
+
+    monkeypatch.setattr(fuzz_mod, "random_model", drawing)
+    report = run_fuzz(FuzzConfig(seed=1, trials=3, family=NN_FAMILY))
+    assert (report.passed, report.skipped_degenerate, report.failures) == (0, 3, ())
+    assert "trials:  3 (passed 0, skipped 3 degenerate, failed 0)" in report.format()
 
 
 def test_generated_models_respect_their_declarations():
