@@ -12,6 +12,7 @@ from .bounds import (
     AppendixBReport,
     ComplementaryReport,
     EnvelopeCheck,
+    GroundState,
     TailEnvelope,
     WeightFunction,
     best_s,

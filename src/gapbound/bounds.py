@@ -12,10 +12,7 @@ computed two independent ways: directly as the weighted pair sum over the
 stored hopping blocks, or as ``<[G, [G, H]]>`` on the band of the
 assembled operator; both are recorded and must agree.  (On the ground
 state the signed value is never positive; the absolute value is what
-enters the inequality.)  Both routes weight products of the ground state
-that do not depend on ``g``: a per-state record computes the density and
-these products once, and every complementary and Appendix-B check on the
-state reads them, so each further weight costs a few dot products.
+enters the inequality.)
 
 Three tail bounds for ``P(|x - <x>| >= R)`` are derived from it:
 
@@ -34,10 +31,18 @@ Both exponential envelopes have the form
 scaling as ``gap^(-1/2)``; they differ only in their constants, so both
 functions return one type, :class:`TailEnvelope`, whose ``kind`` names
 the theorem and whose ``amplitude`` is ``c1`` (theorem 1) or ``v0``
-(theorem 2).  ``verify_envelope`` checks a measured tail against an
-envelope exactly over all radii, within the fixed :data:`ENVELOPE_TOL`;
-``verify_appendixB`` checks the piecewise exponential bound on the
-trapezoid-weighted coupling strength that the general envelope rests on.
+(theorem 2).  ``GroundState.check`` (and ``verify_envelope`` for a bare
+profile) checks a measured tail against an envelope exactly over all
+radii, within the fixed :data:`ENVELOPE_TOL`; ``verify_appendixB``
+checks the piecewise exponential bound on the trapezoid-weighted
+coupling strength that the general envelope rests on.
+
+Every check reads the same few quantities of one ground state, so a
+solved model's :class:`GroundState` computes each of them once: the
+density, ``<x>`` and ``deltaX``, the tail at its breakpoints, and the
+products of the ground state that both ``<H_OD>`` routes weight, which do
+not depend on ``g``.  Each further weight then costs a few dot products,
+and each envelope check one pass over the stored tail.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ from .lattice import (
     hopping_norms,
     require_envelope,
 )
-# ``tail`` is unused here but kept: the benchmark tracer wraps gapbound.bounds.tail
-from .localization import DensityProfile, density, tail, tail_steps  # noqa: F401
+from .localization import DensityProfile, PositionStats, density, position_stats, tail_steps
+# unused here but kept: the benchmark tracer wraps gapbound.bounds.tail
+from .localization import tail  # noqa: F401
 
 _E = math.e
 
@@ -181,37 +187,54 @@ def _stored_pair_products(a: np.ndarray, spec: ModelSpec):
     return np.concatenate(left), np.concatenate(right), np.concatenate(pair)
 
 
-@dataclass(frozen=True)
-class _GroundState:
-    """The weight-independent products of one ground state, computed once.
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields hold arrays
+class GroundState:
+    """One solved model's ground state and what every check reads of it.
 
-    ``<H_OD> = 2 sum (g(x) - g(x'))^2 Re(psi_x^dag H[x, x'] psi_x')`` is a
-    weighted sum of products that do not depend on ``g``.  Built by
-    :meth:`of`, the record holds the validated density ``profile`` and the
-    stored-pair products (``left``, ``right``, ``pair``); the products of
-    the assembled band are formed on the first commutator evaluation, so
-    a caller that only runs the Appendix-B check never pays for them.
-    Each weight then costs a few dot products.
+    Built once per solved model by :meth:`of`, which validates the density
+    ``profile`` and takes its :class:`PositionStats` ``stats`` (``<x>``, the
+    variance and ``deltaX``).  The rest is computed on first use and kept:
+
+    * ``steps``: ``(radii, tails)`` of :func:`tail_steps` about ``<x>``,
+      read-only; :meth:`check` reads them for every envelope;
+    * the stored-pair products ``Re(a_x^dag h a_x')`` and, on the first
+      commutator evaluation, the products of the assembled band, which
+      weight ``<H_OD> = 2 sum (g(x) - g(x'))^2 Re(psi_x^dag H[x, x'] psi_x')``
+      for any ``g``, so each complementary or Appendix-B weight costs a few
+      dot products.
     """
 
     spec: ModelSpec
     psi: np.ndarray
     profile: DensityProfile
-    left: np.ndarray
-    right: np.ndarray
-    pair: np.ndarray
+    stats: PositionStats
 
     @classmethod
-    def of(cls, psi0: np.ndarray, spec: ModelSpec) -> "_GroundState":
+    def of(cls, psi0: np.ndarray, spec: ModelSpec) -> "GroundState":
         psi = np.asarray(psi0, dtype=np.complex128)
         profile = density(psi, spec)
-        a = psi.reshape(spec.length, spec.n0)
-        return cls(spec, psi, profile, *_stored_pair_products(a, spec))
+        return cls(spec, psi, profile, position_stats(profile))
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        steps = tail_steps(self.profile, self.stats.mean)
+        for arr in steps:
+            arr.flags.writeable = False
+        return steps
+
+    def check(self, bound: TailEnvelope) -> EnvelopeCheck:
+        """The tail against ``bound`` at every radius ``R >= r1`` (see :func:`verify_envelope`)."""
+        return _check_steps(*self.steps, bound)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _stored_pair_products(self.psi.reshape(self.spec.length, self.spec.n0), self.spec)
 
     def hod_explicit(self, gx: np.ndarray) -> float:
         """<H_OD> as 2 * sum over stored pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
-        dg = gx[self.left] - gx[self.right]
-        return 2.0 * float(np.dot(dg * dg, self.pair))
+        left, right, pair = self._pairs
+        dg = gx[left] - gx[right]
+        return 2.0 * float(np.dot(dg * dg, pair))
 
     @cached_property
     def _operator(self):
@@ -353,7 +376,7 @@ def g_expectations(
     ``spectral_scale * (max g - min g)^2``, is not a finite float is
     refused with :class:`ValidationError`.
     """
-    return _GroundState.of(psi0, spec).complementary(g, delta_e0)
+    return GroundState.of(psi0, spec).complementary(g, delta_e0)
 
 
 def c1_constant(envelope: HoppingEnvelope) -> float:
@@ -520,9 +543,13 @@ def verify_envelope(profile: DensityProfile, mean: float, bound: TailEnvelope) -
     (:func:`tail_steps`), where the decreasing envelope is smallest, so
     checking every distinct distance ``d >= r1`` (``r_grid``) is exact.
     ``R = 0``, where the tail is identically 1, is left out.  Violations
-    are returned as data, not raised.
+    are returned as data, not raised.  A solved model's
+    :meth:`GroundState.check` runs the same check on its stored steps.
     """
-    radii, tail_values = tail_steps(profile, mean)
+    return _check_steps(*tail_steps(profile, mean), bound)
+
+
+def _check_steps(radii: np.ndarray, tail_values: np.ndarray, bound: TailEnvelope) -> EnvelopeCheck:
     # the radii >= r1, and > 0 when r1 = 0
     start = np.searchsorted(radii, bound.r1, side="left" if bound.r1 > 0 else "right")
     radii, tail_values = radii[start:], tail_values[start:]
@@ -584,7 +611,7 @@ def verify_appendixB(
     and ``|<H_OD>| <= sum_x V_{g,x} p_x`` for any model the envelope
     dominates.  Raises :class:`InvariantViolation` if either stage fails.
     """
-    return _GroundState.of(psi0, spec).appendixB(envelope, g, region)
+    return GroundState.of(psi0, spec).appendixB(envelope, g, region)
 
 
 def best_s(

@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from .bounds import (
+    GroundState,
     chebyshev_tail_bound,
     best_s,
     theorem1_bound,
     theorem2_bound,
-    verify_envelope,
     write_bound_csv,
     write_envelope_csv,
 )
@@ -35,13 +35,7 @@ from .errors import (
 from .eigensolver import DEFAULT_DEGENERACY_TOL, DEFAULT_RESIDUAL_TOL, lowest_two, write_spectrum
 from .fuzz import FAMILIES, FuzzConfig, run_fuzz
 from .lattice import assemble, check_nearest_neighbor, fit_envelope
-from .localization import (
-    density,
-    fit_localization_length,
-    position_stats,
-    write_fit_csv,
-    write_profile_csv,
-)
+from .localization import fit_localization_length, write_fit_csv, write_profile_csv
 from .modelfile import load_model
 from .svgplot import emit_plot
 from .sweep import (
@@ -60,36 +54,34 @@ def _solve_pipeline(args):
     result = lowest_two(
         assemble(spec), tol=args.tol, degeneracy_tol=args.degeneracy_tol
     )
-    prof = density(result.psi0, spec)
-    stats = position_stats(prof)
-    return spec, result, prof, stats
+    return spec, result, GroundState.of(result.psi0, spec)
 
 
 def cmd_solve(args) -> int:
-    spec, result, prof, stats = _solve_pipeline(args)
+    spec, result, state = _solve_pipeline(args)
     print(f"model: {spec.label or args.model} (L={spec.length}, N0={spec.n0}, dim={spec.dim})")
     print(f"E0   = {result.e0:.12g}   (residual {result.residual0:.3e})")
     print(f"E1   = {result.e1:.12g}   (residual {result.residual1:.3e})")
     print(f"gap  = {result.gap:.12g}")
-    print(f"<x>  = {stats.mean:.12g}")
-    print(f"var  = {stats.variance:.12g}   (deltaX = {stats.delta_x:.12g})")
+    print(f"<x>  = {state.stats.mean:.12g}")
+    print(f"var  = {state.stats.variance:.12g}   (deltaX = {state.stats.delta_x:.12g})")
     if args.spectrum_out:
         write_spectrum(result, args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     if args.profile_out:
-        write_profile_csv(prof, args.profile_out)
+        write_profile_csv(state.profile, args.profile_out)
         print(f"density profile written to {args.profile_out}")
     return 0
 
 
 def cmd_bounds(args) -> int:
-    spec, result, prof, stats = _solve_pipeline(args)
-    delta_x = stats.delta_x
-    center = args.center if args.center is not None else float(np.argmax(prof.p) + 1)
+    spec, result, state = _solve_pipeline(args)
+    delta_x = state.stats.delta_x
+    center = args.center if args.center is not None else float(np.argmax(state.profile.p) + 1)
     print(f"model: {spec.label or args.model}  gap={result.gap:.6g}  deltaX={delta_x:.6g}")
 
     try:
-        fit = fit_localization_length(prof, center=center)
+        fit = fit_localization_length(state.profile, center=center)
         print(
             f"density decay fit: xi_fit={fit.xi_fit:.6g} (r^2={fit.r_squared:.6g}, "
             f"window {fit.window[0]:.3g}..{fit.window[1]:.3g}, center={center:g})"
@@ -118,7 +110,7 @@ def cmd_bounds(args) -> int:
     checks = []
     failed = 0
     for b in bounds:
-        chk = verify_envelope(prof, stats.mean, b)
+        chk = state.check(b)
         checks.append((b, chk))
         n_bad = int(chk.violations.size)
         failed += n_bad
@@ -128,7 +120,7 @@ def cmd_bounds(args) -> int:
         )
 
     # toolkit convenience, not a claim: pointwise minimum with the power law
-    r_max = max(stats.mean - 1.0, spec.length - stats.mean)
+    r_max = float(state.steps[0][-1])  # the farthest site's distance from <x>
     probes = sorted({min(b1.r1 + b1.xi, r_max), r_max})
     for r_probe in probes:
         if r_probe <= max(b1.r1, 0.0):
@@ -172,10 +164,16 @@ _CONFIG_KEYS = {
 }
 
 
-def _config_value_ok(key: str, value) -> bool:
+def _config_value(key: str, value):
+    """``value`` cast to the type of the config key ``key``; refused if not of it."""
     kind = _CONFIG_KEYS[key][0]
     ok = (int, float) if kind is float else kind
-    return isinstance(value, ok) and not isinstance(value, bool) and value != ""
+    try:
+        if isinstance(value, ok) and not isinstance(value, bool) and value != "":
+            return kind(value)
+    except OverflowError:  # a JSON integer too large for a float
+        pass
+    raise ValidationError(f"config key {key!r}: bad value {value!r}")
 
 
 def _sweep_config(args) -> SweepConfig:
@@ -191,10 +189,8 @@ def _sweep_config(args) -> SweepConfig:
         unknown = set(cfg) - set(_CONFIG_KEYS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        # every value is checked, also one that a flag overrides
-        for key, value in cfg.items():
-            if not _config_value_ok(key, value):
-                raise ValidationError(f"config key {key!r}: bad value {value!r}")
+        # every value is converted, also one that a flag overrides
+        cfg = {key: _config_value(key, value) for key, value in cfg.items()}
         # a JSON string may hold a file name the file system cannot: refuse it
         # before the sweep runs, so that no file is left behind
         try:
@@ -206,13 +202,8 @@ def _sweep_config(args) -> SweepConfig:
             ) from None
 
     def pick(key):
-        cast, _, default = _CONFIG_KEYS[key]
         flag = getattr(args, key)
-        value = flag if flag is not None else cfg.get(key, default)
-        try:
-            return cast(value)
-        except OverflowError:  # a JSON integer too large for a float
-            raise ValidationError(f"config key {key!r}: bad value {value!r}") from None
+        return flag if flag is not None else cfg.get(key, _CONFIG_KEYS[key][2])
 
     grid = default_h0_grid(points=pick("points"), lo=pick("h0_min"), hi=pick("h0_max"))
     return SweepConfig(

@@ -11,7 +11,9 @@ plus random Hermitian on-site blocks, then solves it and asserts the
 full invariant suite: the complementary inequality and the agreement of
 its two ``<H_OD>`` routes, the gap-based variance bound, the power-law
 tail bound, tail monotonicity, weight-gauge invariance, the applicable
-exponential tail envelopes, and the trapezoid coupling diagnostic.
+exponential tail envelopes, and the trapezoid coupling diagnostic.  The
+tail checks read every breakpoint of the tail, so they are exact over
+all radii.  Every check reads one :class:`GroundState` record per model.
 
 Randomness is reproducible by construction: trial ``i`` of seed ``s``
 uses an independent PCG64 substream keyed by ``SeedSequence((s, i))``,
@@ -28,18 +30,17 @@ import numpy as np
 from .bounds import (
     COMPLEMENTARY_RTOL,
     THEOREM1,
+    GroundState,
     WeightFunction,
-    _GroundState,
     chebyshev_tail_bound,
     theorem1_bound,
     theorem2_bound,
     trapezoid_g,
     variance_upper_bound,
-    verify_envelope,
 )
 # unused here but kept: the benchmark tracer wraps gapbound.fuzz.density,
-# gapbound.fuzz.g_expectations and gapbound.fuzz.verify_appendixB
-from .bounds import g_expectations, verify_appendixB  # noqa: F401
+# .position_stats, .tail, .verify_envelope, .g_expectations and .verify_appendixB
+from .bounds import g_expectations, verify_appendixB, verify_envelope  # noqa: F401
 from .eigensolver import lowest_two
 from .errors import (
     DegenerateGroundState,
@@ -56,7 +57,7 @@ from .lattice import (
     fit_envelope,
     require_envelope,
 )
-from .localization import density, position_stats, tail, tail_steps  # noqa: F401
+from .localization import density, position_stats, tail  # noqa: F401
 
 ENVELOPE_FAMILY = "envelope-constrained"
 NN_FAMILY = "nearest-neighbor"
@@ -195,11 +196,10 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
         res = lowest_two(assemble(spec))
     except DegenerateGroundState:
         return None
-    # one record per ground state: every check below reads its density and
-    # pair products instead of recomputing them from psi0
-    state = _GroundState.of(res.psi0, spec)
-    prof = state.profile
-    stats = position_stats(prof)
+    # one record per ground state: every check below reads its density,
+    # statistics, tail steps and pair products instead of recomputing them
+    state = GroundState.of(res.psi0, spec)
+    stats = state.stats
     problems: list[str] = []
 
     g = _random_weight(rng, spec.length)
@@ -226,23 +226,23 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     vb = variance_upper_bound(src, spec.length, res.gap)
     if stats.variance > vb * (1.0 + 1e-9) + 1e-12:
         problems.append(f"variance bound violated ({stats.variance:.6g} > {vb:.6g})")
-    radii = np.array([1.0, 2.0, 5.0]) * max(stats.delta_x, 0.5)
-    power_law = chebyshev_tail_bound(src, spec.length, res.gap, radii)
-    for r, t, cb in zip(radii, tail(prof, stats.mean, radii), power_law):
-        if t > cb + 1e-12:
-            problems.append(f"power-law tail bound violated at R={r:.3g}")
-
-    # the tail is a step function: its values at the breakpoints are all of it
-    if np.any(np.diff(tail_steps(prof, stats.mean)[1]) > 1e-12):
+    # the tail is a step function, constant on (d_k, d_{k+1}], and the power
+    # law decreases in R: its values at the positive breakpoints are all of it
+    radii, tails = state.steps
+    r = radii[radii > 0]
+    over = r[tails[radii > 0] > chebyshev_tail_bound(src, spec.length, res.gap, r) + 1e-12]
+    if over.size:
+        problems.append(f"power-law tail bound violated at R={over[0]:.3g}")
+    if np.any(np.diff(tails) > 1e-12):
         problems.append("tail distribution is not monotone nonincreasing")
 
     fitted = env if env is not None else fit_envelope(spec, mu=1.0)
     b1 = theorem1_bound(fitted, res.gap, 0.5, stats.delta_x)
-    if not verify_envelope(prof, stats.mean, b1).ok:
+    if not state.check(b1).ok:
         problems.append("theorem1 envelope violated")
     if nn is not None and nn.v0 > 0:
         b2 = theorem2_bound(nn.v0, res.gap, 0.5, stats.delta_x)
-        if not verify_envelope(prof, stats.mean, b2).ok:
+        if not state.check(b2).ok:
             problems.append("theorem2 envelope violated")
 
     r_inner = float(rng.uniform(0.0, spec.length / 4.0))

@@ -12,6 +12,7 @@ from gapbound import (
     EnvelopeViolation,
     HoppingEnvelope,
     InvariantViolation,
+    LongRangeHopping,
     ModelSpec,
     NNBound,
     TailEnvelope,
@@ -19,6 +20,7 @@ from gapbound import (
     WeightFunction,
     assemble,
     best_s,
+    check_nearest_neighbor,
     c1_constant,
     chebyshev_tail_bound,
     density,
@@ -39,7 +41,7 @@ from gapbound import (
     write_envelope_csv,
 )
 from gapbound.localization import tail, tail_steps
-from gapbound.bounds import ENVELOPE_TOL, _GroundState
+from gapbound.bounds import ENVELOPE_TOL, GroundState
 from gapbound.eigensolver import spectral_scale
 from gapbound.errors import DegenerateGroundState
 from gapbound.fuzz import FAMILIES, _random_weight, random_model, trial_rng
@@ -192,16 +194,38 @@ def _differential_cases():
 
 
 def test_ground_state_record_matches_per_call_formulas():
-    # the fuzz trial's three weights and its trapezoid, read off one record,
-    # against the formulas that recompute everything from psi0 per call
-    solved = 0
+    # the record's statistics, tail steps and envelope checks, and the fuzz
+    # trial's three weights and its trapezoid read off it, against the
+    # functions and formulas that recompute everything from psi0 per call
+    solved, checked = 0, {"theorem1": 0, "theorem2": 0}
     for spec, env, rng in _differential_cases():
         try:
             res = lowest_two(assemble(spec))
         except DegenerateGroundState:
             continue
         solved += 1
-        state = _GroundState.of(res.psi0, spec)
+        state = GroundState.of(res.psi0, spec)
+        prof = density(res.psi0, spec)
+        np.testing.assert_array_equal(state.profile.p, prof.p)
+        stats = position_stats(prof)
+        assert state.stats == stats
+        for got, want in zip(state.steps, tail_steps(prof, stats.mean)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        env = env or fit_envelope(spec, mu=1.0)
+        bounds = [theorem1_bound(env, res.gap, 0.5, stats.delta_x)]
+        try:
+            v0 = check_nearest_neighbor(spec).v0
+            bounds.append(theorem2_bound(v0, res.gap, 0.5, stats.delta_x))
+        except LongRangeHopping:
+            pass
+        for b in bounds:
+            checked[b.kind] += 1
+            chk, want = state.check(b), verify_envelope(prof, stats.mean, b)
+            for field in dataclasses.fields(chk):
+                np.testing.assert_array_equal(
+                    getattr(chk, field.name), getattr(want, field.name), err_msg=field.name
+                )
         g = _random_weight(rng, spec.length)
         for w in (g, WeightFunction(g.g + 7.5), WeightFunction(2.0 * g.g)):
             rep = state.complementary(w, res.gap)
@@ -210,8 +234,6 @@ def test_ground_state_record_matches_per_call_formulas():
             tol = 1e-12 * want["scale"]
             for name, value in want.items():
                 assert abs(getattr(rep, name) - value) <= tol, name
-        stats = position_stats(state.profile)
-        env = env or fit_envelope(spec, mu=1.0)
         region = (float(rng.uniform(0.0, spec.length / 4.0)),
                   float(rng.uniform(3.2, max(4.2, spec.length / 3.0))), stats.mean)
         gtrap = trapezoid_g(spec.length, stats.mean, region[0], region[1], "theorem1")
@@ -223,6 +245,7 @@ def test_ground_state_record_matches_per_call_formulas():
         for name, value in want.items():
             assert abs(getattr(rep, name) - value) <= tol, name
     assert solved >= 190
+    assert checked["theorem1"] == solved and checked["theorem2"] >= 100
 
 
 def test_potential_shift_invariance():

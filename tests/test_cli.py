@@ -173,6 +173,17 @@ def test_sweep_config_bad_file_exits_1(tmp_path, capsys, text):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("override", [[], ["--s", "0.3"]], ids=["alone", "flag-overrides-it"])
+def test_sweep_config_overflowing_number_exits_1(tmp_path, capsys, override):
+    # a JSON integer too large for a float is a bad value, also where a flag overrides it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"L": 40, "points": 2, "s": 1' + "0" * 400 + "}")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"), *override])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config key 's': bad value 1000")
+    assert not (tmp_path / "s.csv").exists()
+
+
 # the C locale with both of Python's UTF-8 fallbacks off: the locale encoding
 # and the file-system encoding are ASCII
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
@@ -228,9 +239,9 @@ def test_fuzz(capsys):
 
 def test_fuzz_failure_prints_the_report_and_exits_2(capsys, monkeypatch):
     # a rise at the last breakpoint fails the first trial's monotonicity check
-    import gapbound.fuzz as fuzz_mod
+    import gapbound.bounds as bounds_mod
 
-    real = fuzz_mod.tail_steps
+    real = bounds_mod.tail_steps
 
     def bumped(profile, mean):
         radii, tails = real(profile, mean)
@@ -238,7 +249,7 @@ def test_fuzz_failure_prints_the_report_and_exits_2(capsys, monkeypatch):
         tails[-1] = tails[-2] + 1e-9
         return radii, tails
 
-    monkeypatch.setattr(fuzz_mod, "tail_steps", bumped)
+    monkeypatch.setattr(bounds_mod, "tail_steps", bumped)
     code = main(["fuzz", "--seed", "42", "--trials", "3", "--family", "nearest-neighbor"])
     captured = capsys.readouterr()
     assert code == 2

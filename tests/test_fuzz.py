@@ -6,18 +6,25 @@ import pytest
 from gapbound import (
     EnvelopeViolation,
     FuzzConfig,
+    GroundState,
     HoppingEnvelope,
     InvariantViolation,
     ModelSpec,
     NNBound,
     ValidationError,
+    assemble,
+    chebyshev_tail_bound,
+    impurity_model,
+    lowest_two,
     run_fuzz,
     trial_rng,
 )
 import gapbound.bounds as bounds_mod
 import gapbound.fuzz as fuzz_mod
 import gapbound.lattice as lattice_mod
-from gapbound.fuzz import ENVELOPE_FAMILY, NN_FAMILY, _scaled_blocks, random_model
+import gapbound.localization as localization_mod
+import gapbound.sweep as sweep_mod
+from gapbound.fuzz import ENVELOPE_FAMILY, FAMILIES, NN_FAMILY, _scaled_blocks, random_model
 from gapbound.lattice import hopping_norms
 
 from oracles import random_model_blocks
@@ -95,7 +102,7 @@ def test_seed_42_five_hundred_nn_trials_pass():
 def test_tail_check_reads_every_breakpoint(monkeypatch):
     # a rise of 1e-9 at the last breakpoint, however close it sits to the
     # one before it, fails the monotonicity check
-    real = fuzz_mod.tail_steps
+    real = bounds_mod.tail_steps
 
     def bumped(profile, mean):
         radii, tails = real(profile, mean)
@@ -103,9 +110,27 @@ def test_tail_check_reads_every_breakpoint(monkeypatch):
         tails[-1] = tails[-2] + 1e-9
         return radii, tails
 
-    monkeypatch.setattr(fuzz_mod, "tail_steps", bumped)
+    monkeypatch.setattr(bounds_mod, "tail_steps", bumped)
     with pytest.raises(InvariantViolation, match="not monotone"):
         run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
+
+
+def test_power_law_check_reads_every_breakpoint(monkeypatch):
+    # a tail raised above the power law only near the last breakpoint, which
+    # none of the radii deltaX, 2 deltaX and 5 deltaX reads off the tail, fails
+    spec, nn = impurity_model(40, -1.0), NNBound(v0=1.0)
+    res = lowest_two(assemble(spec))
+    state = GroundState.of(res.psi0, spec)
+    radii, tails = state.steps
+    last = chebyshev_tail_bound(nn, spec.length, res.gap, radii[-1])
+    raised = np.maximum(tails, 2.0 * last)  # still nonincreasing
+    sampled = np.array([1.0, 2.0, 5.0]) * max(state.stats.delta_x, 0.5)
+    at = np.searchsorted(radii, sampled, side="left")
+    assert np.all(raised[at] <= chebyshev_tail_bound(nn, spec.length, res.gap, sampled))
+    monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, None, nn))
+    monkeypatch.setattr(bounds_mod, "tail_steps", lambda profile, mean: (radii, raised))
+    with pytest.raises(InvariantViolation, match="power-law tail bound violated at R="):
+        run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
 
 
 def test_bad_envelope_declaration_is_rejected_not_reported(monkeypatch):
@@ -237,3 +262,26 @@ def test_fuzz_reads_one_record_per_ground_state(family, monkeypatch):
         "_stored_pair_products": report.passed,
         "site_coupling_profile": 2 * report.passed,
     }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_solved_state_computes_density_stats_and_tail_once(family, monkeypatch):
+    # a call count, not a timing: a sweep point and a fuzz trial each build one
+    # ground-state record, and every check reads its density, statistics and
+    # sorted tail; every module's name for each function is counted
+    counts = dict.fromkeys(("density", "position_stats", "tail_steps"), 0)
+    for module in (bounds_mod, fuzz_mod, sweep_mod, localization_mod):
+        for name in counts:
+            if hasattr(module, name):
+                def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+    row = sweep_mod.sweep_point(60, -0.5)
+    assert (row.violations1, row.violations2) == (0, 0)
+    assert counts == {"density": 1, "position_stats": 1, "tail_steps": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    report = run_fuzz(FuzzConfig(trials=50, family=family))
+    assert report.passed > 40  # a skipped (degenerate) trial stops at its solve
+    assert counts == dict.fromkeys(counts, report.passed)

@@ -1,5 +1,6 @@
 """The README's examples and option lists, and the names the benchmark harness wraps."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -62,6 +63,29 @@ def test_benchmark_entry_points_resolve(monkeypatch):
             if not hasattr(owner, attr):
                 unresolved.append(target)
     assert unresolved == []
+
+
+def test_unused_imports_are_tracer_targets():
+    # a name a module imports but never reads is kept only so that the
+    # benchmark tracer can wrap it there; any other is dead and should go
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (spans,) = [ast.literal_eval(node.value) for node in tracer.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "SPANS"]
+    targets = {target for span in spans.values() for target in span}
+    unused = []
+    for path in sorted((ROOT / "src" / "gapbound").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in imports if getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"gapbound.{path.stem}:{name}" for name in sorted(imported - read)]
+    assert [name for name in unused if name not in targets] == []
 
 
 def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
