@@ -14,7 +14,17 @@ There are three routes, picked from ``(n, bandwidth)``:
   one orbital per site, diagonal input, ``n = 2``) is made real symmetric
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
-  (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).
+  (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).  Bisection
+  stops at ``threshold / 64`` (``threshold = degeneracy_tol * scale``),
+  all the degeneracy test needs; ``E_k`` are the Rayleigh quotients of
+  the ``stein`` vectors.  The pair is accepted only after the residual
+  gate below, residuals at rounding level and one Sturm count: at most
+  one eigenvalue at or below ``E1 - r1 - pad1``, which exceeds ``E0 + r0
+  + pad0``, with ``pad_k = 16 eps (scale + |E_k|)`` plus an underflow
+  term (``_coarse_tridiagonal_pairs`` gives the proof).  Otherwise, and
+  whenever the gap falls below the threshold, full-precision bisection
+  (``abstol = 0``) gives the pair, exactly as
+  :func:`scipy.linalg.eigh_tridiagonal` computes it.
 * A large banded operator with bandwidth b > 1,
   ``n >= max(400, 1600 // b, 400 + 2 (b - 16))`` (every ``N0 = 4..8``
   strip of 100 supersites and longer, never a dense array), goes to the
@@ -78,13 +88,15 @@ in this grid, and n = 800, b = 256 to ``sbevx`` at a tie.
 The inertia route's E0/E1 agree with ``sbevx``'s to about ``1e-15 * scale``
 but are not bit-identical to them.
 
-The tridiagonal and ``sbevx`` routes call LAPACK through
-:func:`scipy.linalg.get_lapack_funcs`, with the arguments
-:func:`scipy.linalg.eigh_tridiagonal` and :func:`scipy.linalg.eig_banded`
-pass for the same selection, so the results are theirs bit for bit
-without their per-call wrapper cost.  Nothing forms the dense matrix of
-a banded operator, not even the full spectrum
-(:attr:`SpectrumResult.eigenvalues`).
+The ``sbevx`` route and the tridiagonal route's full-precision pass call
+LAPACK through :func:`scipy.linalg.get_lapack_funcs`, with the arguments
+:func:`scipy.linalg.eig_banded` and :func:`scipy.linalg.eigh_tridiagonal`
+pass for the same selection, so their results are those functions' bit
+for bit without their per-call wrapper cost.  The tridiagonal route's
+coarse pass agrees with full-precision bisection to about ``eps * scale``
+(within ``4 eps * scale`` over the default sweep grid at L = 500 and
+5000) but not bit for bit.  Nothing forms the dense matrix of a banded
+operator, not even the full spectrum (:attr:`SpectrumResult.eigenvalues`).
 
 Every accepted result is certified a posteriori: the 2-norm residuals
 ``|H v - E v|`` of both returned eigenpairs against the stored band
@@ -95,9 +107,10 @@ exceed ``MAX_SPECTRAL_SCALE``.
 Degenerate ground states are refused rather than resolved arbitrarily:
 when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
 solver raises :class:`DegenerateGroundState`.  The ``sbevx`` route
-decides before any eigenvector is computed, the tridiagonal route after
-``stein``, the inertia route on its final values, or earlier when
-bisection finds both eigenvalues in one interval narrower than that threshold.
+decides before any eigenvector is computed, the tridiagonal route on the
+values of its full-precision pass, the inertia route on its final values,
+or earlier when bisection finds both eigenvalues in one interval narrower
+than that threshold.
 """
 
 from __future__ import annotations
@@ -144,6 +157,12 @@ _RAYLEIGH_PASSES = 2
 _INERTIA_MIN_N = 400
 _INERTIA_MIN_NB = 1600
 _INERTIA_WIDE_B = 16
+# Tridiagonal route: the first bisection stops at this fraction of the
+# degeneracy threshold (the Rayleigh quotients supply the last digits)
+_COARSE_FRACTION = 1 / 64
+# Absolute part of the tridiagonal count's pad: stebz sets an e_j with
+# e_j^2 below the underflow threshold to zero and floors its pivots there.
+_TINY_PAD = 4 * math.sqrt(np.finfo(float).tiny)
 
 
 class BandedHermitian:
@@ -311,21 +330,103 @@ def _check_info(info: int, routine: str):
         raise GapboundError(f"LAPACK {routine} failed (info={info})")
 
 
-def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray):
+def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, abstol: float = 0.0):
     """Two lowest eigenpairs of the real symmetric tridiagonal ``(d, e)``.
 
-    Bisection by index (``stebz``, block order) plus inverse iteration
-    (``stein``), sorted ascending: the calls
+    Bisection by index (``stebz``, block order) to the absolute tolerance
+    ``abstol`` plus inverse iteration (``stein``) at the estimates, sorted
+    ascending.  With ``abstol = 0`` (full precision) these are the calls
     ``eigh_tridiagonal(d, e, select="i", select_range=(0, 1))`` makes.
+    With ``abstol > 0`` (the coarse pass of :func:`_coarse_tridiagonal_pairs`)
+    a vector that ``stein`` reports unconverged gives ``None`` instead of
+    an error, so that the caller falls back to the full-precision pass.
     """
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, "B")
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, abstol, "B")
     _check_info(info, "stebz")
     w = w[:m]
     z, info = stein(d, e, w, iblock, isplit)
+    if info > 0 and abstol > 0:
+        return None
     _check_info(info, "stein")
     order = np.argsort(w)
     return w[order], z[:, order]
+
+
+def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float, scale: float) -> int:
+    """Eigenvalues of the real symmetric tridiagonal ``(d, e)`` at or below ``sigma``.
+
+    One Sturm count: ``stebz`` by value on ``(-2 scale - 1, sigma]``, an
+    interval that starts below the spectrum, with ``abstol = scale`` so
+    that bisection stops at once and only the counts at the two ends are
+    made (about 20 µs at n = 501).  The count is exact for a tridiagonal
+    near ``(d, e)``; :func:`_coarse_tridiagonal_pairs` bounds how near.
+    """
+    (stebz,) = get_lapack_funcs(("stebz",), (d, e))
+    m, _, _, _, info = stebz(d, e, 1, -2.0 * scale - 1.0, sigma, 0, 0, scale, "B")
+    _check_info(info, "stebz")
+    return int(m)
+
+
+def _coarse_tridiagonal_pairs(hm: BandedHermitian, d: np.ndarray, e: np.ndarray,
+                              phases: np.ndarray, scale: float, limit: float,
+                              threshold: float):
+    """Proven two lowest eigenpairs of a tridiagonal from a coarse bisection, or ``None``.
+
+    ``(d, e)`` is the real symmetric form ``Dᴴ H D`` of ``hm`` with ``D =
+    diag(phases)``.  :func:`_tridiagonal_pairs` bisects only to
+    ``threshold * _COARSE_FRACTION``, all the degeneracy test needs, and
+    runs ``stein`` at those estimates; the energies are the Rayleigh
+    quotients of the vectors (:func:`_rayleigh_pairs` with ``refine``),
+    which supply the last digits.  With ``pad_k = 16 eps (scale + |E_k|)
+    + 4 sqrt(tiny)`` and ``sigma1 = E1 - r1 - pad1``, the pairs are
+    returned only if
+
+    * both residuals ``r_k`` are within ``limit`` and at rounding level,
+      ``r_k <= n eps scale``: a larger one means that ``stein`` mixed
+      eigenvectors the coarse estimate did not separate (a chain whose
+      scale is one huge on-site entry has its level spacing far below
+      the threshold), and its Rayleigh quotient would be less accurate
+      than full bisection;
+    * ``E1 - E0 >= threshold``, so that a refusal is always made on the
+      full-precision values, as before;
+    * ``sigma1 > E0 + r0 + pad0``, and one Sturm count
+      (:func:`_sturm_count`) finds at most one eigenvalue at or below
+      ``sigma1``.
+
+    Proof.  Kahan's analysis of the Sturm sequence (Kahan 1966; Demmel,
+    *Applied Numerical Linear Algebra*, §5.3) makes the computed count
+    the exact count of a tridiagonal ``T + F``: the rounding moves each
+    ``d_j`` by at most ``eps |d_j|`` and each ``e_j`` by ``2 eps |e_j|``
+    (``3 eps`` with the rounding of ``e = |sub|``), and ``stebz``'s
+    splitting of an ``e_j`` below ``ulp sqrt(|d_j d_j+1|) + sqrt(tiny)``
+    and its pivot floor add at most ``2 eps scale + sqrt(tiny)`` per
+    entry, so ``||F||_2 <= 6 eps scale + 3 sqrt(tiny)``.  A computed
+    residual ``r_k`` of the complex band product is within ``5 eps scale
+    + 2 eps |E_k| + sqrt(tiny)`` (up to terms of order ``n eps r_k``) of
+    the true one, which puts an eigenvalue within it of ``E_k``.  As
+    ``pad_k`` exceeds both errors together, the eigenvalue near ``E0``
+    lies below ``E0 + r0 + pad0 - ||F|| < sigma1 - ||F||``, and the one
+    near ``E1`` above ``sigma1 + ||F||``.  By Weyl's inequality ``T`` has
+    at most one eigenvalue at or below ``sigma1 - ||F||``: so the first
+    is ``lambda_1``, and ``lambda_2`` lies in ``(sigma1 - ||F||, E1 + r1 +
+    pad1]``.  So ``E_k`` is within ``r_k + 2 pad_k`` of ``lambda_k``.
+    Returns ``(w, psis, residuals)`` as :func:`_rayleigh_pairs` does.
+    """
+    coarse = _tridiagonal_pairs(d, e, _COARSE_FRACTION * threshold)
+    if coarse is None:
+        return None
+    w, z = coarse
+    pairs = _rayleigh_pairs(hm, phases[:, None] * z, w, refine=True)
+    (e0, e1), (r0, r1) = pairs[0], pairs[2]
+    eps = np.finfo(float).eps
+    if not (max(r0, r1) <= min(limit, d.size * eps * scale) and e1 - e0 >= threshold):
+        return None
+    pad0, pad1 = (16 * eps * (scale + abs(x)) + _TINY_PAD for x in (e0, e1))
+    sigma1 = e1 - r1 - pad1
+    if sigma1 > e0 + r0 + pad0 and _sturm_count(d, e, sigma1, scale) <= 1:
+        return pairs
+    return None
 
 
 def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
@@ -574,18 +675,26 @@ def _bisect_two(band: np.ndarray, scale: float, floor: float, threshold: float,
     return None
 
 
-def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray, energies=None):
+def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray, energies=None, refine=False):
     """Normalised columns of ``vecs``, their energies and residual norms.
 
-    The energies are ``energies`` when given, else the Rayleigh quotients;
-    the residuals are ``|H psi - E psi|``.  Returns ``(w, psis, residuals)``
+    The energies are ``energies`` when given, else the Rayleigh quotients.
+    With ``refine`` they are the Rayleigh quotients computed as
+    corrections to the estimates ``energies``, ``mu + Re <psi, H psi - mu
+    psi>``, so that the n-term sum rounds only the small correction.  The
+    residuals are ``|H psi - E psi|``.  Returns ``(w, psis, residuals)``
     with ``psis`` a list of vectors.
     """
     w, psis, residuals = [], [], []
     for k, col in enumerate(vecs.T):
         psi = col / np.linalg.norm(col)
         hpsi = hm.matvec(psi)
-        energy = float(np.vdot(psi, hpsi).real) if energies is None else float(energies[k])
+        if energies is None:
+            energy = float(np.vdot(psi, hpsi).real)
+        else:
+            energy = float(energies[k])
+            if refine:
+                energy += float(np.vdot(psi, hpsi - energy * psi).real)
         w.append(energy)
         psis.append(psi)
         residuals.append(float(np.linalg.norm(hpsi - energy * psi)))
@@ -687,8 +796,13 @@ def lowest_two(
         mag = np.abs(sub)
         unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0)
         phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-        w, z = _tridiagonal_pairs(band[0].real, mag)
-        vecs = phases[:, None] * z
+        diag = band[0].real
+        pairs = _coarse_tridiagonal_pairs(hm, diag, mag, phases, scale, limit, threshold)
+        if pairs is None:  # the full-precision pair, as eigh_tridiagonal computes it
+            w, z = _tridiagonal_pairs(diag, mag)
+            vecs = phases[:, None] * z
+        else:
+            w = pairs[0]
     else:
         band = _lapack_band(hm)
         if _takes_inertia_route(n, hm.bandwidth):

@@ -143,8 +143,8 @@ class ModelSpec:
     :meth:`from_arrays` builds the same model from block-band arrays.
     Every model, however built, ends in the same storage and the same
     validation; :meth:`_from_bands` is the constructor for arrays already
-    in that layout (used by :meth:`from_arrays`, the model-file parser and
-    the fuzz generator).
+    in that layout (used by :meth:`from_arrays`, the model-file parser,
+    the fuzz generator and :func:`impurity_model`).
     """
 
     __slots__ = (
@@ -541,17 +541,14 @@ def impurity_model(length: int, h0: float) -> ModelSpec:
         raise ValidationError(f"length must be even, got {length}")
     sites = int(length) + 1
     center = int(length) // 2  # 0-based row of the site length // 2 + 1
-    onsite = np.zeros((sites, 1, 1))
+    # built in storage layout: from_arrays would only copy these arrays
+    onsite = np.zeros((sites, 1, 1), dtype=np.complex128)
     onsite[center] = float(h0)
     mask = np.zeros(sites, dtype=bool)
     mask[center] = True
-    return ModelSpec.from_arrays(
-        sites,
-        1,
-        {1: np.ones((sites - 1, 1, 1))},
-        onsite,
-        mask,
-        label=f"impurity chain (L={length}, h0={h0})",
+    hopping = (np.ones((sites - 1, 1, 1), dtype=np.complex128), np.ones(sites - 1, dtype=bool))
+    return ModelSpec._from_bands(
+        sites, 1, onsite, mask, {1: hopping}, label=f"impurity chain (L={length}, h0={h0})"
     )
 
 

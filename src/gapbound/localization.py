@@ -3,7 +3,8 @@
 The particle density per supersite is ``p_x = sum_i |psi[(x, i)]|^2``.
 From it we derive the mean position, the position variance, the tail
 distribution ``P(|x - <x>| >= R)`` and a least-squares estimate of the
-exponential decay length of ``p_x``.
+exponential decay length of ``p_x`` (the closed-form least-squares line
+through ``ln p_x`` against the distance from a centre).
 
 Distances are always measured from the real-valued mean position over
 the integer site coordinates; no re-indexing takes place.
@@ -67,7 +68,14 @@ class PositionStats:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Least-squares fit of ``ln p_x = intercept - |x - center| / xi_fit``."""
+    """Least-squares fit of ``ln p_x = intercept - |x - center| / xi_fit``.
+
+    The line is the closed-form least-squares one, ``slope = sum (d - d̄)(y
+    - ȳ) / sum (d - d̄)²`` over the distances ``d`` and ``y = ln p_x`` of the
+    fit window, with ``xi_fit = -1 / slope``; ``r_squared`` is its
+    coefficient of determination and ``window`` the smallest and largest
+    fitted distance.
+    """
 
     xi_fit: float
     intercept: float
@@ -145,12 +153,15 @@ def fit_localization_length(
     Points below ``floor`` (numerical noise) and within
     ``boundary_margin`` sites of either open edge are excluded; both
     sides of ``center`` are fitted jointly against the distance
-    ``|x - center|``.
+    ``|x - center|`` by the closed-form least-squares line (see
+    :class:`DecayFit`).
 
     Raises
     ------
     ValidationError
-        ``center`` is not a finite point of the lattice ``1..L``.
+        ``center`` is not a finite point of the lattice ``1..L``,
+        ``floor`` is not finite and > 0, or ``boundary_margin`` is
+        negative.
     InsufficientData
         Fewer than 4 usable points.
     NonDecaying
@@ -158,6 +169,10 @@ def fit_localization_length(
     """
     if not math.isfinite(center):
         raise ValidationError(f"fit center must be finite, got {center!r}")
+    if not (math.isfinite(floor) and floor > 0):
+        raise ValidationError(f"fit floor must be finite and > 0, got {floor!r}")
+    if not boundary_margin >= 0:
+        raise ValidationError(f"boundary_margin must be >= 0, got {boundary_margin!r}")
     p = profile.p
     length = profile.length
     if not 1 <= center <= length:
@@ -173,15 +188,17 @@ def fit_localization_length(
     y = np.log(p[usable])
     if np.ptp(y) == 0.0:
         raise NonDecaying("profile is exactly flat over the fit window")
-    slope, intercept = np.polyfit(d, y, 1)
+    d_mean, y_mean = float(d.mean()), float(y.mean())
+    dc, yc = d - d_mean, y - y_mean
+    slope = float(dc @ yc) / float(dc @ dc)  # >= 4 points hold >= 2 distinct distances
     if slope >= 0:
         raise NonDecaying(f"fitted slope {slope:.3e} is not negative")
-    resid = y - (slope * d + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
+    resid = yc - slope * dc
+    ss_tot = float(yc @ yc)
+    r_squared = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 0.0
     return DecayFit(
-        xi_fit=-1.0 / float(slope),
-        intercept=float(intercept),
+        xi_fit=-1.0 / slope,
+        intercept=y_mean - slope * d_mean,
         r_squared=r_squared,
         window=(float(d.min()), float(d.max())),
     )

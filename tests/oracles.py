@@ -8,7 +8,8 @@ the dense matrix, to check the banded inertia counts, which never form it.
 The model-file reference parser and formatter read and write one entry at
 a time.  The complementary and Appendix-B references recompute every
 weight-independent product from ``psi0`` on each call, per hopping
-distance, as the package did before it shared them per ground state.
+distance, as the package did before it shared them per ground state.  The
+decay-fit reference solves its least-squares line by ``np.polyfit``.
 """
 
 from __future__ import annotations
@@ -212,6 +213,24 @@ def random_model_blocks(rng, size_range=(4, 40), n0_range=(1, 3), envelope_famil
             a = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0))
             onsites.append((x, float(rng.uniform(0.0, 2.0)) * 0.5 * (a + a.conj().T)))
     return length, n0, hops, onsites, env, v0
+
+
+def polyfit_decay_fit(p: np.ndarray, center: float, floor: float = 1e-13,
+                      boundary_margin: int = 10) -> tuple:
+    """``(xi_fit, intercept, r_squared, window)`` of the decay fit by ``np.polyfit``.
+
+    The SVD least-squares line through ``ln p_x`` against ``|x - center|``
+    over the sites with ``p_x >= floor`` at least ``boundary_margin`` sites
+    from either edge, as the package fitted it before its closed form.
+    """
+    x = np.arange(1, p.size + 1, dtype=float)
+    usable = (p >= floor) & (x > boundary_margin) & (x <= p.size - boundary_margin)
+    d = np.abs(x[usable] - center)
+    y = np.log(p[usable])
+    slope, intercept = np.polyfit(d, y, 1)
+    resid = y - (slope * d + intercept)
+    r_squared = 1.0 - float(np.sum(resid**2)) / float(np.sum((y - y.mean()) ** 2))
+    return -1.0 / float(slope), float(intercept), r_squared, (float(d.min()), float(d.max()))
 
 
 def partial_series(term, rtol: float = 1e-18, max_terms: int = 100000) -> float:

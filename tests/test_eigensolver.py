@@ -23,6 +23,7 @@ from gapbound import (
     write_spectrum,
 )
 from gapbound.fuzz import FAMILIES, NN_FAMILY, random_model, trial_rng
+from gapbound.sweep import default_h0_grid
 
 from oracles import (
     band_to_dense,
@@ -32,6 +33,7 @@ from oracles import (
     dense_counts,
     hermitian_eigenvalues_bisect,
     random_hermitian,
+    sturm_count,
 )
 
 
@@ -307,7 +309,8 @@ def test_complex_tridiagonal_route_matches_dense_route(n, routes):
 
 
 def test_zero_subdiagonal_entry_decoupled_blocks(routes):
-    # two decoupled copies of the same block: degenerate, refused
+    # two decoupled copies of the same block: degenerate, refused after the
+    # unproven coarse pass and the full-precision one
     block = np.array([0.3, -1.1 + 0.4j])
     sub = np.concatenate([block, [0.0], block])
     rng = np.random.default_rng(11)
@@ -315,11 +318,13 @@ def test_zero_subdiagonal_entry_decoupled_blocks(routes):
     h[np.arange(3, 6), np.arange(3, 6)] = h[np.arange(3), np.arange(3)]
     with pytest.raises(DegenerateGroundState):
         lowest_two(h)
+    assert routes == ["tridiagonal", "tridiagonal"]
     # shift the second block up a little: psi0 lives on the first block and
-    # psi1 on the second, whose phases continue across the zero entry
+    # psi1 on the second, whose phases continue across the zero entry; the
+    # coarse pass is proven
     h[np.arange(3, 6), np.arange(3, 6)] += 1e-3
     res = lowest_two(h)
-    assert routes == ["tridiagonal", "tridiagonal"]
+    assert routes == ["tridiagonal", "tridiagonal", "tridiagonal"]
     oracle = hermitian_eigenvalues_bisect(h, k=2)
     np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-12)
     assert res.gap == pytest.approx(1e-3, abs=1e-12)
@@ -542,6 +547,119 @@ def test_nonzero_lapack_info_is_refused(monkeypatch):
     for h in (assemble(impurity_model(10, -0.5)), assemble(strip_model(5, 2))):
         with pytest.raises(GapboundError, match="LAPACK"):
             lowest_two(h)
+
+
+@pytest.fixture()
+def tridiagonal_passes(monkeypatch):
+    """The ``abstol`` of every ``_tridiagonal_pairs`` call ``lowest_two`` makes."""
+    calls = []
+    original = eigensolver_mod._tridiagonal_pairs
+
+    def spy(d, e, abstol=0.0):
+        calls.append(abstol)
+        return original(d, e, abstol)
+
+    monkeypatch.setattr(eigensolver_mod, "_tridiagonal_pairs", spy)
+    return calls, original
+
+
+def _chain_form(h):
+    """The real symmetric ``(d, e)`` the tridiagonal route solves."""
+    return h.band[0].real, np.abs(h.band[1, : h.n - 1])
+
+
+@pytest.mark.parametrize("length", [500, 5000])
+def test_coarse_tridiagonal_pass_is_proven_on_the_default_grid(length, tridiagonal_passes):
+    # one coarse pass per point, no fallback, and the Rayleigh energies
+    # agree with the full-precision bisection to rounding
+    calls, full = tridiagonal_passes
+    eps = np.finfo(float).eps
+    for h0 in default_h0_grid():
+        h = assemble(impurity_model(length, h0))
+        calls.clear()
+        res = lowest_two(h)
+        assert len(calls) == 1 and calls[0] > 0, h0
+        w, _ = full(*_chain_form(h))
+        scale = spectral_scale(h)
+        assert abs(res.e0 - w[0]) <= 4 * eps * scale, h0
+        assert abs(res.e1 - w[1]) <= 4 * eps * scale, h0
+        assert res.gap == pytest.approx(w[1] - w[0], rel=1e-9, abs=0), h0
+
+
+def test_coarse_tridiagonal_pass_is_proven_on_fuzz_chains(tridiagonal_passes):
+    calls, _ = tridiagonal_passes
+    chains = 0
+    for i in range(200):
+        spec = random_model(trial_rng(980, i), family=NN_FAMILY)[0]
+        h = assemble(spec)
+        if h.bandwidth > 1:
+            continue
+        calls.clear()
+        lowest_two(h)
+        assert len(calls) == 1 and calls[0] > 0, i
+        chains += 1
+    assert chains >= 20
+
+
+@pytest.mark.parametrize("h0", [-1e9, -1e12])
+def test_unproven_coarse_pass_falls_back_to_full_bisection(h0, tridiagonal_passes):
+    # one on-site entry sets the scale: threshold / 64 is coarser than the
+    # chain's level spacing, so the coarse vectors mix eigenvectors and the
+    # full-precision pair is returned, exactly as eigh_tridiagonal gives it
+    calls, full = tridiagonal_passes
+    h = assemble(impurity_model(40, h0))
+    res = lowest_two(h)
+    assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
+    w, z = full(*_chain_form(h))
+    assert (res.e0, res.e1, res.gap) == (w[0], w[1], w[1] - w[0])
+    _, psis, residuals = eigensolver_mod._rayleigh_pairs(h, z.astype(complex), w)
+    assert (res.residual0, res.residual1) == tuple(residuals)
+    np.testing.assert_array_equal(np.abs(res.psi0), np.abs(psis[0]))
+    np.testing.assert_array_equal(np.abs(res.psi1), np.abs(psis[1]))
+    assert res.e1 == pytest.approx(-1.9777, abs=1e-3)
+
+
+def test_unconverged_coarse_vectors_fall_back(monkeypatch, tridiagonal_passes):
+    # stein reporting an unconverged vector in the coarse pass is no error
+    calls, _ = tridiagonal_passes
+    h = assemble(impurity_model(60, -0.4))
+    expected = lowest_two(h)
+    real = eigensolver_mod.get_lapack_funcs
+
+    def coarse_stein_fails(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        if names != ("stebz", "stein") or calls[-1] == 0:
+            return funcs
+        stebz, stein = funcs
+        return stebz, lambda *a: (stein(*a)[0], 1)
+
+    monkeypatch.setattr(eigensolver_mod, "get_lapack_funcs", coarse_stein_fails)
+    calls.clear()
+    res = lowest_two(h)
+    assert len(calls) == 2 and calls[1] == 0
+    assert res.gap == pytest.approx(expected.gap, rel=1e-12)
+
+
+def test_coarse_pass_with_a_second_eigenvalue_below_sigma1_falls_back(monkeypatch,
+                                                                      tridiagonal_passes):
+    calls, full = tridiagonal_passes
+    monkeypatch.setattr(eigensolver_mod, "_sturm_count", lambda *args: 2)
+    h = assemble(impurity_model(60, -0.4))
+    res = lowest_two(h)
+    assert len(calls) == 2 and calls[1] == 0
+    w, _ = full(*_chain_form(h))
+    assert (res.e0, res.e1) == (w[0], w[1])
+
+
+def test_sturm_count_matches_python_bisection():
+    rng = np.random.default_rng(985)
+    for n in (2, 5, 40, 300):
+        d = rng.uniform(-2, 2, n)
+        e = rng.uniform(0, 1.5, n - 1)
+        e[rng.random(n - 1) < 0.1] = 0.0  # split blocks too
+        scale = float(np.max(np.abs(d) + np.append(e, 0) + np.append(0, e)))
+        for sigma in rng.uniform(-scale, scale, 20):
+            assert eigensolver_mod._sturm_count(d, e, sigma, scale) == sturm_count(d, e, sigma)
 
 
 def _disordered_strip(length, width, seed, disorder=6.0):

@@ -105,6 +105,25 @@ def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
         assert problems == [], (name, item.key)
 
 
+def test_default_sweep_matches_benchmark_reference(tmp_path, monkeypatch):
+    # every point of the default L = 500 grid against the recorded
+    # impurity-sweep reference (read only) at the benchmark's RTOL, so that
+    # a change of numerics fails here before it fails the benchmark
+    workloads = _load(monkeypatch, ROOT / "perfbench" / "workloads.py")
+    reference = _load(monkeypatch, ROOT / "perfbench" / "reference.py")
+    workload = workloads.WORKLOADS["impurity-sweep"]
+    refs = reference.load_reference(workload.name)
+    api = workloads.default_api()
+    items = workload.setup(0, tmp_path)
+    assert len(items) == len(refs) == 100
+    failed = {}
+    for item in items:
+        _, problems = workload.check(item, workload.run(api, item), refs.get(item.key))
+        if problems:
+            failed[item.key] = problems
+    assert failed == {}
+
+
 def test_tracer_solve_hook_reads_the_band_only(monkeypatch):
     # the hook sizes the operator by np.shape, which reads BandedHermitian.shape
     tracer = _load(monkeypatch, ROOT / "perfbench" / "tracer.py")

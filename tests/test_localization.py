@@ -22,7 +22,9 @@ from gapbound import (
     write_profile_csv,
 )
 
-from oracles import brute_tail
+from gapbound.sweep import default_h0_grid
+
+from oracles import brute_tail, polyfit_decay_fit
 
 
 def _delta_profile(length, site):
@@ -220,6 +222,43 @@ def test_impurity_matches_analytic_bound_state(h0):
     fit = fit_localization_length(prof, center=251.0)
     kappa = math.asinh(abs(h0) / 2.0)
     assert fit.xi_fit == pytest.approx(1.0 / (2.0 * kappa), rel=1e-8)
+
+
+def _assert_fit_matches_polyfit(prof, center, **kwargs):
+    fit = fit_localization_length(prof, center=center, **kwargs)
+    xi_fit, intercept, r_squared, window = polyfit_decay_fit(prof.p, center, **kwargs)
+    assert fit.xi_fit == pytest.approx(xi_fit, rel=1e-12, abs=0)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
+    assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0)
+    assert fit.window == window
+
+
+def test_closed_form_fit_matches_polyfit_on_impurity_profiles():
+    for h0 in default_h0_grid()[::10]:
+        spec = impurity_model(500, h0)
+        prof = density(lowest_two(assemble(spec)).psi0, spec)
+        _assert_fit_matches_polyfit(prof, 251.0)
+
+
+def test_closed_form_fit_matches_polyfit_on_a_noisy_profile():
+    rng = np.random.default_rng(17)
+    x = np.arange(1, 121)
+    p = np.exp(-np.abs(x - 57.3) / 6.0 + rng.normal(scale=0.5, size=x.size))
+    prof = DensityProfile(p=p / p.sum())
+    _assert_fit_matches_polyfit(prof, 57.3, floor=1e-9, boundary_margin=3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kwargs", [{"floor": 0.0}, {"floor": -1e-13}, {"floor": math.nan}, {"floor": math.inf},
+               {"boundary_margin": -1}],
+)
+def test_fit_refuses_bad_floor_and_margin(kwargs):
+    p = np.exp(-np.abs(np.arange(1, 61) - 30.0) / 3.0)
+    p[39] = 0.0  # log(0) would warn and fit NaN with floor 0
+    prof = DensityProfile(p=p / p.sum())
+    with pytest.raises(ValidationError, match="floor|boundary_margin"):
+        fit_localization_length(prof, center=30.0, **kwargs)
 
 
 def test_csv_dumps(tmp_path):
