@@ -9,7 +9,7 @@ real site weight ``g(x)`` define the diagonal operator
 On a non-degenerate ground state the spectral gap and the variance of G
 obey ``gap * var(G) <= |<H_OD>| / 2``.  The expectation ``<H_OD>`` can be
 computed two independent ways: directly as the weighted pair sum over the
-stored hopping blocks, or as ``<[G, [G, H]]>`` on the band of the
+nonzero hopping blocks, or as ``<[G, [G, H]]>`` on the band of the
 assembled operator; both are recorded and must agree.  (On the ground
 state the signed value is never positive; the absolute value is what
 enters the inequality.)
@@ -59,6 +59,7 @@ from .lattice import (
     HoppingEnvelope,
     ModelSpec,
     NNBound,
+    _nonzero,
     assemble,
     hopping_norms,
     require_envelope,
@@ -121,10 +122,14 @@ def trapezoid_g(
       ``u <= r_inner + 1``, unit-slope ramp up to the plateau value
       ``delta_r - 2`` reached at ``u = r_inner + delta_r - 1``.
     """
-    if length < 1:
-        raise ValidationError("length must be >= 1")
-    if r_inner < 0:
-        raise ValidationError(f"r_inner must be >= 0, got {r_inner}")
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ValidationError(f"length must be a positive integer, got {length!r}")
+    if not math.isfinite(center):
+        raise ValidationError(f"center must be finite, got {center}")
+    if not (math.isfinite(r_inner) and r_inner >= 0):
+        raise ValidationError(f"r_inner must be finite and >= 0, got {r_inner}")
+    if not math.isfinite(delta_r):
+        raise ValidationError(f"delta_r must be finite, got {delta_r}")
     u = np.abs(np.arange(1, length + 1, dtype=float) - center)
     if variant == THEOREM1:
         if not delta_r > 3:
@@ -175,14 +180,15 @@ class ComplementaryReport:
 
 def _stored_pair_products(a: np.ndarray, spec: ModelSpec):
     """``(left, right, pair)``: the 0-based sites ``x`` and ``x + d`` of every
-    stored pair, all distances concatenated, and ``Re(a_x^dag h a_{x+d})``."""
+    pair with a nonzero block, all distances concatenated, and
+    ``Re(a_x^dag h a_{x+d})``."""
     none = np.zeros(0, dtype=np.intp)
     left, right, pair = [none], [none], [np.zeros(0)]
-    for d, (blocks, mask) in spec.hopping_bands.items():
-        x0 = np.flatnonzero(mask)
+    for d, blocks in spec.hopping_bands.items():
+        x0 = _nonzero(blocks)
         left.append(x0)
         right.append(x0 + d)
-        # every row at once, then the stored ones: cheaper than gathering blocks
+        # every row at once, then the nonzero ones: cheaper than gathering blocks
         pair.append(np.einsum("mi,mij,mj->m", a[:-d].conj(), blocks, a[d:]).real[x0])
     return np.concatenate(left), np.concatenate(right), np.concatenate(pair)
 
@@ -197,9 +203,10 @@ class GroundState:
 
     * ``steps``: ``(radii, tails)`` of :func:`tail_steps` about ``<x>``,
       read-only; :meth:`check` reads them for every envelope;
-    * the stored-pair products ``Re(a_x^dag h a_x')`` and, on the first
-      commutator evaluation, the products of the assembled band, which
-      weight ``<H_OD> = 2 sum (g(x) - g(x'))^2 Re(psi_x^dag H[x, x'] psi_x')``
+    * the pair products ``Re(a_x^dag h a_x')`` of the nonzero blocks and,
+      on the first commutator evaluation, the products of the assembled
+      band, which weight
+      ``<H_OD> = 2 sum (g(x) - g(x'))^2 Re(psi_x^dag H[x, x'] psi_x')``
       for any ``g``, so each complementary or Appendix-B weight costs a few
       dot products.
     """
@@ -231,7 +238,7 @@ class GroundState:
         return _stored_pair_products(self.psi.reshape(self.spec.length, self.spec.n0), self.spec)
 
     def hod_explicit(self, gx: np.ndarray) -> float:
-        """<H_OD> as 2 * sum over stored pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
+        """<H_OD> as 2 * sum over hopping pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
         left, right, pair = self._pairs
         dg = gx[left] - gx[right]
         return 2.0 * float(np.dot(dg * dg, pair))
@@ -368,7 +375,7 @@ def g_expectations(
 ) -> ComplementaryReport:
     """Evaluate the complementary inequality for one (model, weight) pair.
 
-    ``<H_OD>`` is computed twice: from the stored hopping blocks and from
+    ``<H_OD>`` is computed twice: from the nonzero hopping blocks and from
     the double commutator ``[G, [G, H]]`` on the band of the assembled
     operator (memoised on ``spec``, so the caller's solve and this check
     share one band), in O(n * bandwidth).  ``scale`` is
@@ -425,10 +432,14 @@ def site_coupling_profile(source, length: int | None = None) -> np.ndarray:
     raise ValidationError(f"unsupported coupling source {type(source).__name__}")
 
 
+def _check_gap(delta_e0: float):
+    if not (math.isfinite(delta_e0) and delta_e0 > 0):
+        raise ValidationError(f"spectral gap must be finite and positive, got {delta_e0}")
+
+
 def variance_upper_bound(source, length: int, delta_e0: float) -> float:
     """Gap-based bound on the position variance: ``max_x V_x / (2 gap)``."""
-    if not delta_e0 > 0:
-        raise ValidationError(f"spectral gap must be positive, got {delta_e0}")
+    _check_gap(delta_e0)
     return float(np.max(site_coupling_profile(source, length))) / (2.0 * delta_e0)
 
 
@@ -447,8 +458,7 @@ def chebyshev_tail_bound(source, length: int, delta_e0: float, r):
 
 
 def _check_bound_params(delta_e0: float, s: float, delta_x: float):
-    if not delta_e0 > 0:
-        raise ValidationError(f"spectral gap must be positive, got {delta_e0}")
+    _check_gap(delta_e0)
     if not 0.0 < s < 1.0:
         raise ValidationError(f"parameter s must lie in (0, 1), got {s}")
     if not (math.isfinite(delta_x) and delta_x >= 0):
@@ -513,8 +523,10 @@ def theorem2_bound(
     ``xi = sqrt(e v0 / (s gap)) + 2``, and ``v0`` as its amplitude.
     """
     _check_bound_params(delta_e0, s, delta_x)
-    if not v0 > 0:
-        raise ValidationError(f"nearest-neighbor amplitude must be positive, got {v0}")
+    if not (math.isfinite(v0) and v0 > 0):
+        raise ValidationError(
+            f"nearest-neighbor amplitude must be finite and positive, got {v0}"
+        )
     r1 = math.sqrt((_E + 1.0) / (1.0 - s)) * delta_x
     xi = math.sqrt(_E * v0 / (s * delta_e0)) + 2.0
     prefactor = _E * (1.0 - s) / (_E + 1.0)

@@ -79,12 +79,17 @@ class FuzzConfig:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        lo, hi = self.size_range
-        if not (2 <= lo <= hi):
-            raise ValidationError(f"bad size range {self.size_range}")
-        lo, hi = self.n0_range
-        if not (1 <= lo <= hi):
-            raise ValidationError(f"bad internal-dimension range {self.n0_range}")
+        for what, value, least in (
+            ("size range", self.size_range, 2), ("internal-dimension range", self.n0_range, 1)
+        ):
+            if not (
+                isinstance(value, tuple)
+                and len(value) == 2
+                and all(isinstance(v, (int, np.integer)) for v in value)
+            ):
+                raise ValidationError(f"{what} must be a pair of integers, got {value!r}")
+            if not least <= value[0] <= value[1]:
+                raise ValidationError(f"bad {what} {value}")
         if self.family not in FAMILIES:
             raise ValidationError(
                 f"unknown family {self.family!r}; choose one of {FAMILIES}"
@@ -136,45 +141,40 @@ def random_model(
     else:
         raise ValidationError(f"unknown family {family!r}")
     max_d = len(amplitudes)
-    dists, draws, targets = [], [], []
-    masks = {d: np.zeros(length - d, dtype=bool) for d in range(1, max_d + 1)}
+    dists, rows, draws, targets = [], [], [], []
     for x in range(1, length):
         for d in range(1, max_d + 1):
             if x + d > length:
                 break
             if rng.random() < (nearest if d == 1 else 0.4):
                 targets.append(float(rng.uniform(0.1, 1.0)) * amplitudes[d - 1])
-                masks[d][x - 1] = True
                 dists.append(d)
+                rows.append(x - 1)
                 draws.append(rng.normal(size=(2, n0, n0)))
     if not draws:
         targets.append(0.5 * amplitudes[0])
-        masks[1][0] = True
         dists.append(1)
+        rows.append(0)
         draws.append(rng.normal(size=(2, n0, n0)))
     blocks = _scaled_blocks(draws, targets)
-    dists = np.array(dists)
+    dists, rows = np.array(dists), np.array(rows)
     bands = {}
-    for d, mask in masks.items():
-        band = np.zeros((length - d, n0, n0), dtype=np.complex128)
-        band[mask] = blocks[dists == d]
-        bands[d] = (band, mask)
+    for d in range(1, max_d + 1):
+        bands[d] = np.zeros((length - d, n0, n0), dtype=np.complex128)
+        bands[d][rows[dists == d]] = blocks[dists == d]
 
-    onsite_mask = np.zeros(length, dtype=bool)
-    site_draws, scales = [], []
+    sites, site_draws, scales = [], [], []
     for x in range(length):
         if rng.random() < 0.7:
-            onsite_mask[x] = True
+            sites.append(x)
             site_draws.append(rng.normal(size=(2, n0, n0)))
             scales.append(float(rng.uniform(0.0, 2.0)))
     onsite = np.zeros((length, n0, n0), dtype=np.complex128)
     if site_draws:
         a = np.array(site_draws)
         a = a[:, 0] + 1j * a[:, 1]
-        onsite[onsite_mask] = (np.array(scales) * 0.5)[:, None, None] * (
-            a + a.conj().transpose(0, 2, 1)
-        )
-    return ModelSpec._from_bands(length, n0, onsite, onsite_mask, bands), env, nn
+        onsite[sites] = (np.array(scales) * 0.5)[:, None, None] * (a + a.conj().transpose(0, 2, 1))
+    return ModelSpec.from_arrays(length, n0, bands, onsite), env, nn
 
 
 def _random_weight(rng: np.random.Generator, length: int) -> WeightFunction:

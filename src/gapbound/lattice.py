@@ -14,12 +14,13 @@ are stored once per site and must be Hermitian.  There is no implicit
 "+ h.c." doubling anywhere: what you store is what enters the matrix.
 
 Storage is by block bands.  The on-site blocks form one ``(L, N0, N0)``
-array.  Each distance ``d = x' - x`` that carries at least one hopping
-block has one ``(L - d, N0, N0)`` array, whose row ``x - 1`` is the block
-of the pair ``(x, x + d)``, and a boolean mask of the pairs that are
-stored (unstored rows are zero).  A nearest-neighbour chain therefore
+array.  Each distance ``d = x' - x`` that carries hopping has one
+``(L - d, N0, N0)`` array, whose row ``x - 1`` is the block of the pair
+``(x, x + d)``.  These arrays are the whole model: a pair carries hopping,
+and a site an on-site term, exactly when its block is nonzero, so a zero
+block is the same model as no block.  A nearest-neighbour chain therefore
 takes O(L * N0^2) memory.  The mappings :attr:`ModelSpec.offdiag` and
-:attr:`ModelSpec.onsite` are read-only views into these arrays.
+:attr:`ModelSpec.onsite` are read-only views of the nonzero blocks.
 
 :func:`assemble` returns the matrix as a
 :class:`~gapbound.eigensolver.BandedHermitian`: its lower band in LAPACK
@@ -122,6 +123,11 @@ def _norms(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.norm(blocks, 2, axis=(1, 2))
 
 
+def _nonzero(blocks: np.ndarray) -> np.ndarray:
+    """0-based rows of a ``(m, N0, N0)`` stack whose block is nonzero."""
+    return np.flatnonzero(blocks.any(axis=(1, 2)))
+
+
 class ModelSpec:
     """Declarative description of a one-particle lattice Hamiltonian.
 
@@ -142,14 +148,12 @@ class ModelSpec:
 
     :meth:`from_arrays` builds the same model from block-band arrays.
     Every model, however built, ends in the same storage and the same
-    validation; :meth:`_from_bands` is the constructor for arrays already
-    in that layout (used by :meth:`from_arrays`, the model-file parser,
-    the fuzz generator and :func:`impurity_model`).
+    validation.  A zero block, given or not, is no hopping (or no on-site
+    term).
     """
 
     __slots__ = (
-        "length", "n0", "label", "_onsite", "_onsite_mask", "_bands", "_views",
-        "_operator", "_hopping_norms",
+        "length", "n0", "label", "_onsite", "_bands", "_views", "_operator", "_hopping_norms",
     )
 
     def __init__(
@@ -178,24 +182,21 @@ class ModelSpec:
             blocks.append(_as_block(block, n0, f"hopping block ({x}, {xp})"))
         bands = {}
         for d, (rows, blocks) in by_distance.items():
-            packed = np.zeros((length - d, n0, n0), dtype=np.complex128)
-            packed[rows] = blocks
-            mask = np.zeros(length - d, dtype=bool)
-            mask[rows] = True
-            bands[d] = (packed, mask)
+            bands[d] = np.zeros((length - d, n0, n0), dtype=np.complex128)
+            bands[d][rows] = blocks
 
         onsite = np.zeros((length, n0, n0), dtype=np.complex128)
-        onsite_mask = np.zeros(length, dtype=bool)
+        sites: set[int] = set()
         for entry in onsite_blocks:
             x, block = entry
             x = int(x)
             if not 1 <= x <= length:
                 raise ValidationError(f"on-site coordinate {x} out of range 1..{length}")
-            if onsite_mask[x - 1]:
+            if x in sites:
                 raise ValidationError(f"duplicate on-site block at x={x}")
+            sites.add(x)
             onsite[x - 1] = _as_block(block, n0, f"on-site block at x={x}")
-            onsite_mask[x - 1] = True
-        self._store(length, n0, label, onsite, onsite_mask, bands)
+        self._store(length, n0, label, onsite, bands)
 
     @classmethod
     def from_arrays(
@@ -204,16 +205,14 @@ class ModelSpec:
         n0: int,
         hopping: Mapping[int, np.ndarray] | None = None,
         onsite: np.ndarray | None = None,
-        onsite_mask: np.ndarray | None = None,
         label: str = "",
     ) -> "ModelSpec":
         """Model from block-band arrays (the inputs are copied).
 
         ``hopping`` maps a distance ``d`` to an ``(L - d, N0, N0)`` array
-        whose row ``x - 1`` is the block of the pair ``(x, x + d)``; every
-        pair at that distance is stored.  ``onsite`` is an ``(L, N0, N0)``
-        array of on-site blocks; ``onsite_mask`` marks the sites whose
-        block is stored (default: every site).
+        whose row ``x - 1`` is the block of the pair ``(x, x + d)``.
+        ``onsite`` is an ``(L, N0, N0)`` array of on-site blocks (default:
+        none).  Zero blocks are no hopping and no on-site term.
         """
         length, n0 = _check_dims(length, n0)
         bands = {}
@@ -226,49 +225,26 @@ class ModelSpec:
                     f"hopping band at distance {d} must have shape "
                     f"({length - int(d)}, {n0}, {n0}), got {blocks.shape}"
                 )
-            bands[int(d)] = (blocks, np.ones(length - int(d), dtype=bool))
+            bands[int(d)] = blocks
         if onsite is None:
-            if onsite_mask is not None:
-                raise ValidationError("onsite_mask given without on-site blocks")
             on = np.zeros((length, n0, n0), dtype=np.complex128)
-            mask = np.zeros(length, dtype=bool)
         else:
             on = np.array(onsite, dtype=np.complex128, order="C")
             if on.shape != (length, n0, n0):
                 raise ValidationError(
                     f"on-site blocks must have shape ({length}, {n0}, {n0}), got {on.shape}"
                 )
-            if onsite_mask is None:
-                mask = np.ones(length, dtype=bool)
-            else:
-                mask = np.array(onsite_mask, dtype=bool)
-                if mask.shape != (length,):
-                    raise ValidationError(
-                        f"onsite_mask must have shape ({length},), got {mask.shape}"
-                    )
-                on[~mask] = 0.0
-        return cls._from_bands(length, n0, on, mask, bands, label)
-
-    @classmethod
-    def _from_bands(cls, length, n0, onsite, onsite_mask, bands, label="") -> "ModelSpec":
-        """Model that takes over arrays already in storage layout (no copy).
-
-        ``onsite`` is a complex ``(L, N0, N0)`` array and ``onsite_mask``
-        its stored-site mask; ``bands`` maps d to ``(blocks, mask)`` as in
-        :attr:`hopping_bands`, zero where the mask is False.  Shapes are
-        the caller's responsibility; values are validated by :meth:`_store`.
-        """
         spec = cls.__new__(cls)
-        spec._store(length, n0, label, onsite, onsite_mask, bands)
+        spec._store(length, n0, label, on, bands)
         return spec
 
-    def _store(self, length, n0, label, onsite, onsite_mask, bands):
+    def _store(self, length, n0, label, onsite, bands):
         """Validate the band arrays with whole-array operations and freeze them."""
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "n0", n0)
         object.__setattr__(self, "label", str(label))
 
-        for d, (blocks, mask) in bands.items():
+        for d, blocks in bands.items():
             bad = _first_nonfinite(blocks)
             if bad is not None:
                 raise ValidationError(
@@ -289,15 +265,10 @@ class ModelSpec:
             )
         onsite = half + half_h
         onsite.flags.writeable = False
-        onsite_mask.flags.writeable = False
-        for blocks, mask in bands.values():
+        for blocks in bands.values():
             blocks.flags.writeable = False
-            mask.flags.writeable = False
         object.__setattr__(self, "_onsite", onsite)
-        object.__setattr__(self, "_onsite_mask", onsite_mask)
-        object.__setattr__(
-            self, "_bands", {d: bands[d] for d in sorted(bands) if bands[d][1].any()}
-        )
+        object.__setattr__(self, "_bands", {d: bands[d] for d in sorted(bands) if bands[d].any()})
         object.__setattr__(self, "_views", None)
         # memoised by assemble() and hopping_norms(): the model is immutable
         object.__setattr__(self, "_operator", None)
@@ -313,21 +284,22 @@ class ModelSpec:
 
     @property
     def hopping_bands(self):
-        """Read-only mapping d -> (blocks, stored-pair mask), ascending d.
+        """Read-only mapping d -> read-only ``(L - d, N0, N0)`` block array,
+        ascending d.
 
-        Only distances with at least one stored pair appear.  ``blocks``
-        has shape ``(L - d, N0, N0)``; row ``x - 1`` is the block of the
-        pair ``(x, x + d)`` and is zero where the mask is False.
+        Only distances with at least one nonzero block appear.  Row
+        ``x - 1`` is the block of the pair ``(x, x + d)``; a zero row is a
+        pair without hopping.
         """
         return MappingProxyType(self._bands)
 
     def _mappings(self):
         if self._views is None:
             pairs = sorted(
-                (int(x), d) for d, (_, mask) in self._bands.items() for x in np.flatnonzero(mask)
+                (int(x), d) for d, blocks in self._bands.items() for x in _nonzero(blocks)
             )
-            offdiag = {(x + 1, x + 1 + d): self._bands[d][0][x] for x, d in pairs}
-            onsite = {int(x) + 1: self._onsite[x] for x in np.flatnonzero(self._onsite_mask)}
+            offdiag = {(x + 1, x + 1 + d): self._bands[d][x] for x, d in pairs}
+            onsite = {int(x) + 1: self._onsite[x] for x in _nonzero(self._onsite)}
             object.__setattr__(
                 self, "_views", (MappingProxyType(offdiag), MappingProxyType(onsite))
             )
@@ -335,55 +307,54 @@ class ModelSpec:
 
     @property
     def offdiag(self):
-        """Read-only mapping (x, x') -> hopping block, x < x', sorted by pair."""
+        """Read-only mapping (x, x') -> nonzero hopping block, x < x', sorted
+        by pair."""
         return self._mappings()[0]
 
     @property
     def onsite(self):
-        """Read-only mapping x -> on-site block, stored sites only."""
+        """Read-only mapping x -> nonzero on-site block, sorted by site."""
         return self._mappings()[1]
 
     def flat_index(self, x: int, i: int) -> int:
         """Site-major flat index of basis state (x, i), indices 1-based."""
-        if not 1 <= x <= self.length:
-            raise ValidationError(f"coordinate {x} out of range 1..{self.length}")
-        if not 1 <= i <= self.n0:
-            raise ValidationError(f"internal index {i} out of range 1..{self.n0}")
+        if not isinstance(x, (int, np.integer)) or not 1 <= x <= self.length:
+            raise ValidationError(f"coordinate {x!r} must be an integer in 1..{self.length}")
+        if not isinstance(i, (int, np.integer)) or not 1 <= i <= self.n0:
+            raise ValidationError(f"internal index {i!r} must be an integer in 1..{self.n0}")
         return (x - 1) * self.n0 + (i - 1)
 
     def block(self, x: int, xp: int) -> np.ndarray | None:
         """Hopping block from x' to x as placed in the matrix row block x.
 
-        Returns None when the pair carries no hopping.  ``block(x', x)``
+        Returns None when the block is zero: the pair carries no hopping
+        (or, for ``x == x'``, the site no on-site term).  ``block(x', x)``
         is the conjugate transpose of ``block(x, x')``.
         """
         lo, hi = min(x, xp), max(x, xp)
         if lo < 1 or hi > self.length:
             return None
         if lo == hi:
-            return self._onsite[lo - 1] if self._onsite_mask[lo - 1] else None
-        band = self._bands.get(hi - lo)
-        if band is None or not band[1][lo - 1]:
+            b = self._onsite[lo - 1]
+        elif hi - lo in self._bands:
+            b = self._bands[hi - lo][lo - 1]
+        else:
             return None
-        b = band[0][lo - 1]
-        return b if x < xp else b.conj().T
+        if not b.any():
+            return None
+        return b if x <= xp else b.conj().T
 
     def with_shifted_onsite(self, c: float) -> "ModelSpec":
         """New model with ``c * identity`` added to every on-site block."""
-        return ModelSpec._from_bands(
-            self.length,
-            self.n0,
-            self._onsite + c * np.eye(self.n0),
-            np.ones(self.length, dtype=bool),
-            dict(self._bands),
-            self.label,
+        return ModelSpec.from_arrays(
+            self.length, self.n0, self._bands, self._onsite + c * np.eye(self.n0), self.label
         )
 
     def __repr__(self):
-        hoppings = sum(int(mask.sum()) for _, mask in self._bands.values())
+        hoppings = sum(_nonzero(blocks).size for blocks in self._bands.values())
         return (
             f"ModelSpec(length={self.length}, n0={self.n0}, "
-            f"hoppings={hoppings}, onsites={int(self._onsite_mask.sum())}, "
+            f"hoppings={hoppings}, onsites={_nonzero(self._onsite).size}, "
             f"label={self.label!r})"
         )
 
@@ -417,7 +388,7 @@ def _band_operator(spec: ModelSpec) -> BandedHermitian:
     # band row d * N0 + a - c, column (x - 1) * N0 + c
     lower = a >= c
     band[(a - c)[lower], np.arange(length)[:, None] * n0 + c[lower]] = spec._onsite[:, lower]
-    for d, (blocks, _) in spec.hopping_bands.items():
+    for d, blocks in spec.hopping_bands.items():
         cols = np.arange(length - d)[:, None, None] * n0 + c
         band[d * n0 + a - c, cols] = blocks.conj().transpose(0, 2, 1)
     return BandedHermitian(band)
@@ -425,7 +396,8 @@ def _band_operator(spec: ModelSpec) -> BandedHermitian:
 
 def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """``(d, x, norms)`` per hopping distance: the first sites ``x`` of the
-    stored pairs ``(x, x + d)`` and the spectral norms of their blocks.
+    pairs ``(x, x + d)`` with a nonzero block and the spectral norms of
+    those blocks.
 
     Computed once per model and memoised on it; the arrays are read-only.
     """
@@ -436,8 +408,8 @@ def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], 
 
 def _block_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     out = []
-    for d, (blocks, mask) in spec.hopping_bands.items():
-        x0 = np.flatnonzero(mask)
+    for d, blocks in spec.hopping_bands.items():
+        x0 = _nonzero(blocks)
         xs, norms = x0 + 1, _norms(blocks[x0])
         xs.flags.writeable = False
         norms.flags.writeable = False
@@ -483,21 +455,16 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
 def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
     """Certify strictly nearest-neighbor hopping and return its norm bound.
 
-    Requires exact zeros for every block at distance >= 2 (an all-zero
-    stored block counts as zero); raises :class:`LongRangeHopping`
-    otherwise.  Near-zero long-range hopping must go through the
-    exponential-envelope route instead.
+    Requires exact zeros for every block at distance >= 2; raises
+    :class:`LongRangeHopping` otherwise.  Near-zero long-range hopping
+    must go through the exponential-envelope route instead.
     """
-    offenders = [
-        (int(x) + 1, int(x) + 1 + d)
-        for d, (blocks, mask) in spec.hopping_bands.items()
-        if d >= 2
-        for x in np.flatnonzero(mask & blocks.any(axis=(1, 2)))
-    ]
+    norms = hopping_norms(spec)
+    offenders = sorted((int(x), int(x) + d) for d, xs, _ in norms if d >= 2 for x in xs)
     if offenders:
-        raise LongRangeHopping(sorted(offenders))
-    nearest = [norms for d, _, norms in hopping_norms(spec) if d == 1]
-    return NNBound(v0=float(np.max(nearest[0])) if nearest else 0.0)
+        raise LongRangeHopping(offenders)
+    # no distance beyond 1 is left, so norms holds at most the nearest pairs
+    return NNBound(v0=float(np.max(norms[0][2])) if norms else 0.0)
 
 
 def envelope_violations(
@@ -541,14 +508,11 @@ def impurity_model(length: int, h0: float) -> ModelSpec:
         raise ValidationError(f"length must be even, got {length}")
     sites = int(length) + 1
     center = int(length) // 2  # 0-based row of the site length // 2 + 1
-    # built in storage layout: from_arrays would only copy these arrays
-    onsite = np.zeros((sites, 1, 1), dtype=np.complex128)
+    onsite = np.zeros((sites, 1, 1))
     onsite[center] = float(h0)
-    mask = np.zeros(sites, dtype=bool)
-    mask[center] = True
-    hopping = (np.ones((sites - 1, 1, 1), dtype=np.complex128), np.ones(sites - 1, dtype=bool))
-    return ModelSpec._from_bands(
-        sites, 1, onsite, mask, {1: hopping}, label=f"impurity chain (L={length}, h0={h0})"
+    return ModelSpec.from_arrays(
+        sites, 1, {1: np.ones((sites - 1, 1, 1))}, onsite,
+        label=f"impurity chain (L={length}, h0={h0})",
     )
 
 
@@ -562,8 +526,7 @@ def strip_model(
     adjacent columns, hopping across the strip lives in the on-site
     blocks.
     """
-    if width < 1 or length < 1:
-        raise ValidationError("strip dimensions must be >= 1")
+    length, width = _check_dims(length, width)
     across = np.zeros((width, width))
     for i in range(width - 1):
         across[i, i + 1] = across[i + 1, i] = t_across

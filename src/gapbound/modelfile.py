@@ -290,24 +290,19 @@ def parse_model(text: str) -> ModelSpec:
         raise ModelFormatError(0, "model file must declare L and N0")
 
     on = np.zeros((length, n0, n0), dtype=np.complex128)
-    on_mask = np.zeros(length, dtype=bool)
     if "V" in parsed:
         x, i, j, v = parsed["V"]
         on[x - 1, i - 1, j - 1] = v
         on[x - 1, j - 1, i - 1] = v.conj()
-        on_mask[x - 1] = True
     bands = {}
     if "T" in parsed:
         x, xp, i, j, v = parsed["T"]
         dist = xp - x
         for d in np.unique(dist).tolist():
             at = dist == d
-            blocks = np.zeros((length - d, n0, n0), dtype=np.complex128)
-            mask = np.zeros(length - d, dtype=bool)
-            blocks[x[at] - 1, i[at] - 1, j[at] - 1] = v[at]
-            mask[x[at] - 1] = True
-            bands[d] = (blocks, mask)
-    return ModelSpec._from_bands(length, n0, on, on_mask, bands, label)
+            bands[d] = np.zeros((length - d, n0, n0), dtype=np.complex128)
+            bands[d][x[at] - 1, i[at] - 1, j[at] - 1] = v[at]
+    return ModelSpec.from_arrays(length, n0, bands, on, label)
 
 
 def _read_utf8(path, refuse) -> str:
@@ -339,9 +334,7 @@ def format_model(spec: ModelSpec) -> str:
     if spec.label:
         lines.append(f"label {spec.label}")
     on = spec._onsite
-    x, i, j = np.nonzero(
-        (on != 0) & spec._onsite_mask[:, None, None] & np.triu(np.ones(on.shape[1:], dtype=bool))
-    )
+    x, i, j = np.nonzero((on != 0) & np.triu(np.ones(on.shape[1:], dtype=bool)))
     v = on[x, i, j]
     im = np.where(i == j, 0.0, v.imag)
     lines += [
@@ -351,8 +344,8 @@ def format_model(spec: ModelSpec) -> str:
         )
     ]
     hops = []
-    for d, (blocks, mask) in spec.hopping_bands.items():
-        x, i, j = np.nonzero((blocks != 0) & mask[:, None, None])
+    for d, blocks in spec.hopping_bands.items():
+        x, i, j = np.nonzero(blocks != 0)
         hops.append((x + 1, x + 1 + d, i + 1, j + 1, blocks[x, i, j]))
     if hops:
         x, xp, i, j, v = (np.concatenate(c) for c in zip(*hops))

@@ -412,11 +412,12 @@ def reference_format_model(spec) -> str:
 
 
 def reference_hod_explicit(psi, spec, gvals) -> float:
-    """<H_OD> summed one hopping distance at a time over the stored pairs."""
+    """<H_OD> summed one hopping distance at a time over the pairs with a
+    nonzero block."""
     a = psi.reshape(spec.length, spec.n0)
     acc = 0.0
-    for d, (blocks, mask) in spec.hopping_bands.items():
-        x0 = np.flatnonzero(mask)
+    for d, blocks in spec.hopping_bands.items():
+        x0 = np.flatnonzero(blocks.any(axis=(1, 2)))
         dg = gvals[x0] - gvals[x0 + d]
         pair = np.einsum("mi,mij,mj->m", a[x0].conj(), blocks[x0], a[x0 + d]).real
         acc += 2.0 * float(np.sum(dg * dg * pair))

@@ -339,8 +339,9 @@ def test_chebyshev_limits():
     assert chebyshev_tail_bound(env, 100, 1e-12, 0.1) == 1.0  # capped at a probability
     with pytest.raises(ValidationError):
         chebyshev_tail_bound(env, 100, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        variance_upper_bound(env, 100, 0.0)
+    for gap in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            variance_upper_bound(env, 100, gap)
 
 
 def test_chebyshev_takes_an_array_of_radii():
@@ -445,10 +446,14 @@ def test_bound_parameter_validation():
             theorem1_bound(env, 1.0, s, 1.0)
         with pytest.raises(ValidationError):
             theorem2_bound(1.0, 1.0, s, 1.0)
-    with pytest.raises(ValidationError):
-        theorem1_bound(env, 0.0, 0.5, 1.0)
-    with pytest.raises(ValidationError):
-        theorem2_bound(0.0, 1.0, 0.5, 1.0)
+    for gap in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            theorem1_bound(env, gap, 0.5, 1.0)
+        with pytest.raises(ValidationError):
+            theorem2_bound(1.0, gap, 0.5, 1.0)
+    for v0 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            theorem2_bound(v0, 1.0, 0.5, 1.0)
     b = theorem1_bound(env, 1.0, 0.5, 1.0)
     with pytest.raises(ValidationError):
         b.evaluate(b.r1 - 0.5)
@@ -480,6 +485,18 @@ def test_trapezoid_validation():
         trapezoid_g(10, 5.0, -1.0, 5.0)
     with pytest.raises(ValidationError):
         trapezoid_g(10, 5.0, 1.0, 5.0, variant="nope")
+    for args in (
+        (10, math.inf, 1.0, 5.0),
+        (10, math.nan, 1.0, 5.0),
+        (10, 5.0, math.inf, 5.0),
+        (10, 5.0, math.nan, 5.0),
+        (10, 5.0, 1.0, math.inf),
+        (5.5, 5.0, 1.0, 5.0),
+        (0, 5.0, 1.0, 5.0),
+    ):
+        for variant in ("theorem1", "theorem2"):
+            with pytest.raises(ValidationError):
+                trapezoid_g(*args, variant=variant)
 
 
 def test_verify_envelope_impurity_theorem2():

@@ -39,6 +39,17 @@ def test_config_validation():
         FuzzConfig(family="chaotic")
 
 
+def test_config_ranges_must_be_integer_pairs():
+    bad = [(2.5, 4), (2, 3, 4), (4,), [4, 40], (4, 40.0), "4-40", None]
+    for value in bad:
+        with pytest.raises(ValidationError, match="size range must be a pair of integers"):
+            FuzzConfig(size_range=value)
+        with pytest.raises(ValidationError, match="internal-dimension range must be a pair"):
+            FuzzConfig(n0_range=value)
+    config = FuzzConfig(size_range=(np.int64(4), 6), n0_range=(1, np.int64(2)))
+    assert config.size_range == (4, 6) and config.n0_range == (1, 2)
+
+
 def test_config_rejects_negative_or_non_integer_seed():
     for seed in (-1, 1.5, "3", None):
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
@@ -190,11 +201,10 @@ def test_batched_draws_match_per_block_reference(family):
         ref = ModelSpec(length, n0, hops, onsites)
         assert (spec.length, spec.n0) == (length, n0)
         assert spec.hopping_bands.keys() == ref.hopping_bands.keys()
-        for d, (blocks, mask) in spec.hopping_bands.items():
-            assert blocks.tobytes() == ref.hopping_bands[d][0].tobytes()
-            assert mask.tobytes() == ref.hopping_bands[d][1].tobytes()
+        for d, blocks in spec.hopping_bands.items():
+            assert blocks.tobytes() == ref.hopping_bands[d].tobytes()
         assert spec._onsite.tobytes() == ref._onsite.tobytes()
-        assert spec._onsite_mask.tobytes() == ref._onsite_mask.tobytes()
+        assert list(spec.onsite) == list(ref.onsite)
         assert env == (HoppingEnvelope(*ref_env) if ref_env else None)
         assert nn == (NNBound(ref_v0) if ref_v0 is not None else None)
 

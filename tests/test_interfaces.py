@@ -1,6 +1,7 @@
 """The README's examples and option lists, and the names the benchmark harness wraps."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import gapbound
 from gapbound import cli
+from gapbound.fuzz import random_model, trial_rng
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,6 +105,30 @@ def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
         assert t.calls, name
         _, problems = workload.check(item, out, reference.load_reference(name).get(item.key))
         assert problems == [], (name, item.key)
+
+
+# sha256 of format_model: the strip-certify catalogue model of width 6,
+# realization 0, and the model of fuzz-mixed item "0".  The fuzz model's
+# norms come from LAPACK's SVD; recorded with numpy 2.4.6 on x86-64.
+BENCHMARK_MODEL_SHA256 = {
+    "strip-certify": "ac20228e0c18ec9750d2a1857ae7665e321ee4ca4597417d9e4ccd3c67d20a14",
+    "fuzz-mixed": "4014a651d6a3632c64b4e4541abe62d786add03ec8c6ef0e3fd5ca8f82d952db",
+}
+
+
+def test_benchmark_models_render_to_recorded_bytes(monkeypatch):
+    # the benchmark reads these models through model files and the
+    # offdiag/onsite views: a change of the model representation that
+    # alters what they hold fails here, before the benchmark runs
+    workloads = _load(monkeypatch, ROOT / "perfbench" / "workloads.py")
+    family, seed = workloads.WORKLOADS["fuzz-mixed"].catalog()["0"]
+    models = {
+        "strip-certify": workloads.WORKLOADS["strip-certify"].model(6, 0),
+        "fuzz-mixed": random_model(trial_rng(seed, 0), family=family)[0],
+    }
+    for name, spec in models.items():
+        digest = hashlib.sha256(gapbound.format_model(spec).encode()).hexdigest()
+        assert digest == BENCHMARK_MODEL_SHA256[name], name
 
 
 def test_default_sweep_matches_benchmark_reference(tmp_path, monkeypatch):

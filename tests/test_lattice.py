@@ -31,7 +31,7 @@ from gapbound import (
 )
 from gapbound.fuzz import FAMILIES, random_model, trial_rng
 from gapbound.lattice import hopping_norms
-from gapbound.modelfile import parse_model
+from gapbound.modelfile import format_model, parse_model
 
 from oracles import band_to_dense, charpoly_eigenvalues, dense_assembly
 
@@ -148,6 +148,58 @@ def test_flat_index_site_major():
         spec.flat_index(4, 1)
     with pytest.raises(ValidationError):
         spec.flat_index(1, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: strip_model(3.5, 2),
+        lambda: strip_model(3, 2.0),
+        lambda: strip_model(0, 2),
+        lambda: ModelSpec(3, 2).flat_index(1.5, 1),
+        lambda: ModelSpec(3, 2).flat_index(1.0, 1),
+        lambda: ModelSpec(3, 2).flat_index(1, 1.5),
+    ],
+    ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half"],
+)
+def test_non_integer_dimensions_and_coordinates_are_refused(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+ZERO_FREE_FILE = (
+    "L 4\nN0 2\n"
+    "V 2 1 1 0.5 0\nV 2 1 2 0.1 -0.2\nV 2 2 2 -0.3 0\n"
+    "T 1 2 1 1 1 0\nT 1 2 1 2 0 0.5\nT 1 2 2 2 -1 0\n"
+    "T 2 3 1 1 0.25 0\nT 2 3 2 2 0.25 0\nT 3 4 2 1 2 0\n"
+)
+
+
+def test_zero_block_is_the_same_model_as_no_block():
+    # a zero hopping block at (1, 3) and a zero on-site block at x = 1,
+    # given through each constructor, change nothing about the model
+    ref = parse_model(ZERO_FREE_FILE)
+    zero = np.zeros((2, 2))
+    hops = [(x, xp, b) for (x, xp), b in ref.offdiag.items()]
+    sites = list(ref.onsite.items())
+    bands = {1: [ref.offdiag[(x, x + 1)] for x in (1, 2, 3)], 2: np.zeros((2, 2, 2))}
+    variants = {
+        "tuple": ModelSpec(4, 2, hops + [(1, 3, zero)], sites + [(1, zero)]),
+        "arrays": ModelSpec.from_arrays(4, 2, bands, ref._onsite),
+        "file": parse_model(ZERO_FREE_FILE + "T 1 3 1 1 0 0\nV 1 2 2 0 0\n"),
+    }
+    for name, spec in variants.items():
+        assert assemble(spec).band.tobytes() == assemble(ref).band.tobytes(), name
+        assert list(spec.hopping_bands) == list(ref.hopping_bands) == [1], name
+        assert list(spec.offdiag) == list(ref.offdiag) == [(1, 2), (2, 3), (3, 4)], name
+        assert list(spec.onsite) == list(ref.onsite) == [2], name
+        assert spec.block(1, 3) is None and spec.block(1, 1) is None, name
+        assert repr(spec) == repr(ref), name
+        back = parse_model(format_model(spec))
+        assert list(back.hopping_bands) == list(spec.hopping_bands), name
+        for d, blocks in spec.hopping_bands.items():
+            assert back.hopping_bands[d].tobytes() == blocks.tobytes(), name
+        assert back._onsite.tobytes() == spec._onsite.tobytes(), name
 
 
 def test_block_accessor_symmetry():
@@ -365,9 +417,9 @@ def test_accessors_are_read_only_views():
     for x, xp in ((1, 2), (2, 4), (1, 4), (1, 1), (0, 1), (4, 5), (3, 3)):
         assert spec.block(x, xp) is None
     assert spec.hopping_bands.keys() == {1, 2}
-    blocks, mask = spec.hopping_bands[2]
-    assert blocks.shape == (2, 2, 2) and mask.tolist() == [True, False]
-    assert not blocks.flags.writeable and not mask.flags.writeable
+    blocks = spec.hopping_bands[2]
+    assert blocks.shape == (2, 2, 2) and not blocks[1].any()
+    assert not blocks.flags.writeable
 
 
 def test_from_arrays_matches_tuple_constructor():
@@ -376,8 +428,8 @@ def test_from_arrays_matches_tuple_constructor():
     far = rng.normal(size=(3, 2, 2))
     a = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
     onsite = a + a.conj().transpose(0, 2, 1)
-    mask = np.array([True, False, True, True, False, False])
-    spec = ModelSpec.from_arrays(6, 2, {1: hop, 3: far}, onsite, mask, label="arrays")
+    onsite[[1, 4, 5]] = 0.0  # zero blocks: no on-site term at x = 2, 5, 6
+    spec = ModelSpec.from_arrays(6, 2, {1: hop, 3: far}, onsite, label="arrays")
     ref = ModelSpec(
         6,
         2,
@@ -408,8 +460,6 @@ def test_from_arrays_validation_errors():
         ModelSpec.from_arrays(4, 1, {1: [[[1.0]], [[np.inf]], [[1.0]]]})
     with pytest.raises(ValidationError):
         ModelSpec.from_arrays(4, 1, onsite=np.ones((3, 1, 1)))
-    with pytest.raises(ValidationError):
-        ModelSpec.from_arrays(4, 1, onsite_mask=np.ones(4, dtype=bool))
     with pytest.raises(NonHermitianError, match="x=2"):
         ModelSpec.from_arrays(2, 2, onsite=[np.eye(2), [[0, 1], [0, 0]]])
     with pytest.raises(ValidationError, match="x=1"):

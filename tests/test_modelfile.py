@@ -118,8 +118,9 @@ def _disordered_strip(length, width, seed):
     base = strip_model(length, width)
     onsite = np.array(base._onsite)
     onsite[:, np.arange(width), np.arange(width)] += rng.uniform(-3, 3, size=(length, width))
-    hops = {d: blocks for d, (blocks, _) in base.hopping_bands.items()}
-    return ModelSpec.from_arrays(length, width, hops, onsite, label=f"disordered strip {seed}")
+    return ModelSpec.from_arrays(
+        length, width, base.hopping_bands, onsite, label=f"disordered strip {seed}"
+    )
 
 
 def _valid_specs():
@@ -156,8 +157,7 @@ def _outcome(parse, text):
         spec.n0,
         spec.label,
         spec._onsite.tobytes(),
-        spec._onsite_mask.tobytes(),
-        [(d, blocks.tobytes(), mask.tobytes()) for d, (blocks, mask) in spec.hopping_bands.items()],
+        [(d, blocks.tobytes()) for d, blocks in spec.hopping_bands.items()],
     )
 
 
@@ -311,8 +311,8 @@ def test_parsed_strips_are_bit_identical(width):
         text = format_model(spec)
         back = parse_model(text)
         assert back._onsite.tobytes() == spec._onsite.tobytes()
-        for d, (blocks, _) in spec.hopping_bands.items():
-            assert back.hopping_bands[d][0].tobytes() == blocks.tobytes()
+        for d, blocks in spec.hopping_bands.items():
+            assert back.hopping_bands[d].tobytes() == blocks.tobytes()
         assert _outcome(parse_model, text) == _outcome(reference_parse_model, text)
 
 
