@@ -60,6 +60,7 @@ from .lattice import (
     ModelSpec,
     NNBound,
     _nonzero,
+    _positive_int,
     assemble,
     hopping_norms,
     require_envelope,
@@ -101,7 +102,7 @@ class WeightFunction:
 
 def position_weight(length: int) -> WeightFunction:
     """The weight g(x) = x, turning G into the position operator."""
-    return WeightFunction(np.arange(1, length + 1, dtype=float))
+    return WeightFunction(np.arange(1, _positive_int(length, "length") + 1, dtype=float))
 
 
 def trapezoid_g(
@@ -122,8 +123,7 @@ def trapezoid_g(
       ``u <= r_inner + 1``, unit-slope ramp up to the plateau value
       ``delta_r - 2`` reached at ``u = r_inner + delta_r - 1``.
     """
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ValidationError(f"length must be a positive integer, got {length!r}")
+    length = _positive_int(length, "length")
     if not math.isfinite(center):
         raise ValidationError(f"center must be finite, got {center}")
     if not (math.isfinite(r_inner) and r_inner >= 0):
@@ -276,6 +276,7 @@ class GroundState:
 
     def complementary(self, g: WeightFunction, delta_e0: float) -> ComplementaryReport:
         """The complementary inequality for the weight ``g`` (see :func:`g_expectations`)."""
+        _check_gap(delta_e0)
         spec = self.spec
         if g.length != spec.length:
             raise ValidationError(
@@ -381,7 +382,8 @@ def g_expectations(
     share one band), in O(n * bandwidth).  ``scale`` is
     ``spectral_scale * max(1, max|g|)^2``; a weight for which it, or
     ``spectral_scale * (max g - min g)^2``, is not a finite float is
-    refused with :class:`ValidationError`.
+    refused with :class:`ValidationError`, as is a gap that is not finite
+    and > 0.
     """
     return GroundState.of(psi0, spec).complementary(g, delta_e0)
 
@@ -416,8 +418,7 @@ def site_coupling_profile(source, length: int | None = None) -> np.ndarray:
             v[x - 1] += w
             v[x - 1 + d] += w
         return v
-    if length is None or length < 1:
-        raise ValidationError("a positive lattice length is required")
+    length = _positive_int(length, "length")
     if isinstance(source, HoppingEnvelope):
         # V_x = 2 cv (S(x - 1) + S(L - x)) with S(m) = sum_{k <= m} k^2 exp(-mu k)
         k = np.arange(length, dtype=float)

@@ -2,7 +2,8 @@
 
 Subcommands: ``solve``, ``bounds``, ``sweep``, ``fuzz``, ``plot``.
 Exit codes: 0 success, 1 validation error (bad input, malformed file,
-degenerate ground state, out of memory), 2 invariant or assertion failure.
+unknown or malformed command-line arguments, degenerate ground state, out
+of memory), 2 invariant or assertion failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     NonDecaying,
     ValidationError,
 )
-from .eigensolver import DEFAULT_DEGENERACY_TOL, DEFAULT_RESIDUAL_TOL, lowest_two, write_spectrum
+from .eigensolver import lowest_two, write_spectrum
 from .fuzz import FAMILIES, FuzzConfig, run_fuzz
 from .lattice import assemble, check_nearest_neighbor, fit_envelope
 from .localization import fit_localization_length, write_fit_csv, write_profile_csv
@@ -51,9 +52,7 @@ from .sweep import (
 
 def _solve_pipeline(args):
     spec = load_model(args.model)
-    result = lowest_two(
-        assemble(spec), tol=args.tol, degeneracy_tol=args.degeneracy_tol
-    )
+    result = lowest_two(assemble(spec))
     return spec, result, GroundState.of(result.psi0, spec)
 
 
@@ -253,28 +252,30 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: exit 2 means a failed guarantee."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gapbound",
         description="Spectral gaps and localization bounds for one-particle lattice models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_solver_args(p):
-        p.add_argument("model", help="model file (see README for the format)")
-        p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
-                       help="residual acceptance tolerance (default %(default)s)")
-        p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL,
-                       help="relative gap below which the ground state counts as degenerate")
+    model_help = "model file (see README for the format)"
 
     p = sub.add_parser("solve", help="diagonalize a model and report ground-state statistics")
-    add_solver_args(p)
+    p.add_argument("model", help=model_help)
     p.add_argument("--spectrum-out", help="write the full spectrum to this file")
     p.add_argument("--profile-out", help="write the density profile CSV to this file")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", help="evaluate and verify localization bounds for a model")
-    add_solver_args(p)
+    p.add_argument("model", help=model_help)
     p.add_argument("--s", type=float, default=0.5, help="bound parameter in (0,1), default 0.5")
     p.add_argument("--mu", type=float, default=1.0, help="envelope decay rate for the fit")
     p.add_argument("--center", type=float, default=None,

@@ -15,16 +15,14 @@ There are three routes, picked from ``(n, bandwidth)``:
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
   (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).  Bisection
-  stops at ``threshold / 64`` (``threshold = degeneracy_tol * scale``),
-  all the degeneracy test needs; ``E_k`` are the Rayleigh quotients of
-  the ``stein`` vectors.  The pair is accepted only after the residual
-  gate below, residuals at rounding level and one Sturm count: at most
-  one eigenvalue at or below ``E1 - r1 - pad1``, which exceeds ``E0 + r0
-  + pad0``, with ``pad_k = 16 eps (scale + |E_k|)`` plus an underflow
-  term (``_coarse_tridiagonal_pairs`` gives the proof).  Otherwise, and
-  whenever the gap falls below the threshold, full-precision bisection
-  (``abstol = 0``) gives the pair, exactly as
-  :func:`scipy.linalg.eigh_tridiagonal` computes it.
+  stops at ``threshold / 64`` (the degeneracy threshold below), all
+  the degeneracy test needs; ``E_k`` are the Rayleigh quotients of the
+  ``stein`` vectors.  The pair is accepted only after the residual gate
+  below, residuals at rounding level and one Sturm count that proves it
+  the lowest two (``_proven``, with the pad and count error of
+  ``_coarse_tridiagonal_pairs``).  Otherwise, and whenever the gap falls
+  below the threshold, full-precision bisection (``abstol = 0``) gives
+  the pair, exactly as :func:`scipy.linalg.eigh_tridiagonal` computes it.
 * A large banded operator with bandwidth b > 1,
   ``n >= max(400, 1600 // b, 400 + 2 (b - 16))`` (every ``N0 = 4..8``
   strip of 100 supersites and longer, never a dense array), goes to the
@@ -37,10 +35,9 @@ There are three routes, picked from ``(n, bandwidth)``:
   Inverse iteration at the bracket midpoints and again at the Rayleigh
   quotients (``_band_inverse_iteration``) gives the pairs; ``E_k`` are the
   final Rayleigh quotients.  A pair is accepted only after the residual
-  gate below and one certified count: at most one eigenvalue below
-  ``E1 - r1 - pad1``, which exceeds ``E0 + r0 + margin0`` (``r_k`` the
-  residuals; ``_inertia_pairs`` defines the pads and gives the proof).
-  If anything fails the matrix takes the next route instead.
+  gate below and one certified count that proves it the lowest two
+  (``_proven``, with the pad of ``_inertia_pairs``).  If anything fails
+  the matrix takes the next route instead.
 * Any other banded operator with bandwidth > 1 (every fuzz-sized model)
   gets its two lowest eigenvalues from the band (LAPACK ``hbevx``/``sbevx``
   without vectors: a band-to-tridiagonal reduction that forms no Q, then
@@ -98,19 +95,21 @@ coarse pass agrees with full-precision bisection to about ``eps * scale``
 5000) but not bit for bit.  Nothing forms the dense matrix of a banded
 operator, not even the full spectrum (:attr:`SpectrumResult.eigenvalues`).
 
-Every accepted result is certified a posteriori: the 2-norm residuals
-``|H v - E v|`` of both returned eigenpairs against the stored band
-(a banded matrix-vector product, computed once per pair) must not exceed
-``tol * max(1, spectral_scale(H))``.  The spectral scale itself must not
-exceed ``MAX_SPECTRAL_SCALE``.
+The acceptance rule is fixed; no caller sets a tolerance.  With ``scale``
+the spectral scale of the band (:attr:`BandedHermitian.scale`), which
+must not exceed ``MAX_SPECTRAL_SCALE``:
 
-Degenerate ground states are refused rather than resolved arbitrarily:
-when the gap falls below ``degeneracy_tol * spectral_scale(H)`` the
-solver raises :class:`DegenerateGroundState`.  The ``sbevx`` route
-decides before any eigenvector is computed, the tridiagonal route on the
-values of its full-precision pass, the inertia route on its final values,
-or earlier when bisection finds both eigenvalues in one interval narrower
-than that threshold.
+* the residual gate: the 2-norm residuals ``|H v - E v|`` of both
+  returned eigenpairs against the stored band (a banded matrix-vector
+  product, computed once per pair) must not exceed
+  ``DEFAULT_RESIDUAL_TOL * max(1, scale)``;
+* the degeneracy threshold: a gap below ``DEFAULT_DEGENERACY_TOL *
+  max(scale, tiny)`` counts as a degenerate ground state, which is
+  refused with :class:`DegenerateGroundState` rather than resolved
+  arbitrarily.  The ``sbevx`` route decides before any eigenvector is
+  computed, the tridiagonal route on the values of its full-precision
+  pass, the inertia route on its final values, or earlier when bisection
+  finds both eigenvalues in one interval narrower than the threshold.
 """
 
 from __future__ import annotations
@@ -125,6 +124,7 @@ from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
 
+# The fixed gates of lowest_two, relative to the spectral scale (module docstring)
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_DEGENERACY_TOL = 1e-8
 # Entrywise Hermiticity tolerance of a dense matrix (relative to its largest
@@ -132,7 +132,7 @@ DEFAULT_DEGENERACY_TOL = 1e-8
 HERMITIAN_TOL = 1e-12
 # Inverse-iteration solves per eigenvector on the band route.  Each solve
 # multiplies the other eigenvectors' share by about |E_k - lambda_k| / gap,
-# at most n * eps / degeneracy_tol (2e-5 for n = 1000 at the default).
+# at most n * eps / DEFAULT_DEGENERACY_TOL (2e-5 for n = 1000).
 _INVERSE_STEPS = 3
 # Seed of the inverse-iteration start vector.  It is pseudo-random, not
 # all-ones, because a reflection-symmetric model's odd excited state is
@@ -175,11 +175,12 @@ class BandedHermitian:
     Hermitian by construction.  Trailing all-zero rows are dropped, so
     ``bandwidth`` is the true nonzero bandwidth.  The band is the only
     form of the matrix.  Built by :func:`gapbound.lattice.assemble` from a
-    validated model, or by :meth:`from_dense` from an array.  The spectral
-    scale is computed on first use and kept.
+    validated model, or by :meth:`from_dense` from an array.  ``scale``,
+    the spectral scale (:func:`spectral_scale`), is computed once here; an
+    empty band has scale 0.0.
     """
 
-    __slots__ = ("band", "_scale")
+    __slots__ = ("band", "scale")
 
     def __init__(self, band: np.ndarray):
         band = np.asarray(band, dtype=np.complex128)
@@ -198,7 +199,7 @@ class BandedHermitian:
         band = band[: (rows[-1] if rows.size else 0) + 1]
         band.flags.writeable = False
         object.__setattr__(self, "band", band)
-        object.__setattr__(self, "_scale", None)
+        object.__setattr__(self, "scale", float(np.max(_abs_row_sums(band), initial=0.0)))
 
     @classmethod
     def from_dense(cls, array) -> BandedHermitian:
@@ -272,12 +273,10 @@ def spectral_scale(h) -> float:
     """Maximum row 1-norm of the matrix (its infinity norm).
 
     Used as the natural magnitude for residual and degeneracy tolerances.
-    A banded operator is read off its band in O(n * bandwidth), once.
+    A banded operator keeps its own, :attr:`BandedHermitian.scale`.
     """
     if isinstance(h, BandedHermitian):
-        if h._scale is None:
-            object.__setattr__(h, "_scale", float(np.max(_abs_row_sums(h.band))))
-        return h._scale
+        return h.scale
     a = np.asarray(h)
     if a.size == 0:
         return 0.0
@@ -359,8 +358,16 @@ def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float, scale: float) -> in
     One Sturm count: ``stebz`` by value on ``(-2 scale - 1, sigma]``, an
     interval that starts below the spectrum, with ``abstol = scale`` so
     that bisection stops at once and only the counts at the two ends are
-    made (about 20 µs at n = 501).  The count is exact for a tridiagonal
-    near ``(d, e)``; :func:`_coarse_tridiagonal_pairs` bounds how near.
+    made (about 20 µs at n = 501).
+
+    Kahan's analysis of the Sturm sequence (Kahan 1966; Demmel, *Applied
+    Numerical Linear Algebra*, §5.3) makes the computed count the exact
+    count of a tridiagonal ``T + F``: the rounding moves each ``d_j`` by
+    at most ``eps |d_j|`` and each ``e_j`` by ``2 eps |e_j|`` (``3 eps``
+    with the rounding of ``e = |sub|``), and ``stebz``'s splitting of an
+    ``e_j`` below ``ulp sqrt(|d_j d_j+1|) + sqrt(tiny)`` and its pivot
+    floor add at most ``2 eps scale + sqrt(tiny)`` per entry, so ``||F||_2
+    <= 6 eps scale + 3 sqrt(tiny)``.
     """
     (stebz,) = get_lapack_funcs(("stebz",), (d, e))
     m, _, _, _, info = stebz(d, e, 1, -2.0 * scale - 1.0, sigma, 0, 0, scale, "B")
@@ -378,9 +385,7 @@ def _coarse_tridiagonal_pairs(hm: BandedHermitian, d: np.ndarray, e: np.ndarray,
     ``threshold * _COARSE_FRACTION``, all the degeneracy test needs, and
     runs ``stein`` at those estimates; the energies are the Rayleigh
     quotients of the vectors (:func:`_rayleigh_pairs` with ``refine``),
-    which supply the last digits.  With ``pad_k = 16 eps (scale + |E_k|)
-    + 4 sqrt(tiny)`` and ``sigma1 = E1 - r1 - pad1``, the pairs are
-    returned only if
+    which supply the last digits.  The pairs are returned only if
 
     * both residuals ``r_k`` are within ``limit`` and at rounding level,
       ``r_k <= n eps scale``: a larger one means that ``stein`` mixed
@@ -390,27 +395,12 @@ def _coarse_tridiagonal_pairs(hm: BandedHermitian, d: np.ndarray, e: np.ndarray,
       than full bisection;
     * ``E1 - E0 >= threshold``, so that a refusal is always made on the
       full-precision values, as before;
-    * ``sigma1 > E0 + r0 + pad0``, and one Sturm count
-      (:func:`_sturm_count`) finds at most one eigenvalue at or below
-      ``sigma1``.
+    * :func:`_proven` proves them with one Sturm count
+      (:func:`_sturm_count`, bound 0), whose error ``||F||`` is in the pad
+      ``pad(E) = 16 eps (scale + |E|) + 4 sqrt(tiny)``: a computed
+      residual of the complex band product is within ``5 eps scale + 2 eps
+      |E| + sqrt(tiny)`` (plus terms of order ``n eps r_k``) of the exact one.
 
-    Proof.  Kahan's analysis of the Sturm sequence (Kahan 1966; Demmel,
-    *Applied Numerical Linear Algebra*, §5.3) makes the computed count
-    the exact count of a tridiagonal ``T + F``: the rounding moves each
-    ``d_j`` by at most ``eps |d_j|`` and each ``e_j`` by ``2 eps |e_j|``
-    (``3 eps`` with the rounding of ``e = |sub|``), and ``stebz``'s
-    splitting of an ``e_j`` below ``ulp sqrt(|d_j d_j+1|) + sqrt(tiny)``
-    and its pivot floor add at most ``2 eps scale + sqrt(tiny)`` per
-    entry, so ``||F||_2 <= 6 eps scale + 3 sqrt(tiny)``.  A computed
-    residual ``r_k`` of the complex band product is within ``5 eps scale
-    + 2 eps |E_k| + sqrt(tiny)`` (up to terms of order ``n eps r_k``) of
-    the true one, which puts an eigenvalue within it of ``E_k``.  As
-    ``pad_k`` exceeds both errors together, the eigenvalue near ``E0``
-    lies below ``E0 + r0 + pad0 - ||F|| < sigma1 - ||F||``, and the one
-    near ``E1`` above ``sigma1 + ||F||``.  By Weyl's inequality ``T`` has
-    at most one eigenvalue at or below ``sigma1 - ||F||``: so the first
-    is ``lambda_1``, and ``lambda_2`` lies in ``(sigma1 - ||F||, E1 + r1 +
-    pad1]``.  So ``E_k`` is within ``r_k + 2 pad_k`` of ``lambda_k``.
     Returns ``(w, psis, residuals)`` as :func:`_rayleigh_pairs` does.
     """
     coarse = _tridiagonal_pairs(d, e, _COARSE_FRACTION * threshold)
@@ -422,10 +412,36 @@ def _coarse_tridiagonal_pairs(hm: BandedHermitian, d: np.ndarray, e: np.ndarray,
     eps = np.finfo(float).eps
     if not (max(r0, r1) <= min(limit, d.size * eps * scale) and e1 - e0 >= threshold):
         return None
-    pad0, pad1 = (16 * eps * (scale + abs(x)) + _TINY_PAD for x in (e0, e1))
-    sigma1 = e1 - r1 - pad1
-    if sigma1 > e0 + r0 + pad0 and _sturm_count(d, e, sigma1, scale) <= 1:
-        return pairs
+    return _proven(pairs, lambda x: 16 * eps * (scale + abs(x)) + _TINY_PAD,
+                   lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0))
+
+
+def _proven(pairs, pad, count):
+    """``pairs`` (energies ``E_k``, residuals ``r_k``) if one count proves them the lowest two.
+
+    ``count(sigma) = (m, bound)``: ``H + F`` has at most ``m`` eigenvalues
+    below ``sigma`` for a Hermitian ``F`` with ``||F||_2 <= phi + bound``,
+    where ``pad(E)`` exceeds ``phi`` plus the rounding of a computed
+    residual at ``E``.  With ``sigma1 = E1 - r1 - pad(E1)`` and ``top0 =
+    E0 + r0 + pad(E0)``, the pairs are returned only if ``sigma1 > top0``
+    (checked first: no count helps otherwise), ``m <= 1`` and ``sigma1 -
+    bound > top0``; else ``None``.
+
+    Proof.  The residual puts an eigenvalue of ``H`` at or below ``top0 -
+    phi < sigma1 - bound - phi``, and by Weyl's inequality ``H`` has at
+    most ``m <= 1`` eigenvalues below ``sigma1 - ||F||``: so that one is
+    ``lambda_1``, and ``lambda_2 >= sigma1 - bound - phi``.  Another lies
+    within ``r1`` plus its rounding of ``E1``, at or above ``sigma1 + phi
+    > lambda_1``, so ``lambda_2 <= E1 + r1 + pad(E1)``.  ``E_k`` is thus
+    within ``r_k + 2 pad(E_k) + bound`` of ``lambda_k``.
+    """
+    (e0, e1), (r0, r1) = pairs[0], pairs[2]
+    sigma1 = e1 - r1 - pad(e1)
+    top0 = e0 + r0 + pad(e0)
+    if sigma1 > top0:
+        negatives, bound = count(sigma1)
+        if negatives <= 1 and sigma1 - bound > top0:
+            return pairs
     return None
 
 
@@ -715,19 +731,11 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     :func:`_band_inverse_iteration` at the bracket midpoints and again at
     the Rayleigh quotients of its vectors (up to ``_RAYLEIGH_PASSES``
     times, until both residuals pass the gate) gives the pairs, whose
-    energies are the final Rayleigh quotients.  With ``margin_k = (b + 2)^2
-    eps (scale + |E_k|)`` and ``pad1 = margin1 + bound1``, the pairs are
-    returned only if both residuals ``r_k`` are within ``limit``, one
-    certified count (:func:`_certified_count`) at ``sigma1 = E1 - r1 -
-    margin1`` finds at most one eigenvalue below ``E1 - r1 - pad1``, and
-    ``E1 - r1 - pad1 > E0 + r0 + margin0``.
-
-    The residual puts an eigenvalue within ``r0 + margin0`` of ``E0``
-    (``margin0`` pads the rounding of the computed ``r0``), so below
-    ``E1 - r1 - pad1``; the count says it is the only one there, so it is
-    ``lambda_1``.  The eigenvalue within ``r1`` of ``E1`` then lies in
-    ``[E1 - r1 - pad1, E1 + r1]``, so it is ``lambda_2``.  Returns ``(w,
-    psis, residuals)`` as :func:`_rayleigh_pairs` does, else ``None``.
+    energies are the final Rayleigh quotients.  The pairs are returned
+    (as :func:`_rayleigh_pairs` returns them) only if both residuals are
+    within ``limit`` and :func:`_proven` proves them with one certified
+    count (:func:`_certified_count`), with the pad ``(b + 2)^2 eps (scale
+    + |E|)`` for the rounding of a residual; else ``None``.
     """
     b = band.shape[0] - 1
     floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
@@ -742,50 +750,33 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
             break
     else:
         return None
-    (e0, e1), (r0, r1) = w, residuals
-    margin0, margin1 = ((b + 2) ** 2 * np.finfo(float).eps * (scale + abs(e)) for e in w)
-    sigma1 = e1 - r1 - margin1
-    count, bound = _certified_count(band, sigma1, floor, scale)
-    if count <= 1 and sigma1 - bound > e0 + r0 + margin0:
-        return w, psis, residuals
-    return None
+    return _proven((w, psis, residuals),
+                   lambda x: (b + 2) ** 2 * np.finfo(float).eps * (scale + abs(x)),
+                   lambda sigma: _certified_count(band, sigma, floor, scale))
 
 
-def lowest_two(
-    h,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> SpectrumResult:
+def lowest_two(h) -> SpectrumResult:
     """Two lowest eigenpairs of a Hermitian matrix.
 
-    Parameters
-    ----------
-    h : BandedHermitian or array_like
-        Matrix to decompose.  An array is converted once by
-        :meth:`BandedHermitian.from_dense`, which validates it, and is
-        solved on its band.  The spectral scale must not exceed
-        ``MAX_SPECTRAL_SCALE``.
-    tol : float
-        Residual acceptance threshold, relative to ``max(1, spectral_scale)``.
-    degeneracy_tol : float
-        Gap threshold (relative to the spectral scale) below which the
-        ground state counts as degenerate and the solver refuses.
-        Both tolerances must be finite and > 0.
+    ``h`` is a :class:`BandedHermitian` of dimension >= 2 and spectral
+    scale <= ``MAX_SPECTRAL_SCALE``, or an array, validated and converted
+    once by :meth:`BandedHermitian.from_dense`.  The pair is accepted by
+    the fixed rule of the module docstring: residuals within
+    ``DEFAULT_RESIDUAL_TOL * max(1, scale)``, and a gap of at least
+    ``DEFAULT_DEGENERACY_TOL * max(scale, tiny)``, else
+    :class:`DegenerateGroundState`.
     """
-    for name, value in (("tol", tol), ("degeneracy_tol", degeneracy_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
     hm = h if isinstance(h, BandedHermitian) else BandedHermitian.from_dense(h)
     n = hm.n
     if n < 2:
         raise ValidationError(f"need a matrix of dimension >= 2, got n={n}")
-    scale = spectral_scale(hm)
+    scale = hm.scale
     if not scale <= MAX_SPECTRAL_SCALE:
         raise ValidationError(
             f"spectral scale {scale:.3e} exceeds the solver's limit {MAX_SPECTRAL_SCALE:.0e}"
         )
-    limit = tol * max(1.0, scale)
-    threshold = degeneracy_tol * max(scale, np.finfo(float).tiny)
+    limit = DEFAULT_RESIDUAL_TOL * max(1.0, scale)
+    threshold = DEFAULT_DEGENERACY_TOL * max(scale, np.finfo(float).tiny)
 
     # the stored band is validated finite and read-only: no check, no overwrite
     band, pairs, vecs = hm.band, None, None
@@ -811,8 +802,7 @@ def lowest_two(
     gap = float(w[1] - w[0])
     if gap < threshold:
         raise DegenerateGroundState(
-            f"gap {gap:.3e} below degeneracy threshold "
-            f"{degeneracy_tol * scale:.3e} (scale {scale:.3e})"
+            f"gap {gap:.3e} below degeneracy threshold {threshold:.3e} (scale {scale:.3e})"
         )
     if pairs is None:
         if vecs is None:

@@ -95,12 +95,14 @@ class NNBound:
             raise ValidationError(f"nearest-neighbor bound must be >= 0, got {self.v0}")
 
 
+def _positive_int(value, name: str) -> int:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _check_dims(length, n0) -> tuple[int, int]:
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ValidationError(f"length must be a positive integer, got {length!r}")
-    if not isinstance(n0, (int, np.integer)) or n0 < 1:
-        raise ValidationError(f"n0 must be a positive integer, got {n0!r}")
-    return int(length), int(n0)
+    return _positive_int(length, "length"), _positive_int(n0, "n0")
 
 
 def _as_block(block, n0: int, what: str) -> np.ndarray:
@@ -331,6 +333,8 @@ class ModelSpec:
         (or, for ``x == x'``, the site no on-site term).  ``block(x', x)``
         is the conjugate transpose of ``block(x, x')``.
         """
+        if not all(isinstance(v, (int, np.integer)) for v in (x, xp)):
+            raise ValidationError(f"coordinates ({x!r}, {xp!r}) must be integers")
         lo, hi = min(x, xp), max(x, xp)
         if lo < 1 or hi > self.length:
             return None

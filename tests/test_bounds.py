@@ -280,6 +280,25 @@ def test_c1_constant_against_partial_sum():
         )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: position_weight(2.5),
+        lambda: position_weight(0),
+        lambda: site_coupling_profile(HoppingEnvelope(1.0, 1.0), 2.5),
+        lambda: site_coupling_profile(HoppingEnvelope(1.0, 1.0), None),
+        lambda: site_coupling_profile(NNBound(1.0), 3.7),
+        lambda: variance_upper_bound(HoppingEnvelope(1.0, 1.0), 2.5, 0.1),
+        lambda: chebyshev_tail_bound(NNBound(1.0), 4.0, 0.1, 2.0),
+    ],
+    ids=["weight-half", "weight-empty", "envelope-half", "envelope-none", "nn-float",
+         "variance-half", "chebyshev-float"],
+)
+def test_non_integer_lengths_are_refused(call):
+    with pytest.raises(ValidationError, match="length must be a positive integer"):
+        call()
+
+
 def test_site_coupling_nearest_neighbor():
     v = site_coupling_profile(NNBound(v0=1.0), 6)
     np.testing.assert_allclose(v, [2, 4, 4, 4, 4, 2])
@@ -454,6 +473,16 @@ def test_bound_parameter_validation():
     for v0 in (0.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             theorem2_bound(v0, 1.0, 0.5, 1.0)
+    # the complementary inequality reads the gap too: a gap that is not
+    # finite and positive would pass it with a positive slack
+    spec = impurity_model(20, -0.5)
+    res = lowest_two(assemble(spec))
+    g = position_weight(spec.length)
+    for gap in (-1.0, 0.0, -0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="spectral gap"):
+            g_expectations(res.psi0, spec, g, gap)
+        with pytest.raises(ValidationError, match="spectral gap"):
+            GroundState.of(res.psi0, spec).complementary(g, gap)
     b = theorem1_bound(env, 1.0, 0.5, 1.0)
     with pytest.raises(ValidationError):
         b.evaluate(b.r1 - 0.5)

@@ -147,7 +147,7 @@ def test_radius_grid_step_is_gone(tmp_path, model_path, capsys):
     for argv in (["bounds", model_path], ["sweep"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--grid-step", "0.5"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1  # a usage error, not a failed guarantee
     assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
 
 
@@ -309,21 +309,41 @@ def test_degenerate_model_exits_1(tmp_path, capsys):
     assert "degeneracy" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "bounds"])
 @pytest.mark.parametrize("flag", ["--tol", "--degeneracy-tol"])
-def test_solver_tolerance_must_be_positive_and_finite(tmp_path, capsys, flag, value):
-    # equal on-site energies: a non-positive degeneracy tolerance would let
-    # the degenerate ground state through with "gap = 0"
-    from gapbound import ModelSpec
-
-    path = tmp_path / "degen.txt"
-    dump_model(ModelSpec(2, 1, onsite_blocks=[(1, [[1.0]]), (2, [[1.0]])]), path)
-    code = main(["solve", str(path), flag, value])
+def test_solver_tolerances_are_not_settable(model_path, capsys, command, flag):
+    # the residual gate and the degeneracy threshold are fixed; an old
+    # invocation is a usage error (exit 1), not a failed guarantee (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main([command, model_path, flag, "1e-9"])
     captured = capsys.readouterr()
-    assert code == 1
-    assert "gap" not in captured.out
-    name = flag.lstrip("-").replace("-", "_")
-    assert captured.err.startswith(f"error: {name} must be finite and > 0")
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.err.startswith("usage: gapbound")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "model.txt", "--bogus", "x"], ["sweep", "--L", "abc"], [], ["frobnicate"]],
+    ids=["unknown-flag", "bad-int", "no-command", "unknown-command"],
+)
+def test_usage_errors_exit_1_with_the_usage_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: gapbound") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["bounds", "--help"]])
+def test_help_exits_0_and_lists_no_tolerance(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: gapbound")
+    assert "--tol" not in out and "--degeneracy-tol" not in out
 
 
 @pytest.mark.parametrize(

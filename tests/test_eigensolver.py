@@ -64,6 +64,8 @@ def test_degenerate_ground_state_refused():
 def test_input_validation():
     with pytest.raises(ValidationError):
         lowest_two(np.array([[1.0]]))
+    with pytest.raises(ValidationError, match="dimension >= 2"):
+        lowest_two(np.zeros((0, 0)))
     with pytest.raises(NonHermitianError):
         lowest_two(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValidationError):
@@ -78,6 +80,33 @@ def test_input_validation():
         lowest_two(np.full((2, 2), 1e308))
     with pytest.raises(NonHermitianError, match="by inf"):
         lowest_two(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_proof_helper_on_stub_counts():
+    # E0 = 0, E1 = 1, residuals and pads 1e-3: sigma1 = 0.998 lies above
+    # E0 + r0 + pad(E0) = 0.002 with a margin of 0.996
+    pairs = (np.array([0.0, 1.0]), [None, None], [1e-3, 1e-3])
+    shifts = []
+
+    def stub(negatives, bound):
+        def count(sigma):
+            shifts.append(sigma)
+            return negatives, bound
+        return count
+
+    def proven(pad, count):
+        return eigensolver_mod._proven(pairs, lambda e: pad, count)
+
+    assert proven(1e-3, stub(1, 0.0)) is pairs
+    assert shifts == [pytest.approx(0.998, abs=1e-15)]
+    assert proven(1e-3, stub(0, 0.9)) is pairs
+    assert proven(1e-3, stub(2, 0.0)) is None  # a second eigenvalue below sigma1
+    assert proven(1e-3, stub(1, 0.997)) is None  # the count's bound eats the margin
+    assert proven(1e-3, stub(1, math.nan)) is None
+    # pads that close the window: refused before any count
+    shifts.clear()
+    assert proven(0.5, stub(0, 0.0)) is None
+    assert shifts == []
 
 
 def test_imaginary_diagonal_is_refused_or_dropped():

@@ -45,6 +45,19 @@ def test_readme_command_lines_parse():
         parser.parse_args(shlex.split(line)[1:])  # exits on an unknown option
 
 
+def test_readme_command_line_flags_exist():
+    # a flag the "Command line" section names, in an example or in prose,
+    # is an option of some subcommand: a deleted flag cannot stay documented
+    readme = (ROOT / "README.md").read_text()
+    (section,) = re.findall(r"\n## Command line\n(.*?)\n## ", readme, re.S)
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert named, "README names no flag"
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and isinstance(a.choices, dict)]
+    known = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+    assert sorted(named - known) == []
+
+
 def test_readme_config_keys_match_the_cli():
     text = (ROOT / "README.md").read_text()
     (keys,) = re.findall(r"--config cfg\.json` with keys\s+`([^`]*)`", text)

@@ -159,8 +159,13 @@ def test_flat_index_site_major():
         lambda: ModelSpec(3, 2).flat_index(1.5, 1),
         lambda: ModelSpec(3, 2).flat_index(1.0, 1),
         lambda: ModelSpec(3, 2).flat_index(1, 1.5),
+        lambda: impurity_model(4, -0.5).block(1.5, 2),
+        lambda: impurity_model(4, -0.5).block(1.0, 1.0),
+        lambda: block_norm(impurity_model(4, -0.5), 1.5, 2),
+        lambda: block_norm(impurity_model(4, -0.5), 2, 1.0),
     ],
-    ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half"],
+    ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half",
+         "block-half", "block-float", "norm-half", "norm-float"],
 )
 def test_non_integer_dimensions_and_coordinates_are_refused(call):
     with pytest.raises(ValidationError):
@@ -470,9 +475,11 @@ def test_assemble_is_memoised_on_the_model():
     spec = strip_model(5, 2)
     h = assemble(spec)
     assert assemble(spec) is h
-    assert h._scale is None
-    scale = spectral_scale(h)
-    assert h._scale == scale  # computed once, then kept
+    # the scale is kept with the band: the largest absolute row sum
+    assert h.scale == spectral_scale(h) == np.abs(band_to_dense(h)).sum(axis=1).max()
+    with pytest.raises(AttributeError):
+        h.scale = 0.0
+    assert assemble(spec) is h
     # a new model gets a new operator
     assert assemble(spec.with_shifted_onsite(1.0)) is not h
 
