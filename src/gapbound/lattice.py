@@ -331,13 +331,15 @@ class ModelSpec:
 
         Returns None when the block is zero: the pair carries no hopping
         (or, for ``x == x'``, the site no on-site term).  ``block(x', x)``
-        is the conjugate transpose of ``block(x, x')``.
+        is the conjugate transpose of ``block(x, x')``.  A coordinate off
+        the lattice is refused, as by :meth:`flat_index`.
         """
         if not all(isinstance(v, (int, np.integer)) for v in (x, xp)):
             raise ValidationError(f"coordinates ({x!r}, {xp!r}) must be integers")
+        for v in (x, xp):
+            if not 1 <= v <= self.length:
+                raise ValidationError(f"coordinate {v!r} must be an integer in 1..{self.length}")
         lo, hi = min(x, xp), max(x, xp)
-        if lo < 1 or hi > self.length:
-            return None
         if lo == hi:
             b = self._onsite[lo - 1]
         elif hi - lo in self._bands:
@@ -424,7 +426,8 @@ def _block_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], .
 def block_norm(spec: ModelSpec, x: int, xp: int) -> float:
     """Spectral norm of the hopping block between supersites x and x'.
 
-    Symmetric in its arguments; 0.0 when no block is specified.
+    Symmetric in its arguments; 0.0 when no block is specified.  A
+    coordinate off the lattice is refused.
     """
     if x == xp:
         raise ValidationError("block_norm is defined for distinct supersites only")

@@ -23,9 +23,13 @@ straight into the model's block-band arrays (see :mod:`gapbound.lattice`).
 values, and fails on anything else and on a row of the wrong width.  Only
 then are that kind's bodies split into tokens and converted column by
 column with ``int``/``float``: that finds the first bad line, and also
-converts the tokens only Python reads (``1_0``, non-ASCII digits).  Errors
-are reported for the first bad line in file order, with its line number
-and the reason of the first check that line fails.
+converts the tokens only Python reads (``1_0``, non-ASCII digits).
+
+Every error found is a ``(line, reason)`` candidate: a header error (it
+ends the scan), the first row of a kind with the wrong width (it ends that
+kind's rows), the first token that does not convert, and each whole-column
+check's first flagged row, whose reason is that of the first check, in
+check order, that flags it.  The earliest candidate is raised.
 """
 
 from __future__ import annotations
@@ -104,94 +108,87 @@ def _table(bodies: list, tag: str):
     return table if len(table) == len(bodies) else None
 
 
-class _FirstBad:
-    """Whole-column checks over rows in file order, keeping the first bad row.
+def _token_columns(rows: list, spec):
+    """The token columns of ``rows``, each converted by its type, cut at the
+    first row holding a token that does not convert, and that row's
+    ``(k, reason)`` candidate as a list of none or one."""
+    n, bad, out = len(rows), [], []
+    # no rows still give one empty column per field
+    for (what, cast), col in zip(spec, list(zip(*rows)) or [()] * len(spec)):
+        col = col[:n]
+        try:
+            out.append(list(map(cast, col)))
+        except ValueError:
+            n = next(k for k, token in enumerate(col) if not _converts(cast, token))
+            bad = [(n, _bad_token(what, cast, col[n]))]
+            out.append(list(map(cast, col[:n])))
+    return [c[:n] for c in out], bad
 
-    A check sees only the rows before the first bad row found so far, so
-    every row it sees passed the earlier checks, and the row it reports
-    fails no earlier check: the reason is the one the checks' order gives.
+
+def _first_bad(checks, bad: list):
+    """The earliest ``(k, reason)`` among the candidates ``bad`` and the
+    rows the ``(mask, reason)`` checks flag, or ``None``.
+
+    A row's reason is that of the first check, in check order, that flags
+    it; ``reason(k)`` describes row k.
     """
-
-    def __init__(self, n: int):
-        self.n = n  # rows seen: the index of the first bad row, if any
-        self.reason = None
-
-    def fail(self, k: int, reason: str):
-        self.n, self.reason = k, reason
-
-    def check(self, bad: np.ndarray, reason):
-        """``bad`` masks at least the rows seen; ``reason(k)`` describes row k."""
-        bad = bad[: self.n]
-        if bad.any():
-            k = int(np.argmax(bad))
-            self.fail(k, reason(k))
-
-    def columns(self, rows: list, spec) -> list[list]:
-        """The token columns of ``rows``, each converted by its type."""
-        out = []
-        for (what, cast), col in zip(spec, zip(*rows[: self.n])):
-            col = col[: self.n]
-            try:
-                out.append(list(map(cast, col)))
-            except ValueError:
-                k = next(k for k, token in enumerate(col) if not _converts(cast, token))
-                self.fail(k, _bad_token(what, cast, col[k]))
-                out.append(list(map(cast, col[:k])))
-        return [c[: self.n] for c in out]
+    flagged = [(int(np.argmax(mask)), c) for c, (mask, _) in enumerate(checks) if mask.any()]
+    if flagged:
+        k, c = min(flagged)
+        bad = [*bad, (k, checks[c][1](k))]
+    return min(bad, default=None)
 
 
-def _onsite(scan: _FirstBad, columns, length: int, n0: int):
-    """``(x, i, j, values)`` of valid V rows, else ``None`` with the first bad
-    row kept on ``scan``."""
+def _onsite(columns, length: int, n0: int):
+    """``(x, i, j, values)`` of the V rows and their ``(mask, reason)``
+    checks, in check order."""
     xs, is_, js, res, ims = columns
     x, i, j = _ints(xs), _ints(is_), _ints(js)
-    scan.check((x < 1) | (x > length), lambda k: f"x={xs[k]} out of range 1..{length}")
-    scan.check(
-        (i < 1) | (i > n0) | (j < 1) | (j > n0),
-        lambda k: f"indices ({is_[k]},{js[k]}) out of range 1..{n0}",
-    )
-    scan.check(i > j, lambda k: f"on-site entries require i <= j, got ({is_[k]},{js[k]})")
-    n = scan.n
-    scan.check(
-        _repeats(((x[:n] - 1) * n0 + i[:n] - 1) * n0 + j[:n] - 1),
-        lambda k: f"duplicate on-site entry V {xs[k]} {is_[k]} {js[k]}",
-    )
-    im = np.array(ims[: scan.n], dtype=float)
-    diag = i[: scan.n] == j[: scan.n]
-    scan.check(
-        diag & (np.abs(im) > HERMITIAN_TOL),
-        lambda k: (
-            f"diagonal on-site entry must be real within {HERMITIAN_TOL:g}, "
-            f"got imaginary part {float(ims[k])!r}"
+    im = np.array(ims, dtype=float)
+    diag = i == j
+    checks = [
+        ((x < 1) | (x > length), lambda k: f"x={xs[k]} out of range 1..{length}"),
+        (
+            (i < 1) | (i > n0) | (j < 1) | (j > n0),
+            lambda k: f"indices ({is_[k]},{js[k]}) out of range 1..{n0}",
         ),
-    )
-    if scan.reason is not None:
-        return None
-    return x, i, j, _complex(res, np.where(diag, 0.0, im))
+        (i > j, lambda k: f"on-site entries require i <= j, got ({is_[k]},{js[k]})"),
+        (
+            _repeats(((x - 1) * n0 + i - 1) * n0 + j - 1),
+            lambda k: f"duplicate on-site entry V {xs[k]} {is_[k]} {js[k]}",
+        ),
+        (
+            diag & (np.abs(im) > HERMITIAN_TOL),
+            lambda k: (
+                f"diagonal on-site entry must be real within {HERMITIAN_TOL:g}, "
+                f"got imaginary part {float(ims[k])!r}"
+            ),
+        ),
+    ]
+    return (x, i, j, _complex(res, np.where(diag, 0.0, im))), checks
 
 
-def _hopping(scan: _FirstBad, columns, length: int, n0: int):
-    """``(x, x', i, j, values)`` of valid T rows, else ``None`` with the first
-    bad row kept on ``scan``."""
+def _hopping(columns, length: int, n0: int):
+    """``(x, x', i, j, values)`` of the T rows and their ``(mask, reason)``
+    checks, in check order."""
     xs, xps, is_, js, res, ims = columns
     x, xp, i, j = _ints(xs), _ints(xps), _ints(is_), _ints(js)
-    scan.check(
-        (x < 1) | (x > length) | (xp < 1) | (xp > length),
-        lambda k: f"pair ({xs[k]},{xps[k]}) out of range 1..{length}",
-    )
-    scan.check(x >= xp, lambda k: f"hopping requires x < x', got ({xs[k]},{xps[k]})")
-    scan.check(
-        (i < 1) | (i > n0) | (j < 1) | (j > n0),
-        lambda k: f"indices ({is_[k]},{js[k]}) out of range 1..{n0}",
-    )
-    n = scan.n
-    scan.check(
-        _repeats((((x[:n] - 1) * length + xp[:n] - 1) * n0 + i[:n] - 1) * n0 + j[:n] - 1),
-        lambda k: f"duplicate hopping entry T {xs[k]} {xps[k]} {is_[k]} {js[k]}",
-    )
-    if scan.reason is not None:
-        return None
-    return x, xp, i, j, _complex(res, ims)
+    checks = [
+        (
+            (x < 1) | (x > length) | (xp < 1) | (xp > length),
+            lambda k: f"pair ({xs[k]},{xps[k]}) out of range 1..{length}",
+        ),
+        (x >= xp, lambda k: f"hopping requires x < x', got ({xs[k]},{xps[k]})"),
+        (
+            (i < 1) | (i > n0) | (j < 1) | (j > n0),
+            lambda k: f"indices ({is_[k]},{js[k]}) out of range 1..{n0}",
+        ),
+        (
+            _repeats((((x - 1) * length + xp - 1) * n0 + i - 1) * n0 + j - 1),
+            lambda k: f"duplicate hopping entry T {xs[k]} {xps[k]} {is_[k]} {js[k]}",
+        ),
+    ]
+    return (x, xp, i, j, _complex(res, ims)), checks
 
 
 _CHECKS = {"V": _onsite, "T": _hopping}
@@ -220,9 +217,9 @@ def parse_model(text: str) -> ModelSpec:
     # line numbers and bodies (the text after the tag) of the V and T lines
     v_lines, v_bodies, t_lines, t_bodies = [], [], [], []
     declared = False
-    # a header error ends the scan: only the lines before it can still hold
-    # an earlier error
-    pending = None
+    # (line_no, reason) of every error found; the earliest line is reported.
+    # A header error ends the scan, so only earlier lines hold candidates.
+    errors = []
     try:
         for line_no, line in enumerate(text.splitlines(), start=1):
             parts = line.split(None, 1)
@@ -250,42 +247,29 @@ def parse_model(text: str) -> ModelSpec:
             else:
                 raise ModelFormatError(line_no, f"unknown directive {tag!r}")
     except ModelFormatError as exc:
-        pending = exc
+        errors.append((exc.line_no, exc.reason))
 
-    # each kind converts in C, or else is split into tokens; a row of the
-    # wrong width ends the file as a header error does
-    kinds = {}
+    # each kind converts in C, or else is split into tokens; its rows end
+    # at the first row of the wrong width
+    parsed = {}
     for tag, lines, bodies in (("V", v_lines, v_bodies), ("T", t_lines, t_bodies)):
         if not bodies:
             continue
-        table, rows = _table(bodies, tag), None
+        table, spec, bad = _table(bodies, tag), _COLUMNS[tag], []
         if table is None:
             rows = [body.split() for body in bodies]
-            width = len(_COLUMNS[tag])
-            k = next((k for k, row in enumerate(rows) if len(row) != width), None)
-            if k is not None and (pending is None or lines[k] < pending.line_no):
-                pending = ModelFormatError(lines[k], _EXPECTED[tag])
-        kinds[tag] = (lines, table, rows)
-
-    parsed, errors = {}, []
-    for tag, (lines, table, rows) in kinds.items():
-        n = len(lines)
-        if pending is not None:
-            n = int(np.searchsorted(lines, pending.line_no))
-        if n == 0:
-            continue
-        scan = _FirstBad(n)
-        if table is None:
-            columns = scan.columns(rows, _COLUMNS[tag])
+            n = next((k for k, row in enumerate(rows) if len(row) != len(spec)), len(rows))
+            columns, bad = _token_columns(rows[:n], spec)
+            if n < len(rows):
+                bad.append((n, _EXPECTED[tag]))
         else:
-            columns = [table[what][:n] for what, _ in _COLUMNS[tag]]
-        parsed[tag] = _CHECKS[tag](scan, columns, length, n0)
-        if scan.reason is not None:
-            errors.append((lines[scan.n], scan.reason))
+            columns = [table[what] for what, _ in spec]
+        parsed[tag], checks = _CHECKS[tag](columns, length, n0)
+        first = _first_bad(checks, bad)
+        if first is not None:
+            errors.append((lines[first[0]], first[1]))
     if errors:
         raise ModelFormatError(*min(errors))
-    if pending is not None:
-        raise pending
     if not declared:
         raise ModelFormatError(0, "model file must declare L and N0")
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import warnings
 
 import numpy as np
@@ -151,24 +152,48 @@ def test_flat_index_site_major():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,match",
     [
-        lambda: strip_model(3.5, 2),
-        lambda: strip_model(3, 2.0),
-        lambda: strip_model(0, 2),
-        lambda: ModelSpec(3, 2).flat_index(1.5, 1),
-        lambda: ModelSpec(3, 2).flat_index(1.0, 1),
-        lambda: ModelSpec(3, 2).flat_index(1, 1.5),
-        lambda: impurity_model(4, -0.5).block(1.5, 2),
-        lambda: impurity_model(4, -0.5).block(1.0, 1.0),
-        lambda: block_norm(impurity_model(4, -0.5), 1.5, 2),
-        lambda: block_norm(impurity_model(4, -0.5), 2, 1.0),
+        (lambda: strip_model(3.5, 2), "length must be a positive integer, got 3.5"),
+        (lambda: strip_model(3, 2.0), "n0 must be a positive integer, got 2.0"),
+        (lambda: strip_model(0, 2), "length must be a positive integer, got 0"),
+        (lambda: ModelSpec(3, 2).flat_index(1.5, 1), "coordinate 1.5 must be an integer in 1..3"),
+        (lambda: ModelSpec(3, 2).flat_index(1.0, 1), "coordinate 1.0 must be an integer in 1..3"),
+        (
+            lambda: ModelSpec(3, 2).flat_index(1, 1.5),
+            "internal index 1.5 must be an integer in 1..2",
+        ),
+        (lambda: impurity_model(4, -0.5).block(1.5, 2), "coordinates (1.5, 2) must be integers"),
+        (
+            lambda: impurity_model(4, -0.5).block(1.0, 1.0),
+            "coordinates (1.0, 1.0) must be integers",
+        ),
+        (
+            lambda: block_norm(impurity_model(4, -0.5), 1.5, 2),
+            "coordinates (1.5, 2) must be integers",
+        ),
+        (
+            lambda: block_norm(impurity_model(4, -0.5), 2, 1.0),
+            "coordinates (1.0, 2) must be integers",
+        ),
+        (lambda: ModelSpec(4, 2).block(0, 1), "coordinate 0 must be an integer in 1..4"),
+        (lambda: ModelSpec(4, 2).block(4, 5), "coordinate 5 must be an integer in 1..4"),
+        (lambda: impurity_model(4, -0.5).block(-1, 2), "coordinate -1 must be an integer in 1..5"),
+        (
+            lambda: block_norm(impurity_model(4, -0.5), 0, 1),
+            "coordinate 0 must be an integer in 1..5",
+        ),
+        (
+            lambda: block_norm(impurity_model(4, -0.5), 4, 9),
+            "coordinate 9 must be an integer in 1..5",
+        ),
     ],
     ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half",
-         "block-half", "block-float", "norm-half", "norm-float"],
+         "block-half", "block-float", "norm-half", "norm-float", "block-below", "block-above",
+         "block-negative", "norm-below", "norm-above"],
 )
-def test_non_integer_dimensions_and_coordinates_are_refused(call):
-    with pytest.raises(ValidationError):
+def test_non_integer_dimensions_and_coordinates_are_refused(call, match):
+    with pytest.raises(ValidationError, match=re.escape(match)):
         call()
 
 
@@ -419,7 +444,7 @@ def test_accessors_are_read_only_views():
     np.testing.assert_array_equal(spec.block(1, 3), b)
     np.testing.assert_array_equal(spec.block(3, 1), b.conj().T)
     np.testing.assert_array_equal(spec.block(2, 2), onsite)
-    for x, xp in ((1, 2), (2, 4), (1, 4), (1, 1), (0, 1), (4, 5), (3, 3)):
+    for x, xp in ((1, 2), (2, 4), (1, 4), (1, 1), (3, 3)):
         assert spec.block(x, xp) is None
     assert spec.hopping_bands.keys() == {1, 2}
     blocks = spec.hopping_bands[2]

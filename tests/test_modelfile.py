@@ -1,6 +1,7 @@
 """Model file parsing, validation, round-trips."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,14 @@ def test_parse_complex_entries_imply_conjugate():
         ("L 2\nL 3\nN0 1\n", 2, "duplicate L"),
         ("L 2\nN0 1\nV 1 1 1 1 0.5\n", 3, "must be real"),
         ("L 2\nN0 1\nV 1 1 1 1 0\nV\n", 4, "expected"),
+        # a later check flags an earlier line
+        ("L 2\nN0 1\nV 1 1 1 1 0\nV 1 1 1 2 0\nV 3 1 1 1 0\n", 4, "duplicate"),
+        # the token path, with a range error before the bad token
+        ("L 2\nN0 1\nV 3 1 1 1 0\nV 1 1 1 abc 0\n", 3, "out of range"),
+        # a width error of the other kind comes later
+        ("L 2\nN0 1\nT 1 2 1 1 1 0\nT 1 2 1 1 1 0\nV 1 1 1 0\n", 4, "duplicate"),
+        # a header error comes later
+        ("L 2\nN0 1\nV 3 1 1 1 0\nL 3\n", 3, "out of range"),
     ],
 )
 def test_parse_errors_report_line(text, line, fragment):
@@ -207,6 +216,16 @@ def _mutate(lines, k, kind, rng):
         header = str(rng.choice(["L 3", "N0 2", "L x", "N0 0", "L", "label late"]))
         lines.insert(k, header)
         return lines
+    elif kind == "header-replaced":
+        # an L or N0 line rewritten, commented out, or the file cut before it
+        heads = [h for h, line in enumerate(lines) if line.split()[:1] in (["L"], ["N0"])]
+        h = int(rng.choice(heads))
+        tag = lines[h].split()[0]
+        header = str(rng.choice(["x", "0", "-2", "1.5", "", "3 4", "#", "cut"]))
+        if header == "cut":
+            return lines[:h]
+        lines[h] = f"# {lines[h]}" if header == "#" else f"{tag} {header}".strip()
+        return lines
     elif kind == "unicode-digits":
         c = int(rng.integers(1, len(tokens)))
         tokens[c] = tokens[c].translate(str(rng.choice(_UNICODE_DIGITS)))
@@ -240,11 +259,36 @@ _UNICODE_DIGITS = (
 )
 MUTATIONS = (
     "bad-token", "out-of-range", "i-greater-than-j", "duplicate", "before-header",
-    "imaginary-diagonal", "unknown-tag", "token-count", "header", "unicode-digits",
-    "unicode-space", "trailing-comment", "signed-index", "float-index", "quoted", "nul",
+    "imaginary-diagonal", "unknown-tag", "token-count", "header", "header-replaced",
+    "unicode-digits", "unicode-space", "trailing-comment", "signed-index", "float-index",
+    "quoted", "nul",
 )
 # the mutations that keep a file valid (a second mutation may still break it)
 VALID_MUTATIONS = ("unicode-digits", "unicode-space", "signed-index")
+# every reason parse_model gives: the scan's, the entries', and the model's
+# refusal of non-finite values
+REASONS = (
+    r"duplicate (L|N0) header",
+    r"expected '(L|N0) <int>'",
+    r"(L|N0) must be an integer, got ",
+    r"(L|N0) must be >= 1, got ",
+    r"L and N0 must be declared before entries",
+    r"unknown directive ",
+    r"model file must declare L and N0",
+    r"expected 'V <x> <i> <j> <re> <im>'",
+    r"expected 'T <x> <x'> <i> <j> <re> <im>'",
+    r"(x|x'|i|j) must be an integer, got ",
+    r"(re|im) must be a number, got ",
+    r"x=\S+ out of range 1\.\.",
+    r"pair \(\S+\) out of range 1\.\.",
+    r"indices \(\S+\) out of range 1\.\.",
+    r"on-site entries require i <= j",
+    r"hopping requires x < x'",
+    r"duplicate on-site entry V ",
+    r"duplicate hopping entry T ",
+    r"diagonal on-site entry must be real within ",
+    r"(on-site|hopping) block .* contains non-finite entries",
+)
 
 
 def test_parser_matches_line_reference_on_valid_files():
@@ -258,7 +302,7 @@ def test_parser_matches_line_reference_on_mutated_files():
     # same reason, as the line-by-line reference
     rng = np.random.default_rng(2024)
     texts = [format_model(spec) for spec in _valid_specs()] + list(MODEL_FILES)
-    failures = 0
+    failures, reasons = 0, set()
     for text in texts:
         lines = text.splitlines()
         for kind in MUTATIONS:
@@ -270,8 +314,13 @@ def test_parser_matches_line_reference_on_mutated_files():
                 mutated = "\n".join(mutated) + "\n"
                 want = _outcome(reference_parse_model, mutated)
                 assert _outcome(parse_model, mutated) == want, mutated
-                failures += isinstance(want[0], type)
+                if isinstance(want[0], type):
+                    failures += 1
+                    reason = want[2].split(": ", 1)[1] if want[0] is ModelFormatError else want[2]
+                    reasons.add(next(r for r in REASONS if re.match(r, reason)))
     assert failures > 0.9 * len(texts) * (len(MUTATIONS) - len(VALID_MUTATIONS)) * 2
+    # the failures reach every reason
+    assert sorted(reasons) == sorted(REASONS)
 
 
 def test_parser_matches_line_reference_near_the_end_of_a_long_file():
