@@ -8,7 +8,9 @@ true bandwidth (a dense array is a band of bandwidth ``n - 1``).
 
 Only the ground state and the first excited state are needed downstream,
 so LAPACK is asked for those two pairs and never for the whole spectrum.
-There are three routes, picked from ``(n, bandwidth)``:
+There are two certified routes, picked from ``(n, bandwidth)``, and one
+reference route, the band route, for every matrix neither of them takes
+or proves:
 
 * Tridiagonal input (bandwidth <= 1: every nearest-neighbour chain with
   one orbital per site, diagonal input, ``n = 2``) is made real symmetric
@@ -16,13 +18,10 @@ There are three routes, picked from ``(n, bandwidth)``:
   nonnegative, and is then solved by bisection plus inverse iteration
   (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).  Bisection
   stops at ``threshold / 64`` (the degeneracy threshold below), all
-  the degeneracy test needs; ``E_k`` are the Rayleigh quotients of the
-  ``stein`` vectors.  The pair is accepted only after the residual gate
-  below, residuals at rounding level and one Sturm count that proves it
-  the lowest two (``_proven``, with the pad and count error of
-  ``_coarse_tridiagonal_pairs``).  Otherwise, and whenever the gap falls
-  below the threshold, full-precision bisection (``abstol = 0``) gives
-  the pair, exactly as :func:`scipy.linalg.eigh_tridiagonal` computes it.
+  the degeneracy test needs.  The pair is accepted only after the
+  residual gate below, residuals at rounding level, a gap of at least
+  the threshold and one Sturm count that proves it the lowest two
+  (``_proven``, with the pad and count error of ``_tridiagonal_pairs``).
 * A large banded operator with bandwidth b > 1,
   ``n >= max(400, 1600 // b, 400 + 2 (b - 16))`` (every ``N0 = 4..8``
   strip of 100 supersites and longer, never a dense array), goes to the
@@ -33,22 +32,29 @@ There are three routes, picked from ``(n, bandwidth)``:
   (Sylvester's law of inertia), computed by LAPACK ``pbtrf`` with one
   rank-1 Schur update after each nonpositive pivot (``_band_ldl``).
   Inverse iteration at the bracket midpoints and again at the Rayleigh
-  quotients (``_band_inverse_iteration``) gives the pairs; ``E_k`` are the
-  final Rayleigh quotients.  A pair is accepted only after the residual
-  gate below and one certified count that proves it the lowest two
-  (``_proven``, with the pad of ``_inertia_pairs``).  If anything fails
-  the matrix takes the next route instead.
-* Any other banded operator with bandwidth > 1 (every fuzz-sized model)
-  gets its two lowest eigenvalues from the band (LAPACK ``hbevx``/``sbevx``
+  quotients (``_band_inverse_iteration``) gives the pairs.  A pair is
+  accepted only after the residual gate below, a gap of at least the
+  threshold and one certified count that proves it the lowest two
+  (``_proven``, with the pad of ``_inertia_pairs``).
+* The band route takes any other band with bandwidth > 1 (every
+  fuzz-sized model), and every matrix whose certified route fails.  Its
+  two lowest eigenvalues come from the band (LAPACK ``hbevx``/``sbevx``
   without vectors: a band-to-tridiagonal reduction that forms no Q, then
-  bisection by index, ``_band_eigenvalues``), and its two vectors by
+  bisection by index, ``_band_eigenvalues``), and its two vectors from
   inverse iteration with the banded LU factor of ``H - E_k I`` (LAPACK
-  ``gbtrf`` + ``gbtrs``).  O(n * b) memory and O(n^2 * b) time.
+  ``gbtrf`` + ``gbtrs``).  O(n * b) memory and O(n^2 * b) time; LAPACK
+  takes a band of bandwidth <= 1 as it is, in O(n).
+
+Every energy is a Rayleigh quotient of the returned vector, computed as
+a correction to the route's estimate ``mu`` of it (the coarse bisection
+value, the bracket midpoint or previous quotient, the ``sbevx`` value),
+``E = mu + Re <psi, H psi - mu psi>``, so that the n-term sum rounds only
+the small correction (``_rayleigh_pairs``).
 
 A band with no imaginary part is solved in real arithmetic.  The
 crossover of the inertia route was measured on disordered strips (unit
 hopping, on-site energies uniform in ``[-3, 3]``), best of 5, one
-thread, 2-core host, ms per solve of the ``sbevx`` route / the inertia
+thread, 2-core host, ms per solve of the band route / the inertia
 route:
 
 =====  ==========  ==========  ==========  ===========
@@ -65,7 +71,7 @@ Past b = 16 the crossover grows with the bandwidth, and a dense array
 (``b = n - 1``) is 4-5 times faster on ``sbevx``.  Measured on a real band
 with on-site energies uniform in ``[-3, 3]`` and hopping ``-1/k`` at every
 distance ``k <= b``, best of 3 (of 2 for ``n - 1`` at n = 800), one
-thread, same host, ms per solve of the ``sbevx`` route / the inertia route:
+thread, same host, ms per solve of the band route / the inertia route:
 
 =====  =============  =============  =============  =============  =============
 b      n = 400        n = 600        n = 800        n = 1200       n = 1600
@@ -82,17 +88,17 @@ Near the rule's line the route it does not pick is at most about 15%
 faster: n = 1200, b = 512 goes to ``sbevx``, 1.17 times the inertia cost
 in this grid, and n = 800, b = 256 to ``sbevx`` at a tie.
 
-The inertia route's E0/E1 agree with ``sbevx``'s to about ``1e-15 * scale``
-but are not bit-identical to them.
+The inertia route's E0/E1 agree with the band route's to about
+``1e-15 * scale`` but are not bit-identical to them.
 
-The ``sbevx`` route and the tridiagonal route's full-precision pass call
-LAPACK through :func:`scipy.linalg.get_lapack_funcs`, with the arguments
-:func:`scipy.linalg.eig_banded` and :func:`scipy.linalg.eigh_tridiagonal`
-pass for the same selection, so their results are those functions' bit
-for bit without their per-call wrapper cost.  The tridiagonal route's
-coarse pass agrees with full-precision bisection to about ``eps * scale``
-(within ``4 eps * scale`` over the default sweep grid at L = 500 and
-5000) but not bit for bit.  Nothing forms the dense matrix of a banded
+The band route calls LAPACK ``hbevx``/``sbevx`` through
+:func:`scipy.linalg.get_lapack_funcs`, with the arguments
+:func:`scipy.linalg.eig_banded` passes for the same selection, so its
+estimates are that function's eigenvalues bit for bit without its
+per-call wrapper cost.  The tridiagonal route's energies agree with
+:func:`scipy.linalg.eigh_tridiagonal` to about ``eps * scale`` (within
+``4 eps * scale`` over the default sweep grid at L = 500 and 5000) but
+not bit for bit.  Nothing forms the dense matrix of a banded
 operator, not even the full spectrum (:attr:`SpectrumResult.eigenvalues`).
 
 The acceptance rule is fixed; no caller sets a tolerance.  With ``scale``
@@ -106,9 +112,9 @@ must not exceed ``MAX_SPECTRAL_SCALE``:
 * the degeneracy threshold: a gap below ``DEFAULT_DEGENERACY_TOL *
   max(scale, tiny)`` counts as a degenerate ground state, which is
   refused with :class:`DegenerateGroundState` rather than resolved
-  arbitrarily.  The ``sbevx`` route decides before any eigenvector is
-  computed, the tridiagonal route on the values of its full-precision
-  pass, the inertia route on its final values, or earlier when bisection
+  arbitrarily.  The decision is made on the band route, before any
+  eigenvector is computed: a certified route hands a pair with a smaller
+  gap to it.  Only the inertia route refuses earlier, when bisection
   finds both eigenvalues in one interval narrower than the threshold.
 """
 
@@ -140,7 +146,7 @@ _INVERSE_STEPS = 3
 _START_SEED = 20140101
 # Largest spectral scale lowest_two accepts.  LAPACK stein's inverse
 # iteration breaks down from about 1e102 (an impurity chain with one huge
-# on-site entry), the band and dense routes from about 1e155.
+# on-site entry), the band route from about 1e155.
 MAX_SPECTRAL_SCALE = 1e90
 # Inertia route (_inertia_pairs): bisection stops once each bracket is at
 # most this fraction of the distance between the bracket midpoints, and
@@ -297,10 +303,12 @@ class SpectrumResult:
     """Lowest two eigenpairs of a Hermitian matrix.
 
     ``psi0`` follows a fixed gauge: its largest-magnitude coefficient is
-    real and positive.  The pairs come from one of the three routes in the
-    module docstring.  ``eigenvalues``, the full ascending spectrum, is
-    computed on first access only and then cached, from the band of
-    ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth) memory).
+    real and positive.  The pairs come from a certified route or the band
+    route of the module docstring, and ``e0``/``e1`` are the Rayleigh
+    quotients of ``psi0``/``psi1``.  ``eigenvalues``, the full ascending
+    spectrum, is computed on first access only and then cached, from the
+    band of ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth)
+    memory).
     """
 
     e0: float
@@ -329,29 +337,6 @@ def _check_info(info: int, routine: str):
         raise GapboundError(f"LAPACK {routine} failed (info={info})")
 
 
-def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, abstol: float = 0.0):
-    """Two lowest eigenpairs of the real symmetric tridiagonal ``(d, e)``.
-
-    Bisection by index (``stebz``, block order) to the absolute tolerance
-    ``abstol`` plus inverse iteration (``stein``) at the estimates, sorted
-    ascending.  With ``abstol = 0`` (full precision) these are the calls
-    ``eigh_tridiagonal(d, e, select="i", select_range=(0, 1))`` makes.
-    With ``abstol > 0`` (the coarse pass of :func:`_coarse_tridiagonal_pairs`)
-    a vector that ``stein`` reports unconverged gives ``None`` instead of
-    an error, so that the caller falls back to the full-precision pass.
-    """
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, abstol, "B")
-    _check_info(info, "stebz")
-    w = w[:m]
-    z, info = stein(d, e, w, iblock, isplit)
-    if info > 0 and abstol > 0:
-        return None
-    _check_info(info, "stein")
-    order = np.argsort(w)
-    return w[order], z[:, order]
-
-
 def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float, scale: float) -> int:
     """Eigenvalues of the real symmetric tridiagonal ``(d, e)`` at or below ``sigma``.
 
@@ -375,26 +360,25 @@ def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float, scale: float) -> in
     return int(m)
 
 
-def _coarse_tridiagonal_pairs(hm: BandedHermitian, d: np.ndarray, e: np.ndarray,
-                              phases: np.ndarray, scale: float, limit: float,
-                              threshold: float):
-    """Proven two lowest eigenpairs of a tridiagonal from a coarse bisection, or ``None``.
+def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshold: float):
+    """Proven two lowest eigenpairs of a tridiagonal band from a coarse bisection, or ``None``.
 
-    ``(d, e)`` is the real symmetric form ``Dᴴ H D`` of ``hm`` with ``D =
-    diag(phases)``.  :func:`_tridiagonal_pairs` bisects only to
-    ``threshold * _COARSE_FRACTION``, all the degeneracy test needs, and
-    runs ``stein`` at those estimates; the energies are the Rayleigh
-    quotients of the vectors (:func:`_rayleigh_pairs` with ``refine``),
-    which supply the last digits.  The pairs are returned only if
+    ``(d, e)`` is the real symmetric form ``Dᴴ H D`` of ``hm``, with the
+    phases ``D[j+1] = D[j] s_j / |s_j|`` of the subdiagonal ``s`` (a zero
+    entry keeps the previous phase) and ``e = |s|``.  Bisection by index
+    (``stebz``, block order) stops at ``threshold * _COARSE_FRACTION``,
+    all the degeneracy test needs; inverse iteration (``stein``) at those
+    estimates gives the vectors, and their Rayleigh quotients
+    (:func:`_rayleigh_pairs`) supply the last digits.  The pairs are
+    returned only if ``stein`` reports both vectors converged and
 
     * both residuals ``r_k`` are within ``limit`` and at rounding level,
       ``r_k <= n eps scale``: a larger one means that ``stein`` mixed
       eigenvectors the coarse estimate did not separate (a chain whose
       scale is one huge on-site entry has its level spacing far below
-      the threshold), and its Rayleigh quotient would be less accurate
-      than full bisection;
+      the threshold);
     * ``E1 - E0 >= threshold``, so that a refusal is always made on the
-      full-precision values, as before;
+      band route;
     * :func:`_proven` proves them with one Sturm count
       (:func:`_sturm_count`, bound 0), whose error ``||F||`` is in the pad
       ``pad(E) = 16 eps (scale + |E|) + 4 sqrt(tiny)``: a computed
@@ -403,14 +387,25 @@ def _coarse_tridiagonal_pairs(hm: BandedHermitian, d: np.ndarray, e: np.ndarray,
 
     Returns ``(w, psis, residuals)`` as :func:`_rayleigh_pairs` does.
     """
-    coarse = _tridiagonal_pairs(d, e, _COARSE_FRACTION * threshold)
-    if coarse is None:
+    n = hm.n
+    sub = hm.band[1, : n - 1] if hm.bandwidth else np.zeros(n - 1, dtype=np.complex128)
+    e = np.abs(sub)
+    unit = np.divide(sub, e, out=np.ones_like(sub), where=e > 0)
+    phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+    d = hm.band[0].real
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, _COARSE_FRACTION * threshold, "B")
+    _check_info(info, "stebz")
+    w = w[:m]
+    z, info = stein(d, e, w, iblock, isplit)
+    if info > 0:  # an unconverged vector
         return None
-    w, z = coarse
-    pairs = _rayleigh_pairs(hm, phases[:, None] * z, w, refine=True)
+    _check_info(info, "stein")
+    order = np.argsort(w)
+    pairs = _rayleigh_pairs(hm, phases[:, None] * z[:, order], w[order])
     (e0, e1), (r0, r1) = pairs[0], pairs[2]
     eps = np.finfo(float).eps
-    if not (max(r0, r1) <= min(limit, d.size * eps * scale) and e1 - e0 >= threshold):
+    if not (max(r0, r1) <= min(limit, n * eps * scale) and e1 - e0 >= threshold):
         return None
     return _proven(pairs, lambda x: 16 * eps * (scale + abs(x)) + _TINY_PAD,
                    lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0))
@@ -691,26 +686,21 @@ def _bisect_two(band: np.ndarray, scale: float, floor: float, threshold: float,
     return None
 
 
-def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray, energies=None, refine=False):
-    """Normalised columns of ``vecs``, their energies and residual norms.
+def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray, estimates):
+    """Normalised columns of ``vecs``, their Rayleigh quotients and residual norms.
 
-    The energies are ``energies`` when given, else the Rayleigh quotients.
-    With ``refine`` they are the Rayleigh quotients computed as
-    corrections to the estimates ``energies``, ``mu + Re <psi, H psi - mu
-    psi>``, so that the n-term sum rounds only the small correction.  The
-    residuals are ``|H psi - E psi|``.  Returns ``(w, psis, residuals)``
-    with ``psis`` a list of vectors.
+    The quotient of ``psi`` is computed as a correction to the route's
+    estimate ``mu`` of it, ``mu + Re <psi, H psi - mu psi>``, so that the
+    n-term sum rounds only the small correction.  The residuals are
+    ``|H psi - E psi|``.  Returns ``(w, psis, residuals)`` with ``psis`` a
+    list of vectors.
     """
     w, psis, residuals = [], [], []
-    for k, col in enumerate(vecs.T):
+    for col, mu in zip(vecs.T, estimates):
         psi = col / np.linalg.norm(col)
         hpsi = hm.matvec(psi)
-        if energies is None:
-            energy = float(np.vdot(psi, hpsi).real)
-        else:
-            energy = float(energies[k])
-            if refine:
-                energy += float(np.vdot(psi, hpsi - energy * psi).real)
+        energy = float(mu)
+        energy += float(np.vdot(psi, hpsi - energy * psi).real)
         w.append(energy)
         psis.append(psi)
         residuals.append(float(np.linalg.norm(hpsi - energy * psi)))
@@ -733,9 +723,10 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     times, until both residuals pass the gate) gives the pairs, whose
     energies are the final Rayleigh quotients.  The pairs are returned
     (as :func:`_rayleigh_pairs` returns them) only if both residuals are
-    within ``limit`` and :func:`_proven` proves them with one certified
-    count (:func:`_certified_count`), with the pad ``(b + 2)^2 eps (scale
-    + |E|)`` for the rounding of a residual; else ``None``.
+    within ``limit``, ``E1 - E0 >= threshold`` (a refusal is made on the
+    band route) and :func:`_proven` proves them with one certified count
+    (:func:`_certified_count`), with the pad ``(b + 2)^2 eps (scale +
+    |E|)`` for the rounding of a residual; else ``None``.
     """
     b = band.shape[0] - 1
     floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
@@ -743,12 +734,12 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     mids = _bisect_two(band, scale, floor, threshold, limit / 8)
     if mids is None:
         return None
-    w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale))
+    w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale), mids)
     for _ in range(_RAYLEIGH_PASSES):
-        w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale))
+        w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale), w)
         if max(residuals) <= limit:
             break
-    else:
+    if not (max(residuals) <= limit and w[1] - w[0] >= threshold):
         return None
     return _proven((w, psis, residuals),
                    lambda x: (b + 2) ** 2 * np.finfo(float).eps * (scale + abs(x)),
@@ -760,11 +751,12 @@ def lowest_two(h) -> SpectrumResult:
 
     ``h`` is a :class:`BandedHermitian` of dimension >= 2 and spectral
     scale <= ``MAX_SPECTRAL_SCALE``, or an array, validated and converted
-    once by :meth:`BandedHermitian.from_dense`.  The pair is accepted by
-    the fixed rule of the module docstring: residuals within
-    ``DEFAULT_RESIDUAL_TOL * max(1, scale)``, and a gap of at least
-    ``DEFAULT_DEGENERACY_TOL * max(scale, tiny)``, else
-    :class:`DegenerateGroundState`.
+    once by :meth:`BandedHermitian.from_dense`.  The certified route its
+    shape picks (module docstring) gives the pair if it can prove it; else
+    the band route does.  The pair is accepted by the fixed rule of the
+    module docstring: residuals within ``DEFAULT_RESIDUAL_TOL * max(1,
+    scale)``, and a gap of at least ``DEFAULT_DEGENERACY_TOL * max(scale,
+    tiny)``, else :class:`DegenerateGroundState`.
     """
     hm = h if isinstance(h, BandedHermitian) else BandedHermitian.from_dense(h)
     n = hm.n
@@ -779,36 +771,20 @@ def lowest_two(h) -> SpectrumResult:
     threshold = DEFAULT_DEGENERACY_TOL * max(scale, np.finfo(float).tiny)
 
     # the stored band is validated finite and read-only: no check, no overwrite
-    band, pairs, vecs = hm.band, None, None
+    band, pairs = _lapack_band(hm), None
     if hm.bandwidth <= 1:
-        # D^dag A D is real symmetric with subdiagonal |s| for the phases
-        # D[j+1] = D[j] s_j / |s_j|; a zero entry keeps the previous phase
-        sub = band[1, : n - 1] if hm.bandwidth else np.zeros(n - 1, dtype=np.complex128)
-        mag = np.abs(sub)
-        unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0)
-        phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-        diag = band[0].real
-        pairs = _coarse_tridiagonal_pairs(hm, diag, mag, phases, scale, limit, threshold)
-        if pairs is None:  # the full-precision pair, as eigh_tridiagonal computes it
-            w, z = _tridiagonal_pairs(diag, mag)
-            vecs = phases[:, None] * z
-        else:
-            w = pairs[0]
-    else:
-        band = _lapack_band(hm)
-        if _takes_inertia_route(n, hm.bandwidth):
-            pairs = _inertia_pairs(hm, band, scale, limit, threshold)
-        w = _band_eigenvalues(band) if pairs is None else pairs[0]
-    gap = float(w[1] - w[0])
-    if gap < threshold:
-        raise DegenerateGroundState(
-            f"gap {gap:.3e} below degeneracy threshold {threshold:.3e} (scale {scale:.3e})"
-        )
-    if pairs is None:
-        if vecs is None:
-            vecs = _band_inverse_iteration(band, w, scale)
-        pairs = _rayleigh_pairs(hm, vecs, w)
-    _, psis, residuals = pairs
+        pairs = _tridiagonal_pairs(hm, scale, limit, threshold)
+    elif _takes_inertia_route(n, hm.bandwidth):
+        pairs = _inertia_pairs(hm, band, scale, limit, threshold)
+    if pairs is None:  # the band route
+        w = _band_eigenvalues(band)
+        if w[1] - w[0] < threshold:
+            raise DegenerateGroundState(
+                f"gap {w[1] - w[0]:.3e} below degeneracy threshold {threshold:.3e} "
+                f"(scale {scale:.3e})"
+            )
+        pairs = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale), w)
+    w, psis, residuals = pairs
 
     out = []
     for psi, res in zip(psis, residuals):
@@ -824,7 +800,7 @@ def lowest_two(h) -> SpectrumResult:
     return SpectrumResult(
         e0=float(w[0]),
         e1=float(w[1]),
-        gap=gap,
+        gap=float(w[1] - w[0]),
         psi0=out[0],
         psi1=out[1],
         residual0=residuals[0],

@@ -52,6 +52,7 @@ from .lattice import (
     HoppingEnvelope,
     ModelSpec,
     NNBound,
+    _is_integer,
     assemble,
     check_nearest_neighbor,
     fit_envelope,
@@ -75,9 +76,9 @@ class FuzzConfig:
     family: str = ENVELOPE_FAMILY
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_integer(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         for what, value, least in (
             ("size range", self.size_range, 2), ("internal-dimension range", self.n0_range, 1)
@@ -85,7 +86,7 @@ class FuzzConfig:
             if not (
                 isinstance(value, tuple)
                 and len(value) == 2
-                and all(isinstance(v, (int, np.integer)) for v in value)
+                and all(_is_integer(v) for v in value)
             ):
                 raise ValidationError(f"{what} must be a pair of integers, got {value!r}")
             if not least <= value[0] <= value[1]:

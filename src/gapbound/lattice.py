@@ -77,7 +77,7 @@ class HoppingEnvelope:
         if not (math.isfinite(self.cv) and self.cv > 0):
             raise ValidationError(f"envelope amplitude must be positive, got {self.cv}")
         if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValidationError(f"envelope decay rate must be positive, got {self.mu}")
+            raise ValidationError(f"envelope decay rate must be finite and > 0, got {self.mu}")
 
     def value(self, distance: float) -> float:
         """Envelope value ``cv * exp(-mu * |distance|)``."""
@@ -95,8 +95,13 @@ class NNBound:
             raise ValidationError(f"nearest-neighbor bound must be >= 0, got {self.v0}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _positive_int(value, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -219,7 +224,7 @@ class ModelSpec:
         length, n0 = _check_dims(length, n0)
         bands = {}
         for d, blocks in (hopping or {}).items():
-            if not isinstance(d, (int, np.integer)) or not 1 <= d < length:
+            if not _is_integer(d) or not 1 <= d < length:
                 raise ValidationError(f"hopping distance must lie in 1..{length - 1}, got {d!r}")
             blocks = np.array(blocks, dtype=np.complex128, order="C")
             if blocks.shape != (length - int(d), n0, n0):
@@ -320,9 +325,9 @@ class ModelSpec:
 
     def flat_index(self, x: int, i: int) -> int:
         """Site-major flat index of basis state (x, i), indices 1-based."""
-        if not isinstance(x, (int, np.integer)) or not 1 <= x <= self.length:
+        if not _is_integer(x) or not 1 <= x <= self.length:
             raise ValidationError(f"coordinate {x!r} must be an integer in 1..{self.length}")
-        if not isinstance(i, (int, np.integer)) or not 1 <= i <= self.n0:
+        if not _is_integer(i) or not 1 <= i <= self.n0:
             raise ValidationError(f"internal index {i!r} must be an integer in 1..{self.n0}")
         return (x - 1) * self.n0 + (i - 1)
 
@@ -334,7 +339,7 @@ class ModelSpec:
         is the conjugate transpose of ``block(x, x')``.  A coordinate off
         the lattice is refused, as by :meth:`flat_index`.
         """
-        if not all(isinstance(v, (int, np.integer)) for v in (x, xp)):
+        if not all(_is_integer(v) for v in (x, xp)):
             raise ValidationError(f"coordinates ({x!r}, {xp!r}) must be integers")
         for v in (x, xp):
             if not 1 <= v <= self.length:
@@ -445,7 +450,7 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
     so the envelope holds with equality at the extremal pair.
     """
     if not (math.isfinite(mu) and mu > 0):
-        raise ValidationError(f"decay rate mu must be positive, got {mu}")
+        raise ValidationError(f"decay rate mu must be finite and > 0, got {mu}")
     if not spec.hopping_bands:
         raise ValidationError("cannot fit an envelope: model has no hopping blocks")
     try:
@@ -509,7 +514,7 @@ def impurity_model(length: int, h0: float) -> ModelSpec:
     (N0 = 1) so the defect ``h0`` sits exactly at the center site
     ``length // 2 + 1``.
     """
-    if not isinstance(length, (int, np.integer)) or length < 2:
+    if not _is_integer(length) or length < 2:
         raise ValidationError(f"length must be an integer >= 2, got {length!r}")
     if length % 2 != 0:
         raise ValidationError(f"length must be even, got {length}")

@@ -84,8 +84,8 @@ class SweepConfig:
         object.__setattr__(self, "h0_grid", grid)
         if not 0.0 < self.s < 1.0:
             raise ValidationError(f"s must lie in (0, 1), got {self.s}")
-        if not self.mu > 0:
-            raise ValidationError(f"mu must be positive, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
 
 
 @dataclass(frozen=True)

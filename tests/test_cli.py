@@ -224,6 +224,19 @@ def test_bounds_extreme_mu_exits_1(model_path, capsys, mu):
     assert capsys.readouterr().err.startswith("error: decay rate mu=")
 
 
+def test_non_finite_mu_exits_1(model_path, tmp_path, monkeypatch, capsys):
+    # refused by the sweep's configuration and by the envelope fit, for the
+    # right reason and before any file is written
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main(["sweep", "--L", "40", "--points", "2", "--mu", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: mu must be finite and > 0, got inf")
+    assert list(run_dir.iterdir()) == []
+    assert main(["bounds", model_path, "--mu", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: decay rate mu must be finite and > 0")
+
+
 def test_fuzz_negative_seed_exits_1(capsys):
     code = main(["fuzz", "--seed", "-1", "--trials", "1"])
     assert code == 1

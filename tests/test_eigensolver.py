@@ -338,8 +338,8 @@ def test_complex_tridiagonal_route_matches_dense_route(n, routes):
 
 
 def test_zero_subdiagonal_entry_decoupled_blocks(routes):
-    # two decoupled copies of the same block: degenerate, refused after the
-    # unproven coarse pass and the full-precision one
+    # two decoupled copies of the same block: degenerate, refused on the band
+    # route after the unproven coarse pass
     block = np.array([0.3, -1.1 + 0.4j])
     sub = np.concatenate([block, [0.0], block])
     rng = np.random.default_rng(11)
@@ -347,13 +347,13 @@ def test_zero_subdiagonal_entry_decoupled_blocks(routes):
     h[np.arange(3, 6), np.arange(3, 6)] = h[np.arange(3), np.arange(3)]
     with pytest.raises(DegenerateGroundState):
         lowest_two(h)
-    assert routes == ["tridiagonal", "tridiagonal"]
+    assert routes == ["tridiagonal", "band"]
     # shift the second block up a little: psi0 lives on the first block and
     # psi1 on the second, whose phases continue across the zero entry; the
     # coarse pass is proven
     h[np.arange(3, 6), np.arange(3, 6)] += 1e-3
     res = lowest_two(h)
-    assert routes == ["tridiagonal", "tridiagonal", "tridiagonal"]
+    assert routes == ["tridiagonal", "band", "tridiagonal"]
     oracle = hermitian_eigenvalues_bisect(h, k=2)
     np.testing.assert_allclose([res.e0, res.e1], oracle, atol=1e-12)
     assert res.gap == pytest.approx(1e-3, abs=1e-12)
@@ -543,22 +543,16 @@ def _route_test_operators():
 
 
 def test_direct_lapack_calls_match_scipy_wrappers():
+    # bandwidths 0 and 1 too: the band route is every route's fallback
     kinds = set()
     for h in _route_test_operators():
-        if h.bandwidth <= 1:
-            d, e = h.band[0].real, np.abs(h.band[1, : h.n - 1])
-            w, z = eigensolver_mod._tridiagonal_pairs(d, e)
-            w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
-            assert w.tobytes() == w_ref.tobytes()
-            assert z.tobytes() == z_ref.tobytes()
-            kinds.add("tridiagonal")
-            continue
-        band = h.band if h.band.imag.any() else h.band.real
+        band = eigensolver_mod._lapack_band(h)
         w = eigensolver_mod._band_eigenvalues(band)
         w_ref = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 1))
         assert w.tobytes() == w_ref.tobytes()
-        kinds.add(band.dtype.kind)
-    assert kinds == {"tridiagonal", "f", "c"}  # real and complex bands both covered
+        kinds.add((min(h.bandwidth, 2), band.dtype.kind))
+    # real and complex bands, tridiagonal and wider, all covered
+    assert kinds == {(b, k) for b in (1, 2) for k in "fc"}
 
 
 def test_nonzero_lapack_info_is_refused(monkeypatch):
@@ -578,106 +572,106 @@ def test_nonzero_lapack_info_is_refused(monkeypatch):
             lowest_two(h)
 
 
-@pytest.fixture()
-def tridiagonal_passes(monkeypatch):
-    """The ``abstol`` of every ``_tridiagonal_pairs`` call ``lowest_two`` makes."""
-    calls = []
-    original = eigensolver_mod._tridiagonal_pairs
-
-    def spy(d, e, abstol=0.0):
-        calls.append(abstol)
-        return original(d, e, abstol)
-
-    monkeypatch.setattr(eigensolver_mod, "_tridiagonal_pairs", spy)
-    return calls, original
-
-
 def _chain_form(h):
     """The real symmetric ``(d, e)`` the tridiagonal route solves."""
     return h.band[0].real, np.abs(h.band[1, : h.n - 1])
 
 
 @pytest.mark.parametrize("length", [500, 5000])
-def test_coarse_tridiagonal_pass_is_proven_on_the_default_grid(length, tridiagonal_passes):
-    # one coarse pass per point, no fallback, and the Rayleigh energies
-    # agree with the full-precision bisection to rounding
-    calls, full = tridiagonal_passes
+def test_coarse_tridiagonal_pass_is_proven_on_the_default_grid(length, routes):
+    # the coarse pass is proven at every point, and its Rayleigh energies
+    # agree with full-precision bisection to rounding
     eps = np.finfo(float).eps
     for h0 in default_h0_grid():
         h = assemble(impurity_model(length, h0))
-        calls.clear()
+        routes.clear()
         res = lowest_two(h)
-        assert len(calls) == 1 and calls[0] > 0, h0
-        w, _ = full(*_chain_form(h))
+        assert routes == ["tridiagonal"], h0
+        w = eigh_tridiagonal(*_chain_form(h), eigvals_only=True, select="i", select_range=(0, 1))
         scale = spectral_scale(h)
         assert abs(res.e0 - w[0]) <= 4 * eps * scale, h0
         assert abs(res.e1 - w[1]) <= 4 * eps * scale, h0
         assert res.gap == pytest.approx(w[1] - w[0], rel=1e-9, abs=0), h0
 
 
-def test_coarse_tridiagonal_pass_is_proven_on_fuzz_chains(tridiagonal_passes):
-    calls, _ = tridiagonal_passes
+def test_coarse_tridiagonal_pass_is_proven_on_fuzz_chains(routes):
     chains = 0
     for i in range(200):
         spec = random_model(trial_rng(980, i), family=NN_FAMILY)[0]
         h = assemble(spec)
         if h.bandwidth > 1:
             continue
-        calls.clear()
+        routes.clear()
         lowest_two(h)
-        assert len(calls) == 1 and calls[0] > 0, i
+        assert routes == ["tridiagonal"], i
         chains += 1
     assert chains >= 20
 
 
-@pytest.mark.parametrize("h0", [-1e9, -1e12])
-def test_unproven_coarse_pass_falls_back_to_full_bisection(h0, tridiagonal_passes):
-    # one on-site entry sets the scale: threshold / 64 is coarser than the
-    # chain's level spacing, so the coarse vectors mix eigenvectors and the
-    # full-precision pair is returned, exactly as eigh_tridiagonal gives it
-    calls, full = tridiagonal_passes
-    h = assemble(impurity_model(40, h0))
-    res = lowest_two(h)
-    assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
-    w, z = full(*_chain_form(h))
-    assert (res.e0, res.e1, res.gap) == (w[0], w[1], w[1] - w[0])
-    _, psis, residuals = eigensolver_mod._rayleigh_pairs(h, z.astype(complex), w)
+def _assert_band_route_pair(res, h):
+    """``res`` is the band route's pair of the chain ``h`` and agrees with the bisection oracle."""
+    band = eigensolver_mod._lapack_band(h)
+    w = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 1))
+    vecs = eigensolver_mod._band_inverse_iteration(band, w, spectral_scale(h))
+    ref, psis, residuals = eigensolver_mod._rayleigh_pairs(h, vecs, w)
+    assert (res.e0, res.e1, res.gap) == (ref[0], ref[1], ref[1] - ref[0])
     assert (res.residual0, res.residual1) == tuple(residuals)
     np.testing.assert_array_equal(np.abs(res.psi0), np.abs(psis[0]))
     np.testing.assert_array_equal(np.abs(res.psi1), np.abs(psis[1]))
-    assert res.e1 == pytest.approx(-1.9777, abs=1e-3)
+    # each level within its residual plus rounding of its own size, not of the scale
+    oracle = bisect_eigenvalues(*_chain_form(h), k=2)
+    for energy, residual, ref in zip((res.e0, res.e1), (res.residual0, res.residual1), oracle):
+        assert abs(energy - ref) <= residual + 1e-14 * max(1.0, abs(ref))
+    assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, spectral_scale(h))
 
 
-def test_unconverged_coarse_vectors_fall_back(monkeypatch, tridiagonal_passes):
+@pytest.mark.parametrize("h0", [-1e9, -1e12])
+def test_unproven_coarse_pass_falls_back_to_the_band_route(h0, routes):
+    # one on-site entry sets the scale: threshold / 64 is coarser than the
+    # chain's level spacing, so the coarse vectors mix eigenvectors and the
+    # band route gives the pair
+    h = assemble(impurity_model(40, h0))
+    res = lowest_two(h)
+    assert routes == ["tridiagonal", "band"]
+    _assert_band_route_pair(res, h)
+
+
+def test_huge_impurity_leaves_the_half_chain_level_resolved():
+    # at h0 = -1e12 the impurity site decouples: E1 is the lowest level of
+    # the 20-site half chain, -2 cos(pi / 21), up to a shift of order 1 / |h0|
+    res = lowest_two(assemble(impurity_model(40, -1e12)))
+    assert abs(res.e1 + 2 * math.cos(math.pi / 21)) <= 1e-10
+    assert res.residual1 <= 1e-10
+
+
+def test_unconverged_coarse_vectors_fall_back_to_the_band_route(monkeypatch, routes):
     # stein reporting an unconverged vector in the coarse pass is no error
-    calls, _ = tridiagonal_passes
     h = assemble(impurity_model(60, -0.4))
     expected = lowest_two(h)
     real = eigensolver_mod.get_lapack_funcs
 
     def coarse_stein_fails(names, *args, **kwargs):
         funcs = real(names, *args, **kwargs)
-        if names != ("stebz", "stein") or calls[-1] == 0:
+        if names != ("stebz", "stein"):
             return funcs
         stebz, stein = funcs
         return stebz, lambda *a: (stein(*a)[0], 1)
 
     monkeypatch.setattr(eigensolver_mod, "get_lapack_funcs", coarse_stein_fails)
-    calls.clear()
+    routes.clear()
     res = lowest_two(h)
-    assert len(calls) == 2 and calls[1] == 0
+    assert routes == ["tridiagonal", "band"]
     assert res.gap == pytest.approx(expected.gap, rel=1e-12)
+    _assert_band_route_pair(res, h)
 
 
-def test_coarse_pass_with_a_second_eigenvalue_below_sigma1_falls_back(monkeypatch,
-                                                                      tridiagonal_passes):
-    calls, full = tridiagonal_passes
+def test_coarse_pass_with_a_second_eigenvalue_below_sigma1_falls_back_to_the_band_route(
+        monkeypatch, routes):
     monkeypatch.setattr(eigensolver_mod, "_sturm_count", lambda *args: 2)
     h = assemble(impurity_model(60, -0.4))
     res = lowest_two(h)
-    assert len(calls) == 2 and calls[1] == 0
-    w, _ = full(*_chain_form(h))
-    assert (res.e0, res.e1) == (w[0], w[1])
+    assert routes == ["tridiagonal", "band"]
+    _assert_band_route_pair(res, h)
 
 
 def test_sturm_count_matches_python_bisection():

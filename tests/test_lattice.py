@@ -30,7 +30,7 @@ from gapbound import (
     spectral_scale,
     strip_model,
 )
-from gapbound.fuzz import FAMILIES, random_model, trial_rng
+from gapbound.fuzz import FAMILIES, FuzzConfig, random_model, trial_rng
 from gapbound.lattice import hopping_norms
 from gapbound.modelfile import format_model, parse_model
 
@@ -187,10 +187,26 @@ def test_flat_index_site_major():
             lambda: block_norm(impurity_model(4, -0.5), 4, 9),
             "coordinate 9 must be an integer in 1..5",
         ),
+        # a bool is not an integer, although Python's int accepts it
+        (lambda: ModelSpec(True, 1), "length must be a positive integer, got True"),
+        (lambda: ModelSpec(3, True), "n0 must be a positive integer, got True"),
+        (lambda: ModelSpec(3, 2).flat_index(True, 1), "coordinate True must be an integer in 1..3"),
+        (
+            lambda: ModelSpec(3, 2).flat_index(1, True),
+            "internal index True must be an integer in 1..2",
+        ),
+        (lambda: ModelSpec(3, 2).block(True, 2), "coordinates (True, 2) must be integers"),
+        (lambda: FuzzConfig(seed=False), "seed must be a nonnegative integer, got False"),
+        (lambda: FuzzConfig(trials=True), "trials must be an integer >= 1, got True"),
+        (
+            lambda: FuzzConfig(size_range=(True, 40)),
+            "size range must be a pair of integers, got (True, 40)",
+        ),
     ],
     ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half",
          "block-half", "block-float", "norm-half", "norm-float", "block-below", "block-above",
-         "block-negative", "norm-below", "norm-above"],
+         "block-negative", "norm-below", "norm-above", "length-bool", "width-bool", "x-bool",
+         "i-bool", "block-bool", "fuzz-seed-bool", "fuzz-trials-bool", "fuzz-size-bool"],
 )
 def test_non_integer_dimensions_and_coordinates_are_refused(call, match):
     with pytest.raises(ValidationError, match=re.escape(match)):
