@@ -17,11 +17,12 @@ or proves:
   by a diagonal phase rotation that turns the subdiagonal real and
   nonnegative, and is then solved by bisection plus inverse iteration
   (LAPACK ``stebz`` + ``stein``, ``_tridiagonal_pairs``).  Bisection
-  stops at ``threshold / 64`` (the degeneracy threshold below), all
-  the degeneracy test needs.  The pair is accepted only after the
-  residual gate below, residuals at rounding level, a gap of at least
-  the threshold and one Sturm count that proves it the lowest two
-  (``_proven``, with the pad and count error of ``_tridiagonal_pairs``).
+  stops at ``threshold / 64`` (the degeneracy threshold below), coarse
+  but still close enough for ``stein``'s vectors to reach rounding-level
+  residuals (``_COARSE_FRACTION``); the Rayleigh quotients supply the
+  last digits.  The pair must pass ``_proven`` with residuals at
+  rounding level and one Sturm count (with the pad and count error of
+  ``_tridiagonal_pairs``).
 * A large banded operator with bandwidth b > 1,
   ``n >= max(400, 1600 // b, 400 + 2 (b - 16))`` (every ``N0 = 4..8``
   strip of 100 supersites and longer, never a dense array), goes to the
@@ -32,10 +33,9 @@ or proves:
   (Sylvester's law of inertia), computed by LAPACK ``pbtrf`` with one
   rank-1 Schur update after each nonpositive pivot (``_band_ldl``).
   Inverse iteration at the bracket midpoints and again at the Rayleigh
-  quotients (``_band_inverse_iteration``) gives the pairs.  A pair is
-  accepted only after the residual gate below, a gap of at least the
-  threshold and one certified count that proves it the lowest two
-  (``_proven``, with the pad of ``_inertia_pairs``).
+  quotients (``_band_inverse_iteration``) gives the pairs, which must
+  pass ``_proven`` with one certified count (with the pad of
+  ``_inertia_pairs``).
 * The band route takes any other band with bandwidth > 1 (every
   fuzz-sized model), and every matrix whose certified route fails.  Its
   two lowest eigenvalues come from the band (LAPACK ``hbevx``/``sbevx``
@@ -113,9 +113,12 @@ must not exceed ``MAX_SPECTRAL_SCALE``:
   max(scale, tiny)`` counts as a degenerate ground state, which is
   refused with :class:`DegenerateGroundState` rather than resolved
   arbitrarily.  The decision is made on the band route, before any
-  eigenvector is computed: a certified route hands a pair with a smaller
-  gap to it.  Only the inertia route refuses earlier, when bisection
-  finds both eigenvalues in one interval narrower than the threshold.
+  eigenvector is computed.
+
+A certified route returns a pair only through ``_proven``, which checks
+both gates (the tridiagonal route with its residual limit lowered to
+rounding level) before the count that proves the pair the lowest two;
+any other pair, a degenerate one included, goes to the band route.
 """
 
 from __future__ import annotations
@@ -163,8 +166,12 @@ _RAYLEIGH_PASSES = 2
 _INERTIA_MIN_N = 400
 _INERTIA_MIN_NB = 1600
 _INERTIA_WIDE_B = 16
-# Tridiagonal route: the first bisection stops at this fraction of the
-# degeneracy threshold (the Rayleigh quotients supply the last digits)
+# Tridiagonal route: stebz stops at this fraction of the degeneracy threshold
+# (the Rayleigh quotients supply the last digits).  From a coarser estimate
+# stein's E1 vector can miss the rounding-level residual limit, which leaves
+# the pair unproven: at 1/32 on 1 of 20 sampled default grid points at
+# L = 5000, at the threshold itself on 3 of the 100 points at L = 500 and
+# 19 of the 20 at L = 5000.
 _COARSE_FRACTION = 1 / 64
 # Absolute part of the tridiagonal count's pad: stebz sets an e_j with
 # e_j^2 below the underflow threshold to zero and floors its pivots there.
@@ -366,24 +373,19 @@ def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshol
     ``(d, e)`` is the real symmetric form ``Dᴴ H D`` of ``hm``, with the
     phases ``D[j+1] = D[j] s_j / |s_j|`` of the subdiagonal ``s`` (a zero
     entry keeps the previous phase) and ``e = |s|``.  Bisection by index
-    (``stebz``, block order) stops at ``threshold * _COARSE_FRACTION``,
-    all the degeneracy test needs; inverse iteration (``stein``) at those
-    estimates gives the vectors, and their Rayleigh quotients
-    (:func:`_rayleigh_pairs`) supply the last digits.  The pairs are
-    returned only if ``stein`` reports both vectors converged and
-
-    * both residuals ``r_k`` are within ``limit`` and at rounding level,
-      ``r_k <= n eps scale``: a larger one means that ``stein`` mixed
-      eigenvectors the coarse estimate did not separate (a chain whose
-      scale is one huge on-site entry has its level spacing far below
-      the threshold);
-    * ``E1 - E0 >= threshold``, so that a refusal is always made on the
-      band route;
-    * :func:`_proven` proves them with one Sturm count
-      (:func:`_sturm_count`, bound 0), whose error ``||F||`` is in the pad
-      ``pad(E) = 16 eps (scale + |E|) + 4 sqrt(tiny)``: a computed
-      residual of the complex band product is within ``5 eps scale + 2 eps
-      |E| + sqrt(tiny)`` (plus terms of order ``n eps r_k``) of the exact one.
+    (``stebz``, block order) stops at ``threshold * _COARSE_FRACTION``;
+    inverse iteration (``stein``) at those estimates gives the vectors, and
+    their Rayleigh quotients (:func:`_rayleigh_pairs`) supply the last
+    digits.  The pairs are returned only if ``stein`` reports both vectors
+    converged and :func:`_proven` accepts them with one Sturm count
+    (:func:`_sturm_count`, bound 0) and the residual limit ``min(limit, n
+    eps scale)``.  A residual above rounding level means that ``stein``
+    mixed eigenvectors the coarse estimate did not separate (a chain whose
+    scale is one huge on-site entry has its level spacing far below the
+    threshold).  The count's error ``||F||`` is in the pad ``pad(E) = 16
+    eps (scale + |E|) + 4 sqrt(tiny)``: a computed residual of the complex
+    band product is within ``5 eps scale + 2 eps |E| + sqrt(tiny)`` (plus
+    terms of order ``n eps r_k``) of the exact one.
 
     Returns ``(w, psis, residuals)`` as :func:`_rayleigh_pairs` does.
     """
@@ -403,24 +405,25 @@ def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshol
     _check_info(info, "stein")
     order = np.argsort(w)
     pairs = _rayleigh_pairs(hm, phases[:, None] * z[:, order], w[order])
-    (e0, e1), (r0, r1) = pairs[0], pairs[2]
     eps = np.finfo(float).eps
-    if not (max(r0, r1) <= min(limit, n * eps * scale) and e1 - e0 >= threshold):
-        return None
     return _proven(pairs, lambda x: 16 * eps * (scale + abs(x)) + _TINY_PAD,
-                   lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0))
+                   lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0),
+                   min(limit, n * eps * scale), threshold)
 
 
-def _proven(pairs, pad, count):
-    """``pairs`` (energies ``E_k``, residuals ``r_k``) if one count proves them the lowest two.
+def _proven(pairs, pad, count, limit, threshold):
+    """``pairs`` (energies ``E_k``, residuals ``r_k``) if they pass the gates and one count.
 
+    The acceptance rule of both certified routes.  Both residuals must be
+    within ``limit`` and ``E1 - E0 >= threshold``, so that a degenerate
+    pair is refused on the band route; no count is made otherwise.
     ``count(sigma) = (m, bound)``: ``H + F`` has at most ``m`` eigenvalues
     below ``sigma`` for a Hermitian ``F`` with ``||F||_2 <= phi + bound``,
     where ``pad(E)`` exceeds ``phi`` plus the rounding of a computed
     residual at ``E``.  With ``sigma1 = E1 - r1 - pad(E1)`` and ``top0 =
     E0 + r0 + pad(E0)``, the pairs are returned only if ``sigma1 > top0``
-    (checked first: no count helps otherwise), ``m <= 1`` and ``sigma1 -
-    bound > top0``; else ``None``.
+    (also checked before the count), ``m <= 1`` and ``sigma1 - bound >
+    top0``; else ``None``.
 
     Proof.  The residual puts an eigenvalue of ``H`` at or below ``top0 -
     phi < sigma1 - bound - phi``, and by Weyl's inequality ``H`` has at
@@ -431,6 +434,8 @@ def _proven(pairs, pad, count):
     within ``r_k + 2 pad(E_k) + bound`` of ``lambda_k``.
     """
     (e0, e1), (r0, r1) = pairs[0], pairs[2]
+    if not (r0 <= limit and r1 <= limit and e1 - e0 >= threshold):
+        return None
     sigma1 = e1 - r1 - pad(e1)
     top0 = e0 + r0 + pad(e0)
     if sigma1 > top0:
@@ -449,10 +454,9 @@ def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
     """
     name = "hbevx" if band.dtype.kind == "c" else "sbevx"
     (bevx,) = get_lapack_funcs((name,), (band,))
-    (lamch,) = get_lapack_funcs(("lamch",), dtype=np.float64)
     w, _, m, _, info = bevx(
         band, 0.0, 1.0, 1, 2, compute_v=0, mmax=1, range=2, lower=1,
-        overwrite_ab=0, abstol=2 * lamch("s"),
+        overwrite_ab=0, abstol=2 * np.finfo(float).tiny,
     )
     _check_info(info, name)
     return w[:m]
@@ -639,8 +643,7 @@ def _certified_count(band: np.ndarray, sigma: float, floor: float, scale: float)
     return negatives, bound
 
 
-def _bisect_two(band: np.ndarray, scale: float, floor: float, threshold: float,
-                resolution: float):
+def _bisect_two(band: np.ndarray, scale: float, floor: float, resolution: float):
     """Midpoints of disjoint, narrow brackets of the two lowest eigenvalues.
 
     Bisection on ``_band_ldl`` counts from ``[-scale, scale]``, which holds
@@ -653,19 +656,13 @@ def _bisect_two(band: np.ndarray, scale: float, floor: float, threshold: float,
     counts as narrow once its half-width is below ``resolution``: a
     cluster ``lambda_2 ~ lambda_3`` that tight gives residuals below it.
     Each count is capped where a larger one could not move a bracket.
-    Raises :class:`DegenerateGroundState` when ``lambda_1`` and
-    ``lambda_2`` lie in one bracket narrower than ``threshold``.  Returns
-    ``None`` when bisection stalls (the caller falls back).
+    Returns ``None`` when bisection stalls, as it does on a pair too close
+    to separate (the caller falls back).
     """
     lo, hi = [-scale] * 3, [scale] * 3
     for _ in range(_MAX_BISECTIONS):
         mids = [0.5 * (lo[k] + hi[k]) for k in range(2)]
         if hi[0] > lo[1]:  # lambda_1 and lambda_2 not yet apart: both in [lo[0], hi[0]]
-            if hi[0] - lo[0] < threshold:
-                raise DegenerateGroundState(
-                    f"two lowest eigenvalues within {hi[0] - lo[0]:.3e}, below degeneracy "
-                    f"threshold {threshold:.3e} (scale {scale:.3e})"
-                )
             k, cap = 0, 2
         elif hi[0] - mids[0] > _BRACKET_RATIO * (lo[1] - mids[0]):
             k, cap = 0, 1  # below lo[1]: the count is 0 or 1
@@ -722,16 +719,15 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     the Rayleigh quotients of its vectors (up to ``_RAYLEIGH_PASSES``
     times, until both residuals pass the gate) gives the pairs, whose
     energies are the final Rayleigh quotients.  The pairs are returned
-    (as :func:`_rayleigh_pairs` returns them) only if both residuals are
-    within ``limit``, ``E1 - E0 >= threshold`` (a refusal is made on the
-    band route) and :func:`_proven` proves them with one certified count
-    (:func:`_certified_count`), with the pad ``(b + 2)^2 eps (scale +
-    |E|)`` for the rounding of a residual; else ``None``.
+    (as :func:`_rayleigh_pairs` returns them) only if :func:`_proven`
+    accepts them with one certified count (:func:`_certified_count`) and
+    the pad ``(b + 2)^2 eps (scale + |E|)`` for the rounding of a
+    residual; else ``None``.
     """
     b = band.shape[0] - 1
     floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
     band = np.asfortranarray(band)
-    mids = _bisect_two(band, scale, floor, threshold, limit / 8)
+    mids = _bisect_two(band, scale, floor, limit / 8)
     if mids is None:
         return None
     w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale), mids)
@@ -739,11 +735,9 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
         w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, w, scale), w)
         if max(residuals) <= limit:
             break
-    if not (max(residuals) <= limit and w[1] - w[0] >= threshold):
-        return None
     return _proven((w, psis, residuals),
                    lambda x: (b + 2) ** 2 * np.finfo(float).eps * (scale + abs(x)),
-                   lambda sigma: _certified_count(band, sigma, floor, scale))
+                   lambda sigma: _certified_count(band, sigma, floor, scale), limit, threshold)
 
 
 def lowest_two(h) -> SpectrumResult:

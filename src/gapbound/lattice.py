@@ -507,6 +507,14 @@ def require_envelope(spec: ModelSpec, envelope: HoppingEnvelope):
         )
 
 
+def _check_impurity_length(length) -> None:
+    """Refuse a chain length :func:`impurity_model` cannot build: it must be an even integer >= 2."""
+    if not _is_integer(length) or length < 2:
+        raise ValidationError(f"length must be an integer >= 2, got {length!r}")
+    if length % 2 != 0:
+        raise ValidationError(f"length must be even, got {length}")
+
+
 def impurity_model(length: int, h0: float) -> ModelSpec:
     """Open chain with unit nearest-neighbor hopping and one diagonal defect.
 
@@ -514,10 +522,7 @@ def impurity_model(length: int, h0: float) -> ModelSpec:
     (N0 = 1) so the defect ``h0`` sits exactly at the center site
     ``length // 2 + 1``.
     """
-    if not _is_integer(length) or length < 2:
-        raise ValidationError(f"length must be an integer >= 2, got {length!r}")
-    if length % 2 != 0:
-        raise ValidationError(f"length must be even, got {length}")
+    _check_impurity_length(length)
     sites = int(length) + 1
     center = int(length) // 2  # 0-based row of the site length // 2 + 1
     onsite = np.zeros((sites, 1, 1))

@@ -32,7 +32,14 @@ import numpy as np
 from .bounds import GroundState, theorem1_bound, theorem2_bound, verify_envelope  # noqa: F401
 from .eigensolver import lowest_two
 from .errors import GapboundError, InsufficientData, NonDecaying, ValidationError
-from .lattice import HoppingEnvelope, assemble, check_nearest_neighbor, impurity_model
+from .lattice import (
+    HoppingEnvelope,
+    _check_impurity_length,
+    _is_integer,
+    assemble,
+    check_nearest_neighbor,
+    impurity_model,
+)
 from .localization import density, fit_localization_length, position_stats  # noqa: F401
 from .modelfile import _read_utf8
 
@@ -51,8 +58,8 @@ def default_h0_grid(
     points: int = _H0_POINTS, lo: float = _H0_MIN, hi: float = _H0_MAX
 ) -> np.ndarray:
     """Log-spaced defect strengths from lo to hi (both negative)."""
-    if points < 1:
-        raise ValidationError(f"need at least one grid point, got {points}")
+    if not _is_integer(points) or points < 1:
+        raise ValidationError(f"need an integer number of grid points >= 1, got {points!r}")
     for name, value in (("h0_min", lo), ("h0_max", hi)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -74,6 +81,7 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
+        _check_impurity_length(self.L)  # as impurity_model would at every point
         grid = np.asarray(self.h0_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError("h0 grid must be a nonempty 1-d array")

@@ -94,8 +94,8 @@ def test_proof_helper_on_stub_counts():
             return negatives, bound
         return count
 
-    def proven(pad, count):
-        return eigensolver_mod._proven(pairs, lambda e: pad, count)
+    def proven(pad, count, limit=1e-3, threshold=1.0):
+        return eigensolver_mod._proven(pairs, lambda e: pad, count, limit, threshold)
 
     assert proven(1e-3, stub(1, 0.0)) is pairs
     assert shifts == [pytest.approx(0.998, abs=1e-15)]
@@ -103,9 +103,13 @@ def test_proof_helper_on_stub_counts():
     assert proven(1e-3, stub(2, 0.0)) is None  # a second eigenvalue below sigma1
     assert proven(1e-3, stub(1, 0.997)) is None  # the count's bound eats the margin
     assert proven(1e-3, stub(1, math.nan)) is None
-    # pads that close the window: refused before any count
+    # pads that close the window, a residual above the limit (or NaN), or a
+    # gap below the degeneracy threshold: refused before any count
     shifts.clear()
     assert proven(0.5, stub(0, 0.0)) is None
+    assert proven(1e-3, stub(0, 0.0), limit=np.nextafter(1e-3, 0)) is None
+    assert proven(1e-3, stub(0, 0.0), limit=math.nan) is None
+    assert proven(1e-3, stub(0, 0.0), threshold=np.nextafter(1.0, 2)) is None
     assert shifts == []
 
 
@@ -815,15 +819,24 @@ def test_certificate_rejects_a_pair_that_skips_an_eigenvalue(monkeypatch, routes
     _assert_matches_dense(res, h)
 
 
-def test_inertia_route_refuses_a_degenerate_ground_state(routes):
-    # two identical, decoupled disordered strips: every eigenvalue is double
-    block = assemble(_disordered_strip(60, 4, 3)).band
-    band = np.concatenate([block, block], axis=1)
-    assert band.shape[1] >= 400
-    h = BandedHermitian(band)
-    with pytest.raises(DegenerateGroundState):
+@pytest.mark.parametrize("shift", [0.0, 1e-9], ids=["degenerate", "near-degenerate"])
+def test_inertia_route_hands_a_degenerate_ground_state_to_the_band_route(routes, shift):
+    # two decoupled copies of a disordered strip, the second shifted on-site
+    # by shift * scale: every eigenvalue is double, or split by that shift.
+    # The inertia route proves no such pair; the band route refuses it.
+    block = assemble(_disordered_strip(60, 4, 3))
+    shifted = block.band.copy()
+    shifted[0] += shift * block.scale
+    h = BandedHermitian(np.concatenate([block.band, shifted], axis=1))
+    assert h.n >= 400
+    threshold = eigensolver_mod.DEFAULT_DEGENERACY_TOL * h.scale
+    gap = shift * block.scale
+    with pytest.raises(DegenerateGroundState, match="below degeneracy threshold") as info:
         lowest_two(h)
-    assert routes == ["inertia"]
+    assert routes == ["inertia", "band"]
+    assert f"threshold {threshold:.3e}" in str(info.value)
+    if shift:
+        assert f"gap {gap:.3e} " in str(info.value)
 
 
 def test_nonfinite_band_is_rejected():

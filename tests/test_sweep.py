@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import gapbound
 from gapbound import SweepConfig, ValidationError, read_sweep_csv, run_sweep
+from gapbound.lattice import impurity_model
 from gapbound.sweep import (
     SWEEP_CSV_HEADER,
     default_h0_grid,
@@ -43,6 +45,27 @@ def test_config_validation():
         SweepConfig(s=1.5)
     with pytest.raises(ValidationError):
         default_h0_grid(points=0)
+
+
+@pytest.mark.parametrize("points", [True, 2.5, 3.0, "3"])
+def test_default_grid_rejects_non_integer_points(points):
+    with pytest.raises(ValidationError, match=re.escape(f"integer number of grid points >= 1, got {points!r}")):
+        default_h0_grid(points=points)
+
+
+@pytest.mark.parametrize("length, message", [
+    (True, "length must be an integer >= 2, got True"),
+    (2.5, "length must be an integer >= 2, got 2.5"),
+    (500.0, "length must be an integer >= 2, got 500.0"),
+    (0, "length must be an integer >= 2, got 0"),
+    (3, "length must be even, got 3"),
+], ids=["bool", "fraction", "float", "zero", "odd"])
+def test_config_refuses_a_length_the_impurity_model_refuses(length, message):
+    # refused when the config is built, with impurity_model's own message
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        SweepConfig(L=length)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        impurity_model(length, -0.5)
 
 
 @pytest.mark.parametrize("name", ["lo", "hi"])
