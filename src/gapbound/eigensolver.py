@@ -136,8 +136,10 @@ from .errors import DegenerateGroundState, GapboundError, NonHermitianError, Val
 # The fixed gates of lowest_two, relative to the spectral scale (module docstring)
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_DEGENERACY_TOL = 1e-8
-# Entrywise Hermiticity tolerance of a dense matrix (relative to its largest
-# entry), of on-site blocks and of model-file diagonal entries.
+# The one Hermiticity rule of every matrix that enters the solver (a model's
+# blocks, a dense array, a band's diagonal): an entry may lie at most
+# HERMITIAN_TOL * max(1, largest |entry| of the matrix) from the matrix's
+# Hermitian part (A + Aᴴ) / 2, which replaces it (hermitian_part).
 HERMITIAN_TOL = 1e-12
 # Inverse-iteration solves per eigenvector on the band route.  Each solve
 # multiplies the other eigenvectors' share by about |E_k - lambda_k| / gap,
@@ -178,19 +180,36 @@ _COARSE_FRACTION = 1 / 64
 _TINY_PAD = 4 * math.sqrt(np.finfo(float).tiny)
 
 
+def hermitian_part(blocks: np.ndarray, *rest: np.ndarray):
+    """``(B + Bᴴ) / 2`` for each block of a stack, the first block past the rule of
+    HERMITIAN_TOL (largest |entry| over ``blocks`` and ``rest``, the matrix's other
+    entries) or None, and that block's distance.  Halves first: nothing overflows."""
+    half = 0.5 * blocks
+    half_h = half.conj().swapaxes(1, 2)
+    dist = np.abs(half - half_h).reshape(len(half), -1).max(axis=1, initial=0.0)
+    half += half_h
+    far = np.flatnonzero(dist > HERMITIAN_TOL)
+    if far.size:  # only then read the largest entry: a Hermitian input makes no extra pass
+        largest = max(float(np.abs(a).max(initial=0.0)) for a in (blocks, *rest))
+        far = far[dist[far] > HERMITIAN_TOL * max(1.0, largest)]
+    return (half, int(far[0]), float(dist[far[0]])) if far.size else (half, None, 0.0)
+
+
 class BandedHermitian:
     """Hermitian matrix stored as its lower band, in LAPACK lower-band layout.
 
-    ``band[k, j] = H[j + k, j]`` for ``k = 0..bandwidth``; entries with
-    ``j + k >= n`` are zero, the diagonal row is real (an imaginary part
-    above ``HERMITIAN_TOL * max(1, max |entry|)`` is refused, a smaller
-    one dropped).  Only this triangle is stored, so the operator is
-    Hermitian by construction.  Trailing all-zero rows are dropped, so
-    ``bandwidth`` is the true nonzero bandwidth.  The band is the only
-    form of the matrix.  Built by :func:`gapbound.lattice.assemble` from a
-    validated model, or by :meth:`from_dense` from an array.  ``scale``,
-    the spectral scale (:func:`spectral_scale`), is computed once here; an
-    empty band has scale 0.0.
+    ``band[k, j] = H[j + k, j]`` for ``k = 0..bandwidth``; the slots with
+    ``j + k >= n`` lie outside the matrix and are read as zero.  Only this
+    triangle is stored, so the operator is Hermitian by construction.  The
+    diagonal row is real: a diagonal entry's distance from its Hermitian
+    part is its imaginary part, which is refused past the rule of
+    :func:`hermitian_part` and dropped within it.  Trailing all-zero rows
+    are dropped, so ``bandwidth`` is the true nonzero bandwidth.  The band
+    is the only form of the matrix.  Built by
+    :func:`gapbound.lattice.assemble` from a validated model, or by
+    :meth:`from_dense` from an array.  ``scale``, the spectral scale
+    (:func:`spectral_scale`), is computed once here; an empty band has
+    scale 0.0.
     """
 
     __slots__ = ("band", "scale")
@@ -201,13 +220,17 @@ class BandedHermitian:
             raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
         if not np.isfinite(band).all():
             raise ValidationError("band contains non-finite entries")
-        imag = float(np.abs(band[0].imag).max(initial=0.0))
-        if imag:
-            tol = HERMITIAN_TOL * max(1.0, float(np.abs(band).max()))
-            if imag > tol:
-                raise NonHermitianError(f"diagonal imaginary part {imag:.3e} exceeds {tol:.3e}")
+        # the slots band[k, n - k:] lie outside the matrix, in its last m columns
+        n, m = band.shape[1], min(band.shape[0] - 1, band.shape[1])
+        outside = np.arange(band.shape[0])[:, None] + np.arange(m) >= m
+        if band[:, n - m :][outside].any():
             band = band.copy()  # not the caller's array
-            band.imag[0] = 0.0
+            band[:, n - m :][outside] = 0.0
+        if band[0].imag.any():
+            diag, first, dist = hermitian_part(band[0].reshape(-1, 1, 1), band)
+            if first is not None:
+                raise NonHermitianError(f"diagonal entry {first} has imaginary part {dist:.3e}")
+            band = np.concatenate([diag.reshape(1, -1), band[1:]])  # not the caller's array
         rows = np.flatnonzero(band.any(axis=1))
         band = band[: (rows[-1] if rows.size else 0) + 1]
         band.flags.writeable = False
@@ -218,28 +241,20 @@ class BandedHermitian:
     def from_dense(cls, array) -> BandedHermitian:
         """The band of a dense Hermitian array, validated.
 
-        Accepts any square, finite array equal to its conjugate transpose
-        within ``HERMITIAN_TOL * max(1, max |entry|)`` entrywise (else
-        :class:`NonHermitianError`), and keeps the lower band of its exact
-        Hermitian part ``(A + Aᴴ) / 2`` up to the true bandwidth.
+        Accepts any square, finite array whose entries all lie within the
+        rule of :func:`hermitian_part` of its Hermitian part ``(A + Aᴴ) / 2``
+        (else :class:`NonHermitianError`), and keeps the lower band of that
+        part up to the true bandwidth.
         """
         a = np.asarray(array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        a = a.astype(np.complex128, copy=True)
+        a = a.astype(np.complex128, copy=False)
         if not np.isfinite(a).all():
             raise ValidationError("matrix contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-        # halves first, as ModelSpec._store does: no sum overflows, normal values keep their bits
-        a *= 0.5
-        ah = a.conj().T
-        dev = 2 * float(np.max(np.abs(a - ah), initial=0.0))
-        if dev > HERMITIAN_TOL * scale:
-            raise NonHermitianError(
-                f"matrix deviates from Hermiticity by {dev:.3e} "
-                f"(tolerance {HERMITIAN_TOL * scale:.3e})"
-            )
-        a += ah
+        (a,), first, dist = hermitian_part(a[None])
+        if first is not None:
+            raise NonHermitianError(f"matrix deviates from its Hermitian part by {dist:.3e}")
         n, b = a.shape[0], max(bandwidth(a))
         band = np.zeros((b + 1, n), dtype=np.complex128)
         for k in range(b + 1):

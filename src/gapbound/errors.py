@@ -4,9 +4,13 @@ Two outcomes matter to callers (and to the CLI exit code):
 
 * ``ValidationError`` and subclasses: the *input* is outside the tool's
   domain (malformed file, index out of range, envelope that does not
-  dominate the hopping, degenerate ground state, ...).  CLI exit code 1.
+  dominate the hopping, non-Hermitian matrix, ...).  CLI exit code 1.
 * ``InvariantViolation``: a quantity that is mathematically guaranteed
   failed its numerical check.  This is the serious one.  CLI exit code 2.
+
+Every other ``GapboundError`` (a degenerate ground state, too few points
+for a fit, a decay fit that does not decay) is not an input error; the
+CLI exits 1 on one that reaches it.
 """
 
 from __future__ import annotations

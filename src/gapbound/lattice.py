@@ -49,7 +49,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .eigensolver import HERMITIAN_TOL, BandedHermitian
+from .eigensolver import BandedHermitian, hermitian_part
 from .errors import (
     EnvelopeViolation,
     LongRangeHopping,
@@ -147,9 +147,11 @@ class ModelSpec:
     offdiag_blocks : iterable of (x, x', block)
         Hopping blocks with ``x < x'``; each pair at most once.
     onsite_blocks : iterable of (x, block)
-        Hermitian on-site blocks, one per site at most.  Blocks that are
-        Hermitian within 1e-12 entrywise are symmetrized; anything worse
-        is rejected.
+        Hermitian on-site blocks, one per site at most.  Each block is
+        replaced by its Hermitian part ``(B + Bᴴ) / 2``; an entry farther
+        than ``1e-12 * max(1, largest |entry| of the matrix)`` from it (the
+        rule of :func:`~gapbound.eigensolver.hermitian_part`, over every
+        on-site and hopping block) is refused.
     label : str
         Free-form description.
 
@@ -260,17 +262,11 @@ class ModelSpec:
         bad = _first_nonfinite(onsite)
         if bad is not None:
             raise ValidationError(f"on-site block at x={bad + 1} contains non-finite entries")
-        # halves first: the sum or difference of two entries above ~9e307
-        # would overflow; every normal value keeps its bits
-        half = 0.5 * onsite
-        half_h = half.conj().transpose(0, 2, 1)
-        dev = np.abs(half - half_h).reshape(length, -1).max(axis=1)
-        if np.any(dev > HERMITIAN_TOL / 2):
-            x = int(np.argmax(dev > HERMITIAN_TOL / 2)) + 1
+        onsite, first, dist = hermitian_part(onsite, *bands.values())
+        if first is not None:
             raise NonHermitianError(
-                f"on-site block at x={x} deviates from Hermiticity by {2 * float(dev[x - 1]):.3e}"
+                f"on-site block at x={first + 1} deviates from its Hermitian part by {dist:.3e}"
             )
-        onsite = half + half_h
         onsite.flags.writeable = False
         for blocks in bands.values():
             blocks.flags.writeable = False

@@ -11,7 +11,11 @@ Format::
 
 ``L`` and ``N0`` must appear before the first V/T line.  Indices are
 1-based.  Diagonal on-site entries (i == j) must be real within 1e-12;
-the imaginary part is dropped inside that tolerance.  Files are UTF-8.
+the imaginary part is dropped inside that tolerance, and
+:func:`format_model` always writes 0.  This text rule is absolute, not
+the model's relative one (:func:`gapbound.eigensolver.hermitian_part`),
+so that whether one line is accepted never depends on the other lines of
+the file.  Files are UTF-8; one leading byte-order mark is dropped.
 
 Parsing is column-wise.  One pass over the lines handles the headers,
 labels and comments and keeps the line number and the text after the tag
@@ -290,12 +294,13 @@ def parse_model(text: str) -> ModelSpec:
 
 
 def _read_utf8(path, refuse) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 raises
-    ``refuse(line_no, reason)`` for the line that holds it."""
+    """The text of a UTF-8 file without one leading byte-order mark; a byte
+    that is not UTF-8 raises ``refuse(line_no, reason)`` for the line that
+    holds it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # the bad byte's line is one more than the line breaks before it
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())

@@ -288,6 +288,7 @@ def test_malformed_model_exits_1(tmp_path, capsys):
     "command,name,data",
     [
         ("solve", "bad.txt", b"L 2\r\nN0 1\nlabel caf\xff\nV 1 1 1 0 0\n"),
+        ("solve", "bad.txt", b"\xef\xbb\xbfL 2\r\nN0 1\nlabel caf\xff\nV 1 1 1 0 0\n"),
         (
             "plot",
             "bad.csv",
@@ -295,7 +296,7 @@ def test_malformed_model_exits_1(tmp_path, capsys):
             b"1,2,3,4,5,6,7,8,9,10,11\xff\n",
         ),
     ],
-    ids=["model", "csv"],
+    ids=["model", "model-after-bom", "csv"],
 )
 def test_undecodable_input_exits_1(tmp_path, capsys, command, name, data):
     path = tmp_path / name

@@ -78,7 +78,7 @@ def test_input_validation():
     # overflow warning on the way (the halves are summed, not the entries)
     with pytest.raises(ValidationError, match="spectral scale inf"):
         lowest_two(np.full((2, 2), 1e308))
-    with pytest.raises(NonHermitianError, match="by inf"):
+    with pytest.raises(NonHermitianError, match=r"by 1\.000e\+308"):
         lowest_two(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
@@ -122,6 +122,18 @@ def test_imaginary_diagonal_is_refused_or_dropped():
     h = BandedHermitian(band)
     assert band[0, 0] == 1 + 1e-13j
     assert h.band[0].tobytes() == np.array([1, 2, 3], dtype=complex).tobytes()
+
+
+def test_slots_outside_the_matrix_are_read_as_zero():
+    # band[k, n - k:] lies outside the matrix (LAPACK never reads it): a value
+    # there neither sets the diagonal's tolerance nor widens the band
+    band = np.array([[1 + 1e-6j, 2, 3], [0, 0, 1e7]])
+    with pytest.raises(NonHermitianError, match="imaginary part 1.000e-06"):
+        BandedHermitian(band)
+    assert band[1, 2] == 1e7
+    h = BandedHermitian(np.array([[1, 2, 3], [0, 0, 1]]))
+    assert h.bandwidth == 0
+    assert h.band.tobytes() == np.array([[1, 2, 3]], dtype=complex).tobytes()
 
 
 def test_from_dense_exact_symmetry_and_immutability():

@@ -30,6 +30,7 @@ from gapbound import (
     spectral_scale,
     strip_model,
 )
+from gapbound.eigensolver import HERMITIAN_TOL
 from gapbound.fuzz import FAMILIES, FuzzConfig, random_model, trial_rng
 from gapbound.lattice import hopping_norms
 from gapbound.modelfile import format_model, parse_model
@@ -127,6 +128,55 @@ def test_onsite_symmetrization_keeps_bits_and_does_not_overflow():
         with pytest.raises(NonHermitianError, match="x=1"):
             ModelSpec(1, 2, onsite_blocks=[(1, [[0, 1e308], [-1e308, 0]])])
     np.testing.assert_array_equal(stored, huge)
+
+
+def test_model_and_dense_array_apply_one_hermiticity_rule():
+    # one on-site off-diagonal entry moved by 0.5 to 3 times the tolerance
+    # HERMITIAN_TOL * max(1, largest |entry|), on models scaled by 1e-3..1e12:
+    # the model and the dense array are accepted together, with one band
+    rng = np.random.default_rng(2025)
+    accepted = 0
+    for _ in range(500):
+        spec, _, _ = random_model(rng, size_range=(4, 12), n0_range=(2, 3))
+        length, n0, scale = spec.length, spec.n0, 10 ** rng.uniform(-3, 12)
+        hopping = {d: scale * blocks for d, blocks in spec.hopping_bands.items()}
+        onsite = np.zeros((length, n0, n0), dtype=complex)
+        for x, b in spec.onsite.items():
+            onsite[x - 1] = scale * b
+        dense = band_to_dense(assemble(ModelSpec.from_arrays(length, n0, hopping, onsite)))
+        tol = HERMITIAN_TOL * max(1.0, float(np.abs(dense).max()))
+        x, (i, j) = rng.integers(length), rng.choice(n0, 2, replace=False)
+        move = rng.uniform(0.5, 3.0) * tol * np.exp(2j * np.pi * rng.random())
+        onsite[x, i, j] += move
+        dense[x * n0 + i, x * n0 + j] += move
+        try:
+            model = assemble(ModelSpec.from_arrays(length, n0, hopping, onsite))
+        except NonHermitianError:
+            model = None
+        try:
+            array = BandedHermitian.from_dense(dense)
+        except NonHermitianError:
+            array = None
+        assert (model is None) == (array is None)
+        if model is not None:
+            accepted += 1
+            # bit for bit; + 0.0 turns the -0.0 of a conjugated zero into 0.0
+            assert (model.band + 0.0).tobytes() == (array.band + 0.0).tobytes()
+    assert 100 < accepted < 400
+
+
+def test_rotated_large_onsite_energies_are_accepted():
+    # Q diag(1e6, 2e6, -3e6) Qᴴ is Hermitian up to rounding, which at this
+    # size lies far above 1e-12 but far below 1e-12 times the largest entry
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    block = q @ np.diag([1e6, 2e6, -3e6]) @ q.conj().T
+    assert np.abs(block - block.conj().T).max() > 1e-11
+    onsite = np.array([block, np.zeros((3, 3))])
+    spec = ModelSpec.from_arrays(2, 3, {1: [np.eye(3)]}, onsite)
+    dense = np.block([[block, np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+    band = BandedHermitian.from_dense(dense).band
+    assert (assemble(spec).band + 0.0).tobytes() == (band + 0.0).tobytes()
 
 
 def test_modelspec_immutable():

@@ -112,6 +112,13 @@ def test_roundtrip_random_model(tmp_path):
     )
 
 
+def test_load_model_drops_one_byte_order_mark(tmp_path):
+    spec = impurity_model(8, -0.25)
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + format_model(spec).encode("utf-8"))
+    assert format_model(load_model(path)) == format_model(spec)
+
+
 def test_roundtrip_impurity(tmp_path):
     spec = impurity_model(8, -0.25)
     text = format_model(spec)

@@ -115,6 +115,13 @@ def test_csv_format_and_roundtrip(tmp_path, small_rows):
     assert back[-1].ratio2 == small_rows[-1].ratio2
 
 
+def test_read_drops_one_byte_order_mark(tmp_path, small_rows):
+    text = format_sweep_csv(small_rows)
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert format_sweep_csv(read_sweep_csv(path)) == text
+
+
 def test_read_rejects_foreign_csv(tmp_path):
     path = tmp_path / "bogus.csv"
     path.write_text("a,b\n1,2\n")
