@@ -68,6 +68,7 @@ from .lattice import (
 from .localization import DensityProfile, PositionStats, density, position_stats, tail_steps
 # unused here but kept: the benchmark tracer wraps gapbound.bounds.tail
 from .localization import tail  # noqa: F401
+from .textfile import csv_text, write_text
 
 _E = math.e
 
@@ -664,18 +665,17 @@ def best_s(
 
 def write_bound_csv(bounds, path):
     """Dump envelope-bound parameters, one row per bound."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("kind,s,r1,xi,prefactor,C1_or_V0,deltaE0,deltaX\n")
-        for b in bounds:
-            fh.write(
-                f"{b.kind},{b.s:.17g},{b.r1:.17g},{b.xi:.17g},{b.prefactor:.17g},"
-                f"{b.amplitude:.17g},{b.delta_e0:.17g},{b.delta_x:.17g}\n"
-            )
+    write_text(path, csv_text(
+        "kind,s,r1,xi,prefactor,C1_or_V0,deltaE0,deltaX",
+        ((b.kind, b.s, b.r1, b.xi, b.prefactor, b.amplitude, b.delta_e0, b.delta_x)
+         for b in bounds),
+    ))
 
 
 def write_envelope_csv(check: EnvelopeCheck, path):
     """Dump an envelope check as ``R,tail,bound,violation`` rows, one per radius."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("R,tail,bound,violation\n")
-        for r, t, b in zip(check.r_grid, check.tail_values, check.bound_values):
-            fh.write(f"{r:.17g},{t:.17g},{b:.17g},{int(t > b + check.tolerance)}\n")
+    write_text(path, csv_text(
+        "R,tail,bound,violation",
+        ((r, t, b, int(t > b + check.tolerance))
+         for r, t, b in zip(check.r_grid, check.tail_values, check.bound_values)),
+    ))

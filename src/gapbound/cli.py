@@ -48,6 +48,7 @@ from .sweep import (
     read_sweep_csv,
     run_sweep,
 )
+from .textfile import read_text
 
 
 def _solve_pipeline(args):
@@ -178,11 +179,13 @@ def _config_value(key: str, value):
 def _sweep_config(args) -> SweepConfig:
     cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except ValueError as exc:
-                raise ValidationError(f"{args.config} is not valid JSON: {exc}") from None
+        text = read_text(
+            args.config, lambda no, reason: ValidationError(f"{args.config}, line {no}: {reason}")
+        )
+        try:
+            cfg = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"{args.config} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValidationError(f"{args.config} must hold a JSON object")
         unknown = set(cfg) - set(_CONFIG_KEYS)

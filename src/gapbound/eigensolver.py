@@ -22,7 +22,8 @@ or proves:
   residuals (``_COARSE_FRACTION``); the Rayleigh quotients supply the
   last digits.  The pair must pass ``_proven`` with residuals at
   rounding level and one Sturm count (with the pad and count error of
-  ``_tridiagonal_pairs``).
+  ``_tridiagonal_pairs``); a pair that fails is computed once more with
+  bisection to full accuracy.
 * A large banded operator with bandwidth b > 1,
   ``n >= max(400, 1600 // b, 400 + 2 (b - 16))`` (every ``N0 = 4..8``
   strip of 100 supersites and longer, never a dense array), goes to the
@@ -132,6 +133,7 @@ from scipy.linalg import bandwidth, eig_banded, get_lapack_funcs
 from scipy.linalg.blas import zhbmv
 
 from .errors import DegenerateGroundState, GapboundError, NonHermitianError, ValidationError
+from .textfile import write_text
 
 # The fixed gates of lowest_two, relative to the spectral scale (module docstring)
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -397,8 +399,12 @@ def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshol
     eps scale)``.  A residual above rounding level means that ``stein``
     mixed eigenvectors the coarse estimate did not separate (a chain whose
     scale is one huge on-site entry has its level spacing far below the
-    threshold).  The count's error ``||F||`` is in the pad ``pad(E) = 16
-    eps (scale + |E|) + 4 sqrt(tiny)``: a computed residual of the complex
+    threshold); so does a level spacing near the coarse tolerance, as on
+    14 of the 100 default grid points at ``L = 50000``.  Either failure is
+    retried once with bisection to full accuracy (``abstol = 0``), which
+    proves all 14 (about 70 ms each at that length); only then is ``None``
+    returned.  The count's error ``||F||`` is in the pad ``pad(E) = 16 eps
+    (scale + |E|) + 4 sqrt(tiny)``: a computed residual of the complex
     band product is within ``5 eps scale + 2 eps |E| + sqrt(tiny)`` (plus
     terms of order ``n eps r_k``) of the exact one.
 
@@ -411,19 +417,23 @@ def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshol
     phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
     d = hm.band[0].real
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, _COARSE_FRACTION * threshold, "B")
-    _check_info(info, "stebz")
-    w = w[:m]
-    z, info = stein(d, e, w, iblock, isplit)
-    if info > 0:  # an unconverged vector
-        return None
-    _check_info(info, "stein")
-    order = np.argsort(w)
-    pairs = _rayleigh_pairs(hm, phases[:, None] * z[:, order], w[order])
     eps = np.finfo(float).eps
-    return _proven(pairs, lambda x: 16 * eps * (scale + abs(x)) + _TINY_PAD,
-                   lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0),
-                   min(limit, n * eps * scale), threshold)
+    for abstol in (_COARSE_FRACTION * threshold, 0.0):
+        m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, abstol, "B")
+        _check_info(info, "stebz")
+        w = w[:m]
+        z, info = stein(d, e, w, iblock, isplit)
+        if info > 0:  # an unconverged vector
+            continue
+        _check_info(info, "stein")
+        order = np.argsort(w)
+        pairs = _proven(_rayleigh_pairs(hm, phases[:, None] * z[:, order], w[order]),
+                        lambda x: 16 * eps * (scale + abs(x)) + _TINY_PAD,
+                        lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0),
+                        min(limit, n * eps * scale), threshold)
+        if pairs is not None:
+            return pairs
+    return None
 
 
 def _proven(pairs, pad, count, limit, threshold):
@@ -820,7 +830,4 @@ def lowest_two(h) -> SpectrumResult:
 
 def write_spectrum(result: SpectrumResult, path):
     """Dump the full spectrum as ``<index> <eigenvalue>`` lines."""
-    eigenvalues = result.eigenvalues  # before open(): a failure leaves no file
-    with open(path, "w", newline="\n") as fh:
-        for i, e in enumerate(eigenvalues):
-            fh.write(f"{i} {e:.17g}\n")
+    write_text(path, "".join(f"{i} {e:.17g}\n" for i, e in enumerate(result.eigenvalues)))

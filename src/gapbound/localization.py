@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InsufficientData, NonDecaying, ValidationError
 from .lattice import ModelSpec
+from .textfile import csv_text, write_text
 
 DENSITY_SUM_TOL = 1e-12
 DEFAULT_FLOOR = 1e-13
@@ -206,17 +207,12 @@ def fit_localization_length(
 
 def write_profile_csv(profile: DensityProfile, path):
     """Dump a profile as ``x,p_x`` rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,p_x\n")
-        for x, p in zip(range(1, profile.length + 1), profile.p):
-            fh.write(f"{x},{p:.17g}\n")
+    write_text(path, csv_text("x,p_x", zip(range(1, profile.length + 1), profile.p)))
 
 
 def write_fit_csv(fit: DecayFit, path):
     """Dump a decay fit as a single CSV row."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("xi_fit,intercept,r_squared,window_lo,window_hi\n")
-        fh.write(
-            f"{fit.xi_fit:.17g},{fit.intercept:.17g},{fit.r_squared:.17g},"
-            f"{fit.window[0]:.17g},{fit.window[1]:.17g}\n"
-        )
+    write_text(path, csv_text(
+        "xi_fit,intercept,r_squared,window_lo,window_hi",
+        [(fit.xi_fit, fit.intercept, fit.r_squared, *fit.window)],
+    ))

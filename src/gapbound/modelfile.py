@@ -15,7 +15,8 @@ the imaginary part is dropped inside that tolerance, and
 :func:`format_model` always writes 0.  This text rule is absolute, not
 the model's relative one (:func:`gapbound.eigensolver.hermitian_part`),
 so that whether one line is accepted never depends on the other lines of
-the file.  Files are UTF-8; one leading byte-order mark is dropped.
+the file.  :func:`load_model` and :func:`dump_model` read and write through
+:mod:`gapbound.textfile`.
 
 Parsing is column-wise.  One pass over the lines handles the headers,
 labels and comments and keeps the line number and the text after the tag
@@ -45,6 +46,7 @@ import numpy as np
 from .errors import ModelFormatError
 from .eigensolver import HERMITIAN_TOL
 from .lattice import ModelSpec
+from .textfile import read_text, write_text
 
 _COLUMNS = {
     "V": (("x", int), ("i", int), ("j", int), ("re", float), ("im", float)),
@@ -293,23 +295,9 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec.from_arrays(length, n0, bands, on, label)
 
 
-def _read_utf8(path, refuse) -> str:
-    """The text of a UTF-8 file without one leading byte-order mark; a byte
-    that is not UTF-8 raises ``refuse(line_no, reason)`` for the line that
-    holds it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        # the bad byte's line is one more than the line breaks before it
-        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise refuse(line_no, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-
-
 def load_model(path) -> ModelSpec:
     """Parse a UTF-8 model file from disk."""
-    return parse_model(_read_utf8(path, ModelFormatError))
+    return parse_model(read_text(path, ModelFormatError))
 
 
 def format_model(spec: ModelSpec) -> str:
@@ -351,5 +339,4 @@ def format_model(spec: ModelSpec) -> str:
 
 def dump_model(spec: ModelSpec, path):
     """Write a model file to disk, as UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_model(spec))
+    write_text(path, format_model(spec))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
+from .textfile import write_text
 
 _CANVAS_W = 960
 _CANVAS_H = 400
@@ -120,6 +121,4 @@ def format_plot(rows) -> str:
 
 def emit_plot(rows, path):
     """Write the two-panel ratio plot to an SVG file."""
-    svg = format_plot(rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(svg)
+    write_text(path, format_plot(rows))

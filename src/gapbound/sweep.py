@@ -41,7 +41,7 @@ from .lattice import (
     impurity_model,
 )
 from .localization import density, fit_localization_length, position_stats  # noqa: F401
-from .modelfile import _read_utf8
+from .textfile import csv_text, read_text, write_text
 
 # the CSV columns in order: header name and SweepRow attribute
 _CSV_COLUMNS = (
@@ -125,6 +125,17 @@ def sweep_point(
     except GapboundError as exc:
         raise GapboundError(f"eigensolver failed at h0={h0:g}: {exc}") from exc
     state = GroundState.of(res.psi0, spec)
+    # Davis-Kahan: the density is within 2 r0 / (gap - r1) of the true one in
+    # l1, and a variance over n sites moves by at most (n - 1)^2 times that
+    # (gap > r1: a chain's scale is >= 2, where lowest_two's gap gate lies
+    # above its residual gate)
+    variance = state.stats.variance
+    error = (spec.length - 1) ** 2 * 2 * res.residual0 / (res.gap - res.residual1)
+    if not variance > error:
+        raise GapboundError(
+            f"deltaX unresolved at h0={h0:g}: variance {variance:.3e} is within "
+            f"its error bound {error:.3e}"
+        )
     delta_x = state.stats.delta_x
     center = length // 2 + 1
     try:
@@ -169,20 +180,18 @@ def run_sweep(config: SweepConfig, write: bool = True) -> list[SweepRow]:
 
 def format_sweep_csv(rows) -> str:
     """Render sweep rows with 17 significant digits per float."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(f"{getattr(r, attr):.17g}" for _, attr in _CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        SWEEP_CSV_HEADER, ([getattr(r, attr) for _, attr in _CSV_COLUMNS] for r in rows)
+    )
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_sweep_csv(rows))
+    write_text(path, format_sweep_csv(rows))
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
     """Read rows back from a UTF-8 sweep CSV (violation counts are not stored)."""
-    text = _read_utf8(path, lambda no, reason: ValidationError(f"{path}, line {no}: {reason}"))
+    text = read_text(path, lambda no, reason: ValidationError(f"{path}, line {no}: {reason}"))
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != SWEEP_CSV_HEADER:
         raise ValidationError(f"{path} is not a sweep CSV (bad header)")

@@ -130,6 +130,24 @@ def test_sweep_config_file_with_flag_override(tmp_path):
     assert len(text.splitlines()) == 3  # header + 2 rows (flag wins)
 
 
+def test_sweep_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    text = json.dumps({"L": 40, "points": 2, "out": str(tmp_path / "c.csv")})
+    cfg.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 3
+
+
+def test_sweep_with_an_unresolved_deltaX_exits_1(tmp_path, capsys):
+    # at h0 = -1e60 the ground state sits on one site: its variance, 6e-59,
+    # is below what the residuals let the computed density resolve
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--L", "40", "--points", "1", "--h0-min=-1e60", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: deltaX unresolved at h0=-1e+60: variance ")
+    assert not out.exists()
+
+
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"length": 40}))
@@ -295,14 +313,18 @@ def test_malformed_model_exits_1(tmp_path, capsys):
             b"h0,E0,E1,gap,deltaX,xi_fit,xi1,xi2,ratio1,ratio2,fit_r_squared\n\n"
             b"1,2,3,4,5,6,7,8,9,10,11\xff\n",
         ),
+        ("sweep", "cfg.json", b'{"L": 40,\n"points": 1,\n"out": "caf\xff.csv"}\n'),
     ],
-    ids=["model", "model-after-bom", "csv"],
+    ids=["model", "model-after-bom", "csv", "config"],
 )
 def test_undecodable_input_exits_1(tmp_path, capsys, command, name, data):
     path = tmp_path / name
     path.write_bytes(data)
-    extra = ["--out", str(tmp_path / "fig.svg")] if command == "plot" else []
-    code = main([command, str(path), *extra])
+    args = {
+        "plot": [str(path), "--out", str(tmp_path / "fig.svg")],
+        "sweep": ["--config", str(path)],
+    }.get(command, [str(path)])
+    code = main([command, *args])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "line 3" in err and "0xff" in err

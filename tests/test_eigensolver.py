@@ -641,15 +641,60 @@ def _assert_band_route_pair(res, h):
     assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, spectral_scale(h))
 
 
+def _stebz_abstols(monkeypatch):
+    """The ``abstol`` of every bisection by index that ``_tridiagonal_pairs`` runs."""
+    abstols = []
+    real = eigensolver_mod.get_lapack_funcs
+
+    def recording(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        if names != ("stebz", "stein"):
+            return funcs
+        stebz, stein = funcs
+
+        def by_index(*a):
+            abstols.append(a[7])
+            return stebz(*a)
+
+        return by_index, stein
+
+    monkeypatch.setattr(eigensolver_mod, "get_lapack_funcs", recording)
+    return abstols
+
+
 @pytest.mark.parametrize("h0", [-1e9, -1e12])
-def test_unproven_coarse_pass_falls_back_to_the_band_route(h0, routes):
+def test_unproven_coarse_pass_is_retried_at_full_accuracy(h0, routes, monkeypatch):
     # one on-site entry sets the scale: threshold / 64 is coarser than the
-    # chain's level spacing, so the coarse vectors mix eigenvectors and the
-    # band route gives the pair
+    # chain's level spacing, so the coarse vectors mix eigenvectors; bisection
+    # to full accuracy separates them.  The proof places E_k within r_k plus
+    # twice the pad 16 eps (scale + |E_k|): the impurity splits the chain into
+    # two halves whose lowest levels lie 4e-12 apart at h0 = -1e9, far inside
+    # that, and E1 may be either of them
+    abstols = _stebz_abstols(monkeypatch)
     h = assemble(impurity_model(40, h0))
     res = lowest_two(h)
-    assert routes == ["tridiagonal", "band"]
-    _assert_band_route_pair(res, h)
+    assert routes == ["tridiagonal"]
+    assert len(abstols) == 2 and abstols[0] > 0 and abstols[1] == 0.0
+    scale = spectral_scale(h)
+    eps = np.finfo(float).eps
+    oracle = bisect_eigenvalues(*_chain_form(h), k=2)
+    for energy, residual, ref in zip((res.e0, res.e1), (res.residual0, res.residual1), oracle):
+        assert abs(energy - ref) <= residual + 32 * eps * (scale + abs(ref))
+
+
+@pytest.mark.parametrize("index", [8, 49, 88])
+def test_default_grid_at_L_50000_is_proven_on_the_tridiagonal_route(index, routes, monkeypatch):
+    # the coarse pair of these points misses the proof and the retry proves it
+    abstols = _stebz_abstols(monkeypatch)
+    h = assemble(impurity_model(50000, default_h0_grid()[index]))
+    res = lowest_two(h)
+    assert routes == ["tridiagonal"]
+    assert len(abstols) == 2 and abstols[0] > 0 and abstols[1] == 0.0
+    w = eigh_tridiagonal(*_chain_form(h), eigvals_only=True, select="i", select_range=(0, 1))
+    scale = spectral_scale(h)
+    eps = np.finfo(float).eps
+    assert abs(res.e0 - w[0]) <= 4 * eps * scale
+    assert abs(res.e1 - w[1]) <= 4 * eps * scale
 
 
 def test_huge_impurity_leaves_the_half_chain_level_resolved():

@@ -103,6 +103,16 @@ def test_unused_imports_are_tracer_targets():
     assert [name for name in unused if name not in targets] == []
 
 
+def test_files_are_opened_in_textfile_only():
+    # one module decides encoding, line ends and byte-order marks
+    opened = []
+    for path in sorted((ROOT / "src" / "gapbound").glob("*.py")):
+        calls = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+        if any(isinstance(c.func, ast.Name) and c.func.id == "open" for c in calls):
+            opened.append(path.name)
+    assert opened == ["textfile.py"]
+
+
 def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
     # one item of each workload under the tracer: every wrapped entry point
     # and every counter hook runs, and the item still matches its reference
