@@ -109,18 +109,22 @@ def cmd_bounds(args) -> int:
 
     checks = []
     failed = 0
+    r_max = float(state.steps[0][-1])  # the farthest site's distance from <x>
     for b in bounds:
         chk = state.check(b)
         checks.append((b, chk))
         n_bad = int(chk.violations.size)
         failed += n_bad
+        note = "" if chk.r_grid.size else (
+            f" (onset r1={b.r1:.6g} lies beyond the farthest site, {r_max:.6g} "
+            "from <x>: nothing was checked)"
+        )
         print(
             f"envelope check [{b.kind}]: {chk.r_grid.size} radii, "
-            f"{n_bad} violation(s)"
+            f"{n_bad} violation(s){note}"
         )
 
     # toolkit convenience, not a claim: pointwise minimum with the power law
-    r_max = float(state.steps[0][-1])  # the farthest site's distance from <x>
     probes = sorted({min(b1.r1 + b1.xi, r_max), r_max})
     for r_probe in probes:
         if r_probe <= max(b1.r1, 0.0):
@@ -224,6 +228,11 @@ def cmd_sweep(args) -> int:
     if finite_r2:
         print(f"fit r^2 in [{min(finite_r2):.6g}, {max(finite_r2):.6g}]")
     print(f"envelope violations: {bad}")
+    print(
+        "rows checked at no radius (onset beyond the farthest site): "
+        f"theorem1 {sum(r.radii1 == 0 for r in rows)}, "
+        f"theorem2 {sum(r.radii2 == 0 for r in rows)}"
+    )
     if bad:
         print("invariant violation: a guaranteed envelope failed", file=sys.stderr)
         return 2

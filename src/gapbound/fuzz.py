@@ -7,11 +7,14 @@ Every trial draws a random model from one of two families:
 * ``"nearest-neighbor"``: hopping restricted to distance 1 with norms
   below a random uniform bound,
 
-plus random Hermitian on-site blocks, then solves it and asserts the
-full invariant suite: the complementary inequality and the agreement of
-its two ``<H_OD>`` routes, the gap-based variance bound, the power-law
-tail bound, tail monotonicity, weight-gauge invariance, the applicable
-exponential tail envelopes, and the trapezoid coupling diagnostic.  The
+plus random Hermitian on-site blocks.  Either declaration is checked
+against the drawn model by the one rule of
+:func:`~gapbound.lattice.require_envelope` before the model is solved;
+the trial then asserts the full invariant suite: the complementary
+inequality and the agreement of its two ``<H_OD>`` routes, the gap-based
+variance bound, the power-law tail bound, tail monotonicity,
+weight-gauge invariance, the applicable exponential tail envelopes, and
+the trapezoid coupling diagnostic.  The
 tail checks read every breakpoint of the tail, so they are exact over
 all radii.  Every check reads one :class:`GroundState` record per model.
 
@@ -29,6 +32,7 @@ import numpy as np
 
 from .bounds import (
     COMPLEMENTARY_RTOL,
+    ENVELOPE_TOL,
     THEOREM1,
     GroundState,
     WeightFunction,
@@ -39,22 +43,18 @@ from .bounds import (
     variance_upper_bound,
 )
 # unused here but kept: the benchmark tracer wraps gapbound.fuzz.density,
-# .position_stats, .tail, .verify_envelope, .g_expectations and .verify_appendixB
+# .position_stats, .tail, .verify_envelope, .g_expectations, .verify_appendixB
+# and .check_nearest_neighbor
 from .bounds import g_expectations, verify_appendixB, verify_envelope  # noqa: F401
 from .eigensolver import lowest_two
-from .errors import (
-    DegenerateGroundState,
-    EnvelopeViolation,
-    InvariantViolation,
-    ValidationError,
-)
+from .errors import DegenerateGroundState, InvariantViolation, ValidationError
 from .lattice import (
     HoppingEnvelope,
     ModelSpec,
     NNBound,
     _is_integer,
     assemble,
-    check_nearest_neighbor,
+    check_nearest_neighbor,  # noqa: F401
     fit_envelope,
     require_envelope,
 )
@@ -231,7 +231,8 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     # law decreases in R: its values at the positive breakpoints are all of it
     radii, tails = state.steps
     r = radii[radii > 0]
-    over = r[tails[radii > 0] > chebyshev_tail_bound(src, spec.length, res.gap, r) + 1e-12]
+    power_law = chebyshev_tail_bound(src, spec.length, res.gap, r)
+    over = r[tails[radii > 0] > power_law + ENVELOPE_TOL]
     if over.size:
         problems.append(f"power-law tail bound violated at R={over[0]:.3g}")
     if np.any(np.diff(tails) > 1e-12):
@@ -252,7 +253,7 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     try:
         state.appendixB(fitted, gtrap, (r_inner, delta_r, stats.mean))
     except InvariantViolation as exc:
-        problems.append(f"trapezoid coupling bound failed: {exc}")
+        problems.append(str(exc))  # it names the bound
     return problems
 
 
@@ -293,24 +294,19 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the fuzz schedule; aborts on the first invariant failure.
 
     Each model's declared envelope or nearest-neighbor bound is validated
-    before any theorem check: a declaration that does not dominate the
-    model's own blocks is rejected with :class:`EnvelopeViolation` rather
-    than reported as a theorem failure.
+    before any theorem check, both by the one rule of
+    :func:`~gapbound.lattice.require_envelope` (every block norm within
+    ``value(d) * (1 + ENVELOPE_RTOL)``, so a nearest-neighbor declaration
+    refuses any block at distance >= 2): a declaration that does not
+    dominate the model's own blocks is rejected with
+    :class:`EnvelopeViolation` rather than reported as a theorem failure.
     """
     passed = 0
     skipped = 0
     for i in range(config.trials):
         rng = trial_rng(config.seed, i)
         spec, env, nn = random_model(rng, config.size_range, config.n0_range, config.family)
-        if env is not None:
-            require_envelope(spec, env)
-        if nn is not None:
-            actual = check_nearest_neighbor(spec).v0
-            if actual > nn.v0 * (1.0 + 1e-12):
-                raise EnvelopeViolation(
-                    f"declared nearest-neighbor bound v0={nn.v0:g} below actual "
-                    f"maximum norm {actual:g}"
-                )
+        require_envelope(spec, env if env is not None else nn)
         problems = _trial_problems(spec, env, nn, rng)
         if problems is None:
             skipped += 1

@@ -86,13 +86,22 @@ class HoppingEnvelope:
 
 @dataclass(frozen=True)
 class NNBound:
-    """Uniform norm bound ``v0`` for strictly nearest-neighbor hopping."""
+    """Uniform norm bound ``v0`` for strictly nearest-neighbor hopping.
+
+    Declared for a model, it is checked by the one rule of
+    :func:`envelope_violations`, as an envelope that is ``v0`` at distance
+    1 and 0 beyond: every block at distance >= 2 must vanish.
+    """
 
     v0: float
 
     def __post_init__(self):
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ValidationError(f"nearest-neighbor bound must be >= 0, got {self.v0}")
+
+    def value(self, distance: float) -> float:
+        """Bound on a block norm at ``distance``: ``v0`` at 1, ``0.0`` beyond."""
+        return self.v0 if abs(distance) <= 1 else 0.0
 
 
 def _is_integer(value) -> bool:
@@ -476,12 +485,14 @@ def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
 
 
 def envelope_violations(
-    spec: ModelSpec, envelope: HoppingEnvelope
+    spec: ModelSpec, envelope: HoppingEnvelope | NNBound
 ) -> list[tuple[int, int, float, float]]:
-    """Pairs whose block norm exceeds the declared envelope.
+    """Pairs whose block norm exceeds the declared bound.
 
-    Returns a list of (x, x', norm, allowed) tuples; empty when the
-    envelope dominates every block within ``ENVELOPE_RTOL`` relative slack.
+    One rule for either declaration, a :class:`HoppingEnvelope` or an
+    :class:`NNBound`: the block of every pair ``(x, x + d)`` must have norm
+    at most ``envelope.value(d) * (1 + ENVELOPE_RTOL)``.  Returns a list of
+    (x, x', norm, allowed) tuples, empty when the bound dominates every block.
     """
     bad = []
     for d, xs, norms in hopping_norms(spec):
@@ -491,14 +502,15 @@ def envelope_violations(
     return sorted(bad)
 
 
-def require_envelope(spec: ModelSpec, envelope: HoppingEnvelope):
-    """Raise :class:`EnvelopeViolation` unless the envelope dominates the model."""
+def require_envelope(spec: ModelSpec, envelope: HoppingEnvelope | NNBound):
+    """Raise :class:`EnvelopeViolation` unless the declared bound dominates
+    the model by the rule of :func:`envelope_violations`."""
     bad = envelope_violations(spec, envelope)
     if bad:
         x, xp, norm, allowed = bad[0]
         raise EnvelopeViolation(
-            f"declared envelope (cv={envelope.cv:g}, mu={envelope.mu:g}) does not "
-            f"dominate the model: block ({x},{xp}) has norm {norm:.6g} > {allowed:.6g}"
+            f"declared {envelope} does not dominate the model: "
+            f"block ({x},{xp}) has norm {norm:.6g} > {allowed:.6g}"
             + (f" ({len(bad)} violating pairs)" if len(bad) > 1 else "")
         )
 

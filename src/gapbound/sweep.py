@@ -6,8 +6,9 @@ s and compares their decay lengths against the measured one through the
 ratios ``sqrt(2) * xi / delta_x`` (the measured decay length of this
 model approaches ``delta_x / sqrt(2)``, so a ratio of 1 would be a
 perfectly tight envelope).  Both envelopes are also verified pointwise
-against the measured tail; the violation counts are recorded and are
-expected to be zero.
+against the measured tail; the violation counts, expected to be zero,
+are recorded, and so is the number of radii each check covered, which is
+zero when the envelope's onset lies beyond the farthest site.
 
 The general-hopping envelope uses the constants cv = 1, mu = 1 attached
 to this benchmark model rather than a fitted envelope (a mu = 1 fit
@@ -85,6 +86,9 @@ class SweepConfig:
         grid = np.asarray(self.h0_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError("h0 grid must be a nonempty 1-d array")
+        nonfinite = grid[~np.isfinite(grid)]
+        if nonfinite.size:
+            raise ValidationError(f"h0 values must be finite, got {float(nonfinite[0])}")
         if not np.all(grid < 0):
             raise ValidationError("all h0 values must be negative")
         grid = grid.copy()
@@ -98,7 +102,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point; ratio1/2 are ``sqrt(2) * xi / delta_x``."""
+    """One sweep point; ratio1/2 are ``sqrt(2) * xi / delta_x``.
+
+    ``violations1/2`` and ``radii1/2`` (the radii ``R >= r1`` each envelope
+    check covered) are not written to the CSV.
+    """
 
     h0: float
     e0: float
@@ -113,6 +121,8 @@ class SweepRow:
     fit_r_squared: float
     violations1: int = 0
     violations2: int = 0
+    radii1: int = 0
+    radii2: int = 0
 
 
 def sweep_point(
@@ -164,6 +174,8 @@ def sweep_point(
         fit_r_squared=r2,
         violations1=int(chk1.violations.size),
         violations2=int(chk2.violations.size),
+        radii1=int(chk1.r_grid.size),
+        radii2=int(chk2.r_grid.size),
     )
 
 
@@ -190,7 +202,7 @@ def write_sweep_csv(rows, path):
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
-    """Read rows back from a UTF-8 sweep CSV (violation counts are not stored)."""
+    """Read rows back from a UTF-8 sweep CSV (violation and radius counts are not stored)."""
     text = read_text(path, lambda no, reason: ValidationError(f"{path}, line {no}: {reason}"))
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != SWEEP_CSV_HEADER:

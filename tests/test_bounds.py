@@ -669,6 +669,29 @@ def test_verify_appendixB_degenerate_trapezoid_is_zero():
     assert rep.bound_direct == 0.0
 
 
+def test_appendixB_failure_raises_with_its_report(monkeypatch):
+    # a coupling constant a thousandfold too small puts the piecewise bound
+    # below the direct per-site coupling: the record raises, with its report
+    import gapbound.bounds as bounds_mod
+
+    spec = impurity_model(200, -0.8)
+    res, _, stats = _solve(spec)
+    env = fit_envelope(spec, mu=1.0)
+    region = (3.0, 6.5, stats.mean)
+    g = trapezoid_g(spec.length, stats.mean, 3.0, 6.5, "theorem1")
+    real = bounds_mod.c1_constant
+    monkeypatch.setattr(bounds_mod, "c1_constant", lambda envelope: 1e-3 * real(envelope))
+    with pytest.raises(InvariantViolation) as exc:
+        GroundState.of(res.psi0, spec).appendixB(env, g, region)
+    rep = exc.value.report
+    assert not rep.ok and rep.pointwise_margin < -rep.tolerance
+    assert str(exc.value) == (
+        f"trapezoid coupling bound failed: |<H_OD>|={rep.hod_abs:.6g}, "
+        f"direct={rep.bound_direct:.6g}, piecewise={rep.bound_piecewise:.6g}, "
+        f"pointwise margin={rep.pointwise_margin:.3e}"
+    )
+
+
 def test_verify_appendixB_rejects_mismatched_g():
     spec = impurity_model(20, -0.5)
     res, _, stats = _solve(spec)

@@ -70,6 +70,30 @@ def test_bounds_reports_the_decay_fit_and_combined_bounds(tmp_path, capsys):
     assert len(fit) == 2 and float(fit[1].split(",")[0]) > 0
 
 
+def test_bounds_notes_a_check_that_covered_no_radius(tmp_path, capsys):
+    # both onsets of a clean 4x100 strip lie beyond its farthest site: each
+    # check line says that nothing was checked, and the exit code stays 0
+    path = tmp_path / "strip.txt"
+    dump_model(gapbound.strip_model(100, 4), path)
+    code = main(["bounds", str(path)])
+    checks = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("envelope check")]
+    assert code == 0
+    assert checks == [
+        "envelope check [theorem1]: 0 radii, 0 violation(s) (onset r1=65.5022 lies beyond "
+        "the farthest site, 49.5 from <x>: nothing was checked)",
+        "envelope check [theorem2]: 0 radii, 0 violation(s) (onset r1=49.7852 lies beyond "
+        "the farthest site, 49.5 from <x>: nothing was checked)",
+    ]
+    # a check that covers radii keeps its line as it was
+    dump_model(impurity_model(60, -2.0), path)
+    assert main(["bounds", str(path)]) == 0
+    checks = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("envelope check")]
+    assert checks == [
+        "envelope check [theorem1]: 56 radii, 0 violation(s)",
+        "envelope check [theorem2]: 58 radii, 0 violation(s)",
+    ]
+
+
 def test_bounds_long_range_note(tmp_path, capsys):
     from gapbound import ModelSpec
 
@@ -100,6 +124,20 @@ def test_sweep_and_plot(tmp_path, capsys):
     code = main(["plot", str(csv_path), "--out", str(svg_path)])
     assert code == 0
     assert svg_path.read_text().startswith("<?xml")
+
+
+def test_sweep_reports_rows_checked_at_no_radius(tmp_path, capsys):
+    # at L = 40 the two weakest defects' theorem-1 onsets, and the weakest's
+    # theorem-2 onset, lie beyond the farthest site; the CSV is unchanged
+    csv_path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--L", "40", "--points", "4", "--out", str(csv_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "envelope violations: 0",
+        "rows checked at no radius (onset beyond the farthest site): theorem1 2, theorem2 1",
+    ]
+    assert csv_path.read_text().splitlines()[0] == gapbound.sweep.SWEEP_CSV_HEADER
 
 
 def test_sweep_envelope_violation_exits_2(tmp_path, capsys, monkeypatch):

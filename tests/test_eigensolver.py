@@ -37,6 +37,26 @@ from oracles import (
 )
 
 
+def test_uncertified_residual_is_refused(monkeypatch):
+    # residuals above the limit leave the tridiagonal route unproven, and the
+    # band route's pair is refused, not returned
+    real = eigensolver_mod._rayleigh_pairs
+
+    def inflated(*args):
+        w, psis, residuals = real(*args)
+        return w, psis, [1e-3] * len(residuals)
+
+    monkeypatch.setattr(eigensolver_mod, "_rayleigh_pairs", inflated)
+    h = assemble(impurity_model(40, -1.0))
+    limit = eigensolver_mod.DEFAULT_RESIDUAL_TOL * max(1.0, spectral_scale(h))
+    with pytest.raises(GapboundError) as exc:
+        lowest_two(h)
+    assert exc.type is GapboundError
+    assert str(exc.value) == (
+        f"eigenpair residual 1.000e-03 exceeds {limit:.3e}; decomposition not certified"
+    )
+
+
 def test_two_site_example():
     res = lowest_two(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert res.e0 == pytest.approx(-1.0, abs=1e-14)

@@ -1,5 +1,7 @@
 """Fuzz harness: reproducibility, families, precondition gating."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from gapbound import (
     chebyshev_tail_bound,
     impurity_model,
     lowest_two,
+    require_envelope,
     run_fuzz,
     trial_rng,
 )
 import gapbound.bounds as bounds_mod
 import gapbound.fuzz as fuzz_mod
+from gapbound.bounds import ENVELOPE_TOL
 import gapbound.lattice as lattice_mod
 import gapbound.localization as localization_mod
 import gapbound.sweep as sweep_mod
@@ -144,6 +148,130 @@ def test_power_law_check_reads_every_breakpoint(monkeypatch):
         run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
 
 
+def _failing_trial(monkeypatch) -> str:
+    """The problems of one trial on the impurity chain, which passes unpatched."""
+    spec = impurity_model(40, -1.0)
+    monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, None, NNBound(1.0)))
+    with pytest.raises(InvariantViolation) as exc:
+        run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
+    ((index, problems),) = exc.value.report.failures
+    assert index == 0
+    assert str(exc.value).startswith(
+        f"fuzz trial 0 failed (seed=42, family={NN_FAMILY}): {problems}; "
+    )
+    return problems
+
+
+def _patch_reports(monkeypatch, edit):
+    """Let ``edit(call, report)`` rewrite each complementary report of the trial:
+    call 0 is the drawn weight g, call 1 is g + 7.5 and call 2 is 2 g."""
+    real, reports = GroundState.complementary, []
+
+    def edited(self, g, gap):
+        reports.append(edit(len(reports), real(self, g, gap)))
+        return reports[-1]
+
+    monkeypatch.setattr(GroundState, "complementary", edited)
+    return reports
+
+
+def test_trial_reports_a_negative_complementary_slack(monkeypatch):
+    reports = _patch_reports(
+        monkeypatch, lambda call, rep: dataclasses.replace(rep, slack=-rep.scale)
+    )
+    assert _failing_trial(monkeypatch) == (
+        f"complementary inequality violated (slack={reports[0].slack:.3e})"
+    )
+
+
+def test_trial_reports_hod_routes_that_disagree(monkeypatch):
+    reports = _patch_reports(monkeypatch, lambda call, rep: dataclasses.replace(
+        rep, hod_commutator=rep.hod_explicit + rep.scale
+    ))
+    assert _failing_trial(monkeypatch) == f"H_OD routes disagree by {reports[0].agreement:.3e}"
+
+
+@pytest.mark.parametrize("moved, message", [
+    (1, "weight shift g -> g + c changed var(G) or <H_OD>"),
+    (2, "weight scaling g -> lam*g did not scale by lam^2"),
+], ids=["shift", "scaling"])
+def test_trial_reports_a_broken_weight_gauge(monkeypatch, moved, message):
+    # var(G) of the shifted (call 1) or scaled (call 2) weight moved by the scale
+    _patch_reports(monkeypatch, lambda call, rep: dataclasses.replace(
+        rep, var_g=rep.var_g + rep.scale
+    ) if call == moved else rep)
+    assert _failing_trial(monkeypatch) == message
+
+
+def test_trial_reports_a_broken_variance_bound(monkeypatch):
+    spec = impurity_model(40, -1.0)
+    variance = GroundState.of(lowest_two(assemble(spec)).psi0, spec).stats.variance
+    monkeypatch.setattr(fuzz_mod, "variance_upper_bound", lambda *args: 0.0)
+    assert _failing_trial(monkeypatch) == f"variance bound violated ({variance:.6g} > 0)"
+
+
+def test_trial_reports_a_broken_theorem1_envelope(monkeypatch):
+    # a theorem-1 envelope shrunk a millionfold lies below the tail past its onset
+    real = fuzz_mod.theorem1_bound
+    monkeypatch.setattr(fuzz_mod, "theorem1_bound", lambda *args: dataclasses.replace(
+        real(*args), prefactor=real(*args).prefactor * 1e-6
+    ))
+    assert _failing_trial(monkeypatch) == "theorem1 envelope violated"
+
+
+def test_trial_reports_a_broken_trapezoid_coupling_bound(monkeypatch):
+    # the Appendix-B report's verdict is what the trial reads: its message,
+    # with the report's figures, is the problem, named once
+    monkeypatch.setattr(bounds_mod.AppendixBReport, "ok", property(lambda self: False))
+    problems = _failing_trial(monkeypatch)
+    assert problems.startswith("trapezoid coupling bound failed: |<H_OD>|=")
+    assert problems.count("trapezoid coupling bound failed") == 1
+    assert "direct=" in problems and "piecewise=" in problems and "pointwise margin=" in problems
+
+
+class _NoPairs:
+    """A trial stream whose uniform draws in [0, 1) all land at 0.999, above
+    every hopping and on-site chance of :func:`random_model`."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self):
+        return 0.999
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_model_without_a_drawn_pair_gets_one_nearest_hop(family):
+    # no pair drawn: one block on (1, 2) at half the declared nearest amplitude
+    spec, env, nn = random_model(_NoPairs(trial_rng(5, 0)), size_range=(2, 2), family=family)
+    declared = env if family == ENVELOPE_FAMILY else nn
+    assert (spec.length, list(spec.offdiag), dict(spec.onsite)) == (2, [(1, 2)], {})
+    ((d, xs, norms),) = hopping_norms(spec)
+    assert (d, xs.tolist()) == (1, [1])
+    assert norms[0] == pytest.approx(0.5 * declared.value(1), rel=1e-14)
+    require_envelope(spec, declared)
+
+
+@pytest.mark.parametrize("below", [0.5, 2.0])
+def test_power_law_check_allows_the_envelope_tolerance(monkeypatch, below):
+    # the power-law check's slack is ENVELOPE_TOL, that of the envelope checks
+    # it mirrors: a tail above the power law by less passes, by more fails
+    spec = impurity_model(40, -1.0)
+    radii, tails = GroundState.of(lowest_two(assemble(spec)).psi0, spec).steps
+    monkeypatch.setattr(fuzz_mod, "chebyshev_tail_bound",
+                        lambda *args: tails[radii > 0] - below * ENVELOPE_TOL)
+    if below < 1:
+        monkeypatch.setattr(fuzz_mod, "random_model",
+                            lambda rng, *args: (spec, None, NNBound(1.0)))
+        assert run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY)).passed == 1
+    else:
+        first = radii[radii > 0][0]
+        assert _failing_trial(monkeypatch) == f"power-law tail bound violated at R={first:.3g}"
+
+
 def test_bad_envelope_declaration_is_rejected_not_reported(monkeypatch):
     def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(x, x + 1, [[1.0]]) for x in range(1, 4)])
@@ -164,6 +292,19 @@ def test_bad_nn_declaration_is_rejected(monkeypatch):
         run_fuzz(FuzzConfig(seed=1, trials=3))
 
 
+def test_long_range_block_breaks_an_nn_declaration(monkeypatch):
+    # a nearest-neighbor declaration allows 0 at distance 2: the one envelope
+    # rule refuses the block, however small, before any theorem check runs
+    def drawing(rng, *args):
+        spec = ModelSpec(4, 1, [(1, 2, [[1.0]]), (2, 4, [[1e-9]])])
+        return spec, None, NNBound(v0=1.0)
+
+    monkeypatch.setattr(fuzz_mod, "random_model", drawing)
+    with pytest.raises(EnvelopeViolation, match=r"declared NNBound\(v0=1.0\) does not "
+                       r"dominate the model: block \(2,4\) has norm 1e-09 > 0$"):
+        run_fuzz(FuzzConfig(seed=1, trials=3, family=NN_FAMILY))
+
+
 def test_degenerate_model_is_counted_as_skipped(monkeypatch):
     # two decoupled identical dimers: the ground state is twofold degenerate
     def drawing(rng, *args):
@@ -177,16 +318,14 @@ def test_degenerate_model_is_counted_as_skipped(monkeypatch):
 
 
 def test_generated_models_respect_their_declarations():
-    from gapbound import block_norm, envelope_violations
+    from gapbound import envelope_violations
 
     for i in range(30):
         spec, env, nn = random_model(trial_rng(33, i), family=ENVELOPE_FAMILY)
         assert envelope_violations(spec, env) == []
     for i in range(30):
         spec, env, nn = random_model(trial_rng(34, i), family=NN_FAMILY)
-        assert all(
-            block_norm(spec, x, xp) <= nn.v0 * (1 + 1e-12) for (x, xp) in spec.offdiag
-        )
+        assert envelope_violations(spec, nn) == []
 
 
 @pytest.mark.parametrize("family", [ENVELOPE_FAMILY, NN_FAMILY])

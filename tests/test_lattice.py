@@ -15,6 +15,7 @@ from gapbound import (
     HoppingEnvelope,
     LongRangeHopping,
     ModelSpec,
+    NNBound,
     NonHermitianError,
     ValidationError,
     assemble,
@@ -32,7 +33,7 @@ from gapbound import (
 )
 from gapbound.eigensolver import HERMITIAN_TOL
 from gapbound.fuzz import FAMILIES, FuzzConfig, random_model, trial_rng
-from gapbound.lattice import hopping_norms
+from gapbound.lattice import ENVELOPE_RTOL, hopping_norms
 from gapbound.modelfile import format_model, parse_model
 
 from oracles import band_to_dense, charpoly_eigenvalues, dense_assembly
@@ -413,6 +414,30 @@ def test_envelope_validation():
         HoppingEnvelope(cv=-1.0, mu=1.0)
     with pytest.raises(ValidationError):
         HoppingEnvelope(cv=1.0, mu=0.0)
+
+
+def test_nearest_neighbor_bound_is_checked_by_the_envelope_rule():
+    # v0 at distance 1 and 0 beyond: any nonzero block at distance >= 2, however
+    # small, is refused, and a nearest block only above v0 * (1 + ENVELOPE_RTOL)
+    nn = NNBound(v0=1.0)
+    assert (nn.value(1), nn.value(2), nn.value(7)) == (1.0, 0.0, 0.0)
+    edge = 1.0 + 0.5 * ENVELOPE_RTOL
+    require_envelope(ModelSpec(4, 1, [(1, 2, [[edge]]), (1, 3, [[0.0]])]), nn)
+    long_range = ModelSpec(4, 1, [(1, 2, [[1.0]]), (1, 3, [[1e-300]]), (2, 4, [[0.1]])])
+    assert envelope_violations(long_range, nn) == [(1, 3, 1e-300, 0.0), (2, 4, 0.1, 0.0)]
+    with pytest.raises(EnvelopeViolation, match=re.escape(
+        "declared NNBound(v0=1.0) does not dominate the model: block (1,3) has "
+        "norm 1e-300 > 0 (2 violating pairs)"
+    )):
+        require_envelope(long_range, nn)
+    over = ModelSpec(3, 2, [(2, 3, np.diag([1.0 + 4 * ENVELOPE_RTOL, 0.5]))])
+    with pytest.raises(EnvelopeViolation, match=r"block \(2,3\) has norm 1 > 1$"):
+        require_envelope(over, nn)
+    # the exponential envelope's message names its bound the same way
+    with pytest.raises(EnvelopeViolation, match=re.escape(
+        "declared HoppingEnvelope(cv=1.0, mu=1.0) does not dominate the model"
+    )):
+        require_envelope(over, HoppingEnvelope(cv=1.0, mu=1.0))
 
 
 def test_impurity_model_structure():

@@ -47,6 +47,27 @@ def test_config_validation():
         default_h0_grid(points=0)
 
 
+@pytest.mark.parametrize("h0, shown", [
+    (-math.inf, "-inf"), (math.nan, "nan"), (math.inf, "inf"),
+], ids=["minus-inf", "nan", "plus-inf"])
+def test_config_refuses_a_non_finite_h0(h0, shown):
+    # refused when the config is built, naming the value, not at the solve
+    # (-inf) or as a sign error (nan)
+    with pytest.raises(ValidationError, match=re.escape(f"h0 values must be finite, got {shown}")):
+        SweepConfig(L=40, h0_grid=[-0.5, h0])
+
+
+def test_default_sweep_checks_theorem1_at_no_radius_on_its_weakest_rows():
+    # at L = 500 the theorem-1 onset of the 8 weakest defects (rows 92-99)
+    # lies beyond the farthest site, 250 from <x>; theorem 2 covers radii on
+    # every row
+    grid = default_h0_grid()
+    rows = {i: sweep_point(500, grid[i]) for i in range(90, 100)}
+    assert [i for i, row in rows.items() if row.radii1 == 0] == list(range(92, 100))
+    assert all(row.radii2 > 0 for row in rows.values())
+    assert all(row.violations1 == row.violations2 == 0 for row in rows.values())
+
+
 @pytest.mark.parametrize("points", [True, 2.5, 3.0, "3"])
 def test_default_grid_rejects_non_integer_points(points):
     with pytest.raises(ValidationError, match=re.escape(f"integer number of grid points >= 1, got {points!r}")):
