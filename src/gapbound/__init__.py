@@ -43,7 +43,6 @@ from .errors import (
     GapboundError,
     InsufficientData,
     InvariantViolation,
-    LongRangeHopping,
     ModelFormatError,
     NonDecaying,
     NonHermitianError,

@@ -74,6 +74,13 @@ _E = math.e
 
 ENVELOPE_TOL = 1e-12
 COMPLEMENTARY_RTOL = 1e-9
+# a weight given to appendixB is its region's theorem-1 trapezoid when every
+# entry lies within TRAPEZOID_MATCH_RTOL * max(1, delta_r) of it: the plateau
+# height delta_r / 3 sets the scale, and the caller may round differently
+TRAPEZOID_MATCH_RTOL = 1e-9
+# TailEnvelope.evaluate accepts a radius this far below the onset r1, which
+# a radius computed from r1 may fall short of by rounding
+ONSET_ATOL = 1e-9
 THEOREM1 = "theorem1"
 THEOREM2 = "theorem2"
 # the values of s that best_s tries
@@ -325,9 +332,8 @@ class GroundState:
         spec = self.spec
         r_inner, delta_r, center = region
         expected = trapezoid_g(spec.length, center, r_inner, delta_r, THEOREM1)
-        if g.length != spec.length or np.max(np.abs(g.g - expected.g)) > 1e-9 * max(
-            1.0, delta_r
-        ):
+        match_tol = TRAPEZOID_MATCH_RTOL * max(1.0, delta_r)
+        if g.length != spec.length or np.max(np.abs(g.g - expected.g)) > match_tol:
             raise ValidationError(
                 "mismatched g shape: weight function does not match the "
                 f"theorem1 trapezoid for region (r_inner={r_inner}, "
@@ -488,7 +494,7 @@ class TailEnvelope:
     def evaluate(self, r) -> np.ndarray | float:
         """Envelope value at radius r (defined for r >= r1)."""
         r = np.asarray(r, dtype=float)
-        if not np.all(r >= self.r1 - 1e-9):  # NaN fails too
+        if not np.all(r >= self.r1 - ONSET_ATOL):  # NaN fails too
             raise ValidationError(f"envelope defined for R >= r1 = {self.r1:g}")
         out = self.prefactor * np.exp(-(r - self.r1) / self.xi)
         return float(out) if out.ndim == 0 else out
@@ -629,31 +635,25 @@ def verify_appendixB(
 
 
 def best_s(
-    kind: str,
-    delta_e0: float,
-    delta_x: float,
-    r: float,
-    envelope: HoppingEnvelope | None = None,
-    v0: float | None = None,
+    bound: HoppingEnvelope | NNBound, delta_e0: float, delta_x: float, r: float
 ) -> tuple[float, TailEnvelope]:
     """Search :data:`S_GRID` for the s minimizing the envelope value at radius r.
 
+    The declared hopping bound selects the theorem: a
+    :class:`HoppingEnvelope` theorem 1, an :class:`NNBound` theorem 2.
     Only s values whose onset radius satisfies ``r1(s) <= r`` are
-    feasible.  Returns ``(s, bound)`` where ``bound`` is the envelope
-    built with the winning s.  ``r`` must be finite and > 0.
+    feasible.  Returns ``(s, envelope)`` where ``envelope`` is the
+    :class:`TailEnvelope` built with the winning s.  ``r`` must be finite
+    and > 0.
     """
     if not (math.isfinite(r) and r > 0):
         raise ValidationError(f"radius r must be finite and > 0, got {r!r}")
-    if kind == THEOREM1:
-        if envelope is None:
-            raise ValidationError("theorem1 search needs a hopping envelope")
-        bounds = (theorem1_bound(envelope, delta_e0, s, delta_x) for s in S_GRID)
-    elif kind == THEOREM2:
-        if v0 is None:
-            raise ValidationError("theorem2 search needs a nearest-neighbor bound")
-        bounds = (theorem2_bound(v0, delta_e0, s, delta_x) for s in S_GRID)
+    if isinstance(bound, HoppingEnvelope):
+        bounds = (theorem1_bound(bound, delta_e0, s, delta_x) for s in S_GRID)
+    elif isinstance(bound, NNBound):
+        bounds = (theorem2_bound(bound.v0, delta_e0, s, delta_x) for s in S_GRID)
     else:
-        raise ValidationError(f"unknown bound kind {kind!r}")
+        raise ValidationError(f"unsupported hopping bound {type(bound).__name__}")
     feasible = [b for b in bounds if b.r1 <= r]
     if not feasible:
         raise ValidationError(

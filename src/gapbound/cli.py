@@ -26,10 +26,10 @@ from .bounds import (
     write_envelope_csv,
 )
 from .errors import (
+    EnvelopeViolation,
     GapboundError,
     InsufficientData,
     InvariantViolation,
-    LongRangeHopping,
     NonDecaying,
     ValidationError,
 )
@@ -103,7 +103,7 @@ def cmd_bounds(args) -> int:
         b2 = theorem2_bound(nn.v0, result.gap, args.s, delta_x)
         bounds.append(b2)
         print(f"theorem2: xi2={b2.xi:.6g}, r1={b2.r1:.6g}, prefactor={b2.prefactor:.6g}")
-    except LongRangeHopping:
+    except EnvelopeViolation:
         b2 = None
         print("theorem2: not applicable (hopping beyond nearest neighbors)")
 
@@ -138,9 +138,7 @@ def cmd_bounds(args) -> int:
         print(f"combined bound at R={r_probe:.4g}: min is {best_kind} ({joined})")
 
     if args.scan_s is not None:
-        s_opt, b_opt = best_s(
-            "theorem1", result.gap, delta_x, args.scan_s, envelope=envelope
-        )
+        s_opt, b_opt = best_s(envelope, result.gap, delta_x, args.scan_s)
         print(f"s scan (theorem1) at R={args.scan_s:g}: best s={s_opt:.2f}, "
               f"bound={b_opt.evaluate(args.scan_s):.6g}")
 

@@ -3,8 +3,8 @@
 Two outcomes matter to callers (and to the CLI exit code):
 
 * ``ValidationError`` and subclasses: the *input* is outside the tool's
-  domain (malformed file, index out of range, envelope that does not
-  dominate the hopping, non-Hermitian matrix, ...).  CLI exit code 1.
+  domain (malformed file, index out of range, a hopping bound that does
+  not dominate the hopping, non-Hermitian matrix, ...).  CLI exit code 1.
 * ``InvariantViolation``: a quantity that is mathematically guaranteed
   failed its numerical check.  This is the serious one.  CLI exit code 2.
 
@@ -37,18 +37,12 @@ class NonHermitianError(ValidationError):
     """A matrix or block that must be Hermitian is not (beyond tolerance)."""
 
 
-class LongRangeHopping(ValidationError):
-    """Hopping beyond nearest neighbors where exact zeros are required."""
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        shown = ", ".join(f"({x},{xp})" for x, xp in self.pairs[:8])
-        more = "" if len(self.pairs) <= 8 else f" and {len(self.pairs) - 8} more"
-        super().__init__(f"nonzero hopping at distance >= 2 for pairs {shown}{more}")
-
-
 class EnvelopeViolation(ValidationError):
-    """A declared hopping envelope fails to dominate the actual block norms."""
+    """A hopping bound fails to dominate the actual block norms.
+
+    The bound is an exponential envelope or a nearest-neighbor bound; the
+    latter is broken by any nonzero block at distance >= 2.
+    """
 
 
 class DegenerateGroundState(GapboundError):

@@ -63,6 +63,10 @@ from .localization import density, position_stats, tail  # noqa: F401
 ENVELOPE_FAMILY = "envelope-constrained"
 NN_FAMILY = "nearest-neighbor"
 FAMILIES = (ENVELOPE_FAMILY, NN_FAMILY)
+# absolute slack of the variance check, for a bound near 0; its relative
+# slack is COMPLEMENTARY_RTOL, since the variance bound is the complementary
+# inequality at g = x
+VARIANCE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,7 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
 
     src = env if env is not None else nn
     vb = variance_upper_bound(src, spec.length, res.gap)
-    if stats.variance > vb * (1.0 + 1e-9) + 1e-12:
+    if stats.variance > vb * (1.0 + COMPLEMENTARY_RTOL) + VARIANCE_ATOL:
         problems.append(f"variance bound violated ({stats.variance:.6g} > {vb:.6g})")
     # the tail is a step function, constant on (d_k, d_{k+1}], and the power
     # law decreases in R: its values at the positive breakpoints are all of it
@@ -235,7 +239,9 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     over = r[tails[radii > 0] > power_law + ENVELOPE_TOL]
     if over.size:
         problems.append(f"power-law tail bound violated at R={over[0]:.3g}")
-    if np.any(np.diff(tails) > 1e-12):
+    # tail_steps sums clamped (>= 0) densities by one left-to-right cumsum,
+    # so the tails never increase, in floating point too
+    if np.any(np.diff(tails) > 0):
         problems.append("tail distribution is not monotone nonincreasing")
 
     fitted = env if env is not None else fit_envelope(spec, mu=1.0)

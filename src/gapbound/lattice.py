@@ -50,12 +50,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .eigensolver import BandedHermitian, hermitian_part
-from .errors import (
-    EnvelopeViolation,
-    LongRangeHopping,
-    NonHermitianError,
-    ValidationError,
-)
+from .errors import EnvelopeViolation, NonHermitianError, ValidationError
 
 # relative slack of envelope_violations: a block norm up to
 # allowed * (1 + ENVELOPE_RTOL) counts as dominated
@@ -88,7 +83,8 @@ class HoppingEnvelope:
 class NNBound:
     """Uniform norm bound ``v0`` for strictly nearest-neighbor hopping.
 
-    Declared for a model, it is checked by the one rule of
+    Declared for a model, or derived from it by
+    :func:`check_nearest_neighbor`, it is checked by the one rule of
     :func:`envelope_violations`, as an envelope that is ``v0`` at distance
     1 and 0 beyond: every block at distance >= 2 must vanish.
     """
@@ -464,24 +460,21 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
         raise ValidationError(
             f"decay rate mu={mu:g} is too large: exp(mu * d) overflows"
         ) from None
-    if cv <= 0:
-        raise ValidationError("cannot fit an envelope: all hopping blocks vanish")
     return HoppingEnvelope(cv=cv, mu=mu)
 
 
 def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
-    """Certify strictly nearest-neighbor hopping and return its norm bound.
+    """The model's nearest-neighbor bound, checked by :func:`require_envelope`.
 
-    Requires exact zeros for every block at distance >= 2; raises
-    :class:`LongRangeHopping` otherwise.  Near-zero long-range hopping
-    must go through the exponential-envelope route instead.
+    ``v0`` is the largest block norm at distance 1 (0.0 without one), so
+    any nonzero block at distance >= 2, however small, raises
+    :class:`EnvelopeViolation`.  Near-zero long-range hopping must go
+    through the exponential-envelope route instead.
     """
-    norms = hopping_norms(spec)
-    offenders = sorted((int(x), int(x) + d) for d, xs, _ in norms if d >= 2 for x in xs)
-    if offenders:
-        raise LongRangeHopping(offenders)
-    # no distance beyond 1 is left, so norms holds at most the nearest pairs
-    return NNBound(v0=float(np.max(norms[0][2])) if norms else 0.0)
+    v0 = max((float(np.max(n)) for d, _, n in hopping_norms(spec) if d == 1), default=0.0)
+    bound = NNBound(v0)
+    require_envelope(spec, bound)
+    return bound
 
 
 def envelope_violations(

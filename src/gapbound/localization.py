@@ -22,6 +22,9 @@ from .lattice import ModelSpec
 from .textfile import csv_text, write_text
 
 DENSITY_SUM_TOL = 1e-12
+# a density entry down to -DENSITY_NEGATIVE_TOL is rounding and is clamped to
+# 0; a more negative one is refused
+DENSITY_NEGATIVE_TOL = 1e-15
 DEFAULT_FLOOR = 1e-13
 DEFAULT_BOUNDARY_MARGIN = 10
 
@@ -36,12 +39,14 @@ class DensityProfile:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("density profile must be a nonempty 1-d array")
-        if not np.min(p) >= -1e-15:  # NaN fails too
+        if not np.min(p) >= -DENSITY_NEGATIVE_TOL:  # NaN fails too
             raise ValidationError(f"negative or NaN density entry {np.min(p):.3e}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
         if not abs(total - 1.0) <= DENSITY_SUM_TOL:
-            raise ValidationError(f"density sums to {total!r}, expected 1 within 1e-12")
+            raise ValidationError(
+                f"density sums to {total!r}, expected 1 within {DENSITY_SUM_TOL:g}"
+            )
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 

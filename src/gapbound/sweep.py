@@ -10,10 +10,17 @@ against the measured tail; the violation counts, expected to be zero,
 are recorded, and so is the number of radii each check covered, which is
 zero when the envelope's onset lies beyond the farthest site.
 
-The general-hopping envelope uses the constants cv = 1, mu = 1 attached
-to this benchmark model rather than a fitted envelope (a mu = 1 fit
-would give cv = e, since the nearest-neighbor norm is 1); the sweep
-verifies the resulting envelope pointwise on every row.
+The theorem-1 columns (xi1, ratio1) use the paper's constants cv = 1,
+mu = 1 for this benchmark model, outside theorem 1's stated hypothesis:
+that envelope does not dominate the chain, whose nearest-neighbor norm 1
+exceeds cv e^-mu = 0.368, and :func:`~gapbound.lattice.require_envelope`
+refuses it.  The dominating fit at mu = 1 is cv = e; it would multiply
+xi1 and ratio1 by sqrt(e) = 1.6487 (the gap term sets xi1 on every row of
+the default grid).  So these columns measure the paper's constants and
+certify nothing: the sweep checks that envelope pointwise against the
+measured tail on every row, and a row without violations says only that
+the tail lies below it.  The theorem-2 columns are certified, the chain
+being nearest-neighbor with v0 = 1.
 
 Each point is solved on the banded chain operator in O(L) time and
 memory, so chains far longer than the default ``L = 500`` are cheap.
@@ -103,6 +110,10 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep point; ratio1/2 are ``sqrt(2) * xi / delta_x``.
+
+    xi1 and ratio1 come from theorem 1 with cv = mu = 1, outside its
+    hypothesis on this chain (see the module docstring); the dominating
+    envelope, cv = e, would multiply both by sqrt(e) = 1.6487.
 
     ``violations1/2`` and ``radii1/2`` (the radii ``R >= r1`` each envelope
     check covered) are not written to the CSV.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from gapbound import (
     EnvelopeViolation,
     HoppingEnvelope,
     InvariantViolation,
-    LongRangeHopping,
     ModelSpec,
     NNBound,
     TailEnvelope,
@@ -217,7 +217,7 @@ def test_ground_state_record_matches_per_call_formulas():
         try:
             v0 = check_nearest_neighbor(spec).v0
             bounds.append(theorem2_bound(v0, res.gap, 0.5, stats.delta_x))
-        except LongRangeHopping:
+        except EnvelopeViolation:
             pass
         for b in bounds:
             checked[b.kind] += 1
@@ -726,17 +726,20 @@ def test_verify_appendixB_fuzzed():
 
 
 def test_best_s_search():
+    # the declared bound picks the theorem; the winners are the ones the
+    # kind-string search returned for the same inputs
     env = HoppingEnvelope(cv=1.0, mu=1.0)
-    s, b = best_s("theorem1", delta_e0=0.5, delta_x=1.0, r=30.0, envelope=env)
-    assert 0.05 <= s <= 0.95
+    s, b = best_s(env, delta_e0=0.5, delta_x=1.0, r=30.0)
+    assert (s, b) == (0.9000000000000001, theorem1_bound(env, 0.5, s, 1.0))
     assert b.r1 <= 30.0
     # winner beats the default s = 0.5 at the probe radius
     b_half = theorem1_bound(env, 0.5, 0.5, 1.0)
     assert b.evaluate(30.0) <= b_half.evaluate(30.0) + 1e-15
-    s2, b2 = best_s("theorem2", delta_e0=0.5, delta_x=1.0, r=10.0, v0=1.0)
+    s2, b2 = best_s(NNBound(v0=1.0), delta_e0=0.5, delta_x=1.0, r=10.0)
+    assert (s2, b2) == (0.9500000000000001, theorem2_bound(1.0, 0.5, s2, 1.0))
     assert b2.r1 <= 10.0
-    with pytest.raises(ValidationError):
-        best_s("theorem1", 0.5, 50.0, 1.0, envelope=env)  # no feasible s
+    with pytest.raises(ValidationError, match="no s in the grid has onset radius r1 <= 1"):
+        best_s(env, 0.5, 50.0, 1.0)  # no feasible s
 
 
 def test_bound_and_envelope_csv(tmp_path):
@@ -758,3 +761,25 @@ def test_bound_and_envelope_csv(tmp_path):
     lines = epath.read_text().splitlines()
     assert lines[0] == "R,tail,bound,violation"
     assert len(lines) == 1 + chk.r_grid.size
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WeightFunction(np.zeros((2, 2))), ValidationError,
+     "weight function must be a nonempty 1-d array"),
+    (lambda: WeightFunction(np.zeros(0)), ValidationError,
+     "weight function must be a nonempty 1-d array"),
+    (lambda: WeightFunction(np.array([1.0, np.nan])), ValidationError,
+     "weight function contains non-finite values"),
+    (lambda: site_coupling_profile("chain", 4), ValidationError,
+     "unsupported coupling source str"),
+    (lambda: theorem1_bound(HoppingEnvelope(1.0, 1.0), 0.5, 0.5, -1.0), ValidationError,
+     "position spread must be >= 0, got -1.0"),
+    (lambda: theorem2_bound(1.0, 0.5, 0.5, math.nan), ValidationError,
+     "position spread must be >= 0, got nan"),
+    (lambda: best_s("theorem1", 0.5, 1.0, 30.0), ValidationError,
+     "unsupported hopping bound str"),
+], ids=["weight-2d", "weight-empty", "weight-nan", "coupling-source", "spread-negative",
+        "spread-nan", "best-s-bound"])
+def test_bounds_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Eigensolver: examples, certified residuals, oracle agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -971,3 +972,12 @@ def test_every_route_works_up_to_the_scale_limit(routes):
         with pytest.raises(ValidationError, match="spectral scale"):
             lowest_two(BandedHermitian(h.band * 1.01) if isinstance(h, BandedHermitian) else h * 1.01)
     assert taken == ["tridiagonal"] * 2 + ["band"] * 2 + ["inertia"] * 2 + ["band"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BandedHermitian(np.zeros(3)), ValidationError,
+     "expected a (bandwidth + 1, n) band, got shape (3,)"),
+], ids=["band-1d"])
+def test_eigensolver_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Fuzz harness: reproducibility, families, precondition gating."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def test_tail_check_reads_every_breakpoint(monkeypatch):
 
     monkeypatch.setattr(bounds_mod, "tail_steps", bumped)
     with pytest.raises(InvariantViolation, match="not monotone"):
+        run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
+
+
+def test_tail_check_refuses_a_one_ulp_rise(monkeypatch):
+    # the monotonicity check is exact: tail_steps never lets a tail grow
+    real = bounds_mod.tail_steps
+
+    def bumped(profile, mean):
+        radii, tails = real(profile, mean)
+        tails = tails.copy()
+        tails[-1] = np.nextafter(tails[-2], 1.0)
+        return radii, tails
+
+    monkeypatch.setattr(bounds_mod, "tail_steps", bumped)
+    with pytest.raises(InvariantViolation, match="tail distribution is not monotone"):
         run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
 
 
@@ -434,3 +450,12 @@ def test_each_solved_state_computes_density_stats_and_tail_once(family, monkeypa
     report = run_fuzz(FuzzConfig(trials=50, family=family))
     assert report.passed > 40  # a skipped (degenerate) trial stops at its solve
     assert counts == dict.fromkeys(counts, report.passed)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: random_model(trial_rng(1, 0), family="other"), ValidationError,
+     "unknown family 'other'"),
+], ids=["unknown-family"])
+def test_fuzz_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -113,6 +113,25 @@ def test_files_are_opened_in_textfile_only():
     assert opened == ["textfile.py"]
 
 
+def test_small_float_literals_are_named_constants():
+    # a tolerance is named once, next to its module's other constants: a
+    # float literal with 0 < |v| < 1e-6 may appear only in a module-level
+    # assignment
+    stray = []
+    for path in sorted((ROOT / "src" / "gapbound").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {
+            id(n) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for n in ast.walk(stmt)
+        }
+        stray += [
+            f"{path.name}:{n.lineno}: {n.value!r}" for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, float)
+            and 0 < abs(n.value) < 1e-6 and id(n) not in named
+        ]
+    assert stray == []
+
+
 def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
     # one item of each workload under the tracer: every wrapped entry point
     # and every counter hook runs, and the item still matches its reference

@@ -13,7 +13,6 @@ from gapbound import (
     BandedHermitian,
     EnvelopeViolation,
     HoppingEnvelope,
-    LongRangeHopping,
     ModelSpec,
     NNBound,
     NonHermitianError,
@@ -386,10 +385,21 @@ def test_check_nearest_neighbor_impurity():
 
 
 def test_check_nearest_neighbor_rejects_tiny_long_range():
-    spec = ModelSpec(4, 1, [(1, 2, [[1.0]]), (1, 3, [[1e-9]])])
-    with pytest.raises(LongRangeHopping) as exc:
-        check_nearest_neighbor(spec)
-    assert (1, 3) in exc.value.pairs
+    # v0 is the largest nearest block norm, and any nonzero block beyond is
+    # refused by require_envelope's rule, with its one message
+    spec = ModelSpec(4, 1, [(1, 2, [[1.0]]), (1, 3, [[1e-300]]), (2, 4, [[0.1]])])
+    message = (
+        "declared NNBound(v0=1.0) does not dominate the model: block (1,3) has "
+        "norm 1e-300 > 0 (2 violating pairs)"
+    )
+    for check in (check_nearest_neighbor, lambda m: require_envelope(m, NNBound(v0=1.0))):
+        with pytest.raises(EnvelopeViolation, match=f"^{re.escape(message)}$"):
+            check(spec)
+    # only a block at distance 2: no nearest block, so v0 = 0
+    with pytest.raises(EnvelopeViolation, match=re.escape(
+        "declared NNBound(v0=0.0) does not dominate the model: block (1,3) has norm 0.5 > 0"
+    )):
+        check_nearest_neighbor(ModelSpec(3, 1, [(1, 3, [[0.5]])]))
 
 
 def test_check_nearest_neighbor_accepts_stored_zero_block():
@@ -621,3 +631,17 @@ def test_dropping_an_assembled_model_leaves_no_cycle():
         gc.set_debug(flags)
         gc.garbage.clear()
         gc.enable()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: NNBound(-1), ValidationError, "nearest-neighbor bound must be >= 0, got -1"),
+    (lambda: ModelSpec(3, 1, onsite_blocks=[(4, [[1.0]])]), ValidationError,
+     "on-site coordinate 4 out of range 1..3"),
+    (lambda: ModelSpec(3, 1, onsite_blocks=[(0, [[1.0]])]), ValidationError,
+     "on-site coordinate 0 out of range 1..3"),
+    (lambda: ModelSpec(3, 1, onsite_blocks=[(2, [[1.0]]), (2, [[2.0]])]), ValidationError,
+     "duplicate on-site block at x=2"),
+], ids=["nn-negative", "onsite-above", "onsite-below", "onsite-duplicate"])
+def test_lattice_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Density profiles, position statistics, tails, decay fits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gapbound import (
     write_profile_csv,
 )
 
+from gapbound.localization import tail_steps
 from gapbound.sweep import default_h0_grid
 
 from oracles import brute_tail, polyfit_decay_fit
@@ -277,3 +279,28 @@ def test_csv_dumps(tmp_path):
     lines = fpath.read_text().splitlines()
     assert lines[0] == "xi_fit,intercept,r_squared,window_lo,window_hi"
     assert float(lines[1].split(",")[0]) == fit.xi_fit
+
+
+_GROWING = np.arange(1, 31) / np.arange(1, 31).sum()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DensityProfile(np.full((2, 2), 0.25)), ValidationError,
+     "density profile must be a nonempty 1-d array"),
+    (lambda: fit_localization_length(DensityProfile(_GROWING), center=1.0, boundary_margin=0),
+     NonDecaying, "fitted slope 8.894e-02 is not negative"),
+], ids=["profile-2d", "growing-profile"])
+def test_localization_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_tail_steps_never_increase():
+    # suffix sums of clamped (>= 0) densities never grow in floating point,
+    # so the fuzz trial's monotonicity check needs no slack
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        p = rng.random(int(rng.integers(2, 60))) ** rng.uniform(1.0, 40.0)
+        profile = DensityProfile(p / p.sum())
+        radii, tails = tail_steps(profile, float(rng.uniform(0.0, p.size + 1.0)))
+        assert np.all(np.diff(tails) <= 0)

@@ -207,3 +207,30 @@ def test_solver_failure_carries_offending_h0(monkeypatch):
     monkeypatch.setattr(sweep_mod, "lowest_two", broken)
     with pytest.raises(GapboundError, match="h0=-0.5"):
         sweep_point(10, -0.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: default_h0_grid(10, -1.0, 0.5), ValidationError,
+     "defect strengths must be negative, got [-1.0, 0.5]"),
+], ids=["positive-bound"])
+def test_sweep_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sweep_theorem1_columns_lie_outside_theorem1():
+    # the sweep's theorem-1 envelope, cv = mu = 1, does not dominate the
+    # chain by the package's own rule; the dominating fit at mu = 1 is
+    # cv = e, which multiplies xi1 and ratio1 by sqrt(e)
+    spec = impurity_model(500, -1.0)
+    with pytest.raises(gapbound.EnvelopeViolation, match=re.escape(
+        "declared HoppingEnvelope(cv=1.0, mu=1.0) does not dominate the model: "
+        "block (1,2) has norm 1 > 0.367879 (500 violating pairs)"
+    )):
+        gapbound.require_envelope(spec, gapbound.HoppingEnvelope(1.0, 1.0))
+    fitted = gapbound.fit_envelope(spec, 1.0)
+    assert fitted == gapbound.HoppingEnvelope(math.e, 1.0)
+    row = sweep_point(500, -1.0)
+    b1 = gapbound.theorem1_bound(fitted, row.gap, 0.5, row.delta_x)
+    assert b1.xi / row.xi1 == pytest.approx(math.sqrt(math.e), rel=1e-12)
+    assert row.ratio1 == pytest.approx(68.108, abs=1e-3)
