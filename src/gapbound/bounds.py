@@ -81,6 +81,9 @@ TRAPEZOID_MATCH_RTOL = 1e-9
 # TailEnvelope.evaluate accepts a radius this far below the onset r1, which
 # a radius computed from r1 may fall short of by rounding
 ONSET_ATOL = 1e-9
+# appendixB sums the direct coupling over this many sites' rows at a time,
+# so that it holds a few APPENDIX_B_ROWS x L arrays, not L x L ones
+APPENDIX_B_ROWS = 64
 THEOREM1 = "theorem1"
 THEOREM2 = "theorem2"
 # the values of s that best_s tries
@@ -344,9 +347,12 @@ class GroundState:
         gx = g.g
         p = self.profile.p
         x = np.arange(1, spec.length + 1, dtype=float)
-        d = np.abs(x[:, None] - x[None, :])
-        dg2 = (gx[:, None] - gx[None, :]) ** 2
-        v_direct = 2.0 * np.sum(dg2 * envelope.cv * np.exp(-envelope.mu * d), axis=1)
+        v_direct = np.empty(spec.length)
+        for lo in range(0, spec.length, APPENDIX_B_ROWS):
+            rows = slice(lo, lo + APPENDIX_B_ROWS)
+            d = np.abs(x[rows, None] - x[None, :])
+            dg2 = (gx[rows, None] - gx[None, :]) ** 2
+            v_direct[rows] = 2.0 * np.sum(dg2 * envelope.cv * np.exp(-envelope.mu * d), axis=1)
 
         c1 = c1_constant(envelope)
         u = np.abs(x - center)

@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .bounds import (
     GroundState,
     chebyshev_tail_bound,
@@ -77,14 +75,13 @@ def cmd_solve(args) -> int:
 def cmd_bounds(args) -> int:
     spec, result, state = _solve_pipeline(args)
     delta_x = state.stats.delta_x
-    center = args.center if args.center is not None else float(np.argmax(state.profile.p) + 1)
     print(f"model: {spec.label or args.model}  gap={result.gap:.6g}  deltaX={delta_x:.6g}")
 
     try:
-        fit = fit_localization_length(state.profile, center=center)
+        fit = fit_localization_length(state.profile, center=args.center)
         print(
             f"density decay fit: xi_fit={fit.xi_fit:.6g} (r^2={fit.r_squared:.6g}, "
-            f"window {fit.window[0]:.3g}..{fit.window[1]:.3g}, center={center:g})"
+            f"window {fit.window[0]:.3g}..{fit.window[1]:.3g}, center={fit.center:g})"
         )
     except (InsufficientData, NonDecaying) as exc:
         fit = None

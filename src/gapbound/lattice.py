@@ -128,11 +128,25 @@ def _first_nonfinite(blocks: np.ndarray) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _norms(blocks: np.ndarray) -> np.ndarray:
-    """Spectral norm of every block of a ``(m, N0, N0)`` stack."""
+def _norms(blocks: np.ndarray, xs: np.ndarray, d: int) -> np.ndarray:
+    """Spectral norm of every block of a ``(m, N0, N0)`` stack, the blocks of
+    the pairs ``(x, x + d)`` for ``x`` in ``xs``.
+
+    Finite entries may still give a norm that overflows; that block is
+    refused with :class:`ValidationError`.
+    """
     if blocks.shape[1] == 1:
-        return np.abs(blocks[:, 0, 0])
-    return np.linalg.norm(blocks, 2, axis=(1, 2))
+        norms = np.abs(blocks[:, 0, 0])
+    else:
+        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+    bad = _first_nonfinite(norms)
+    if bad is not None:
+        x = int(xs[bad])
+        raise ValidationError(
+            f"hopping block ({x},{x + d}) has spectral norm {norms[bad]}: "
+            "its entries are too large"
+        )
+    return norms
 
 
 def _nonzero(blocks: np.ndarray) -> np.ndarray:
@@ -422,7 +436,8 @@ def _block_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], .
     out = []
     for d, blocks in spec.hopping_bands.items():
         x0 = _nonzero(blocks)
-        xs, norms = x0 + 1, _norms(blocks[x0])
+        xs = x0 + 1
+        norms = _norms(blocks[x0], xs, d)
         xs.flags.writeable = False
         norms.flags.writeable = False
         out.append((d, xs, norms))
@@ -437,10 +452,11 @@ def block_norm(spec: ModelSpec, x: int, xp: int) -> float:
     """
     if x == xp:
         raise ValidationError("block_norm is defined for distinct supersites only")
-    b = spec.block(min(x, xp), max(x, xp))
+    lo, hi = min(x, xp), max(x, xp)
+    b = spec.block(lo, hi)
     if b is None:
         return 0.0
-    return float(_norms(b[None])[0])
+    return float(_norms(b[None], [lo], hi - lo)[0])
 
 
 def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:

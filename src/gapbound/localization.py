@@ -4,7 +4,8 @@ The particle density per supersite is ``p_x = sum_i |psi[(x, i)]|^2``.
 From it we derive the mean position, the position variance, the tail
 distribution ``P(|x - <x>| >= R)`` and a least-squares estimate of the
 exponential decay length of ``p_x`` (the closed-form least-squares line
-through ``ln p_x`` against the distance from a centre).
+through ``ln p_x`` against the distance from a centre, by default the
+site of the largest density).
 
 Distances are always measured from the real-valued mean position over
 the integer site coordinates; no re-indexing takes place.
@@ -25,8 +26,10 @@ DENSITY_SUM_TOL = 1e-12
 # a density entry down to -DENSITY_NEGATIVE_TOL is rounding and is clamped to
 # 0; a more negative one is refused
 DENSITY_NEGATIVE_TOL = 1e-15
-DEFAULT_FLOOR = 1e-13
-DEFAULT_BOUNDARY_MARGIN = 10
+# the decay fit leaves out densities below FIT_FLOOR (numerical noise) and the
+# FIT_MARGIN sites next to each open edge
+FIT_FLOOR = 1e-13
+FIT_MARGIN = 10
 
 
 @dataclass(frozen=True)
@@ -79,14 +82,16 @@ class DecayFit:
     The line is the closed-form least-squares one, ``slope = sum (d - d̄)(y
     - ȳ) / sum (d - d̄)²`` over the distances ``d`` and ``y = ln p_x`` of the
     fit window, with ``xi_fit = -1 / slope``; ``r_squared`` is its
-    coefficient of determination and ``window`` the smallest and largest
-    fitted distance.
+    coefficient of determination, ``window`` the smallest and largest
+    fitted distance and ``center`` the site they are measured from (not
+    written by :func:`write_fit_csv`).
     """
 
     xi_fit: float
     intercept: float
     r_squared: float
     window: tuple[float, float]
+    center: float
 
 
 def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
@@ -148,47 +153,39 @@ def tail(profile: DensityProfile, mean: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def fit_localization_length(
-    profile: DensityProfile,
-    center: float,
-    floor: float = DEFAULT_FLOOR,
-    boundary_margin: int = DEFAULT_BOUNDARY_MARGIN,
-) -> DecayFit:
+def fit_localization_length(profile: DensityProfile, center: float | None = None) -> DecayFit:
     """Fit the exponential decay length of a density profile.
 
-    Points below ``floor`` (numerical noise) and within
-    ``boundary_margin`` sites of either open edge are excluded; both
-    sides of ``center`` are fitted jointly against the distance
+    The distances are measured from ``center``, by default the site of the
+    largest density.  Points below ``FIT_FLOOR`` (numerical noise) and
+    within ``FIT_MARGIN`` sites of either open edge are excluded; both
+    sides of the centre are fitted jointly against the distance
     ``|x - center|`` by the closed-form least-squares line (see
     :class:`DecayFit`).
 
     Raises
     ------
     ValidationError
-        ``center`` is not a finite point of the lattice ``1..L``,
-        ``floor`` is not finite and > 0, or ``boundary_margin`` is
-        negative.
+        ``center`` is not a finite point of the lattice ``1..L``.
     InsufficientData
         Fewer than 4 usable points.
     NonDecaying
         The fitted slope is not negative.
     """
+    p = profile.p
+    if center is None:
+        center = float(np.argmax(p) + 1)
     if not math.isfinite(center):
         raise ValidationError(f"fit center must be finite, got {center!r}")
-    if not (math.isfinite(floor) and floor > 0):
-        raise ValidationError(f"fit floor must be finite and > 0, got {floor!r}")
-    if not boundary_margin >= 0:
-        raise ValidationError(f"boundary_margin must be >= 0, got {boundary_margin!r}")
-    p = profile.p
     length = profile.length
     if not 1 <= center <= length:
         raise ValidationError(f"fit center {center!r} lies outside the lattice 1..{length}")
     x = profile.sites()
-    usable = (p >= floor) & (x > boundary_margin) & (x <= length - boundary_margin)
+    usable = (p >= FIT_FLOOR) & (x > FIT_MARGIN) & (x <= length - FIT_MARGIN)
     if int(usable.sum()) < 4:
         raise InsufficientData(
             f"only {int(usable.sum())} usable points (need >= 4); "
-            f"floor={floor:g}, boundary_margin={boundary_margin}"
+            f"floor={FIT_FLOOR:g}, boundary_margin={FIT_MARGIN}"
         )
     d = np.abs(x[usable] - center)
     y = np.log(p[usable])
@@ -207,6 +204,7 @@ def fit_localization_length(
         intercept=y_mean - slope * d_mean,
         r_squared=r_squared,
         window=(float(d.min()), float(d.max())),
+        center=float(center),
     )
 
 

@@ -139,7 +139,7 @@ class SweepRow:
 def sweep_point(
     length: int, h0: float, s: float = SweepConfig.s, mu: float = SweepConfig.mu
 ) -> SweepRow:
-    """Solve one impurity chain and evaluate both envelopes against it."""
+    """Solve one impurity chain, fit its decay about the density peak and check both envelopes."""
     spec = impurity_model(length, h0)
     try:
         res = lowest_two(assemble(spec))
@@ -158,9 +158,8 @@ def sweep_point(
             f"its error bound {error:.3e}"
         )
     delta_x = state.stats.delta_x
-    center = length // 2 + 1
     try:
-        fit = fit_localization_length(state.profile, center=center)
+        fit = fit_localization_length(state.profile)
         xi_fit, r2 = fit.xi_fit, fit.r_squared
     except (InsufficientData, NonDecaying):
         xi_fit, r2 = math.nan, math.nan

@@ -215,16 +215,15 @@ def random_model_blocks(rng, size_range=(4, 40), n0_range=(1, 3), envelope_famil
     return length, n0, hops, onsites, env, v0
 
 
-def polyfit_decay_fit(p: np.ndarray, center: float, floor: float = 1e-13,
-                      boundary_margin: int = 10) -> tuple:
+def polyfit_decay_fit(p: np.ndarray, center: float) -> tuple:
     """``(xi_fit, intercept, r_squared, window)`` of the decay fit by ``np.polyfit``.
 
     The SVD least-squares line through ``ln p_x`` against ``|x - center|``
-    over the sites with ``p_x >= floor`` at least ``boundary_margin`` sites
-    from either edge, as the package fitted it before its closed form.
+    over the sites with ``p_x >= 1e-13`` more than 10 sites from either
+    edge, as the package fitted it before its closed form.
     """
     x = np.arange(1, p.size + 1, dtype=float)
-    usable = (p >= floor) & (x > boundary_margin) & (x <= p.size - boundary_margin)
+    usable = (p >= 1e-13) & (x > 10) & (x <= p.size - 10)
     d = np.abs(x[usable] - center)
     y = np.log(p[usable])
     slope, intercept = np.polyfit(d, y, 1)

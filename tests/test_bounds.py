@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -302,6 +303,8 @@ def test_non_integer_lengths_are_refused(call):
 def test_site_coupling_nearest_neighbor():
     v = site_coupling_profile(NNBound(v0=1.0), 6)
     np.testing.assert_allclose(v, [2, 4, 4, 4, 4, 2])
+    # one site has no neighbour
+    assert site_coupling_profile(NNBound(v0=1.0), 1).tolist() == [0.0]
     assert chebyshev_tail_bound(NNBound(v0=1.0), 6, 2.0, 3.0) == pytest.approx(
         2.0 / (3.0**2 * 2.0), rel=1e-14
     )
@@ -655,6 +658,41 @@ def test_verify_appendixB_far_sites_do_not_overflow():
         rep = verify_appendixB(spec, env, g, res.psi0, (0.0, 6.0, stats.mean))
     assert rep.ok
     assert np.isfinite(rep.bound_piecewise) and np.isfinite(rep.pointwise_margin)
+
+
+def test_verify_appendixB_holds_no_square_array():
+    # the direct coupling sum runs over blocks of rows: at L = 2000 an L x L
+    # float array alone takes 30.5 MiB
+    spec = impurity_model(2000, -0.5)
+    res, _, stats = _solve(spec)
+    env = fit_envelope(spec, mu=1.0)
+    region = (250.0, 250.0, stats.mean)
+    g = trapezoid_g(spec.length, stats.mean, *region[:2], "theorem1")
+    tracemalloc.start()
+    try:
+        rep = verify_appendixB(spec, env, g, res.psi0, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 32 * 2**20
+
+
+def test_appendixB_row_blocks_match_the_square_sum():
+    # several row blocks, each row summed as one L-long row: bit for bit the
+    # sum over the whole L x L array
+    spec = impurity_model(300, -0.5)
+    res, prof, stats = _solve(spec)
+    env = fit_envelope(spec, mu=1.0)
+    region = (20.0, 60.0, stats.mean)
+    g = trapezoid_g(spec.length, stats.mean, *region[:2], "theorem1")
+    rep = verify_appendixB(spec, env, g, res.psi0, region)
+    x = np.arange(1, spec.length + 1, dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    dg2 = (g.g[:, None] - g.g[None, :]) ** 2
+    v_direct = 2.0 * np.sum(dg2 * env.cv * np.exp(-env.mu * d), axis=1)
+    assert rep.bound_direct == float(np.dot(v_direct, prof.p))
+    assert rep.bound_direct > 0.0
 
 
 def test_verify_appendixB_degenerate_trapezoid_is_zero():

@@ -175,6 +175,7 @@ def test_from_dense_exact_symmetry_and_immutability():
 def test_spectral_scale_is_max_row_sum():
     h = np.array([[1.0, -2.0], [-2.0, 0.5]])
     assert spectral_scale(h) == 3.0
+    assert spectral_scale(np.zeros((0, 0))) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -407,6 +408,30 @@ def test_diagonal_and_two_site_input(routes):
     assert res.e0 == pytest.approx(-math.sqrt(6.0), abs=1e-14)
     assert res.e1 == pytest.approx(math.sqrt(6.0), abs=1e-14)
     assert routes == ["tridiagonal", "tridiagonal"]
+
+
+def test_stalled_bisection_falls_back_to_the_band_route(monkeypatch, routes):
+    # _bisect_two gives up after _MAX_BISECTIONS counts: the inertia route
+    # returns no pair and the band route solves the same band
+    h = assemble(strip_model(100, 4))
+    assert repr(h) == "BandedHermitian(n=400, bandwidth=4)"
+    want = lowest_two(h)
+    assert routes == ["inertia"]
+    bisected = []
+    original = eigensolver_mod._bisect_two
+
+    def spy(*args):
+        bisected.append(original(*args))
+        return bisected[-1]
+
+    monkeypatch.setattr(eigensolver_mod, "_bisect_two", spy)
+    monkeypatch.setattr(eigensolver_mod, "_MAX_BISECTIONS", 1)
+    got = lowest_two(h)
+    assert bisected == [None]
+    assert routes == ["inertia", "inertia", "band"]
+    # the two routes are not bit-identical in general
+    np.testing.assert_allclose([got.e0, got.e1], [want.e0, want.e1], rtol=0,
+                               atol=1e-12 * spectral_scale(h))
 
 
 def test_strip_takes_band_route(routes):

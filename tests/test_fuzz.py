@@ -97,6 +97,7 @@ def test_random_model_families():
 def test_small_run_passes(family):
     report = run_fuzz(FuzzConfig(seed=42, trials=40, family=family))
     assert not report.failures
+    assert report.first_failure is None
     assert report.passed + report.skipped_degenerate == 40
     assert "status:  OK" in report.format()
 

@@ -27,6 +27,7 @@ from gapbound import (
     lowest_two,
     position_weight,
     require_envelope,
+    site_coupling_profile,
     spectral_scale,
     strip_model,
 )
@@ -645,3 +646,25 @@ def test_dropping_an_assembled_model_leaves_no_cycle():
 def test_lattice_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+_OVERFLOWED = {
+    # finite entries whose spectral norm overflows to inf
+    "complex-1x1": (ModelSpec(3, 1, [(1, 2, [[1.5e308 + 1.5e308j]])]), (1, 2)),
+    "n0-2": (ModelSpec(3, 2, [(2, 3, np.full((2, 2), 1e308))]), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("model", _OVERFLOWED)
+@pytest.mark.parametrize("call", [
+    lambda spec, pair: check_nearest_neighbor(spec),
+    lambda spec, pair: fit_envelope(spec, 1.0),
+    lambda spec, pair: require_envelope(spec, NNBound(1.0)),
+    lambda spec, pair: site_coupling_profile(spec),
+    lambda spec, pair: block_norm(spec, pair[1], pair[0]),
+], ids=["check-nn", "fit-envelope", "require-envelope", "coupling-profile", "block-norm"])
+def test_an_overflowed_block_norm_names_its_block(model, call):
+    spec, (x, xp) = _OVERFLOWED[model]
+    message = f"hopping block ({x},{xp}) has spectral norm inf: its entries are too large"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(spec, (x, xp))

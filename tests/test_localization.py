@@ -23,7 +23,7 @@ from gapbound import (
     write_profile_csv,
 )
 
-from gapbound.localization import tail_steps
+from gapbound.localization import FIT_FLOOR, FIT_MARGIN, tail_steps
 from gapbound.sweep import default_h0_grid
 
 from oracles import brute_tail, polyfit_decay_fit
@@ -178,11 +178,25 @@ def test_fit_recovers_exact_exponential():
 
 
 def test_fit_window_respects_floor():
-    prof = _synthetic_exponential(101, 51.0, 2.0)
-    fit = fit_localization_length(prof, center=51.0, floor=1e-6)
-    # ln(p) >= ln(1e-6) limits the usable distance
-    assert fit.window[1] < 30.0
-    assert fit.xi_fit == pytest.approx(2.0, rel=1e-6)
+    prof = _synthetic_exponential(101, 51.0, 1.0)
+    fit = fit_localization_length(prof, center=51.0)
+    # p >= FIT_FLOOR limits the usable distance to 29, inside the margins' 40
+    assert fit.window == (0.0, 29.0)
+    assert prof.p[50 + 29] >= FIT_FLOOR > prof.p[50 + 30]
+    assert fit.xi_fit == pytest.approx(1.0, rel=1e-6)
+
+
+def test_fit_without_a_center_fits_about_the_density_peak():
+    prof = _synthetic_exponential(101, 37.0, 3.0)
+    fit = fit_localization_length(prof)
+    assert fit.center == 37.0
+    assert fit == fit_localization_length(prof, center=float(np.argmax(prof.p) + 1))
+    assert fit != fit_localization_length(prof, center=51.0)
+    spec = impurity_model(500, -0.3)
+    prof = density(lowest_two(assemble(spec)).psi0, spec)
+    fit = fit_localization_length(prof)
+    assert fit.center == 251.0
+    assert fit == fit_localization_length(prof, center=251)
 
 
 def test_fit_uniform_profile_is_nondecaying():
@@ -226,9 +240,9 @@ def test_impurity_matches_analytic_bound_state(h0):
     assert fit.xi_fit == pytest.approx(1.0 / (2.0 * kappa), rel=1e-8)
 
 
-def _assert_fit_matches_polyfit(prof, center, **kwargs):
-    fit = fit_localization_length(prof, center=center, **kwargs)
-    xi_fit, intercept, r_squared, window = polyfit_decay_fit(prof.p, center, **kwargs)
+def _assert_fit_matches_polyfit(prof, center):
+    fit = fit_localization_length(prof, center=center)
+    xi_fit, intercept, r_squared, window = polyfit_decay_fit(prof.p, center)
     assert fit.xi_fit == pytest.approx(xi_fit, rel=1e-12, abs=0)
     assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
     assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0)
@@ -243,42 +257,34 @@ def test_closed_form_fit_matches_polyfit_on_impurity_profiles():
 
 
 def test_closed_form_fit_matches_polyfit_on_a_noisy_profile():
+    # the margin cuts the left side (sites 1..10 lie above the floor), the
+    # floor the right side, where the noisy tail crosses it
     rng = np.random.default_rng(17)
-    x = np.arange(1, 121)
-    p = np.exp(-np.abs(x - 57.3) / 6.0 + rng.normal(scale=0.5, size=x.size))
+    x = np.arange(1, 201)
+    p = np.exp(-np.abs(x - 30.3) / 3.0 + rng.normal(scale=0.5, size=x.size))
     prof = DensityProfile(p=p / p.sum())
-    _assert_fit_matches_polyfit(prof, 57.3, floor=1e-9, boundary_margin=3)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "kwargs", [{"floor": 0.0}, {"floor": -1e-13}, {"floor": math.nan}, {"floor": math.inf},
-               {"boundary_margin": -1}],
-)
-def test_fit_refuses_bad_floor_and_margin(kwargs):
-    p = np.exp(-np.abs(np.arange(1, 61) - 30.0) / 3.0)
-    p[39] = 0.0  # log(0) would warn and fit NaN with floor 0
-    prof = DensityProfile(p=p / p.sum())
-    with pytest.raises(ValidationError, match="floor|boundary_margin"):
-        fit_localization_length(prof, center=30.0, **kwargs)
+    assert np.all(prof.p[:FIT_MARGIN] >= FIT_FLOOR)
+    assert np.any(prof.p[FIT_MARGIN:-FIT_MARGIN] < FIT_FLOOR)
+    _assert_fit_matches_polyfit(prof, 30.3)
 
 
 def test_csv_dumps(tmp_path):
-    prof = _synthetic_exponential(21, 11.0, 3.0)
+    prof = _synthetic_exponential(31, 16.0, 3.0)
     ppath = tmp_path / "profile.csv"
     write_profile_csv(prof, ppath)
     lines = ppath.read_text().splitlines()
     assert lines[0] == "x,p_x"
-    assert len(lines) == 22
+    assert len(lines) == 32
     x, p = lines[1].split(",")
     assert x == "1" and float(p) == prof.p[0]
 
-    fit = fit_localization_length(prof, center=11.0, boundary_margin=2)
+    fit = fit_localization_length(prof)
     fpath = tmp_path / "fit.csv"
     write_fit_csv(fit, fpath)
     lines = fpath.read_text().splitlines()
     assert lines[0] == "xi_fit,intercept,r_squared,window_lo,window_hi"
-    assert float(lines[1].split(",")[0]) == fit.xi_fit
+    row = [float(v) for v in lines[1].split(",")]
+    assert row == [fit.xi_fit, fit.intercept, fit.r_squared, 0.0, 5.0]  # no center
 
 
 _GROWING = np.arange(1, 31) / np.arange(1, 31).sum()
@@ -287,8 +293,8 @@ _GROWING = np.arange(1, 31) / np.arange(1, 31).sum()
 @pytest.mark.parametrize("call, error, message", [
     (lambda: DensityProfile(np.full((2, 2), 0.25)), ValidationError,
      "density profile must be a nonempty 1-d array"),
-    (lambda: fit_localization_length(DensityProfile(_GROWING), center=1.0, boundary_margin=0),
-     NonDecaying, "fitted slope 8.894e-02 is not negative"),
+    (lambda: fit_localization_length(DensityProfile(_GROWING), center=1.0),
+     NonDecaying, "fitted slope 6.589e-02 is not negative"),
 ], ids=["profile-2d", "growing-profile"])
 def test_localization_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -60,8 +60,10 @@ def test_spectrum_and_profile(tmp_path, solved):
     assert _written(tmp_path, write_profile_csv, state.profile) == text.encode()
 
 
-def test_fit(tmp_path, solved):
-    fit = fit_localization_length(solved[2].profile, center=LENGTH // 2 + 1, boundary_margin=0)
+def test_fit(tmp_path):
+    # a chain long enough for the fit's edge margins; the centre is not written
+    spec = impurity_model(40, H0)
+    fit = fit_localization_length(GroundState.of(lowest_two(assemble(spec)).psi0, spec).profile)
     text = (
         "xi_fit,intercept,r_squared,window_lo,window_hi\n"
         f"{fit.xi_fit:.17g},{fit.intercept:.17g},{fit.r_squared:.17g},"
