@@ -14,10 +14,15 @@ assembled operator; both are recorded and must agree.  (On the ground
 state the signed value is never positive; the absolute value is what
 enters the inequality.)
 
-Three tail bounds for ``P(|x - <x>| >= R)`` are derived from it:
+Each bound reads the model through its declared hopping bound, a
+:class:`~gapbound.lattice.HoppingEnvelope` or an
+:class:`~gapbound.lattice.NNBound`, whose ``value(d)`` is the one place
+the pair strength ``V(d)`` it allows is written.  Three tail bounds for
+``P(|x - <x>| >= R)`` are derived from the inequality:
 
 * ``chebyshev_tail_bound``: a power law ``max_x V_x / (2 R^2 gap)`` with
-  ``V_x = 2 sum_x' V(x - x') (x - x')^2``, using ``g(x) = x``.
+  ``V_x = 2 sum_x' V(x - x') (x - x')^2`` (:func:`site_coupling_profile`),
+  using ``g(x) = x``.
 * ``theorem1_bound``: an exponential envelope valid for any hopping
   dominated by ``cv * exp(-mu |x - x'|)``, built from trapezoid weights
   with ramp width ``delta_r / 3`` (see :func:`trapezoid_g`).
@@ -62,7 +67,6 @@ from .lattice import (
     _nonzero,
     _positive_int,
     assemble,
-    hopping_norms,
     require_envelope,
 )
 from .localization import DensityProfile, PositionStats, density, position_stats, tail_steps
@@ -343,6 +347,7 @@ class GroundState:
                 f"delta_r={delta_r}, center={center})"
             )
         require_envelope(spec, envelope)
+        c1 = c1_constant(envelope)
 
         gx = g.g
         p = self.profile.p
@@ -350,11 +355,9 @@ class GroundState:
         v_direct = np.empty(spec.length)
         for lo in range(0, spec.length, APPENDIX_B_ROWS):
             rows = slice(lo, lo + APPENDIX_B_ROWS)
-            d = np.abs(x[rows, None] - x[None, :])
             dg2 = (gx[rows, None] - gx[None, :]) ** 2
-            v_direct[rows] = 2.0 * np.sum(dg2 * envelope.cv * np.exp(-envelope.mu * d), axis=1)
+            v_direct[rows] = 2.0 * np.sum(dg2 * envelope.value(x[rows, None] - x[None, :]), axis=1)
 
-        c1 = c1_constant(envelope)
         u = np.abs(x - center)
         a = r_inner + delta_r / 3.0
         b = r_inner + 2.0 * delta_r / 3.0
@@ -405,45 +408,36 @@ def c1_constant(envelope: HoppingEnvelope) -> float:
     """Coupling constant ``4 cv sum_{k>=0} (k+1)^2 exp(-mu k)``.
 
     Evaluated in closed form ``4 cv (1+q) / (1-q)^3`` with
-    ``q = exp(-mu)``.
+    ``q = exp(-mu)``; an envelope for which that is not a finite float is
+    refused.
     """
     q = math.exp(-envelope.mu)
     if q == 1.0:
         raise ValidationError(
             f"decay rate mu={envelope.mu:g} is too small: exp(-mu) rounds to 1"
         )
-    return 4.0 * envelope.cv * (1.0 + q) / (1.0 - q) ** 3
+    c1 = 4.0 * envelope.cv * (1.0 + q) / (1.0 - q) ** 3
+    if not math.isfinite(c1):
+        raise ValidationError(
+            f"envelope cv={envelope.cv:g}, mu={envelope.mu:g} is too large: "
+            "c1 = 4 cv (1+q)/(1-q)^3 overflows"
+        )
+    return c1
 
 
-def site_coupling_profile(source, length: int | None = None) -> np.ndarray:
+def site_coupling_profile(bound: HoppingEnvelope | NNBound, length: int) -> np.ndarray:
     """Per-site coupling strength ``V_x = 2 sum_x' V(x - x') (x - x')^2``.
 
-    ``source`` selects the pair-strength function V:
-
-    * :class:`HoppingEnvelope`: ``V(r) = cv * exp(-mu |r|)``,
-    * :class:`NNBound`: ``V(1) = v0``, zero beyond,
-    * :class:`ModelSpec`: the raw block norms (tightness comparison).
+    ``V`` is the pair strength ``bound.value`` of the declared hopping
+    bound, a :class:`HoppingEnvelope` or an :class:`NNBound`.  Summed by
+    distance on the open chain ``1..length``,
+    ``V_x = 2 (S(x - 1) + S(L - x))`` with ``S(m) = sum_{k <= m} k^2 V(k)``.
     """
-    if isinstance(source, ModelSpec):
-        v = np.zeros(source.length)
-        for d, x, norms in hopping_norms(source):
-            w = 2.0 * norms * d**2
-            v[x - 1] += w
-            v[x - 1 + d] += w
-        return v
-    length = _positive_int(length, "length")
-    if isinstance(source, HoppingEnvelope):
-        # V_x = 2 cv (S(x - 1) + S(L - x)) with S(m) = sum_{k <= m} k^2 exp(-mu k)
-        k = np.arange(length, dtype=float)
-        s = np.cumsum(k * k * np.exp(-source.mu * k))
-        return 2.0 * source.cv * (s + s[::-1])
-    if isinstance(source, NNBound):
-        counts = np.full(length, 2.0)
-        counts[0] = counts[-1] = 1.0
-        if length == 1:
-            counts[0] = 0.0
-        return 2.0 * source.v0 * counts
-    raise ValidationError(f"unsupported coupling source {type(source).__name__}")
+    if not isinstance(bound, (HoppingEnvelope, NNBound)):
+        raise ValidationError(f"unsupported hopping bound {type(bound).__name__}")
+    k = np.arange(_positive_int(length, "length"), dtype=float)
+    s = np.cumsum(k * k * bound.value(k))
+    return 2.0 * (s + s[::-1])
 
 
 def _check_gap(delta_e0: float):
@@ -451,13 +445,13 @@ def _check_gap(delta_e0: float):
         raise ValidationError(f"spectral gap must be finite and positive, got {delta_e0}")
 
 
-def variance_upper_bound(source, length: int, delta_e0: float) -> float:
+def variance_upper_bound(bound: HoppingEnvelope | NNBound, length: int, delta_e0: float) -> float:
     """Gap-based bound on the position variance: ``max_x V_x / (2 gap)``."""
     _check_gap(delta_e0)
-    return float(np.max(site_coupling_profile(source, length))) / (2.0 * delta_e0)
+    return float(np.max(site_coupling_profile(bound, length))) / (2.0 * delta_e0)
 
 
-def chebyshev_tail_bound(source, length: int, delta_e0: float, r):
+def chebyshev_tail_bound(bound: HoppingEnvelope | NNBound, length: int, delta_e0: float, r):
     """Power-law tail bound ``min(1, max_x V_x / (2 R^2 gap))``.
 
     ``r`` may be a scalar (returns a float) or an array of radii (returns
@@ -467,7 +461,7 @@ def chebyshev_tail_bound(source, length: int, delta_e0: float, r):
     bad = ~(r > 0)  # NaN fails too
     if np.any(bad):
         raise ValidationError(f"radius must be positive, got {r[bad][0]}")
-    out = np.minimum(1.0, variance_upper_bound(source, length, delta_e0) / (r * r))
+    out = np.minimum(1.0, variance_upper_bound(bound, length, delta_e0) / (r * r))
     return float(out) if out.ndim == 0 else out
 
 

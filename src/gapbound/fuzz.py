@@ -7,15 +7,15 @@ Every trial draws a random model from one of two families:
 * ``"nearest-neighbor"``: hopping restricted to distance 1 with norms
   below a random uniform bound,
 
-plus random Hermitian on-site blocks.  Either declaration is checked
-against the drawn model by the one rule of
+plus random Hermitian on-site blocks.  The model's one declaration is
+checked against it by the one rule of
 :func:`~gapbound.lattice.require_envelope` before the model is solved;
 the trial then asserts the full invariant suite: the complementary
 inequality and the agreement of its two ``<H_OD>`` routes, the gap-based
 variance bound, the power-law tail bound, tail monotonicity,
-weight-gauge invariance, the applicable exponential tail envelopes, and
-the trapezoid coupling diagnostic.  The
-tail checks read every breakpoint of the tail, so they are exact over
+weight-gauge invariance, the exponential tail envelopes (theorem 2 for a
+nearest-neighbour declaration), and the trapezoid coupling diagnostic.
+The tail checks read every breakpoint of the tail, so they are exact over
 all radii.  Every check reads one :class:`GroundState` record per model.
 
 Randomness is reproducible by construction: trial ``i`` of seed ``s``
@@ -124,28 +124,27 @@ def random_model(
     n0_range: tuple[int, int] = FuzzConfig.n0_range,
     family: str = FuzzConfig.family,
 ):
-    """Draw one random model; returns (spec, envelope or None, nn or None).
+    """Draw one random model; returns ``(spec, declared)``, its hopping bound.
 
-    Each hopping block is drawn as one ``(2, N0, N0)`` normal sample (real
-    and imaginary parts) in pair order; the spectral norms are taken and
-    the blocks scaled in one batch afterwards, and scattered into the
-    model's block bands.
+    Block norms are drawn below ``declared.value(d)``, read once per
+    distance.  Each hopping block is drawn as one ``(2, N0, N0)`` normal
+    sample (real and imaginary parts) in pair order; the spectral norms are
+    taken and the blocks scaled in one batch afterwards, and scattered into
+    the model's block bands.
     """
     length = int(rng.integers(size_range[0], size_range[1] + 1))
     n0 = int(rng.integers(n0_range[0], n0_range[1] + 1))
     if length < 2:
         raise ValidationError(f"a random model needs at least 2 sites, got {length}")
     if family == ENVELOPE_FAMILY:
-        env = HoppingEnvelope(cv=float(rng.uniform(0.5, 3.0)), mu=float(rng.uniform(0.4, 1.5)))
-        nn, nearest = None, 0.9
-        amplitudes = [env.value(d) for d in range(1, min(length - 1, 5) + 1)]
+        declared = HoppingEnvelope(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.4, 1.5)))
+        nearest, max_d = 0.9, min(length - 1, 5)
     elif family == NN_FAMILY:
-        env, nearest = None, 0.95
-        nn = NNBound(v0=float(rng.uniform(0.5, 2.0)))
-        amplitudes = [nn.v0]
+        declared = NNBound(v0=float(rng.uniform(0.5, 2.0)))
+        nearest, max_d = 0.95, 1
     else:
         raise ValidationError(f"unknown family {family!r}")
-    max_d = len(amplitudes)
+    amplitudes = [declared.value(d) for d in range(1, max_d + 1)]
     dists, rows, draws, targets = [], [], [], []
     for x in range(1, length):
         for d in range(1, max_d + 1):
@@ -179,7 +178,7 @@ def random_model(
         a = np.array(site_draws)
         a = a[:, 0] + 1j * a[:, 1]
         onsite[sites] = (np.array(scales) * 0.5)[:, None, None] * (a + a.conj().transpose(0, 2, 1))
-    return ModelSpec.from_arrays(length, n0, bands, onsite), env, nn
+    return ModelSpec.from_arrays(length, n0, bands, onsite), declared
 
 
 def _random_weight(rng: np.random.Generator, length: int) -> WeightFunction:
@@ -195,7 +194,7 @@ def _random_weight(rng: np.random.Generator, length: int) -> WeightFunction:
     return WeightFunction(g)
 
 
-def _trial_problems(spec, env, nn, rng) -> list[str] | None:
+def _trial_problems(spec, declared, rng) -> list[str] | None:
     """Run all checks on one model; None means skipped (degenerate gap)."""
     try:
         res = lowest_two(assemble(spec))
@@ -227,15 +226,14 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     ) > lam**2 * tol:
         problems.append("weight scaling g -> lam*g did not scale by lam^2")
 
-    src = env if env is not None else nn
-    vb = variance_upper_bound(src, spec.length, res.gap)
+    vb = variance_upper_bound(declared, spec.length, res.gap)
     if stats.variance > vb * (1.0 + COMPLEMENTARY_RTOL) + VARIANCE_ATOL:
         problems.append(f"variance bound violated ({stats.variance:.6g} > {vb:.6g})")
     # the tail is a step function, constant on (d_k, d_{k+1}], and the power
     # law decreases in R: its values at the positive breakpoints are all of it
     radii, tails = state.steps
     r = radii[radii > 0]
-    power_law = chebyshev_tail_bound(src, spec.length, res.gap, r)
+    power_law = chebyshev_tail_bound(declared, spec.length, res.gap, r)
     over = r[tails[radii > 0] > power_law + ENVELOPE_TOL]
     if over.size:
         problems.append(f"power-law tail bound violated at R={over[0]:.3g}")
@@ -244,12 +242,13 @@ def _trial_problems(spec, env, nn, rng) -> list[str] | None:
     if np.any(np.diff(tails) > 0):
         problems.append("tail distribution is not monotone nonincreasing")
 
-    fitted = env if env is not None else fit_envelope(spec, mu=1.0)
+    # theorem 1 and Appendix B take an exponential envelope, fitted to an NN model
+    fitted = declared if isinstance(declared, HoppingEnvelope) else fit_envelope(spec, mu=1.0)
     b1 = theorem1_bound(fitted, res.gap, 0.5, stats.delta_x)
     if not state.check(b1).ok:
         problems.append("theorem1 envelope violated")
-    if nn is not None and nn.v0 > 0:
-        b2 = theorem2_bound(nn.v0, res.gap, 0.5, stats.delta_x)
+    if isinstance(declared, NNBound):
+        b2 = theorem2_bound(declared.v0, res.gap, 0.5, stats.delta_x)
         if not state.check(b2).ok:
             problems.append("theorem2 envelope violated")
 
@@ -311,9 +310,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     skipped = 0
     for i in range(config.trials):
         rng = trial_rng(config.seed, i)
-        spec, env, nn = random_model(rng, config.size_range, config.n0_range, config.family)
-        require_envelope(spec, env if env is not None else nn)
-        problems = _trial_problems(spec, env, nn, rng)
+        spec, declared = random_model(rng, config.size_range, config.n0_range, config.family)
+        require_envelope(spec, declared)
+        problems = _trial_problems(spec, declared, rng)
         if problems is None:
             skipped += 1
             continue

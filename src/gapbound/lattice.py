@@ -74,9 +74,11 @@ class HoppingEnvelope:
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValidationError(f"envelope decay rate must be finite and > 0, got {self.mu}")
 
-    def value(self, distance: float) -> float:
-        """Envelope value ``cv * exp(-mu * |distance|)``."""
-        return self.cv * math.exp(-self.mu * abs(distance))
+    def value(self, distance):
+        """Pair strength ``cv exp(-mu |d|)``: a float by ``math.exp``, or an array by ``np.exp``."""
+        if np.ndim(distance) == 0:
+            return self.cv * math.exp(-self.mu * abs(distance))
+        return self.cv * np.exp(-self.mu * np.abs(distance))
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,11 @@ class NNBound:
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ValidationError(f"nearest-neighbor bound must be >= 0, got {self.v0}")
 
-    def value(self, distance: float) -> float:
-        """Bound on a block norm at ``distance``: ``v0`` at 1, ``0.0`` beyond."""
-        return self.v0 if abs(distance) <= 1 else 0.0
+    def value(self, distance):
+        """Pair strength ``v0`` at ``|d| <= 1``, ``0.0`` beyond: a float, or an array."""
+        if np.ndim(distance) == 0:
+            return self.v0 if abs(distance) <= 1 else 0.0
+        return np.where(np.abs(distance) <= 1, self.v0, 0.0)
 
 
 def _is_integer(value) -> bool:
@@ -464,7 +468,8 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
 
     Returns ``HoppingEnvelope(cv, mu)`` with
     ``cv = max over pairs of block_norm(x, x') * exp(mu * |x - x'|)``,
-    so the envelope holds with equality at the extremal pair.
+    so the envelope holds with equality at the extremal pair.  A ``cv`` that
+    overflows, in ``exp(mu * d)`` or in the product, is refused.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValidationError(f"decay rate mu must be finite and > 0, got {mu}")
@@ -473,9 +478,11 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
     try:
         cv = max(float(np.max(norms)) * math.exp(mu * d) for d, _, norms in hopping_norms(spec))
     except OverflowError:
+        cv = math.inf
+    if not math.isfinite(cv):
         raise ValidationError(
-            f"decay rate mu={mu:g} is too large: exp(mu * d) overflows"
-        ) from None
+            f"decay rate mu={mu:g} is too large: block norm * exp(mu * d) overflows"
+        )
     return HoppingEnvelope(cv=cv, mu=mu)
 
 

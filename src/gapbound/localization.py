@@ -185,7 +185,7 @@ def fit_localization_length(profile: DensityProfile, center: float | None = None
     if int(usable.sum()) < 4:
         raise InsufficientData(
             f"only {int(usable.sum())} usable points (need >= 4); "
-            f"floor={FIT_FLOOR:g}, boundary_margin={FIT_MARGIN}"
+            f"FIT_FLOOR={FIT_FLOOR:g}, FIT_MARGIN={FIT_MARGIN}"
         )
     d = np.abs(x[usable] - center)
     y = np.log(p[usable])

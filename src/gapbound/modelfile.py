@@ -43,7 +43,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, ValidationError
 from .eigensolver import HERMITIAN_TOL
 from .lattice import ModelSpec
 from .textfile import read_text, write_text
@@ -305,11 +305,20 @@ def format_model(spec: ModelSpec) -> str:
 
     Entries are read from the block-band arrays in one pass over their
     nonzero entries: V lines by site and then upper-triangle entry, T lines
-    by pair ``(x, x')`` and then block entry.
+    by pair ``(x, x')`` and then block entry.  A label that
+    :func:`parse_model` would not return unchanged, one that holds a line
+    boundary (as ``str.splitlines`` sees it) or starts or ends with
+    whitespace, is refused with :class:`ValidationError`.
     """
+    label = spec.label
+    if label and (label.splitlines() != [label] or label.strip() != label):
+        raise ValidationError(
+            f"label {label!r} cannot be written to a model file: it holds a "
+            "line break or starts or ends with whitespace"
+        )
     lines = [f"L {spec.length}", f"N0 {spec.n0}"]
-    if spec.label:
-        lines.append(f"label {spec.label}")
+    if label:
+        lines.append(f"label {label}")
     on = spec._onsite
     x, i, j = np.nonzero((on != 0) & np.triu(np.ones(on.shape[1:], dtype=bool)))
     v = on[x, i, j]

@@ -79,7 +79,7 @@ def test_criterion_2_complementary_fuzz():
     while tested < 1000 and i < 1200:
         rng = trial_rng(20260810, i)
         family = ENVELOPE_FAMILY if i % 2 == 0 else NN_FAMILY
-        spec, _, _ = random_model(rng, size_range=(3, 40), n0_range=(1, 3), family=family)
+        spec, _ = random_model(rng, size_range=(3, 40), n0_range=(1, 3), family=family)
         i += 1
         try:
             res = gb.lowest_two(gb.assemble(spec))
@@ -107,8 +107,8 @@ def test_criterion_3_variance_bound():
     i = 0
     while tested < 500 and i < 700:
         rng = trial_rng(31415, i)
-        spec, env, _ = random_model(rng, size_range=(3, 40), n0_range=(1, 3),
-                                    family=ENVELOPE_FAMILY)
+        spec, env = random_model(rng, size_range=(3, 40), n0_range=(1, 3),
+                                 family=ENVELOPE_FAMILY)
         i += 1
         try:
             res = gb.lowest_two(gb.assemble(spec))
@@ -222,7 +222,7 @@ def test_criterion_9_trapezoid_coupling_diagnostic():
     i = 0
     while tested < 200 and i < 260:
         rng_t = trial_rng(99, i)
-        mspec, menv, _ = random_model(rng_t, size_range=(6, 40), family=ENVELOPE_FAMILY)
+        mspec, menv = random_model(rng_t, size_range=(6, 40), family=ENVELOPE_FAMILY)
         i += 1
         try:
             mres = gb.lowest_two(gb.assemble(mspec))

@@ -90,7 +90,7 @@ def test_constant_weight_gives_zeros():
 
 
 def test_random_spec_random_weight_holds():
-    spec, _, _ = random_model(trial_rng(77, 0), size_range=(8, 8), n0_range=(2, 2))
+    spec, _ = random_model(trial_rng(77, 0), size_range=(8, 8), n0_range=(2, 2))
     res, _, _ = _solve(spec)
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -102,7 +102,7 @@ def test_random_spec_random_weight_holds():
 
 
 def test_weight_gauge_invariance():
-    spec, _, _ = random_model(trial_rng(78, 1), size_range=(10, 10))
+    spec, _ = random_model(trial_rng(78, 1), size_range=(10, 10))
     res, _, _ = _solve(spec)
     g = np.random.default_rng(6).normal(size=10)
     base = g_expectations(res.psi0, spec, WeightFunction(g), res.gap)
@@ -118,7 +118,7 @@ def test_weight_gauge_invariance():
 def test_hod_routes_match_entrywise_brute_force():
     # third, fully independent evaluation: weight every matrix entry by
     # (g_a - g_b)^2 and contract with the state in explicit loops
-    spec, _, _ = random_model(trial_rng(55, 0), size_range=(7, 7), n0_range=(2, 2))
+    spec, _ = random_model(trial_rng(55, 0), size_range=(7, 7), n0_range=(2, 2))
     res, _, _ = _solve(spec)
     g = np.random.default_rng(0).normal(size=7)
     rep = g_expectations(res.psi0, spec, WeightFunction(g), res.gap)
@@ -137,7 +137,7 @@ def test_hod_routes_match_entrywise_brute_force():
 
 def test_commutator_route_matches_dense_matmul():
     # the scaling form of [G, [G, H]] against the matmul with G = diag(g)
-    spec, _, _ = random_model(trial_rng(56, 0), size_range=(9, 9), n0_range=(3, 3))
+    spec, _ = random_model(trial_rng(56, 0), size_range=(9, 9), n0_range=(3, 3))
     res, _, _ = _solve(spec)
     g = np.random.default_rng(1).normal(size=9)
     rep = g_expectations(res.psi0, spec, WeightFunction(g), res.gap)
@@ -184,8 +184,8 @@ def _differential_cases():
     for family in FAMILIES:
         for i in range(100):
             rng = trial_rng(2718, i)
-            spec, env, _ = random_model(rng, family=family)
-            yield spec, env, rng
+            spec, declared = random_model(rng, family=family)
+            yield spec, declared if isinstance(declared, HoppingEnvelope) else None, rng
     rng = np.random.default_rng(5)
     strip = strip_model(24, 3)
     onsite = [(x, b + np.diag(rng.uniform(-3.0, 3.0, 3))) for x, b in strip.onsite.items()]
@@ -281,6 +281,24 @@ def test_c1_constant_against_partial_sum():
         )
 
 
+def test_a_non_finite_c1_is_refused():
+    # 4 cv (1+q)/(1-q)^3 overflows to inf: theorem 1 would give xi = inf and
+    # Appendix B a tolerance of inf, so its check would pass whatever <H_OD> is
+    env = HoppingEnvelope(cv=1e300, mu=1e-3)
+    message = "envelope cv=1e+300, mu=0.001 is too large: c1 = 4 cv (1+q)/(1-q)^3 overflows"
+    spec = impurity_model(40, -1.0)
+    res, _, stats = _solve(spec)
+    region = (0.0, 6.0, stats.mean)
+    g = trapezoid_g(spec.length, stats.mean, 0.0, 6.0, "theorem1")
+    for call in (
+        lambda: c1_constant(env),
+        lambda: theorem1_bound(env, res.gap, 0.5, stats.delta_x),
+        lambda: GroundState.of(res.psi0, spec).appendixB(env, g, region),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -331,28 +349,38 @@ def test_site_coupling_envelope_brute_force_small():
         assert v[x - 1] == pytest.approx(brute, rel=1e-14)
 
 
+_ENVELOPE_COUPLING_CASES = [
+    (1.0, 1.0, 1), (1.3, 0.6, 2), (0.7, 2.5, 17), (1.0, 1.0, 501), (0.5, 0.3, 400), (2.0, 0.05, 300),
+]
+_NN_COUPLING_CASES = [(1.0, 1), (0.8, 2), (1.7, 17), (2.5, 501)]
+
+
 @pytest.mark.parametrize(
-    "cv,mu,length",
-    [(1.0, 1.0, 1), (1.3, 0.6, 2), (0.7, 2.5, 17), (1.0, 1.0, 501), (0.5, 0.3, 400), (2.0, 0.05, 300)],
+    "bound,length",
+    [pytest.param(HoppingEnvelope(cv, mu), length, id=f"{cv}-{mu}-{length}")
+     for cv, mu, length in _ENVELOPE_COUPLING_CASES]
+    + [pytest.param(NNBound(v0), length, id=f"nn-{v0}-{length}")
+       for v0, length in _NN_COUPLING_CASES],
 )
-def test_site_coupling_envelope_closed_form_vs_brute_sum(cv, mu, length):
-    env = HoppingEnvelope(cv=cv, mu=mu)
-    v = site_coupling_profile(env, length)
+def test_site_coupling_envelope_closed_form_vs_brute_sum(bound, length):
+    # the one summed-by-distance formula of site_coupling_profile against the
+    # pair sum over all sites, with each declaration's pair strength written out
+    v = site_coupling_profile(bound, length)
     x = np.arange(length, dtype=float)
     d = np.abs(x[:, None] - x[None, :])
-    brute = 2.0 * np.sum(cv * np.exp(-mu * d) * d * d, axis=1)
+    if isinstance(bound, NNBound):
+        pair = np.where(d == 1, bound.v0, 0.0)
+    else:
+        pair = bound.cv * np.exp(-bound.mu * d)
+    brute = 2.0 * np.sum(pair * d * d, axis=1)
     np.testing.assert_allclose(v, brute, rtol=1e-13, atol=0)
+    if isinstance(bound, NNBound) or length < 400:
+        return
     # sites 50/mu from both edges miss less than 1e-17 of the two-sided series
+    mu = bound.mu
     bulk = v[(x >= 50 / mu) & (x <= length - 1 - 50 / mu)]
-    if length >= 400:
-        assert bulk.size
-        np.testing.assert_allclose(bulk, envelope_coupling_partial(cv, mu), rtol=1e-13)
-
-
-def test_site_coupling_raw_spec():
-    spec = ModelSpec(4, 1, [(1, 2, [[2.0]]), (2, 4, [[1.0]])])
-    v = site_coupling_profile(spec)
-    np.testing.assert_allclose(v, [2 * 2, 2 * 2 + 2 * 4, 0, 2 * 4])
+    assert bulk.size
+    np.testing.assert_allclose(bulk, envelope_coupling_partial(bound.cv, mu), rtol=1e-13)
 
 
 def test_chebyshev_limits():
@@ -405,7 +433,7 @@ def test_nan_radius_or_mean_is_refused(call, message):
 
 def test_variance_bound_on_random_specs():
     for i in range(25):
-        spec, env, _ = random_model(trial_rng(202, i), size_range=(6, 30))
+        spec, env = random_model(trial_rng(202, i), size_range=(6, 30))
         try:
             res, prof, stats = _solve(spec)
         except Exception:
@@ -751,7 +779,7 @@ def test_verify_appendixB_requires_valid_envelope():
 def test_verify_appendixB_fuzzed():
     for i in range(40):
         rng = trial_rng(909, i)
-        spec, env, _ = random_model(rng, size_range=(8, 30))
+        spec, env = random_model(rng, size_range=(8, 30))
         try:
             res, prof, stats = _solve(spec)
         except Exception:
@@ -809,7 +837,7 @@ def test_bound_and_envelope_csv(tmp_path):
     (lambda: WeightFunction(np.array([1.0, np.nan])), ValidationError,
      "weight function contains non-finite values"),
     (lambda: site_coupling_profile("chain", 4), ValidationError,
-     "unsupported coupling source str"),
+     "unsupported hopping bound str"),
     (lambda: theorem1_bound(HoppingEnvelope(1.0, 1.0), 0.5, 0.5, -1.0), ValidationError,
      "position spread must be >= 0, got -1.0"),
     (lambda: theorem2_bound(1.0, 0.5, 0.5, math.nan), ValidationError,

@@ -83,11 +83,11 @@ def test_trial_rng_substreams_are_independent_of_history():
 
 
 def test_random_model_families():
-    spec, env, nn = random_model(trial_rng(1, 0), family=ENVELOPE_FAMILY)
-    assert env is not None and nn is None
+    spec, declared = random_model(trial_rng(1, 0), family=ENVELOPE_FAMILY)
+    assert isinstance(declared, HoppingEnvelope)
     assert spec.offdiag
-    spec, env, nn = random_model(trial_rng(1, 1), family=NN_FAMILY)
-    assert env is None and nn is not None
+    spec, declared = random_model(trial_rng(1, 1), family=NN_FAMILY)
+    assert isinstance(declared, NNBound)
     assert all(xp - x == 1 for (x, xp) in spec.offdiag)
     with pytest.raises(ValidationError):
         random_model(trial_rng(1, 2), size_range=(1, 1))
@@ -159,7 +159,7 @@ def test_power_law_check_reads_every_breakpoint(monkeypatch):
     sampled = np.array([1.0, 2.0, 5.0]) * max(state.stats.delta_x, 0.5)
     at = np.searchsorted(radii, sampled, side="left")
     assert np.all(raised[at] <= chebyshev_tail_bound(nn, spec.length, res.gap, sampled))
-    monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, None, nn))
+    monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, nn))
     monkeypatch.setattr(bounds_mod, "tail_steps", lambda profile, mean: (radii, raised))
     with pytest.raises(InvariantViolation, match="power-law tail bound violated at R="):
         run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
@@ -168,7 +168,7 @@ def test_power_law_check_reads_every_breakpoint(monkeypatch):
 def _failing_trial(monkeypatch) -> str:
     """The problems of one trial on the impurity chain, which passes unpatched."""
     spec = impurity_model(40, -1.0)
-    monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, None, NNBound(1.0)))
+    monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, NNBound(1.0)))
     with pytest.raises(InvariantViolation) as exc:
         run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
     ((index, problems),) = exc.value.report.failures
@@ -263,8 +263,7 @@ class _NoPairs:
 @pytest.mark.parametrize("family", FAMILIES)
 def test_random_model_without_a_drawn_pair_gets_one_nearest_hop(family):
     # no pair drawn: one block on (1, 2) at half the declared nearest amplitude
-    spec, env, nn = random_model(_NoPairs(trial_rng(5, 0)), size_range=(2, 2), family=family)
-    declared = env if family == ENVELOPE_FAMILY else nn
+    spec, declared = random_model(_NoPairs(trial_rng(5, 0)), size_range=(2, 2), family=family)
     assert (spec.length, list(spec.offdiag), dict(spec.onsite)) == (2, [(1, 2)], {})
     ((d, xs, norms),) = hopping_norms(spec)
     assert (d, xs.tolist()) == (1, [1])
@@ -282,7 +281,7 @@ def test_power_law_check_allows_the_envelope_tolerance(monkeypatch, below):
                         lambda *args: tails[radii > 0] - below * ENVELOPE_TOL)
     if below < 1:
         monkeypatch.setattr(fuzz_mod, "random_model",
-                            lambda rng, *args: (spec, None, NNBound(1.0)))
+                            lambda rng, *args: (spec, NNBound(1.0)))
         assert run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY)).passed == 1
     else:
         first = radii[radii > 0][0]
@@ -292,7 +291,7 @@ def test_power_law_check_allows_the_envelope_tolerance(monkeypatch, below):
 def test_bad_envelope_declaration_is_rejected_not_reported(monkeypatch):
     def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(x, x + 1, [[1.0]]) for x in range(1, 4)])
-        return spec, HoppingEnvelope(cv=0.01, mu=1.0), None
+        return spec, HoppingEnvelope(cv=0.01, mu=1.0)
 
     monkeypatch.setattr(fuzz_mod, "random_model", drawing)
     with pytest.raises(EnvelopeViolation):
@@ -302,7 +301,7 @@ def test_bad_envelope_declaration_is_rejected_not_reported(monkeypatch):
 def test_bad_nn_declaration_is_rejected(monkeypatch):
     def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(x, x + 1, [[2.0]]) for x in range(1, 4)])
-        return spec, None, NNBound(v0=1.0)
+        return spec, NNBound(v0=1.0)
 
     monkeypatch.setattr(fuzz_mod, "random_model", drawing)
     with pytest.raises(EnvelopeViolation):
@@ -314,7 +313,7 @@ def test_long_range_block_breaks_an_nn_declaration(monkeypatch):
     # rule refuses the block, however small, before any theorem check runs
     def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(1, 2, [[1.0]]), (2, 4, [[1e-9]])])
-        return spec, None, NNBound(v0=1.0)
+        return spec, NNBound(v0=1.0)
 
     monkeypatch.setattr(fuzz_mod, "random_model", drawing)
     with pytest.raises(EnvelopeViolation, match=r"declared NNBound\(v0=1.0\) does not "
@@ -326,7 +325,7 @@ def test_degenerate_model_is_counted_as_skipped(monkeypatch):
     # two decoupled identical dimers: the ground state is twofold degenerate
     def drawing(rng, *args):
         spec = ModelSpec(4, 1, [(1, 2, [[1.0]]), (3, 4, [[1.0]])])
-        return spec, None, NNBound(v0=1.0)
+        return spec, NNBound(v0=1.0)
 
     monkeypatch.setattr(fuzz_mod, "random_model", drawing)
     report = run_fuzz(FuzzConfig(seed=1, trials=3, family=NN_FAMILY))
@@ -338,10 +337,10 @@ def test_generated_models_respect_their_declarations():
     from gapbound import envelope_violations
 
     for i in range(30):
-        spec, env, nn = random_model(trial_rng(33, i), family=ENVELOPE_FAMILY)
+        spec, env = random_model(trial_rng(33, i), family=ENVELOPE_FAMILY)
         assert envelope_violations(spec, env) == []
     for i in range(30):
-        spec, env, nn = random_model(trial_rng(34, i), family=NN_FAMILY)
+        spec, nn = random_model(trial_rng(34, i), family=NN_FAMILY)
         assert envelope_violations(spec, nn) == []
 
 
@@ -350,7 +349,7 @@ def test_batched_draws_match_per_block_reference(family):
     # batched draws and norms give byte-identical models, so recorded fuzz
     # outputs stay valid
     for i in range(200):
-        spec, env, nn = random_model(trial_rng(77, i), family=family)
+        spec, declared = random_model(trial_rng(77, i), family=family)
         length, n0, hops, onsites, ref_env, ref_v0 = random_model_blocks(
             trial_rng(77, i), envelope_family=family == ENVELOPE_FAMILY
         )
@@ -361,8 +360,7 @@ def test_batched_draws_match_per_block_reference(family):
             assert blocks.tobytes() == ref.hopping_bands[d].tobytes()
         assert spec._onsite.tobytes() == ref._onsite.tobytes()
         assert list(spec.onsite) == list(ref.onsite)
-        assert env == (HoppingEnvelope(*ref_env) if ref_env else None)
-        assert nn == (NNBound(ref_v0) if ref_v0 is not None else None)
+        assert declared == (HoppingEnvelope(*ref_env) if ref_env else NNBound(ref_v0))
 
 
 def test_scaled_blocks_zero_draw_falls_back_to_identity():

@@ -27,7 +27,6 @@ from gapbound import (
     lowest_two,
     position_weight,
     require_envelope,
-    site_coupling_profile,
     spectral_scale,
     strip_model,
 )
@@ -88,7 +87,7 @@ def test_assemble_hermitian_with_random_onsite():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_assemble_hermitian_fuzzed(seed):
-    spec, _, _ = random_model(trial_rng(101, seed), size_range=(3, 12))
+    spec, _ = random_model(trial_rng(101, seed), size_range=(3, 12))
     h = band_to_dense(assemble(spec))
     assert np.array_equal(h, h.conj().T)
 
@@ -138,7 +137,7 @@ def test_model_and_dense_array_apply_one_hermiticity_rule():
     rng = np.random.default_rng(2025)
     accepted = 0
     for _ in range(500):
-        spec, _, _ = random_model(rng, size_range=(4, 12), n0_range=(2, 3))
+        spec, _ = random_model(rng, size_range=(4, 12), n0_range=(2, 3))
         length, n0, scale = spec.length, spec.n0, 10 ** rng.uniform(-3, 12)
         hopping = {d: scale * blocks for d, blocks in spec.hopping_bands.items()}
         onsite = np.zeros((length, n0, n0), dtype=complex)
@@ -362,7 +361,7 @@ def test_fit_envelope_exponential_blocks_gives_unit_amplitude():
 
 
 def test_fit_envelope_dominates_with_equality_somewhere():
-    spec, _, _ = random_model(trial_rng(5, 0), size_range=(6, 20))
+    spec, _ = random_model(trial_rng(5, 0), size_range=(6, 20))
     env = fit_envelope(spec, mu=0.7)
     gaps = []
     for (x, xp) in spec.offdiag:
@@ -378,6 +377,35 @@ def test_fit_envelope_errors():
         fit_envelope(ModelSpec(3, 1), mu=1.0)
     with pytest.raises(ValidationError):
         fit_envelope(ModelSpec(2, 1, [(1, 2, [[1.0]])]), mu=-1.0)
+
+
+def test_fit_envelope_refuses_an_overflowing_amplitude():
+    # exp(700) is finite, but the block norm 1e10 times it overflows: refused as
+    # an overflow of the fit, not as an envelope with amplitude inf
+    spec = ModelSpec(3, 1, [(1, 2, [[1e10]]), (2, 3, [[1.0]])])
+    message = "decay rate mu=700 is too large: block norm * exp(mu * d) overflows"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fit_envelope(spec, 700.0)
+    # exp(mu * d) itself overflows at d = 2
+    spec = ModelSpec(3, 1, [(1, 3, [[1.0]])])
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fit_envelope(spec, 700.0)
+
+
+def test_value_on_an_array_matches_the_scalar_calls():
+    # one pair-strength rule: an array of distances gives, entry by entry,
+    # what a scalar call gives; the scalar goes through math.exp, the array
+    # through np.exp, each bit for bit
+    d = np.array([-3, -1, 0, 1, 2, 5, 40, 1000], dtype=float)
+    nn = NNBound(v0=1.7)
+    values = nn.value(d)
+    assert values.dtype == np.float64
+    assert values.tolist() == [nn.value(float(k)) for k in d] == [0, 1.7, 1.7, 1.7, 0, 0, 0, 0]
+    for cv, mu in ((1.0, 1.0), (2.3, 0.37), (0.5, 1.49), (1e-3, 7.1)):
+        env = HoppingEnvelope(cv, mu)
+        for k in d.tolist():
+            assert env.value(k) == cv * math.exp(-mu * abs(k))
+        assert env.value(d).tobytes() == (cv * np.exp(-mu * np.abs(d))).tobytes()
 
 
 def test_check_nearest_neighbor_impurity():
@@ -660,9 +688,8 @@ _OVERFLOWED = {
     lambda spec, pair: check_nearest_neighbor(spec),
     lambda spec, pair: fit_envelope(spec, 1.0),
     lambda spec, pair: require_envelope(spec, NNBound(1.0)),
-    lambda spec, pair: site_coupling_profile(spec),
     lambda spec, pair: block_norm(spec, pair[1], pair[0]),
-], ids=["check-nn", "fit-envelope", "require-envelope", "coupling-profile", "block-norm"])
+], ids=["check-nn", "fit-envelope", "require-envelope", "block-norm"])
 def test_an_overflowed_block_norm_names_its_block(model, call):
     spec, (x, xp) = _OVERFLOWED[model]
     message = f"hopping block ({x},{xp}) has spectral norm inf: its entries are too large"

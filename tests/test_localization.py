@@ -210,8 +210,10 @@ def test_fit_insufficient_data():
     with pytest.raises(InsufficientData):
         fit_localization_length(prof, center=15.0)
     prof2 = _synthetic_exponential(9, 5.0, 2.0)
-    with pytest.raises(InsufficientData):
-        fit_localization_length(prof2, center=5.0)  # margins eat the whole chain
+    # the margins eat the whole chain; the message names the constants
+    message = "only 0 usable points (need >= 4); FIT_FLOOR=1e-13, FIT_MARGIN=10"
+    with pytest.raises(InsufficientData, match=f"^{re.escape(message)}$"):
+        fit_localization_length(prof2, center=5.0)
 
 
 def test_fit_impurity_ground_state_matches_spread():

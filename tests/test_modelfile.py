@@ -102,7 +102,7 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_roundtrip_random_model(tmp_path):
-    spec, _, _ = random_model(trial_rng(404, 0), size_range=(4, 10), n0_range=(1, 3))
+    spec, _ = random_model(trial_rng(404, 0), size_range=(4, 10), n0_range=(1, 3))
     path = tmp_path / "model.txt"
     dump_model(spec, path)
     back = load_model(path)
@@ -110,6 +110,22 @@ def test_roundtrip_random_model(tmp_path):
     np.testing.assert_allclose(
         band_to_dense(assemble(back)), band_to_dense(assemble(spec)), atol=1e-16
     )
+
+
+@pytest.mark.parametrize("label", ["two\nlines", "a\u2028b", " padded "])
+def test_a_label_that_would_not_round_trip_is_refused(tmp_path, label):
+    # a line break would start a directive of its own, and parse_model strips
+    # surrounding whitespace; nothing is written
+    spec = ModelSpec(2, 1, [(1, 2, [[1.0]])], label=label)
+    message = (
+        f"label {label!r} cannot be written to a model file: it holds a "
+        "line break or starts or ends with whitespace"
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        format_model(spec)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dump_model(spec, tmp_path / "model.txt")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_model_drops_one_byte_order_mark(tmp_path):
