@@ -42,7 +42,6 @@ from .errors import (
     EnvelopeViolation,
     GapboundError,
     InsufficientData,
-    InvariantViolation,
     ModelFormatError,
     NonDecaying,
     NonHermitianError,

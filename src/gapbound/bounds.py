@@ -42,6 +42,12 @@ radii, within the fixed :data:`ENVELOPE_TOL`; ``verify_appendixB``
 checks the piecewise exponential bound on the trapezoid-weighted
 coupling strength that the general envelope rests on.
 
+Every check returns its report (:class:`EnvelopeCheck`,
+:class:`ComplementaryReport`, :class:`AppendixBReport`), and the
+report's ``ok`` is the verdict: a failed check is data, not an
+exception.  Only input outside the checks' domain is refused, with
+:class:`~gapbound.errors.ValidationError`.
+
 Every check reads the same few quantities of one ground state, so a
 solved model's :class:`GroundState` computes each of them once: the
 density, ``<x>`` and ``deltaX``, the tail at its breakpoints, and the
@@ -58,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError
+from .errors import ValidationError
 from .eigensolver import spectral_scale
 from .lattice import (
     HoppingEnvelope,
@@ -335,7 +341,8 @@ class GroundState:
         g: WeightFunction,
         region: tuple[float, float, float],
     ) -> AppendixBReport:
-        """The trapezoid coupling bound for ``g`` (see :func:`verify_appendixB`)."""
+        """The trapezoid coupling bound for ``g`` as a report whose ``ok`` is
+        the verdict (see :func:`verify_appendixB`)."""
         spec = self.spec
         r_inner, delta_r, center = region
         expected = trapezoid_g(spec.length, center, r_inner, delta_r, THEOREM1)
@@ -365,7 +372,7 @@ class GroundState:
         # evaluated at a site, so nothing overflows far from the centre
         v_piece = c1 * np.exp(-envelope.mu * (np.maximum(a - u, 0.0) + np.maximum(u - b, 0.0)))
 
-        report = AppendixBReport(
+        return AppendixBReport(
             hod_abs=abs(self.hod_explicit(gx)),
             bound_direct=float(np.dot(v_direct, p)),
             bound_piecewise=float(np.dot(v_piece, p)),
@@ -373,15 +380,6 @@ class GroundState:
             c1=c1,
             region=(float(r_inner), float(delta_r), float(center)),
         )
-        if not report.ok:
-            raise InvariantViolation(
-                "trapezoid coupling bound failed: "
-                f"|<H_OD>|={report.hod_abs:.6g}, direct={report.bound_direct:.6g}, "
-                f"piecewise={report.bound_piecewise:.6g}, "
-                f"pointwise margin={report.pointwise_margin:.3e}",
-                report=report,
-            )
-        return report
 
 
 def g_expectations(
@@ -409,8 +407,10 @@ def c1_constant(envelope: HoppingEnvelope) -> float:
 
     Evaluated in closed form ``4 cv (1+q) / (1-q)^3`` with
     ``q = exp(-mu)``; an envelope for which that is not a finite float is
-    refused.
+    refused, and so is any bound but a :class:`HoppingEnvelope`.
     """
+    if not isinstance(envelope, HoppingEnvelope):
+        raise ValidationError(f"unsupported hopping bound {type(envelope).__name__}")
     q = math.exp(-envelope.mu)
     if q == 1.0:
         raise ValidationError(
@@ -480,6 +480,10 @@ class TailEnvelope:
     ``kind`` names the theorem that produced it (:data:`THEOREM1` or
     :data:`THEOREM2`) and ``amplitude`` its coupling constant: ``c1`` for
     theorem 1, the nearest-neighbour norm bound ``v0`` for theorem 2.
+    Every numeric field must be finite, ``r1 >= 0``, ``xi > 0`` and
+    ``prefactor > 0``, or :class:`ValidationError` names the field: a NaN
+    compares false with every tail, so such an envelope would pass every
+    check.
     """
 
     kind: str
@@ -490,6 +494,17 @@ class TailEnvelope:
     prefactor: float
     delta_e0: float
     delta_x: float
+
+    def __post_init__(self):
+        for name in ("s", "amplitude", "r1", "xi", "prefactor", "delta_e0", "delta_x"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"envelope {name} must be finite, got {value}")
+        if self.r1 < 0:
+            raise ValidationError(f"envelope r1 must be >= 0, got {self.r1}")
+        for name in ("xi", "prefactor"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"envelope {name} must be > 0, got {getattr(self, name)}")
 
     def evaluate(self, r) -> np.ndarray | float:
         """Envelope value at radius r (defined for r >= r1)."""
@@ -586,7 +601,8 @@ class AppendixBReport:
 
     ``hod_abs <= bound_direct <= bound_piecewise`` must hold within
     ``1e-9 * c1``; ``pointwise_margin`` is the worst-case slack of the
-    piecewise bound over the direct per-site coupling.
+    piecewise bound over the direct per-site coupling.  ``ok`` is the
+    verdict; a failed bound is reported, not raised.
     """
 
     hod_abs: float
@@ -629,7 +645,11 @@ def verify_appendixB(
         c1 * exp(-mu (u - r_inner - 2 delta_r/3)) beyond the ramp,
 
     and ``|<H_OD>| <= sum_x V_{g,x} p_x`` for any model the envelope
-    dominates.  Raises :class:`InvariantViolation` if either stage fails.
+    dominates.  Returns its :class:`AppendixBReport` whether or not
+    either stage fails; ``ok`` is the verdict.  Only input is refused,
+    with :class:`ValidationError`: a ``g`` that is not the region's
+    trapezoid, an envelope that does not dominate the model, a ``c1``
+    that is not a finite float.
     """
     return GroundState.of(psi0, spec).appendixB(envelope, g, region)
 
@@ -673,9 +693,14 @@ def write_bound_csv(bounds, path):
 
 
 def write_envelope_csv(check: EnvelopeCheck, path):
-    """Dump an envelope check as ``R,tail,bound,violation`` rows, one per radius."""
+    """Dump an envelope check as ``R,tail,bound,violation`` rows, one per radius.
+
+    A row is flagged when its radius is one of ``check.violations``, so the
+    CSV and the check's verdict follow one rule.
+    """
+    violated = np.isin(check.r_grid, check.violations)
     write_text(path, csv_text(
         "R,tail,bound,violation",
-        ((r, t, b, int(t > b + check.tolerance))
-         for r, t, b in zip(check.r_grid, check.tail_values, check.bound_values)),
+        ((r, t, b, int(v))
+         for r, t, b, v in zip(check.r_grid, check.tail_values, check.bound_values, violated)),
     ))

@@ -3,7 +3,9 @@
 Subcommands: ``solve``, ``bounds``, ``sweep``, ``fuzz``, ``plot``.
 Exit codes: 0 success, 1 validation error (bad input, malformed file,
 unknown or malformed command-line arguments, degenerate ground state, out
-of memory), 2 invariant or assertion failure.
+of memory), 2 a failed guaranteed check.  The library returns every
+check as a report; the subcommand that reads a failed report prints it
+and returns 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     EnvelopeViolation,
     GapboundError,
     InsufficientData,
-    InvariantViolation,
     NonDecaying,
     ValidationError,
 )
@@ -242,13 +243,17 @@ def cmd_fuzz(args) -> int:
         n0_range=(args.min_n0, args.max_n0),
         family=args.family,
     )
-    try:
-        report = run_fuzz(config)
-    except InvariantViolation as exc:
-        if exc.report is not None:
-            print(exc.report.format(), end="")
-        raise
+    report = run_fuzz(config)
     print(report.format(), end="")
+    if report.failures:
+        i, problems = report.first_failure
+        print(
+            f"invariant violation: fuzz trial {i} failed (seed={config.seed}, "
+            f"family={config.family}): {problems}; reproduce with seed={config.seed}, "
+            f"trial index {i}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -320,9 +325,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
     except GapboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

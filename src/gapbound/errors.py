@@ -1,12 +1,15 @@
 """Exception hierarchy.
 
-Two outcomes matter to callers (and to the CLI exit code):
+Input errors raise; a failed check is a report.
 
 * ``ValidationError`` and subclasses: the *input* is outside the tool's
   domain (malformed file, index out of range, a hopping bound that does
   not dominate the hopping, non-Hermitian matrix, ...).  CLI exit code 1.
-* ``InvariantViolation``: a quantity that is mathematically guaranteed
-  failed its numerical check.  This is the serious one.  CLI exit code 2.
+* A guaranteed check that fails raises nothing: every check returns its
+  report (``EnvelopeCheck``, ``ComplementaryReport``,
+  ``AppendixBReport``, ``FuzzReport``), whose ``ok`` or ``failures`` is
+  the verdict.  CLI exit code 2 comes from a failed report, never from
+  an exception.
 
 Every other ``GapboundError`` (a degenerate ground state, too few points
 for a fit, a decay fit that does not decay) is not an input error; the
@@ -55,11 +58,3 @@ class InsufficientData(GapboundError):
 
 class NonDecaying(GapboundError):
     """A decay fit produced a non-negative slope."""
-
-
-class InvariantViolation(GapboundError):
-    """A numerically certified inequality or cross-check failed."""
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)

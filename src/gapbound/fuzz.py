@@ -16,7 +16,10 @@ variance bound, the power-law tail bound, tail monotonicity,
 weight-gauge invariance, the exponential tail envelopes (theorem 2 for a
 nearest-neighbour declaration), and the trapezoid coupling diagnostic.
 The tail checks read every breakpoint of the tail, so they are exact over
-all radii.  Every check reads one :class:`GroundState` record per model.
+all radii.  Every check reads one :class:`GroundState` record per model
+and returns its report; the trial words each failed report as a problem,
+and :func:`run_fuzz` returns the first failing trial in its
+:class:`FuzzReport` rather than raising.
 
 Randomness is reproducible by construction: trial ``i`` of seed ``s``
 uses an independent PCG64 substream keyed by ``SeedSequence((s, i))``,
@@ -47,7 +50,7 @@ from .bounds import (
 # and .check_nearest_neighbor
 from .bounds import g_expectations, verify_appendixB, verify_envelope  # noqa: F401
 from .eigensolver import lowest_two
-from .errors import DegenerateGroundState, InvariantViolation, ValidationError
+from .errors import DegenerateGroundState, ValidationError
 from .lattice import (
     HoppingEnvelope,
     ModelSpec,
@@ -255,15 +258,26 @@ def _trial_problems(spec, declared, rng) -> list[str] | None:
     r_inner = float(rng.uniform(0.0, spec.length / 4.0))
     delta_r = float(rng.uniform(3.2, max(4.2, spec.length / 3.0)))
     gtrap = trapezoid_g(spec.length, stats.mean, r_inner, delta_r, THEOREM1)
-    try:
-        state.appendixB(fitted, gtrap, (r_inner, delta_r, stats.mean))
-    except InvariantViolation as exc:
-        problems.append(str(exc))  # it names the bound
+    coupling = state.appendixB(fitted, gtrap, (r_inner, delta_r, stats.mean))
+    if not coupling.ok:
+        problems.append(
+            "trapezoid coupling bound failed: "
+            f"|<H_OD>|={coupling.hod_abs:.6g}, direct={coupling.bound_direct:.6g}, "
+            f"piecewise={coupling.bound_piecewise:.6g}, "
+            f"pointwise margin={coupling.pointwise_margin:.3e}"
+        )
     return problems
 
 
 @dataclass(frozen=True)
 class FuzzReport:
+    """The outcome of one fuzz run; ``failures`` is its verdict.
+
+    ``failures`` holds ``(trial index, problems)`` of the failing trial,
+    or is empty when no trial failed; ``passed`` and
+    ``skipped_degenerate`` count the other trials that ran.
+    """
+
     config: FuzzConfig
     passed: int
     skipped_degenerate: int
@@ -296,7 +310,11 @@ class FuzzReport:
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
-    """Run the fuzz schedule; aborts on the first invariant failure.
+    """Run the fuzz schedule and return its report.
+
+    The run stops at the first trial with a failed check and returns a
+    report whose ``failures`` names that trial and its problems; no later
+    trial runs.  A failed check is reported, not raised.
 
     Each model's declared envelope or nearest-neighbor bound is validated
     before any theorem check, both by the one rule of
@@ -308,6 +326,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """
     passed = 0
     skipped = 0
+    failures = ()
     for i in range(config.trials):
         rng = trial_rng(config.seed, i)
         spec, declared = random_model(rng, config.size_range, config.n0_range, config.family)
@@ -315,21 +334,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         problems = _trial_problems(spec, declared, rng)
         if problems is None:
             skipped += 1
-            continue
-        if problems:
-            report = FuzzReport(
-                config=config,
-                passed=passed,
-                skipped_degenerate=skipped,
-                failures=((i, "; ".join(problems)),),
-            )
-            raise InvariantViolation(
-                f"fuzz trial {i} failed (seed={config.seed}, family={config.family}): "
-                + "; ".join(problems)
-                + f"; reproduce with seed={config.seed}, trial index {i}",
-                report=report,
-            )
-        passed += 1
-    return FuzzReport(
-        config=config, passed=passed, skipped_degenerate=skipped, failures=()
-    )
+        elif problems:
+            failures = ((i, "; ".join(problems)),)
+            break
+        else:
+            passed += 1
+    return FuzzReport(config, passed, skipped, failures)

@@ -13,7 +13,6 @@ from gapbound import (
     DensityProfile,
     EnvelopeViolation,
     HoppingEnvelope,
-    InvariantViolation,
     ModelSpec,
     NNBound,
     TailEnvelope,
@@ -297,6 +296,44 @@ def test_a_non_finite_c1_is_refused():
     ):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
+
+
+def test_theorem1_and_appendixB_refuse_a_nearest_neighbour_bound():
+    # c1 is a property of an exponential envelope: an NNBound is refused by
+    # name, as best_s and site_coupling_profile refuse an unknown bound
+    spec = impurity_model(40, -1.0)
+    res, _, stats = _solve(spec)
+    region = (0.0, 6.0, stats.mean)
+    g = trapezoid_g(spec.length, stats.mean, 0.0, 6.0, "theorem1")
+    for call in (
+        lambda: c1_constant(NNBound(1.0)),
+        lambda: theorem1_bound(NNBound(1.0), res.gap, 0.5, stats.delta_x),
+        lambda: GroundState.of(res.psi0, spec).appendixB(NNBound(1.0), g, region),
+    ):
+        with pytest.raises(ValidationError, match="^unsupported hopping bound NNBound$"):
+            call()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("prefactor", math.nan, "envelope prefactor must be finite, got nan"),
+    ("xi", math.nan, "envelope xi must be finite, got nan"),
+    ("prefactor", math.inf, "envelope prefactor must be finite, got inf"),
+    ("r1", math.nan, "envelope r1 must be finite, got nan"),
+    ("delta_x", -math.inf, "envelope delta_x must be finite, got -inf"),
+    ("r1", -1.0, "envelope r1 must be >= 0, got -1.0"),
+    ("xi", 0.0, "envelope xi must be > 0, got 0.0"),
+    ("prefactor", -0.5, "envelope prefactor must be > 0, got -0.5"),
+], ids=["prefactor-nan", "xi-nan", "prefactor-inf", "r1-nan", "delta-x-inf", "r1-negative",
+        "xi-zero", "prefactor-negative"])
+def test_a_malformed_envelope_is_refused(field, value, message):
+    # a NaN compares false with every tail, so such an envelope would pass
+    # every check; it is refused when it is built
+    spec = impurity_model(40, -1.0)
+    res, _, stats = _solve(spec)
+    b2 = theorem2_bound(1.0, res.gap, 0.5, stats.delta_x)
+    assert GroundState.of(res.psi0, spec).check(b2).ok
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(b2, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -644,9 +681,11 @@ def test_verify_envelope_is_exact_over_all_radii():
         dist = np.unique(np.abs(np.arange(1, length + 1) - mean))
         r1 = float(rng.choice([0.0, rng.uniform(0.0, dist[-1] + 1.0)]))
         xi = float(rng.uniform(0.3, 10.0))
-        # pin the envelope near the tail at one distance so both outcomes occur
+        # pin the envelope near the tail at one distance so both outcomes occur;
+        # with no distance >= r1 the tail there is 0 and nothing is checked,
+        # so any prefactor does, and an envelope's must be > 0
         d0 = float(rng.choice(dist[dist >= r1])) if np.any(dist >= r1) else r1
-        prefactor = (brute_tail(p, mean, d0) * math.exp((d0 - r1) / xi)
+        prefactor = ((brute_tail(p, mean, d0) or 1.0) * math.exp((d0 - r1) / xi)
                      * rng.uniform(0.7, 1.3))
         b = TailEnvelope("theorem1", 0.5, 1.0, r1, xi, prefactor, 1.0, 0.0)
 
@@ -735,9 +774,9 @@ def test_verify_appendixB_degenerate_trapezoid_is_zero():
     assert rep.bound_direct == 0.0
 
 
-def test_appendixB_failure_raises_with_its_report(monkeypatch):
+def test_appendixB_failure_returns_its_report(monkeypatch):
     # a coupling constant a thousandfold too small puts the piecewise bound
-    # below the direct per-site coupling: the record raises, with its report
+    # below the direct per-site coupling: the record returns its failed report
     import gapbound.bounds as bounds_mod
 
     spec = impurity_model(200, -0.8)
@@ -747,15 +786,9 @@ def test_appendixB_failure_raises_with_its_report(monkeypatch):
     g = trapezoid_g(spec.length, stats.mean, 3.0, 6.5, "theorem1")
     real = bounds_mod.c1_constant
     monkeypatch.setattr(bounds_mod, "c1_constant", lambda envelope: 1e-3 * real(envelope))
-    with pytest.raises(InvariantViolation) as exc:
-        GroundState.of(res.psi0, spec).appendixB(env, g, region)
-    rep = exc.value.report
+    rep = GroundState.of(res.psi0, spec).appendixB(env, g, region)
     assert not rep.ok and rep.pointwise_margin < -rep.tolerance
-    assert str(exc.value) == (
-        f"trapezoid coupling bound failed: |<H_OD>|={rep.hod_abs:.6g}, "
-        f"direct={rep.bound_direct:.6g}, piecewise={rep.bound_piecewise:.6g}, "
-        f"pointwise margin={rep.pointwise_margin:.3e}"
-    )
+    assert rep == verify_appendixB(spec, env, g, res.psi0, region)
 
 
 def test_verify_appendixB_rejects_mismatched_g():

@@ -11,7 +11,6 @@ from gapbound import (
     FuzzConfig,
     GroundState,
     HoppingEnvelope,
-    InvariantViolation,
     ModelSpec,
     NNBound,
     ValidationError,
@@ -128,8 +127,8 @@ def test_tail_check_reads_every_breakpoint(monkeypatch):
         return radii, tails
 
     monkeypatch.setattr(bounds_mod, "tail_steps", bumped)
-    with pytest.raises(InvariantViolation, match="not monotone"):
-        run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
+    ((_, problems),) = run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY)).failures
+    assert "not monotone" in problems
 
 
 def test_tail_check_refuses_a_one_ulp_rise(monkeypatch):
@@ -143,8 +142,8 @@ def test_tail_check_refuses_a_one_ulp_rise(monkeypatch):
         return radii, tails
 
     monkeypatch.setattr(bounds_mod, "tail_steps", bumped)
-    with pytest.raises(InvariantViolation, match="tail distribution is not monotone"):
-        run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY))
+    ((_, problems),) = run_fuzz(FuzzConfig(seed=42, trials=3, family=NN_FAMILY)).failures
+    assert "tail distribution is not monotone" in problems
 
 
 def test_power_law_check_reads_every_breakpoint(monkeypatch):
@@ -161,21 +160,17 @@ def test_power_law_check_reads_every_breakpoint(monkeypatch):
     assert np.all(raised[at] <= chebyshev_tail_bound(nn, spec.length, res.gap, sampled))
     monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, nn))
     monkeypatch.setattr(bounds_mod, "tail_steps", lambda profile, mean: (radii, raised))
-    with pytest.raises(InvariantViolation, match="power-law tail bound violated at R="):
-        run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
+    ((_, problems),) = run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY)).failures
+    assert "power-law tail bound violated at R=" in problems
 
 
 def _failing_trial(monkeypatch) -> str:
     """The problems of one trial on the impurity chain, which passes unpatched."""
     spec = impurity_model(40, -1.0)
     monkeypatch.setattr(fuzz_mod, "random_model", lambda rng, *args: (spec, NNBound(1.0)))
-    with pytest.raises(InvariantViolation) as exc:
-        run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
-    ((index, problems),) = exc.value.report.failures
-    assert index == 0
-    assert str(exc.value).startswith(
-        f"fuzz trial 0 failed (seed=42, family={NN_FAMILY}): {problems}; "
-    )
+    report = run_fuzz(FuzzConfig(seed=42, trials=1, family=NN_FAMILY))
+    ((index, problems),) = report.failures
+    assert (index, report.passed, report.first_failure) == (0, 0, (index, problems))
     return problems
 
 
@@ -237,13 +232,60 @@ def test_trial_reports_a_broken_theorem1_envelope(monkeypatch):
 
 
 def test_trial_reports_a_broken_trapezoid_coupling_bound(monkeypatch):
-    # the Appendix-B report's verdict is what the trial reads: its message,
-    # with the report's figures, is the problem, named once
-    monkeypatch.setattr(bounds_mod.AppendixBReport, "ok", property(lambda self: False))
+    # the Appendix-B report's verdict is what the trial reads: a report whose
+    # pointwise margin is -c1 fails by its own ok, and the trial words it
+    # with the report's figures
+    real, reports = GroundState.appendixB, []
+
+    def failing(self, *args):
+        rep = real(self, *args)
+        reports.append(dataclasses.replace(rep, pointwise_margin=-rep.c1))
+        return reports[-1]
+
+    monkeypatch.setattr(GroundState, "appendixB", failing)
     problems = _failing_trial(monkeypatch)
+    (rep,) = reports
+    assert not rep.ok and rep.pointwise_margin < -rep.tolerance
+    assert problems == (
+        f"trapezoid coupling bound failed: |<H_OD>|={rep.hod_abs:.6g}, "
+        f"direct={rep.bound_direct:.6g}, piecewise={rep.bound_piecewise:.6g}, "
+        f"pointwise margin={rep.pointwise_margin:.3e}"
+    )
+
+
+def test_the_run_stops_at_the_first_failing_trial(monkeypatch):
+    # trial 2 fails: the report counts the two trials before it and no
+    # later trial runs
+    real, calls = fuzz_mod._trial_problems, []
+
+    def third_fails(*args):
+        calls.append(args)
+        problems = real(*args)
+        return problems + ["forced"] if len(calls) == 3 else problems
+
+    monkeypatch.setattr(fuzz_mod, "_trial_problems", third_fails)
+    report = run_fuzz(FuzzConfig(seed=42, trials=10, family=NN_FAMILY))
+    assert (report.passed, report.skipped_degenerate, report.failures) == (2, 0, ((2, "forced"),))
+    assert len(calls) == 3
+    assert "status:  FAIL at trial 2: forced" in report.format().splitlines()
+
+
+def test_a_failed_coupling_bound_exits_2_with_the_reproduce_line(monkeypatch, capsys):
+    # c1 a thousandfold too small fails the first trial's Appendix-B check;
+    # the command prints the report, names the trial on stderr and exits 2
+    from gapbound.cli import main
+
+    real = bounds_mod.c1_constant
+    monkeypatch.setattr(bounds_mod, "c1_constant", lambda envelope: 1e-3 * real(envelope))
+    assert main(["fuzz", "--seed", "42", "--trials", "3"]) == 2
+    out, err = capsys.readouterr()
+    (status,) = [ln for ln in out.splitlines() if ln.startswith("status:")]
+    problems = status.removeprefix("status:  FAIL at trial 0: ")
     assert problems.startswith("trapezoid coupling bound failed: |<H_OD>|=")
-    assert problems.count("trapezoid coupling bound failed") == 1
-    assert "direct=" in problems and "piecewise=" in problems and "pointwise margin=" in problems
+    assert err == (
+        f"invariant violation: fuzz trial 0 failed (seed=42, family={ENVELOPE_FAMILY}): "
+        f"{problems}; reproduce with seed=42, trial index 0\n"
+    )
 
 
 class _NoPairs:

@@ -149,6 +149,23 @@ def test_traced_benchmark_items_pass_their_checks(tmp_path, monkeypatch):
         assert problems == [], (name, item.key)
 
 
+def test_strip_certify_reports_a_failed_coupling_bound(tmp_path, monkeypatch):
+    # a coupling constant a thousandfold too small fails the Appendix-B check:
+    # verify_appendixB returns the failed report, and the benchmark's check
+    # (read only) counts the item as failed by naming it
+    import gapbound.bounds as bounds_mod
+
+    workloads = _load(monkeypatch, ROOT / "perfbench" / "workloads.py")
+    workload = workloads.WORKLOADS["strip-certify"]
+    item = workload.setup(1, tmp_path)[0]
+    real = bounds_mod.c1_constant
+    monkeypatch.setattr(bounds_mod, "c1_constant", lambda envelope: 1e-3 * real(envelope))
+    out = workload.run(workloads.default_api(), item)
+    assert not out.appendix_b.ok
+    _, problems = workload.check(item, out, None)
+    assert "Appendix-B coupling bound failed" in problems
+
+
 # sha256 of format_model: the strip-certify catalogue model of width 6,
 # realization 0, and the model of fuzz-mixed item "0".  The fuzz model's
 # norms come from LAPACK's SVD; recorded with numpy 2.4.6 on x86-64.
