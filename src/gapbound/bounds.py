@@ -402,6 +402,12 @@ def g_expectations(
     return GroundState.of(psi0, spec).complementary(g, delta_e0)
 
 
+def _require_bound(bound, *types):
+    """Refuse a declared hopping bound that is none of ``types``."""
+    if not isinstance(bound, types):
+        raise ValidationError(f"unsupported hopping bound {type(bound).__name__}")
+
+
 def c1_constant(envelope: HoppingEnvelope) -> float:
     """Coupling constant ``4 cv sum_{k>=0} (k+1)^2 exp(-mu k)``.
 
@@ -409,8 +415,7 @@ def c1_constant(envelope: HoppingEnvelope) -> float:
     ``q = exp(-mu)``; an envelope for which that is not a finite float is
     refused, and so is any bound but a :class:`HoppingEnvelope`.
     """
-    if not isinstance(envelope, HoppingEnvelope):
-        raise ValidationError(f"unsupported hopping bound {type(envelope).__name__}")
+    _require_bound(envelope, HoppingEnvelope)
     q = math.exp(-envelope.mu)
     if q == 1.0:
         raise ValidationError(
@@ -433,8 +438,7 @@ def site_coupling_profile(bound: HoppingEnvelope | NNBound, length: int) -> np.n
     distance on the open chain ``1..length``,
     ``V_x = 2 (S(x - 1) + S(L - x))`` with ``S(m) = sum_{k <= m} k^2 V(k)``.
     """
-    if not isinstance(bound, (HoppingEnvelope, NNBound)):
-        raise ValidationError(f"unsupported hopping bound {type(bound).__name__}")
+    _require_bound(bound, HoppingEnvelope, NNBound)
     k = np.arange(_positive_int(length, "length"), dtype=float)
     s = np.cumsum(k * k * bound.value(k))
     return 2.0 * (s + s[::-1])
@@ -668,12 +672,11 @@ def best_s(
     """
     if not (math.isfinite(r) and r > 0):
         raise ValidationError(f"radius r must be finite and > 0, got {r!r}")
+    _require_bound(bound, HoppingEnvelope, NNBound)
     if isinstance(bound, HoppingEnvelope):
         bounds = (theorem1_bound(bound, delta_e0, s, delta_x) for s in S_GRID)
-    elif isinstance(bound, NNBound):
-        bounds = (theorem2_bound(bound.v0, delta_e0, s, delta_x) for s in S_GRID)
     else:
-        raise ValidationError(f"unsupported hopping bound {type(bound).__name__}")
+        bounds = (theorem2_bound(bound.v0, delta_e0, s, delta_x) for s in S_GRID)
     feasible = [b for b in bounds if b.r1 <= r]
     if not feasible:
         raise ValidationError(

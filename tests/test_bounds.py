@@ -238,6 +238,7 @@ def test_ground_state_record_matches_per_call_formulas():
                   float(rng.uniform(3.2, max(4.2, spec.length / 3.0))), stats.mean)
         gtrap = trapezoid_g(spec.length, stats.mean, region[0], region[1], "theorem1")
         rep = state.appendixB(env, gtrap, region)
+        assert rep.ok
         assert rep == verify_appendixB(spec, env, gtrap, res.psi0, region)
         want = reference_appendixB(spec, env, gtrap, res.psi0, region)
         assert rep.region == want.pop("region")
@@ -754,6 +755,7 @@ def test_appendixB_row_blocks_match_the_square_sum():
     region = (20.0, 60.0, stats.mean)
     g = trapezoid_g(spec.length, stats.mean, *region[:2], "theorem1")
     rep = verify_appendixB(spec, env, g, res.psi0, region)
+    assert rep.ok
     x = np.arange(1, spec.length + 1, dtype=float)
     d = np.abs(x[:, None] - x[None, :])
     dg2 = (g.g[:, None] - g.g[None, :]) ** 2

@@ -105,6 +105,7 @@ def test_report_is_byte_identical_across_runs():
     config = FuzzConfig(seed=11, trials=25)
     r1 = run_fuzz(config)
     r2 = run_fuzz(config)
+    assert not r1.failures and r1.passed + r1.skipped_degenerate == 25
     assert r1.format() == r2.format()
 
 
@@ -439,7 +440,7 @@ def test_fuzz_builds_band_and_norms_once_per_model(family, monkeypatch):
 
         monkeypatch.setattr(lattice_mod, name, spy)
     monkeypatch.setattr(fuzz_mod, "random_model", drawing)
-    run_fuzz(FuzzConfig(trials=50, family=family))
+    assert not run_fuzz(FuzzConfig(trials=50, family=family)).failures
     assert len(models) == 50
     for seen in built.values():
         assert len(seen) == 50
@@ -462,7 +463,7 @@ def test_fuzz_reads_one_record_per_ground_state(family, monkeypatch):
         monkeypatch.setattr(owner, name, spy)
     report = run_fuzz(FuzzConfig(trials=50, family=family))
     # a skipped (degenerate) trial stops at its solve
-    assert report.passed > 40
+    assert not report.failures and report.passed > 40
     assert counts == {
         "density": report.passed,
         "_stored_pair_products": report.passed,
@@ -489,6 +490,7 @@ def test_each_solved_state_computes_density_stats_and_tail_once(family, monkeypa
     assert counts == {"density": 1, "position_stats": 1, "tail_steps": 1}
     counts.update(dict.fromkeys(counts, 0))
     report = run_fuzz(FuzzConfig(trials=50, family=family))
+    assert not report.failures
     assert report.passed > 40  # a skipped (degenerate) trial stops at its solve
     assert counts == dict.fromkeys(counts, report.passed)
 
