@@ -65,7 +65,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolver import spectral_scale
 from .lattice import (
     HoppingEnvelope,
     ModelSpec,
@@ -175,8 +174,9 @@ class ComplementaryReport:
 
     ``hod_explicit`` is the weighted pair sum, ``hod_commutator`` the
     matrix-commutator evaluation of the same quantity; both are signed
-    (non-positive on a ground state).  ``slack = rhs - lhs`` must be
-    >= ``-1e-9 * scale``.
+    (non-positive on a ground state).  ``ok`` is the verdict: ``slack``,
+    ``rhs - lhs``, must be >= ``-tolerance`` and the two routes must agree
+    within ``tolerance``, ``1e-9 * scale``.
     """
 
     mean_g: float
@@ -194,8 +194,12 @@ class ComplementaryReport:
         return abs(self.hod_explicit - self.hod_commutator)
 
     @property
+    def tolerance(self) -> float:
+        return COMPLEMENTARY_RTOL * self.scale
+
+    @property
     def ok(self) -> bool:
-        tol = COMPLEMENTARY_RTOL * self.scale
+        tol = self.tolerance
         return self.slack >= -tol and self.agreement <= tol
 
 
@@ -225,8 +229,9 @@ class GroundState:
     * ``steps``: ``(radii, tails)`` of :func:`tail_steps` about ``<x>``,
       read-only; :meth:`check` reads them for every envelope;
     * the pair products ``Re(a_x^dag h a_x')`` of the nonzero blocks and,
-      on the first commutator evaluation, the products of the assembled
-      band, which weight
+      on the first commutator evaluation, the products of the model's band
+      (:func:`~gapbound.lattice.assemble`, kept on the model, not here),
+      which weight
       ``<H_OD> = 2 sum (g(x) - g(x'))^2 Re(psi_x^dag H[x, x'] psi_x')``
       for any ``g``, so each complementary or Appendix-B weight costs a few
       dot products.
@@ -265,10 +270,6 @@ class GroundState:
         return 2.0 * float(np.dot(dg * dg, pair))
 
     @cached_property
-    def _operator(self):
-        return assemble(self.spec)
-
-    @cached_property
     def _band_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(row_site, col_site, prod)`` over the nonzero entries ``(k, j)``,
         ``k >= 1``, of the band: ``prod = Re(conj(psi_{j+k}) H[j+k, j] psi_j)``
@@ -276,7 +277,7 @@ class GroundState:
 
         Row ``k = 0`` is left out: ``[G, [G, H]]`` has a zero diagonal.
         """
-        band = self._operator.band
+        band = assemble(self.spec).band
         k, j = np.nonzero(band[1:])
         k += 1
         i = j + k
@@ -307,7 +308,7 @@ class GroundState:
         # Python floats: an overflow gives inf or nan here, never an exception
         hi, lo = float(np.max(gx)), float(np.min(gx))
         gmax = max(1.0, abs(hi), abs(lo))
-        op_scale = spectral_scale(self._operator)
+        op_scale = assemble(self.spec).scale
         scale = op_scale * (gmax * gmax)
         # the largest (g(x) - g(x'))^2, up to 4 max|g|^2, times the scale
         dg_scale = op_scale * ((hi - lo) * (hi - lo))

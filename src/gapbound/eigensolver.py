@@ -211,7 +211,8 @@ class BandedHermitian:
     :func:`gapbound.lattice.assemble` from a validated model, or by
     :meth:`from_dense` from an array.  ``scale``, the spectral scale
     (:func:`spectral_scale`), is computed once here; an empty band has
-    scale 0.0.
+    scale 0.0.  The operator is immutable: assignment and deletion of an
+    attribute are refused.
     """
 
     __slots__ = ("band", "scale")
@@ -264,6 +265,9 @@ class BandedHermitian:
         return cls(band)
 
     def __setattr__(self, name, value):
+        raise AttributeError("BandedHermitian is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("BandedHermitian is immutable")
 
     @property

@@ -211,11 +211,12 @@ def _trial_problems(spec, declared, rng) -> list[str] | None:
 
     g = _random_weight(rng, spec.length)
     rep = state.complementary(g, res.gap)
-    tol = COMPLEMENTARY_RTOL * rep.scale
-    if rep.slack < -tol:
-        problems.append(f"complementary inequality violated (slack={rep.slack:.3e})")
-    if rep.agreement > tol:
-        problems.append(f"H_OD routes disagree by {rep.agreement:.3e}")
+    if not rep.ok:
+        problems.append(
+            f"complementary check failed (slack={rep.slack:.3e}, "
+            f"H_OD routes disagree by {rep.agreement:.3e})"
+        )
+    tol = rep.tolerance
 
     shifted = state.complementary(WeightFunction(g.g + 7.5), res.gap)
     if abs(shifted.var_g - rep.var_g) > tol or abs(
@@ -275,7 +276,9 @@ class FuzzReport:
 
     ``failures`` holds ``(trial index, problems)`` of the failing trial,
     or is empty when no trial failed; ``passed`` and
-    ``skipped_degenerate`` count the other trials that ran.
+    ``skipped_degenerate`` count the other trials that ran.  A run stopped
+    by a failure ran fewer trials than configured, and :meth:`format`
+    prints ``trials:  <ran> of <configured>``.
     """
 
     config: FuzzConfig
@@ -289,12 +292,14 @@ class FuzzReport:
 
     def format(self) -> str:
         c = self.config
+        ran = self.passed + self.skipped_degenerate + len(self.failures)
+        trials = c.trials if ran == c.trials else f"{ran} of {c.trials}"
         lines = [
             "fuzz report",
             f"seed:    {c.seed}",
             f"family:  {c.family}",
             f"sizes:   L in {list(c.size_range)}, N0 in {list(c.n0_range)}",
-            f"trials:  {c.trials} (passed {self.passed}, "
+            f"trials:  {trials} (passed {self.passed}, "
             f"skipped {self.skipped_degenerate} degenerate, "
             f"failed {len(self.failures)})",
         ]

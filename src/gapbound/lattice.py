@@ -29,9 +29,10 @@ hopping range, is solved on this band by
 :func:`~gapbound.eigensolver.lowest_two`, and its full spectrum
 (:attr:`~gapbound.eigensolver.SpectrumResult.eigenvalues`) is computed
 from the band too; no dense ``n x n`` matrix is built from a model.
-A model is immutable, so its operator and its block norms
-(:func:`hopping_norms`) are computed on first use and kept on the model;
-every later :func:`assemble` of the same model returns the same operator.
+A model is immutable: assigning or deleting an attribute is refused.  Its
+views :attr:`~ModelSpec.offdiag` and :attr:`~ModelSpec.onsite`, its operator
+(:func:`assemble`) and its block norms (:func:`hopping_norms`) follow one
+memo rule: each is a ``cached_property`` of the model, built on first read.
 
 The strength of the hopping between two supersites is measured by the
 spectral norm (largest singular value) of the N0 x N0 block; this equals
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -181,12 +183,9 @@ class ModelSpec:
     :meth:`from_arrays` builds the same model from block-band arrays.
     Every model, however built, ends in the same storage and the same
     validation.  A zero block, given or not, is no hopping (or no on-site
-    term).
+    term).  A model is immutable; its views, operator and block norms are
+    cached properties (the module's one memo rule).
     """
-
-    __slots__ = (
-        "length", "n0", "label", "_onsite", "_bands", "_views", "_operator", "_hopping_norms",
-    )
 
     def __init__(
         self,
@@ -295,12 +294,11 @@ class ModelSpec:
             blocks.flags.writeable = False
         object.__setattr__(self, "_onsite", onsite)
         object.__setattr__(self, "_bands", {d: bands[d] for d in sorted(bands) if bands[d].any()})
-        object.__setattr__(self, "_views", None)
-        # memoised by assemble() and hopping_norms(): the model is immutable
-        object.__setattr__(self, "_operator", None)
-        object.__setattr__(self, "_hopping_norms", None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("ModelSpec is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("ModelSpec is immutable")
 
     @property
@@ -319,28 +317,25 @@ class ModelSpec:
         """
         return MappingProxyType(self._bands)
 
-    def _mappings(self):
-        if self._views is None:
-            pairs = sorted(
-                (int(x), d) for d, blocks in self._bands.items() for x in _nonzero(blocks)
-            )
-            offdiag = {(x + 1, x + 1 + d): self._bands[d][x] for x, d in pairs}
-            onsite = {int(x) + 1: self._onsite[x] for x in _nonzero(self._onsite)}
-            object.__setattr__(
-                self, "_views", (MappingProxyType(offdiag), MappingProxyType(onsite))
-            )
-        return self._views
-
-    @property
+    @cached_property
     def offdiag(self):
         """Read-only mapping (x, x') -> nonzero hopping block, x < x', sorted
         by pair."""
-        return self._mappings()[0]
+        pairs = sorted((int(x), d) for d, blocks in self._bands.items() for x in _nonzero(blocks))
+        return MappingProxyType({(x + 1, x + 1 + d): self._bands[d][x] for x, d in pairs})
 
-    @property
+    @cached_property
     def onsite(self):
         """Read-only mapping x -> nonzero on-site block, sorted by site."""
-        return self._mappings()[1]
+        return MappingProxyType({int(x) + 1: self._onsite[x] for x in _nonzero(self._onsite)})
+
+    @cached_property
+    def _operator(self) -> BandedHermitian:
+        return _band_operator(self)
+
+    @cached_property
+    def _hopping_norms(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        return _block_norms(self)
 
     def flat_index(self, x: int, i: int) -> int:
         """Site-major flat index of basis state (x, i), indices 1-based."""
@@ -399,13 +394,11 @@ def assemble(spec: ModelSpec) -> BandedHermitian:
     matrix it stands for holds each stored block at (x, x') and its
     conjugate transpose at (x', x); no dense form of it is ever built.
 
-    The operator is memoised on the (immutable) model: every call with
-    the same ``spec`` returns the same object, so the band and its
-    spectral scale are computed once per model.  The operator holds no
+    The operator is a cached property of the (immutable) model: every
+    call with the same ``spec`` returns the same object, so the band and
+    its spectral scale are computed once per model.  The operator holds no
     reference back to the model.
     """
-    if spec._operator is None:
-        object.__setattr__(spec, "_operator", _band_operator(spec))
     return spec._operator
 
 
@@ -429,10 +422,8 @@ def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], 
     pairs ``(x, x + d)`` with a nonzero block and the spectral norms of
     those blocks.
 
-    Computed once per model and memoised on it; the arrays are read-only.
+    Memoised on the model like :func:`assemble`; the arrays are read-only.
     """
-    if spec._hopping_norms is None:
-        object.__setattr__(spec, "_hopping_norms", _block_norms(spec))
     return spec._hopping_norms
 
 

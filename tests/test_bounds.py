@@ -148,6 +148,19 @@ def test_commutator_route_matches_dense_matmul():
     assert rep.hod_commutator == pytest.approx(ref, rel=1e-12, abs=1e-14 * rep.scale)
 
 
+def test_ground_state_reads_the_models_band():
+    # the commutator route and the scale read the band memoised on the model;
+    # the record keeps no operator of its own
+    spec = impurity_model(20, -1.0)
+    h = assemble(spec)
+    res = lowest_two(h)
+    state = GroundState.of(res.psi0, spec)
+    rep = state.complementary(position_weight(spec.length), res.gap)
+    assert rep.ok and rep.tolerance == 1e-9 * rep.scale
+    assert assemble(spec) is h
+    assert not any(value is h for value in vars(state).values())
+
+
 def test_weight_dimension_mismatch():
     spec = ModelSpec(3, 1, [(1, 2, [[1.0]])])
     res, _, _ = _solve(spec)

@@ -323,7 +323,7 @@ def test_fuzz_failure_prints_the_report_and_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     lines = captured.out.splitlines()
-    assert "trials:  3 (passed 0, skipped 0 degenerate, failed 1)" in lines
+    assert "trials:  1 of 3 (passed 0, skipped 0 degenerate, failed 1)" in lines
     assert "status:  FAIL at trial 0: tail distribution is not monotone nonincreasing" in lines
     assert lines[-1] == (
         "reproduce: FuzzConfig(seed=42, trials=1, size_range=(4, 40), n0_range=(1, 3), "

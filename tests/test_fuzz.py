@@ -1,6 +1,7 @@
 """Fuzz harness: reproducibility, families, precondition gating."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -193,7 +194,8 @@ def test_trial_reports_a_negative_complementary_slack(monkeypatch):
         monkeypatch, lambda call, rep: dataclasses.replace(rep, slack=-rep.scale)
     )
     assert _failing_trial(monkeypatch) == (
-        f"complementary inequality violated (slack={reports[0].slack:.3e})"
+        f"complementary check failed (slack={reports[0].slack:.3e}, "
+        f"H_OD routes disagree by {reports[0].agreement:.3e})"
     )
 
 
@@ -201,7 +203,23 @@ def test_trial_reports_hod_routes_that_disagree(monkeypatch):
     reports = _patch_reports(monkeypatch, lambda call, rep: dataclasses.replace(
         rep, hod_commutator=rep.hod_explicit + rep.scale
     ))
-    assert _failing_trial(monkeypatch) == f"H_OD routes disagree by {reports[0].agreement:.3e}"
+    assert _failing_trial(monkeypatch) == (
+        f"complementary check failed (slack={reports[0].slack:.3e}, "
+        f"H_OD routes disagree by {reports[0].agreement:.3e})"
+    )
+
+
+def test_trial_reads_the_complementary_verdict_off_its_report(monkeypatch):
+    # a NaN slack compares false both ways: the report's verdict refuses it,
+    # so the trial must too
+    reports = _patch_reports(
+        monkeypatch, lambda call, rep: dataclasses.replace(rep, slack=math.nan)
+    )
+    assert _failing_trial(monkeypatch) == (
+        f"complementary check failed (slack=nan, "
+        f"H_OD routes disagree by {reports[0].agreement:.3e})"
+    )
+    assert not reports[0].ok
 
 
 @pytest.mark.parametrize("moved, message", [
@@ -374,6 +392,19 @@ def test_degenerate_model_is_counted_as_skipped(monkeypatch):
     report = run_fuzz(FuzzConfig(seed=1, trials=3, family=NN_FAMILY))
     assert (report.passed, report.skipped_degenerate, report.failures) == (0, 3, ())
     assert "trials:  3 (passed 0, skipped 3 degenerate, failed 0)" in report.format()
+
+
+def test_a_stopped_run_reports_how_many_trials_ran(monkeypatch):
+    calls = []
+
+    def problems(spec, declared, rng):
+        calls.append(spec)
+        return ["forced"] if len(calls) == 3 else []
+
+    monkeypatch.setattr(fuzz_mod, "_trial_problems", problems)
+    report = run_fuzz(FuzzConfig(seed=1, trials=5))
+    assert (report.passed, report.failures) == (2, ((2, "forced"),))
+    assert "trials:  3 of 5 (passed 2, skipped 0 degenerate, failed 1)" in report.format()
 
 
 def test_generated_models_respect_their_declarations():

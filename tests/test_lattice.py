@@ -32,6 +32,7 @@ from gapbound import (
 )
 from gapbound.eigensolver import HERMITIAN_TOL
 from gapbound.fuzz import FAMILIES, FuzzConfig, random_model, trial_rng
+import gapbound.lattice as lattice_mod
 from gapbound.lattice import ENVELOPE_RTOL, hopping_norms
 from gapbound.modelfile import format_model, parse_model
 
@@ -187,6 +188,33 @@ def test_modelspec_immutable():
         spec.offdiag[(1, 2)][0, 0] = 5.0
     with pytest.raises(TypeError):
         spec.offdiag[(1, 2)] = np.zeros((1, 1))
+    # deletion is refused too, of a field and of each memo, built or not
+    memos = ("offdiag", "onsite", "_operator", "_hopping_norms")
+    for name in ("length", "_bands", *memos):
+        with pytest.raises(AttributeError, match="ModelSpec is immutable"):
+            delattr(spec, name)
+    kept = [getattr(spec, name) for name in memos]
+    for name in ("length", "_bands", *memos):
+        with pytest.raises(AttributeError, match="ModelSpec is immutable"):
+            delattr(spec, name)
+    assert spec.length == 2
+    assert all(getattr(spec, name) is memo for name, memo in zip(memos, kept))
+    assert assemble(spec) is kept[2] and hopping_norms(spec) is kept[3]
+
+
+def test_model_memos_are_built_once(monkeypatch):
+    # the views are built from the nonzero rows of each band and the on-site
+    # array: one _nonzero per band and one for the sites, on first read only
+    real, seen = lattice_mod._nonzero, []
+    monkeypatch.setattr(lattice_mod, "_nonzero", lambda blocks: seen.append(1) or real(blocks))
+    b = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    spec = ModelSpec(4, 2, [(1, 3, b), (2, 3, 0.5 * b)], [(2, np.eye(2))])
+    assert spec.offdiag is spec.offdiag
+    assert spec.onsite is spec.onsite
+    for _ in range(3):
+        assert list(spec.offdiag) == [(1, 3), (2, 3)] and list(spec.onsite) == [2]
+        assert spec.block(1, 3) is not None and spec.block(3, 1) is not None
+    assert len(seen) == len(spec.hopping_bands) + 1
 
 
 def test_flat_index_site_major():
@@ -634,6 +662,11 @@ def test_assemble_is_memoised_on_the_model():
     assert h.scale == spectral_scale(h) == np.abs(band_to_dense(h)).sum(axis=1).max()
     with pytest.raises(AttributeError):
         h.scale = 0.0
+    for name in ("scale", "band"):
+        with pytest.raises(AttributeError, match="BandedHermitian is immutable"):
+            delattr(h, name)
+    assert h.scale == spectral_scale(h)
+    assert lowest_two(h).gap > 0
     assert assemble(spec) is h
     # a new model gets a new operator
     assert assemble(spec.with_shifted_onsite(1.0)) is not h
