@@ -41,9 +41,7 @@ from .errors import (
     DegenerateGroundState,
     EnvelopeViolation,
     GapboundError,
-    InsufficientData,
     ModelFormatError,
-    NonDecaying,
     NonHermitianError,
     ValidationError,
 )

@@ -25,13 +25,7 @@ from .bounds import (
     write_bound_csv,
     write_envelope_csv,
 )
-from .errors import (
-    EnvelopeViolation,
-    GapboundError,
-    InsufficientData,
-    NonDecaying,
-    ValidationError,
-)
+from .errors import EnvelopeViolation, GapboundError, ValidationError
 from .eigensolver import lowest_two, write_spectrum
 from .fuzz import FAMILIES, FuzzConfig, run_fuzz
 from .lattice import assemble, check_nearest_neighbor, fit_envelope
@@ -78,15 +72,14 @@ def cmd_bounds(args) -> int:
     delta_x = state.stats.delta_x
     print(f"model: {spec.label or args.model}  gap={result.gap:.6g}  deltaX={delta_x:.6g}")
 
-    try:
-        fit = fit_localization_length(state.profile, center=args.center)
+    fit = fit_localization_length(state.profile, center=args.center)
+    if fit.ok:
         print(
             f"density decay fit: xi_fit={fit.xi_fit:.6g} (r^2={fit.r_squared:.6g}, "
             f"window {fit.window[0]:.3g}..{fit.window[1]:.3g}, center={fit.center:g})"
         )
-    except (InsufficientData, NonDecaying) as exc:
-        fit = None
-        print(f"density decay fit unavailable: {exc}")
+    else:
+        print(f"density decay fit unavailable: {fit.reason}")
 
     envelope = fit_envelope(spec, args.mu)
     print(f"fitted hopping envelope: cv={envelope.cv:.6g}, mu={envelope.mu:g}")
@@ -144,7 +137,7 @@ def cmd_bounds(args) -> int:
         write_bound_csv(bounds, f"{args.out_prefix}_bounds.csv")
         for b, chk in checks:
             write_envelope_csv(chk, f"{args.out_prefix}_envelope_{b.kind}.csv")
-        if fit is not None:
+        if fit.ok:
             write_fit_csv(fit, f"{args.out_prefix}_fit.csv")
         print(f"reports written with prefix {args.out_prefix}")
 
@@ -193,24 +186,26 @@ def _sweep_config(args) -> SweepConfig:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         # every value is converted, also one that a flag overrides
         cfg = {key: _config_value(key, value) for key, value in cfg.items()}
-        # a JSON string may hold a file name the file system cannot: refuse it
-        # before the sweep runs, so that no file is left behind
-        try:
-            os.fsencode(cfg.get("out", ""))
-        except UnicodeEncodeError:
-            raise ValidationError(
-                f"config key 'out': {cfg['out']!r} cannot be encoded as a file name "
-                f"in the file-system encoding {sys.getfilesystemencoding()!r}"
-            ) from None
 
     def pick(key):
         flag = getattr(args, key)
         return flag if flag is not None else cfg.get(key, _CONFIG_KEYS[key][2])
 
+    # an output name that can never be a file, from the flag or the config,
+    # is refused before any point is solved: an empty one, or one (a JSON
+    # string may hold it) that the file system cannot encode
+    out = pick("out")
+    if not out:
+        raise ValidationError("out must be a nonempty file name, got ''")
+    try:
+        os.fsencode(out)
+    except UnicodeEncodeError:
+        raise ValidationError(
+            f"out {out!r} cannot be encoded as a file name "
+            f"in the file-system encoding {sys.getfilesystemencoding()!r}"
+        ) from None
     grid = default_h0_grid(points=pick("points"), lo=pick("h0_min"), hi=pick("h0_max"))
-    return SweepConfig(
-        L=pick("L"), h0_grid=grid, s=pick("s"), mu=pick("mu"), output_path=pick("out")
-    )
+    return SweepConfig(L=pick("L"), h0_grid=grid, s=pick("s"), mu=pick("mu"), output_path=out)
 
 
 def cmd_sweep(args) -> int:

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-Input errors raise; a failed check is a report.
+Input errors raise; a failed check or an unavailable fit is data.
 
 * ``ValidationError`` and subclasses: the *input* is outside the tool's
   domain (malformed file, index out of range, a hopping bound that does
@@ -10,10 +10,12 @@ Input errors raise; a failed check is a report.
   ``AppendixBReport``, ``FuzzReport``), whose ``ok`` or ``failures`` is
   the verdict.  CLI exit code 2 comes from a failed report, never from
   an exception.
+* A decay fit with nothing to fit raises nothing either: the
+  ``DecayFit`` it returns is not ``ok`` and its ``reason`` says why.
 
-Every other ``GapboundError`` (a degenerate ground state, too few points
-for a fit, a decay fit that does not decay) is not an input error; the
-CLI exits 1 on one that reaches it.
+Every other ``GapboundError`` (a degenerate ground state, a solver
+failure, a position spread ``deltaX`` unresolved within its error bound)
+is not an input error; the CLI exits 1 on one that reaches it.
 """
 
 from __future__ import annotations
@@ -50,11 +52,3 @@ class EnvelopeViolation(ValidationError):
 
 class DegenerateGroundState(GapboundError):
     """The two lowest eigenvalues coincide within tolerance; we refuse to pick."""
-
-
-class InsufficientData(GapboundError):
-    """Too few usable points for a fit."""
-
-
-class NonDecaying(GapboundError):
-    """A decay fit produced a non-negative slope."""

@@ -170,7 +170,9 @@ class ModelSpec:
     n0 : int
         Internal dimension per supersite.
     offdiag_blocks : iterable of (x, x', block)
-        Hopping blocks with ``x < x'``; each pair at most once.
+        Hopping blocks with ``x < x'``; each pair at most once.  Every
+        coordinate is a Python or numpy integer (a float, bool or string
+        is refused, not truncated).
     onsite_blocks : iterable of (x, block)
         Hermitian on-site blocks, one per site at most.  Each block is
         replaced by its Hermitian part ``(B + Bᴴ) / 2``; an entry farther
@@ -200,6 +202,8 @@ class ModelSpec:
         seen: set[tuple[int, int]] = set()
         for entry in offdiag_blocks:
             x, xp, block = entry
+            if not (_is_integer(x) and _is_integer(xp)):
+                raise ValidationError(f"hopping pair ({x!r}, {xp!r}) must hold integers")
             x, xp = int(x), int(xp)
             if not (1 <= x <= length and 1 <= xp <= length):
                 raise ValidationError(f"hopping pair ({x}, {xp}) out of range 1..{length}")
@@ -220,6 +224,8 @@ class ModelSpec:
         sites: set[int] = set()
         for entry in onsite_blocks:
             x, block = entry
+            if not _is_integer(x):
+                raise ValidationError(f"on-site coordinate {x!r} must be an integer")
             x = int(x)
             if not 1 <= x <= length:
                 raise ValidationError(f"on-site coordinate {x} out of range 1..{length}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NonDecaying, ValidationError
+from .errors import ValidationError
 from .lattice import ModelSpec
 from .textfile import csv_text, write_text
 
@@ -85,6 +85,10 @@ class DecayFit:
     coefficient of determination, ``window`` the smallest and largest
     fitted distance and ``center`` the site they are measured from (not
     written by :func:`write_fit_csv`).
+
+    ``reason`` is empty for an available fit; for an unavailable one it
+    says why, and every numeric field but ``center`` is NaN.  ``ok`` is
+    the verdict.
     """
 
     xi_fit: float
@@ -92,6 +96,11 @@ class DecayFit:
     r_squared: float
     window: tuple[float, float]
     center: float
+    reason: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.reason
 
 
 def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
@@ -163,14 +172,11 @@ def fit_localization_length(profile: DensityProfile, center: float | None = None
     ``|x - center|`` by the closed-form least-squares line (see
     :class:`DecayFit`).
 
-    Raises
-    ------
-    ValidationError
-        ``center`` is not a finite point of the lattice ``1..L``.
-    InsufficientData
-        Fewer than 4 usable points.
-    NonDecaying
-        The fitted slope is not negative.
+    A fit with nothing to fit is a result, not an error: with fewer than 4
+    usable points, an exactly flat window or a slope that is not negative,
+    the returned fit is not ``ok`` and its ``reason`` says which.  A
+    ``center`` that is not a finite point of the lattice ``1..L`` raises
+    ``ValidationError``.
     """
     p = profile.p
     if center is None:
@@ -180,22 +186,26 @@ def fit_localization_length(profile: DensityProfile, center: float | None = None
     length = profile.length
     if not 1 <= center <= length:
         raise ValidationError(f"fit center {center!r} lies outside the lattice 1..{length}")
+
+    def unavailable(reason: str) -> DecayFit:
+        return DecayFit(math.nan, math.nan, math.nan, (math.nan, math.nan), float(center), reason)
+
     x = profile.sites()
     usable = (p >= FIT_FLOOR) & (x > FIT_MARGIN) & (x <= length - FIT_MARGIN)
     if int(usable.sum()) < 4:
-        raise InsufficientData(
+        return unavailable(
             f"only {int(usable.sum())} usable points (need >= 4); "
             f"FIT_FLOOR={FIT_FLOOR:g}, FIT_MARGIN={FIT_MARGIN}"
         )
     d = np.abs(x[usable] - center)
     y = np.log(p[usable])
     if np.ptp(y) == 0.0:
-        raise NonDecaying("profile is exactly flat over the fit window")
+        return unavailable("profile is exactly flat over the fit window")
     d_mean, y_mean = float(d.mean()), float(y.mean())
     dc, yc = d - d_mean, y - y_mean
     slope = float(dc @ yc) / float(dc @ dc)  # >= 4 points hold >= 2 distinct distances
     if slope >= 0:
-        raise NonDecaying(f"fitted slope {slope:.3e} is not negative")
+        return unavailable(f"fitted slope {slope:.3e} is not negative")
     resid = yc - slope * dc
     ss_tot = float(yc @ yc)
     r_squared = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 0.0

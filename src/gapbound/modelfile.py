@@ -10,8 +10,9 @@ Format::
     T <x> <x'> <i> <j> <re> <im> hopping entry, x < x'
 
 ``L`` and ``N0`` must appear before the first V/T line.  Indices are
-1-based.  Diagonal on-site entries (i == j) must be real within 1e-12;
-the imaginary part is dropped inside that tolerance, and
+1-based, and a value's real and imaginary parts must be finite.
+Diagonal on-site entries (i == j) must be real within 1e-12; the
+imaginary part is dropped inside that tolerance, and
 :func:`format_model` always writes 0.  This text rule is absolute, not
 the model's relative one (:func:`gapbound.eigensolver.hermitian_part`),
 so that whether one line is accepted never depends on the other lines of
@@ -145,12 +146,22 @@ def _first_bad(checks, bad: list):
     return min(bad, default=None)
 
 
+def _finite(re: np.ndarray, im: np.ndarray):
+    """The ``(mask, reason)`` check that an entry's real and imaginary parts are finite."""
+    return (
+        ~(np.isfinite(re) & np.isfinite(im)),
+        lambda k: (
+            f"real and imaginary parts must be finite, got {float(re[k])!r} and {float(im[k])!r}"
+        ),
+    )
+
+
 def _onsite(columns, length: int, n0: int):
     """``(x, i, j, values)`` of the V rows and their ``(mask, reason)``
     checks, in check order."""
     xs, is_, js, res, ims = columns
     x, i, j = _ints(xs), _ints(is_), _ints(js)
-    im = np.array(ims, dtype=float)
+    re, im = np.asarray(res, dtype=float), np.asarray(ims, dtype=float)
     diag = i == j
     checks = [
         ((x < 1) | (x > length), lambda k: f"x={xs[k]} out of range 1..{length}"),
@@ -163,6 +174,7 @@ def _onsite(columns, length: int, n0: int):
             _repeats(((x - 1) * n0 + i - 1) * n0 + j - 1),
             lambda k: f"duplicate on-site entry V {xs[k]} {is_[k]} {js[k]}",
         ),
+        _finite(re, im),
         (
             diag & (np.abs(im) > HERMITIAN_TOL),
             lambda k: (
@@ -171,7 +183,7 @@ def _onsite(columns, length: int, n0: int):
             ),
         ),
     ]
-    return (x, i, j, _complex(res, np.where(diag, 0.0, im))), checks
+    return (x, i, j, _complex(re, np.where(diag, 0.0, im))), checks
 
 
 def _hopping(columns, length: int, n0: int):
@@ -179,6 +191,7 @@ def _hopping(columns, length: int, n0: int):
     checks, in check order."""
     xs, xps, is_, js, res, ims = columns
     x, xp, i, j = _ints(xs), _ints(xps), _ints(is_), _ints(js)
+    re, im = np.asarray(res, dtype=float), np.asarray(ims, dtype=float)
     checks = [
         (
             (x < 1) | (x > length) | (xp < 1) | (xp > length),
@@ -193,8 +206,9 @@ def _hopping(columns, length: int, n0: int):
             _repeats((((x - 1) * length + xp - 1) * n0 + i - 1) * n0 + j - 1),
             lambda k: f"duplicate hopping entry T {xs[k]} {xps[k]} {is_[k]} {js[k]}",
         ),
+        _finite(re, im),
     ]
-    return (x, xp, i, j, _complex(res, ims)), checks
+    return (x, xp, i, j, _complex(re, im)), checks
 
 
 _CHECKS = {"V": _onsite, "T": _hopping}

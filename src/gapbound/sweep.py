@@ -39,7 +39,7 @@ import numpy as np
 # kept: the benchmark tracer wraps them in gapbound.sweep
 from .bounds import GroundState, theorem1_bound, theorem2_bound, verify_envelope  # noqa: F401
 from .eigensolver import lowest_two
-from .errors import GapboundError, InsufficientData, NonDecaying, ValidationError
+from .errors import GapboundError, ValidationError
 from .lattice import (
     HoppingEnvelope,
     _check_impurity_length,
@@ -139,7 +139,11 @@ class SweepRow:
 def sweep_point(
     length: int, h0: float, s: float = SweepConfig.s, mu: float = SweepConfig.mu
 ) -> SweepRow:
-    """Solve one impurity chain, fit its decay about the density peak and check both envelopes."""
+    """Solve one impurity chain, fit its decay about the density peak and check both envelopes.
+
+    An unavailable fit (see :class:`~gapbound.localization.DecayFit`)
+    leaves ``xi_fit`` and ``fit_r_squared`` NaN.
+    """
     spec = impurity_model(length, h0)
     try:
         res = lowest_two(assemble(spec))
@@ -158,11 +162,7 @@ def sweep_point(
             f"its error bound {error:.3e}"
         )
     delta_x = state.stats.delta_x
-    try:
-        fit = fit_localization_length(state.profile)
-        xi_fit, r2 = fit.xi_fit, fit.r_squared
-    except (InsufficientData, NonDecaying):
-        xi_fit, r2 = math.nan, math.nan
+    fit = fit_localization_length(state.profile)
 
     b1 = theorem1_bound(HoppingEnvelope(cv=1.0, mu=mu), res.gap, s, delta_x)
     b2 = theorem2_bound(check_nearest_neighbor(spec).v0, res.gap, s, delta_x)
@@ -176,12 +176,12 @@ def sweep_point(
         e1=res.e1,
         gap=res.gap,
         delta_x=delta_x,
-        xi_fit=xi_fit,
+        xi_fit=fit.xi_fit,
         xi1=b1.xi,
         xi2=b2.xi,
         ratio1=root2 * b1.xi / delta_x,
         ratio2=root2 * b2.xi / delta_x,
-        fit_r_squared=r2,
+        fit_r_squared=fit.r_squared,
         violations1=int(chk1.violations.size),
         violations2=int(chk2.violations.size),
         radii1=int(chk1.r_grid.size),

@@ -276,6 +276,13 @@ def _ref_float(token: str, line_no: int, what: str) -> float:
         raise ModelFormatError(line_no, f"{what} must be a number, got {token!r}") from None
 
 
+def _ref_finite(re: float, im: float, line_no: int):
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ModelFormatError(
+            line_no, f"real and imaginary parts must be finite, got {re!r} and {im!r}"
+        )
+
+
 def reference_parse_model(text: str):
     """The model-file format parsed one line at a time, checks in line order.
 
@@ -338,6 +345,7 @@ def reference_parse_model(text: str):
                 if (x, i, j) in seen_onsite:
                     raise ModelFormatError(line_no, f"duplicate on-site entry V {x} {i} {j}")
                 seen_onsite.add((x, i, j))
+                _ref_finite(re, im, line_no)
                 if i == j:
                     if abs(im) > HERMITIAN_TOL:
                         raise ModelFormatError(
@@ -367,6 +375,7 @@ def reference_parse_model(text: str):
                 if (x, xp, i, j) in seen_hop:
                     raise ModelFormatError(line_no, f"duplicate hopping entry T {x} {xp} {i} {j}")
                 seen_hop.add((x, xp, i, j))
+                _ref_finite(re, im, line_no)
                 block = offdiag.setdefault((x, xp), np.zeros((n0, n0), dtype=np.complex128))
                 block[i - 1, j - 1] = complex(re, im)
         else:

@@ -70,6 +70,22 @@ def test_bounds_reports_the_decay_fit_and_combined_bounds(tmp_path, capsys):
     assert len(fit) == 2 and float(fit[1].split(",")[0]) > 0
 
 
+def test_bounds_reports_an_unavailable_fit_and_writes_no_fit_csv(tmp_path, capsys):
+    # the margins leave no usable point on this short chain
+    path = tmp_path / "chain.txt"
+    dump_model(impurity_model(16, -1.0), path)
+    prefix = str(tmp_path / "report")
+    code = main(["bounds", str(path), "--out-prefix", prefix])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1] == (
+        "density decay fit unavailable: only 0 usable points (need >= 4); "
+        "FIT_FLOOR=1e-13, FIT_MARGIN=10"
+    )
+    assert (tmp_path / "report_bounds.csv").exists()
+    assert not (tmp_path / "report_fit.csv").exists()
+
+
 def test_bounds_notes_a_check_that_covered_no_radius(tmp_path, capsys):
     # both onsets of a clean 4x100 strip lie beyond its farthest site: each
     # check line says that nothing was checked, and the exit code stays 0
@@ -184,6 +200,23 @@ def test_sweep_with_an_unresolved_deltaX_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: deltaX unresolved at h0=-1e+60: variance ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [None, {"out": "s.csv"}], ids=["flag", "flag-over-config"])
+def test_sweep_empty_out_flag_exits_1_before_any_point(tmp_path, capsys, monkeypatch, config):
+    # the empty name is refused as the config refuses it, before a point is solved
+    import gapbound.sweep as sweep_mod
+
+    calls = []
+    monkeypatch.setattr(sweep_mod, "sweep_point", lambda *a: calls.append(a))
+    argv = ["sweep", "--L", "40", "--points", "2", "--out", ""]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: out must be a nonempty file name, got ''\n"
+    assert calls == []
 
 
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):

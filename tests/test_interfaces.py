@@ -80,6 +80,15 @@ def test_benchmark_entry_points_resolve(monkeypatch):
     assert unresolved == []
 
 
+def test_the_decay_fit_exceptions_are_gone():
+    # an unavailable fit is a returned DecayFit, not an exception
+    import gapbound.errors
+
+    for name in ("InsufficientData", "NonDecaying"):
+        assert not hasattr(gapbound, name)
+        assert not hasattr(gapbound.errors, name)
+
+
 def test_unused_imports_are_tracer_targets():
     # a name a module imports but never reads is kept only so that the
     # benchmark tracer can wrap it there; any other is dead and should go

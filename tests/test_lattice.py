@@ -274,6 +274,29 @@ def test_flat_index_site_major():
             "internal index True must be an integer in 1..2",
         ),
         (lambda: ModelSpec(3, 2).block(True, 2), "coordinates (True, 2) must be integers"),
+        # the tuple constructor refuses them too, rather than truncate them with int()
+        (lambda: ModelSpec(3, 1, [(1, 2.9, [[1.0]])]), "hopping pair (1, 2.9) must hold integers"),
+        (lambda: ModelSpec(3, 1, [(1.0, 2, [[1.0]])]), "hopping pair (1.0, 2) must hold integers"),
+        (
+            lambda: ModelSpec(3, 1, [(True, 2, [[1.0]])]),
+            "hopping pair (True, 2) must hold integers",
+        ),
+        (
+            lambda: ModelSpec(3, 1, [("1", "2", [[1.0]])]),
+            "hopping pair ('1', '2') must hold integers",
+        ),
+        (
+            lambda: ModelSpec(3, 1, (), [(2.7, [[1.0]])]),
+            "on-site coordinate 2.7 must be an integer",
+        ),
+        (
+            lambda: ModelSpec(3, 1, (), [(True, [[1.0]])]),
+            "on-site coordinate True must be an integer",
+        ),
+        (
+            lambda: ModelSpec(3, 1, (), [("2", [[1.0]])]),
+            "on-site coordinate '2' must be an integer",
+        ),
         (lambda: FuzzConfig(seed=False), "seed must be a nonnegative integer, got False"),
         (lambda: FuzzConfig(trials=True), "trials must be an integer >= 1, got True"),
         (
@@ -284,11 +307,20 @@ def test_flat_index_site_major():
     ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half",
          "block-half", "block-float", "norm-half", "norm-float", "block-below", "block-above",
          "block-negative", "norm-below", "norm-above", "length-bool", "width-bool", "x-bool",
-         "i-bool", "block-bool", "fuzz-seed-bool", "fuzz-trials-bool", "fuzz-size-bool"],
+         "i-bool", "block-bool", "pair-float", "pair-whole-float", "pair-bool", "pair-str",
+         "onsite-float", "onsite-bool", "onsite-str", "fuzz-seed-bool", "fuzz-trials-bool",
+         "fuzz-size-bool"],
 )
 def test_non_integer_dimensions_and_coordinates_are_refused(call, match):
     with pytest.raises(ValidationError, match=re.escape(match)):
         call()
+
+
+def test_the_tuple_constructor_accepts_numpy_integer_coordinates():
+    spec = ModelSpec(3, 1, [(np.int64(1), np.int32(2), [[1.0]])], [(np.uint8(2), [[0.5]])])
+    assert spec.block(1, 2) == [[1.0]]
+    assert spec.block(2, 2) == [[0.5]]
+    assert list(spec.hopping_bands) == [1]
 
 
 ZERO_FREE_FILE = (

@@ -8,9 +8,7 @@ import pytest
 
 from gapbound import (
     DensityProfile,
-    InsufficientData,
     ModelSpec,
-    NonDecaying,
     ValidationError,
     assemble,
     density,
@@ -171,6 +169,7 @@ def _synthetic_exponential(length, center, xi):
 def test_fit_recovers_exact_exponential():
     prof = _synthetic_exponential(101, 51.0, 3.0)
     fit = fit_localization_length(prof, center=51.0)
+    assert fit.ok and fit.reason == ""
     assert fit.xi_fit == pytest.approx(3.0, rel=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
     assert fit.window[0] >= 0.0
@@ -200,20 +199,39 @@ def test_fit_without_a_center_fits_about_the_density_peak():
 
 
 def test_fit_uniform_profile_is_nondecaying():
-    prof = DensityProfile(p=np.full(60, 1.0 / 60.0))
-    with pytest.raises(NonDecaying):
-        fit_localization_length(prof, center=30.0)
+    fit = fit_localization_length(DensityProfile(p=np.full(60, 1.0 / 60.0)), center=30.0)
+    assert not fit.ok
+    assert fit.reason == "profile is exactly flat over the fit window"
 
 
 def test_fit_insufficient_data():
-    prof = _delta_profile(30, 15)
-    with pytest.raises(InsufficientData):
-        fit_localization_length(prof, center=15.0)
+    fit = fit_localization_length(_delta_profile(30, 15), center=15.0)
+    assert not fit.ok
+    assert fit.reason == "only 1 usable points (need >= 4); FIT_FLOOR=1e-13, FIT_MARGIN=10"
     prof2 = _synthetic_exponential(9, 5.0, 2.0)
     # the margins eat the whole chain; the message names the constants
-    message = "only 0 usable points (need >= 4); FIT_FLOOR=1e-13, FIT_MARGIN=10"
-    with pytest.raises(InsufficientData, match=f"^{re.escape(message)}$"):
-        fit_localization_length(prof2, center=5.0)
+    fit = fit_localization_length(prof2, center=5.0)
+    assert not fit.ok
+    assert fit.reason == "only 0 usable points (need >= 4); FIT_FLOOR=1e-13, FIT_MARGIN=10"
+
+
+_GROWING = np.arange(1, 31) / np.arange(1, 31).sum()
+
+
+@pytest.mark.parametrize("p, center, reason", [
+    (_synthetic_exponential(9, 5.0, 2.0).p, 5.0,
+     "only 0 usable points (need >= 4); FIT_FLOOR=1e-13, FIT_MARGIN=10"),
+    (np.full(60, 1.0 / 60.0), 30.0, "profile is exactly flat over the fit window"),
+    (_GROWING, 1.0, "fitted slope 6.589e-02 is not negative"),
+], ids=["too-few-points", "flat-window", "growing-profile"])
+def test_an_unavailable_fit_returns_its_reason(p, center, reason):
+    # a fit with nothing to fit is a result: NaN numbers, the centre given
+    fit = fit_localization_length(DensityProfile(p), center=center)
+    assert not fit.ok
+    assert fit.reason == reason
+    numbers = [fit.xi_fit, fit.intercept, fit.r_squared, *fit.window]
+    assert all(math.isnan(v) for v in numbers)
+    assert fit.center == center
 
 
 def test_fit_impurity_ground_state_matches_spread():
@@ -289,15 +307,10 @@ def test_csv_dumps(tmp_path):
     assert row == [fit.xi_fit, fit.intercept, fit.r_squared, 0.0, 5.0]  # no center
 
 
-_GROWING = np.arange(1, 31) / np.arange(1, 31).sum()
-
-
 @pytest.mark.parametrize("call, error, message", [
     (lambda: DensityProfile(np.full((2, 2), 0.25)), ValidationError,
      "density profile must be a nonempty 1-d array"),
-    (lambda: fit_localization_length(DensityProfile(_GROWING), center=1.0),
-     NonDecaying, "fitted slope 6.589e-02 is not negative"),
-], ids=["profile-2d", "growing-profile"])
+], ids=["profile-2d"])
 def test_localization_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

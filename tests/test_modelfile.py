@@ -76,6 +76,12 @@ def test_parse_complex_entries_imply_conjugate():
         ("L 2\nN0 1\nT 1 2 1 1 1 0\nT 1 2 1 1 1 0\nV 1 1 1 0\n", 4, "duplicate"),
         # a header error comes later
         ("L 2\nN0 1\nV 3 1 1 1 0\nL 3\n", 3, "out of range"),
+        # a value that is not finite; a NaN imaginary part of a diagonal
+        # entry would pass the realness check, so finiteness comes first
+        ("L 3\nN0 1\nV 2 1 1 1 nan\n", 3, "parts must be finite, got 1.0 and nan"),
+        ("L 3\nN0 1\nT 1 2 1 1 nan 0\n", 3, "parts must be finite, got nan and 0.0"),
+        ("L 3\nN0 1\nV 2 1 1 1e400 0\n", 3, "parts must be finite, got inf and 0.0"),
+        ("L 3\nN0 1\nV 2 1 1 -inf 0\n", 3, "parts must be finite, got -inf and 0.0"),
     ],
 )
 def test_parse_errors_report_line(text, line, fragment):
@@ -174,7 +180,7 @@ VALID_TEXTS = (
     "V 2 1 1 1_0 -0\nV 2 2 2 +2.5 1e-13\nV 1 1 2 1e300 -1e-300\n",
     "L 1\nN0 1\n",
 )
-# well-formed, but the model rejects the values
+# well-formed, but a value is not finite: refused with its line number
 NONFINITE_TEXTS = ("L 3\nN0 1\nV 2 1 1 inf 0\n", "L 3\nN0 1\nT 1 3 1 1 nan 0\n")
 
 
@@ -267,6 +273,9 @@ def _mutate(lines, k, kind, rng):
         c = int(rng.integers(1, len(tokens)))
         quote = str(rng.choice(['"', "'"]))
         tokens[c] = quote + tokens[c] + quote
+    elif kind == "nonfinite-value":
+        c = len(tokens) - int(rng.integers(1, 3))
+        tokens[c] = str(rng.choice(["nan", "inf", "-inf", "1e999"]))
     elif kind == "nul":
         c = int(rng.integers(1, len(tokens)))
         at = int(rng.integers(0, len(tokens[c]) + 1))
@@ -284,12 +293,11 @@ MUTATIONS = (
     "bad-token", "out-of-range", "i-greater-than-j", "duplicate", "before-header",
     "imaginary-diagonal", "unknown-tag", "token-count", "header", "header-replaced",
     "unicode-digits", "unicode-space", "trailing-comment", "signed-index", "float-index",
-    "quoted", "nul",
+    "quoted", "nul", "nonfinite-value",
 )
 # the mutations that keep a file valid (a second mutation may still break it)
 VALID_MUTATIONS = ("unicode-digits", "unicode-space", "signed-index")
-# every reason parse_model gives: the scan's, the entries', and the model's
-# refusal of non-finite values
+# every reason parse_model gives: the scan's and the entries'
 REASONS = (
     r"duplicate (L|N0) header",
     r"expected '(L|N0) <int>'",
@@ -310,7 +318,7 @@ REASONS = (
     r"duplicate on-site entry V ",
     r"duplicate hopping entry T ",
     r"diagonal on-site entry must be real within ",
-    r"(on-site|hopping) block .* contains non-finite entries",
+    r"real and imaginary parts must be finite, got ",
 )
 
 

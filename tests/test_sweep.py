@@ -168,6 +168,13 @@ def test_single_point_values():
     assert row.fit_r_squared > 0.999
 
 
+def test_an_unavailable_fit_leaves_nan_columns():
+    # the margins leave no usable point on this short chain
+    row = sweep_point(16, -1.0)
+    assert math.isnan(row.xi_fit) and math.isnan(row.fit_r_squared)
+    assert math.isfinite(row.delta_x) and math.isfinite(row.ratio2)
+
+
 # A dense 50001 x 50001 complex matrix needs 40 GB and an L x L float
 # array 20 GB; under a 2 GiB address-space limit either one raises
 # MemoryError at once instead of exhausting the host.
