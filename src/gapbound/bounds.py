@@ -71,6 +71,7 @@ from .lattice import (
     NNBound,
     _nonzero,
     _positive_int,
+    _real,
     assemble,
     require_envelope,
 )
@@ -142,14 +143,12 @@ def trapezoid_g(
     * ``"theorem2"`` (requires delta_r > 2): zero for
       ``u <= r_inner + 1``, unit-slope ramp up to the plateau value
       ``delta_r - 2`` reached at ``u = r_inner + delta_r - 1``.
+    ``center``, ``r_inner`` (>= 0) and ``delta_r`` must be finite real numbers.
     """
     length = _positive_int(length, "length")
-    if not math.isfinite(center):
-        raise ValidationError(f"center must be finite, got {center}")
-    if not (math.isfinite(r_inner) and r_inner >= 0):
-        raise ValidationError(f"r_inner must be finite and >= 0, got {r_inner}")
-    if not math.isfinite(delta_r):
-        raise ValidationError(f"delta_r must be finite, got {delta_r}")
+    _real(center, "center")
+    _real(r_inner, "r_inner", ">= 0")
+    _real(delta_r, "delta_r")
     u = np.abs(np.arange(1, length + 1, dtype=float) - center)
     if variant == THEOREM1:
         if not delta_r > 3:
@@ -298,7 +297,7 @@ class GroundState:
 
     def complementary(self, g: WeightFunction, delta_e0: float) -> ComplementaryReport:
         """The complementary inequality for the weight ``g`` (see :func:`g_expectations`)."""
-        _check_gap(delta_e0)
+        _real(delta_e0, "spectral gap", "> 0")
         spec = self.spec
         if g.length != spec.length:
             raise ValidationError(
@@ -445,14 +444,9 @@ def site_coupling_profile(bound: HoppingEnvelope | NNBound, length: int) -> np.n
     return 2.0 * (s + s[::-1])
 
 
-def _check_gap(delta_e0: float):
-    if not (math.isfinite(delta_e0) and delta_e0 > 0):
-        raise ValidationError(f"spectral gap must be finite and positive, got {delta_e0}")
-
-
 def variance_upper_bound(bound: HoppingEnvelope | NNBound, length: int, delta_e0: float) -> float:
     """Gap-based bound on the position variance: ``max_x V_x / (2 gap)``."""
-    _check_gap(delta_e0)
+    _real(delta_e0, "spectral gap", "> 0")
     return float(np.max(site_coupling_profile(bound, length))) / (2.0 * delta_e0)
 
 
@@ -471,11 +465,9 @@ def chebyshev_tail_bound(bound: HoppingEnvelope | NNBound, length: int, delta_e0
 
 
 def _check_bound_params(delta_e0: float, s: float, delta_x: float):
-    _check_gap(delta_e0)
-    if not 0.0 < s < 1.0:
-        raise ValidationError(f"parameter s must lie in (0, 1), got {s}")
-    if not (math.isfinite(delta_x) and delta_x >= 0):
-        raise ValidationError(f"position spread must be >= 0, got {delta_x}")
+    _real(delta_e0, "spectral gap", "> 0")
+    _real(s, "parameter s", "in (0, 1)")
+    _real(delta_x, "position spread", ">= 0")
 
 
 @dataclass(frozen=True)
@@ -485,10 +477,11 @@ class TailEnvelope:
     ``kind`` names the theorem that produced it (:data:`THEOREM1` or
     :data:`THEOREM2`) and ``amplitude`` its coupling constant: ``c1`` for
     theorem 1, the nearest-neighbour norm bound ``v0`` for theorem 2.
-    Every numeric field must be finite, ``r1 >= 0``, ``xi > 0`` and
-    ``prefactor > 0``, or :class:`ValidationError` names the field: a NaN
-    compares false with every tail, so such an envelope would pass every
-    check.
+    Every numeric field must be a finite real number (a bool or a string
+    is not one), ``r1 >= 0``, ``xi > 0`` and ``prefactor > 0``, or
+    :class:`ValidationError` names the field, as ``envelope <field> must
+    be ...``: a NaN compares false with every tail, so such an envelope
+    would pass every check.
     """
 
     kind: str
@@ -501,15 +494,9 @@ class TailEnvelope:
     delta_x: float
 
     def __post_init__(self):
-        for name in ("s", "amplitude", "r1", "xi", "prefactor", "delta_e0", "delta_x"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"envelope {name} must be finite, got {value}")
-        if self.r1 < 0:
-            raise ValidationError(f"envelope r1 must be >= 0, got {self.r1}")
-        for name in ("xi", "prefactor"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"envelope {name} must be > 0, got {getattr(self, name)}")
+        for name, rule in (("s", ""), ("amplitude", ""), ("r1", ">= 0"), ("xi", "> 0"),
+                           ("prefactor", "> 0"), ("delta_e0", ""), ("delta_x", "")):
+            _real(getattr(self, name), f"envelope {name}", rule)
 
     def evaluate(self, r) -> np.ndarray | float:
         """Envelope value at radius r (defined for r >= r1)."""
@@ -529,7 +516,8 @@ def theorem1_bound(
 
         xi = max( (3/2) sqrt((4e^2+1) c1 / (e s gap)),  3 ln(2e) / mu )
 
-    and ``c1`` from :func:`c1_constant` as its amplitude.
+    and ``c1`` from :func:`c1_constant` as its amplitude.  The gap (> 0),
+    ``s`` (in (0, 1)) and ``delta_x`` (>= 0) must be finite real numbers.
     """
     _check_bound_params(delta_e0, s, delta_x)
     c1 = c1_constant(envelope)
@@ -548,13 +536,10 @@ def theorem2_bound(
     """Exponential tail envelope for nearest-neighbor hopping of norm <= v0.
 
     The envelope holds for ``R >= r1 = sqrt((e+1)/(1-s)) * delta_x`` with
-    ``xi = sqrt(e v0 / (s gap)) + 2``, and ``v0`` as its amplitude.
+    ``xi = sqrt(e v0 / (s gap)) + 2``, and ``v0`` (finite, > 0) as its amplitude.
     """
     _check_bound_params(delta_e0, s, delta_x)
-    if not (math.isfinite(v0) and v0 > 0):
-        raise ValidationError(
-            f"nearest-neighbor amplitude must be finite and positive, got {v0}"
-        )
+    _real(v0, "nearest-neighbor amplitude", "> 0")
     r1 = math.sqrt((_E + 1.0) / (1.0 - s)) * delta_x
     xi = math.sqrt(_E * v0 / (s * delta_e0)) + 2.0
     prefactor = _E * (1.0 - s) / (_E + 1.0)
@@ -671,8 +656,7 @@ def best_s(
     :class:`TailEnvelope` built with the winning s.  ``r`` must be finite
     and > 0.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise ValidationError(f"radius r must be finite and > 0, got {r!r}")
+    _real(r, "radius r", "> 0")
     _require_bound(bound, HoppingEnvelope, NNBound)
     if isinstance(bound, HoppingEnvelope):
         bounds = (theorem1_bound(bound, delta_e0, s, delta_x) for s in S_GRID)

@@ -212,7 +212,8 @@ class BandedHermitian:
     :meth:`from_dense` from an array.  ``scale``, the spectral scale
     (:func:`spectral_scale`), is computed once here; an empty band has
     scale 0.0.  The operator is immutable: assignment and deletion of an
-    attribute are refused.
+    attribute are refused.  A pickled or copied operator is rebuilt by this
+    constructor from its band.
     """
 
     __slots__ = ("band", "scale")
@@ -263,6 +264,9 @@ class BandedHermitian:
         for k in range(b + 1):
             band[k, : n - k] = a.diagonal(-k)
         return cls(band)
+
+    def __reduce__(self):
+        return (BandedHermitian, (self.band,))
 
     def __setattr__(self, name, value):
         raise AttributeError("BandedHermitian is immutable")
@@ -336,7 +340,9 @@ class SpectrumResult:
     quotients of ``psi0``/``psi1``.  ``eigenvalues``, the full ascending
     spectrum, is computed on first access only and then cached, from the
     band of ``matrix`` (LAPACK ``hbevd``/``sbevd``, O(n * bandwidth)
-    memory).
+    memory).  A result pickles and copies; an unpickled or deep-copied
+    one's ``psi0`` and ``psi1`` are writeable, as the arrays of every
+    restored frozen dataclass are.
     """
 
     e0: float

@@ -3,8 +3,9 @@
 Input errors raise; a failed check or an unavailable fit is data.
 
 * ``ValidationError`` and subclasses: the *input* is outside the tool's
-  domain (malformed file, index out of range, a hopping bound that does
-  not dominate the hopping, non-Hermitian matrix, ...).  CLI exit code 1.
+  domain (malformed file, index out of range, an argument that is not a
+  finite real number in its range, a hopping bound that does not
+  dominate the hopping, non-Hermitian matrix, ...).  CLI exit code 1.
 * A guaranteed check that fails raises nothing: every check returns its
   report (``EnvelopeCheck``, ``ComplementaryReport``,
   ``AppendixBReport``, ``FuzzReport``), whose ``ok`` or ``failures`` is

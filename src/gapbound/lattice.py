@@ -64,17 +64,15 @@ class HoppingEnvelope:
     """Exponential envelope dominating all hopping norms.
 
     A model respects the envelope when every off-diagonal block satisfies
-    ``block_norm(x, x') <= cv * exp(-mu * |x - x'|)``.
+    ``block_norm(x, x') <= cv * exp(-mu * |x - x'|)``; ``cv, mu > 0``, finite.
     """
 
     cv: float
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.cv) and self.cv > 0):
-            raise ValidationError(f"envelope amplitude must be positive, got {self.cv}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValidationError(f"envelope decay rate must be finite and > 0, got {self.mu}")
+        _real(self.cv, "envelope amplitude", "> 0")
+        _real(self.mu, "envelope decay rate", "> 0")
 
     def value(self, distance):
         """Pair strength ``cv exp(-mu |d|)``: a float by ``math.exp``, or an array by ``np.exp``."""
@@ -90,14 +88,13 @@ class NNBound:
     Declared for a model, or derived from it by
     :func:`check_nearest_neighbor`, it is checked by the one rule of
     :func:`envelope_violations`, as an envelope that is ``v0`` at distance
-    1 and 0 beyond: every block at distance >= 2 must vanish.
+    1 and 0 beyond: every block at distance >= 2 must vanish.  ``v0 >= 0``, finite.
     """
 
     v0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.v0) and self.v0 >= 0):
-            raise ValidationError(f"nearest-neighbor bound must be >= 0, got {self.v0}")
+        _real(self.v0, "nearest-neighbor bound", ">= 0")
 
     def value(self, distance):
         """Pair strength ``v0`` at ``|d| <= 1``, ``0.0`` beyond: a float, or an array."""
@@ -109,6 +106,26 @@ class NNBound:
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value, name: str, rule: str = "") -> float:
+    """``value`` as a float, or :class:`ValidationError` naming the argument ``name``.
+
+    The one real-number rule: a Python or numpy int or float (a bool, a
+    string or None is not one), finite once converted to a float (an int
+    too large for a float is not) and within ``rule``, one of ``""``,
+    ``"> 0"``, ``">= 0"`` and ``"in (0, 1)"``, which the message quotes.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    within = {"": True, "> 0": x > 0, ">= 0": x >= 0, "in (0, 1)": 0 < x < 1}[rule]
+    if not (math.isfinite(x) and within):
+        raise ValidationError(f"{name} must be finite{rule and ' and ' + rule}, got {value!r}")
+    return x
 
 
 def _positive_int(value, name: str) -> int:
@@ -186,7 +203,9 @@ class ModelSpec:
     Every model, however built, ends in the same storage and the same
     validation.  A zero block, given or not, is no hopping (or no on-site
     term).  A model is immutable; its views, operator and block norms are
-    cached properties (the module's one memo rule).
+    cached properties (the module's one memo rule).  A pickled or copied
+    model is rebuilt by :meth:`from_arrays`, so its arrays are read-only
+    again and its caches are rebuilt on first read.
     """
 
     def __init__(
@@ -300,6 +319,9 @@ class ModelSpec:
             blocks.flags.writeable = False
         object.__setattr__(self, "_onsite", onsite)
         object.__setattr__(self, "_bands", {d: bands[d] for d in sorted(bands) if bands[d].any()})
+
+    def __reduce__(self):
+        return ModelSpec.from_arrays, (self.length, self.n0, self._bands, self._onsite, self.label)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelSpec is immutable")
@@ -468,8 +490,7 @@ def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
     so the envelope holds with equality at the extremal pair.  A ``cv`` that
     overflows, in ``exp(mu * d)`` or in the product, is refused.
     """
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValidationError(f"decay rate mu must be finite and > 0, got {mu}")
+    _real(mu, "decay rate mu", "> 0")
     if not spec.hopping_bands:
         raise ValidationError("cannot fit an envelope: model has no hopping blocks")
     try:
@@ -540,14 +561,14 @@ def impurity_model(length: int, h0: float) -> ModelSpec:
     """Open chain with unit nearest-neighbor hopping and one diagonal defect.
 
     ``length`` must be even; the chain has ``length + 1`` supersites
-    (N0 = 1) so the defect ``h0`` sits exactly at the center site
-    ``length // 2 + 1``.
+    (N0 = 1) so the defect ``h0``, a finite real number, sits exactly at
+    the center site ``length // 2 + 1``.
     """
     _check_impurity_length(length)
     sites = int(length) + 1
     center = int(length) // 2  # 0-based row of the site length // 2 + 1
     onsite = np.zeros((sites, 1, 1))
-    onsite[center] = float(h0)
+    onsite[center] = _real(h0, "h0")
     return ModelSpec.from_arrays(
         sites, 1, {1: np.ones((sites - 1, 1, 1))}, onsite,
         label=f"impurity chain (L={length}, h0={h0})",
@@ -562,9 +583,10 @@ def strip_model(
     Each column of the strip becomes one supersite with N0 = width
     internal states; hopping along the strip couples identical rows of
     adjacent columns, hopping across the strip lives in the on-site
-    blocks.
+    blocks.  ``t_along`` and ``t_across`` are finite real numbers.
     """
     length, width = _check_dims(length, width)
+    t_along, t_across = _real(t_along, "t_along"), _real(t_across, "t_across")
     across = np.zeros((width, width))
     for i in range(width - 1):
         across[i, i + 1] = across[i + 1, i] = t_across

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import ModelSpec
+from .lattice import ModelSpec, _real
 from .textfile import csv_text, write_text
 
 DENSITY_SUM_TOL = 1e-12
@@ -136,10 +136,10 @@ def tail_steps(profile: DensityProfile, mean: float) -> tuple[np.ndarray, np.nda
 
     The tail is constant on ``(d_k, d_{k+1}]`` and 0 past the last distance.
     It is read off suffix sums of ``p``, accumulated from the farthest site
-    inwards so that tiny tails are summed smallest terms first.
+    inwards so that tiny tails are summed smallest terms first.  ``mean``
+    must be a finite real number.
     """
-    if not math.isfinite(mean):
-        raise ValidationError(f"mean position must be finite, got {mean!r}")
+    _real(mean, "mean position")
     dist = np.abs(profile.sites() - mean)
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
@@ -175,14 +175,13 @@ def fit_localization_length(profile: DensityProfile, center: float | None = None
     A fit with nothing to fit is a result, not an error: with fewer than 4
     usable points, an exactly flat window or a slope that is not negative,
     the returned fit is not ``ok`` and its ``reason`` says which.  A
-    ``center`` that is not a finite point of the lattice ``1..L`` raises
-    ``ValidationError``.
+    ``center`` that is not a finite real number (a bool or a string is not
+    one) in the lattice ``1..L`` raises ``ValidationError``.
     """
     p = profile.p
     if center is None:
         center = float(np.argmax(p) + 1)
-    if not math.isfinite(center):
-        raise ValidationError(f"fit center must be finite, got {center!r}")
+    _real(center, "fit center")
     length = profile.length
     if not 1 <= center <= length:
         raise ValidationError(f"fit center {center!r} lies outside the lattice 1..{length}")

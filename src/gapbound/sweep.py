@@ -44,6 +44,7 @@ from .lattice import (
     HoppingEnvelope,
     _check_impurity_length,
     _is_integer,
+    _real,
     assemble,
     check_nearest_neighbor,
     impurity_model,
@@ -65,12 +66,11 @@ _H0_POINTS, _H0_MIN, _H0_MAX = 100, -1.0, -0.01
 def default_h0_grid(
     points: int = _H0_POINTS, lo: float = _H0_MIN, hi: float = _H0_MAX
 ) -> np.ndarray:
-    """Log-spaced defect strengths from lo to hi (both negative)."""
+    """Log-spaced defect strengths from lo to hi (both negative, finite real numbers)."""
     if not _is_integer(points) or points < 1:
         raise ValidationError(f"need an integer number of grid points >= 1, got {points!r}")
-    for name, value in (("h0_min", lo), ("h0_max", hi)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+    _real(lo, "h0_min")
+    _real(hi, "h0_max")
     if not (lo < 0 and hi < 0):
         raise ValidationError(f"defect strengths must be negative, got [{lo}, {hi}]")
     if points == 1:
@@ -80,7 +80,7 @@ def default_h0_grid(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of one tightness sweep."""
+    """Configuration of one tightness sweep; ``s`` must lie in (0, 1) and ``mu`` be > 0."""
 
     L: int = 500
     h0_grid: np.ndarray = field(default_factory=default_h0_grid)
@@ -101,10 +101,8 @@ class SweepConfig:
         grid = grid.copy()
         grid.flags.writeable = False
         object.__setattr__(self, "h0_grid", grid)
-        if not 0.0 < self.s < 1.0:
-            raise ValidationError(f"s must lie in (0, 1), got {self.s}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
+        _real(self.s, "s", "in (0, 1)")
+        _real(self.mu, "mu", "> 0")
 
 
 @dataclass(frozen=True)

@@ -329,14 +329,14 @@ def test_theorem1_and_appendixB_refuse_a_nearest_neighbour_bound():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("prefactor", math.nan, "envelope prefactor must be finite, got nan"),
-    ("xi", math.nan, "envelope xi must be finite, got nan"),
-    ("prefactor", math.inf, "envelope prefactor must be finite, got inf"),
-    ("r1", math.nan, "envelope r1 must be finite, got nan"),
+    ("prefactor", math.nan, "envelope prefactor must be finite and > 0, got nan"),
+    ("xi", math.nan, "envelope xi must be finite and > 0, got nan"),
+    ("prefactor", math.inf, "envelope prefactor must be finite and > 0, got inf"),
+    ("r1", math.nan, "envelope r1 must be finite and >= 0, got nan"),
     ("delta_x", -math.inf, "envelope delta_x must be finite, got -inf"),
-    ("r1", -1.0, "envelope r1 must be >= 0, got -1.0"),
-    ("xi", 0.0, "envelope xi must be > 0, got 0.0"),
-    ("prefactor", -0.5, "envelope prefactor must be > 0, got -0.5"),
+    ("r1", -1.0, "envelope r1 must be finite and >= 0, got -1.0"),
+    ("xi", 0.0, "envelope xi must be finite and > 0, got 0.0"),
+    ("prefactor", -0.5, "envelope prefactor must be finite and > 0, got -0.5"),
 ], ids=["prefactor-nan", "xi-nan", "prefactor-inf", "r1-nan", "delta-x-inf", "r1-negative",
         "xi-zero", "prefactor-negative"])
 def test_a_malformed_envelope_is_refused(field, value, message):
@@ -887,9 +887,9 @@ def test_bound_and_envelope_csv(tmp_path):
     (lambda: site_coupling_profile("chain", 4), ValidationError,
      "unsupported hopping bound str"),
     (lambda: theorem1_bound(HoppingEnvelope(1.0, 1.0), 0.5, 0.5, -1.0), ValidationError,
-     "position spread must be >= 0, got -1.0"),
+     "position spread must be finite and >= 0, got -1.0"),
     (lambda: theorem2_bound(1.0, 0.5, 0.5, math.nan), ValidationError,
-     "position spread must be >= 0, got nan"),
+     "position spread must be finite and >= 0, got nan"),
     (lambda: best_s("theorem1", 0.5, 1.0, 30.0), ValidationError,
      "unsupported hopping bound str"),
 ], ids=["weight-2d", "weight-empty", "weight-nan", "coupling-source", "spread-negative",

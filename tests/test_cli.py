@@ -219,6 +219,28 @@ def test_sweep_empty_out_flag_exits_1_before_any_point(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_sweep_out_in_a_missing_directory_exits_1_before_any_point(tmp_path, capsys, monkeypatch,
+                                                                    route):
+    # refused before a point is solved, and the directory is not created
+    import gapbound.sweep as sweep_mod
+
+    calls = []
+    monkeypatch.setattr(sweep_mod, "sweep_point", lambda *a: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--L", "40", "--points", "2"]
+    if route == "flag":
+        argv += ["--out", "missing/x.csv"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": "missing/x.csv"}))
+        argv += ["--config", "cfg.json"]
+    assert main(argv) == 1
+    message = "error: out 'missing/x.csv': 'missing' is not an existing directory\n"
+    assert capsys.readouterr().err == message
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
+
+
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"length": 40}))

@@ -1,7 +1,9 @@
 """Model declaration, assembly, envelopes, and the impurity chain."""
 
+import copy
 import gc
 import math
+import pickle
 import re
 import warnings
 
@@ -727,8 +729,33 @@ def test_dropping_an_assembled_model_leaves_no_cycle():
         gc.enable()
 
 
+@pytest.mark.parametrize("copier", [
+    lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("build", [
+    lambda: impurity_model(40, -1.0), lambda: strip_model(20, 3),
+], ids=["impurity", "strip"])
+def test_a_model_its_operator_and_its_result_round_trip(build, copier):
+    # every cache is filled first: the operator, the views and the block norms
+    spec = build()
+    h = assemble(spec)
+    spec.offdiag, spec.onsite, hopping_norms(spec)
+    res = lowest_two(h)
+    spec2, h2, res2 = copier(spec), copier(h), copier(res)
+    assert spec2.label == spec.label
+    for arr in (spec2._onsite, *spec2.hopping_bands.values(), h2.band):
+        assert not arr.flags.writeable
+    assert np.array_equal(h2.band, h.band) and h2.scale == h.scale
+    assert np.array_equal(assemble(spec2).band, h.band)
+    again = lowest_two(assemble(spec2))
+    assert (again.e0, again.e1) == (res.e0, res.e1)
+    assert np.array_equal(again.psi0, res.psi0)
+    assert (res2.e0, res2.e1, res2.gap) == (res.e0, res.e1, res.gap)
+    assert np.array_equal(res2.psi0, res.psi0) and np.array_equal(res2.matrix.band, h.band)
+
+
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: NNBound(-1), ValidationError, "nearest-neighbor bound must be >= 0, got -1"),
+    (lambda: NNBound(-1), ValidationError, "nearest-neighbor bound must be finite and >= 0, got -1"),
     (lambda: ModelSpec(3, 1, onsite_blocks=[(4, [[1.0]])]), ValidationError,
      "on-site coordinate 4 out of range 1..3"),
     (lambda: ModelSpec(3, 1, onsite_blocks=[(0, [[1.0]])]), ValidationError,

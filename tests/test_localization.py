@@ -198,6 +198,15 @@ def test_fit_without_a_center_fits_about_the_density_peak():
     assert fit == fit_localization_length(prof, center=251)
 
 
+@pytest.mark.parametrize("center", [True, "30"], ids=["bool", "string"])
+def test_a_bool_or_string_fit_center_is_refused(center):
+    # a bool used to fit about site 1, a string to escape as a bare TypeError
+    prof = _synthetic_exponential(60, 30.0, 3.0)
+    message = f"fit center must be a real number, got {center!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fit_localization_length(prof, center=center)
+
+
 def test_fit_uniform_profile_is_nondecaying():
     fit = fit_localization_length(DensityProfile(p=np.full(60, 1.0 / 60.0)), center=30.0)
     assert not fit.ok
