@@ -51,7 +51,6 @@ from .lattice import (
     ModelSpec,
     NNBound,
     assemble,
-    block_norm,
     check_nearest_neighbor,
     envelope_violations,
     fit_envelope,

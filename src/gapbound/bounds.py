@@ -64,6 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .eigensolver import _numbers
 from .errors import ValidationError
 from .lattice import (
     HoppingEnvelope,
@@ -102,12 +103,12 @@ S_GRID = tuple(np.arange(0.05, 0.951, 0.05).tolist())
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Real site weight g tabulated on x = 1..L."""
+    """Real site weight g tabulated on x = 1..L: finite real numbers (:func:`_numbers`)."""
 
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
+        g = _numbers(self.g, "weight function")
         if g.ndim != 1 or g.size == 0:
             raise ValidationError("weight function must be a nonempty 1-d array")
         if not np.all(np.isfinite(g)):
@@ -221,9 +222,10 @@ def _stored_pair_products(a: np.ndarray, spec: ModelSpec):
 class GroundState:
     """One solved model's ground state and what every check reads of it.
 
-    Built once per solved model by :meth:`of`, which validates the density
-    ``profile`` and takes its :class:`PositionStats` ``stats`` (``<x>``, the
-    variance and ``deltaX``).  The rest is computed on first use and kept:
+    Built once per solved model by :meth:`of`, which validates ``psi0`` and
+    the density ``profile`` (:func:`~gapbound.localization.density`) and
+    takes its :class:`PositionStats` ``stats`` (``<x>``, the variance and
+    ``deltaX``).  The rest is computed on first use and kept:
 
     * ``steps``: ``(radii, tails)`` of :func:`tail_steps` about ``<x>``,
       read-only; :meth:`check` reads them for every envelope;
@@ -243,7 +245,7 @@ class GroundState:
 
     @classmethod
     def of(cls, psi0: np.ndarray, spec: ModelSpec) -> "GroundState":
-        psi = np.asarray(psi0, dtype=np.complex128)
+        psi = _numbers(psi0, "coefficient vector", np.complex128)
         profile = density(psi, spec)
         return cls(spec, psi, profile, position_stats(profile))
 
@@ -264,6 +266,7 @@ class GroundState:
 
     def hod_explicit(self, gx: np.ndarray) -> float:
         """<H_OD> as 2 * sum over hopping pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
+        gx = _numbers(gx, "weight function")
         left, right, pair = self._pairs
         dg = gx[left] - gx[right]
         return 2.0 * float(np.dot(dg * dg, pair))
@@ -291,6 +294,7 @@ class GroundState:
         ``(g_{j+k} - g_j)^2 H[j+k, j]``; each lower entry stands for itself
         and its conjugate mirror.
         """
+        gx = _numbers(gx, "weight function")
         row_site, col_site, prod = self._band_products
         dg = gx[row_site] - gx[col_site]
         return 2.0 * float(np.dot(dg * dg, prod))
@@ -454,9 +458,10 @@ def chebyshev_tail_bound(bound: HoppingEnvelope | NNBound, length: int, delta_e0
     """Power-law tail bound ``min(1, max_x V_x / (2 R^2 gap))``.
 
     ``r`` may be a scalar (returns a float) or an array of radii (returns
-    an array); the coupling profile is computed once for all of them.
+    an array), of positive real numbers (:func:`_numbers`); the coupling
+    profile is computed once for all of them.
     """
-    r = np.asarray(r, dtype=float)
+    r = _numbers(r, "radius")
     bad = ~(r > 0)  # NaN fails too
     if np.any(bad):
         raise ValidationError(f"radius must be positive, got {r[bad][0]}")
@@ -499,8 +504,8 @@ class TailEnvelope:
             _real(getattr(self, name), f"envelope {name}", rule)
 
     def evaluate(self, r) -> np.ndarray | float:
-        """Envelope value at radius r (defined for r >= r1)."""
-        r = np.asarray(r, dtype=float)
+        """Envelope value at radius r, real numbers >= r1 (:func:`_numbers`)."""
+        r = _numbers(r, "radius")
         if not np.all(r >= self.r1 - ONSET_ATOL):  # NaN fails too
             raise ValidationError(f"envelope defined for R >= r1 = {self.r1:g}")
         out = self.prefactor * np.exp(-(r - self.r1) / self.xi)
@@ -578,7 +583,7 @@ def _check_steps(radii: np.ndarray, tail_values: np.ndarray, bound: TailEnvelope
     # the radii >= r1, and > 0 when r1 = 0
     start = np.searchsorted(radii, bound.r1, side="left" if bound.r1 > 0 else "right")
     radii, tail_values = radii[start:], tail_values[start:]
-    bound_values = np.asarray(bound.evaluate(radii), dtype=float)
+    bound_values = bound.evaluate(radii)
     violations = radii[tail_values > bound_values + ENVELOPE_TOL]
     for arr in (radii, bound_values, tail_values, violations):
         arr.flags.writeable = False

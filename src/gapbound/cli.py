@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .bounds import (
@@ -191,25 +190,10 @@ def _sweep_config(args) -> SweepConfig:
         flag = getattr(args, key)
         return flag if flag is not None else cfg.get(key, _CONFIG_KEYS[key][2])
 
-    # an output name that can never be a file, from the flag or the config,
-    # is refused before any point is solved: an empty one, one (a JSON
-    # string may hold it) that the file system cannot encode, or one in a
-    # directory that does not exist (none is created)
-    out = pick("out")
-    if not out:
-        raise ValidationError("out must be a nonempty file name, got ''")
-    try:
-        os.fsencode(out)
-    except UnicodeEncodeError:
-        raise ValidationError(
-            f"out {out!r} cannot be encoded as a file name "
-            f"in the file-system encoding {sys.getfilesystemencoding()!r}"
-        ) from None
-    directory = os.path.dirname(out) or "."
-    if not os.path.isdir(directory):
-        raise ValidationError(f"out {out!r}: {directory!r} is not an existing directory")
     grid = default_h0_grid(points=pick("points"), lo=pick("h0_min"), hi=pick("h0_max"))
-    return SweepConfig(L=pick("L"), h0_grid=grid, s=pick("s"), mu=pick("mu"), output_path=out)
+    return SweepConfig(
+        L=pick("L"), h0_grid=grid, s=pick("s"), mu=pick("mu"), output_path=pick("out")
+    )
 
 
 def cmd_sweep(args) -> int:

@@ -197,6 +197,26 @@ def hermitian_part(blocks: np.ndarray, *rest: np.ndarray):
     return (half, int(far[0]), float(dist[far[0]])) if far.size else (half, None, 0.0)
 
 
+def _numbers(value, name: str, dtype=float, copy: bool = False) -> np.ndarray:
+    """``value`` as an array of ``dtype``, or :class:`ValidationError` naming it ``name``.
+
+    The one numeric-array rule: ``np.asarray(value)`` must hold integers or
+    floats (or complex numbers, when ``dtype`` is ``np.complex128``); a bool,
+    string or object array (``None``, a ``Fraction``, an int past int64) or
+    a ragged sequence is refused.  It may return the caller's own array,
+    unless ``copy`` asks for a new C-ordered one.
+    """
+    kind = "complex" if np.dtype(dtype).kind == "c" else "real"
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged sequence
+        raise ValidationError(f"{name} must hold {kind} numbers, got a ragged sequence") from None
+    if a.dtype.kind not in ("iufc" if kind == "complex" else "iuf"):
+        detail = repr(value) if a.ndim == 0 else f"an array of {a.dtype}"
+        raise ValidationError(f"{name} must hold {kind} numbers, got {detail}")
+    return a.astype(dtype, order="C") if copy else a.astype(dtype, copy=False)
+
+
 class BandedHermitian:
     """Hermitian matrix stored as its lower band, in LAPACK lower-band layout.
 
@@ -209,7 +229,8 @@ class BandedHermitian:
     are dropped, so ``bandwidth`` is the true nonzero bandwidth.  The band
     is the only form of the matrix.  Built by
     :func:`gapbound.lattice.assemble` from a validated model, or by
-    :meth:`from_dense` from an array.  ``scale``, the spectral scale
+    :meth:`from_dense` from an array; ``band`` must hold numbers
+    (:func:`_numbers`).  ``scale``, the spectral scale
     (:func:`spectral_scale`), is computed once here; an empty band has
     scale 0.0.  The operator is immutable: assignment and deletion of an
     attribute are refused.  A pickled or copied operator is rebuilt by this
@@ -219,7 +240,7 @@ class BandedHermitian:
     __slots__ = ("band", "scale")
 
     def __init__(self, band: np.ndarray):
-        band = np.asarray(band, dtype=np.complex128)
+        band = _numbers(band, "band", np.complex128)
         if band.ndim != 2 or band.shape[0] < 1:
             raise ValidationError(f"expected a (bandwidth + 1, n) band, got shape {band.shape}")
         if not np.isfinite(band).all():
@@ -245,15 +266,14 @@ class BandedHermitian:
     def from_dense(cls, array) -> BandedHermitian:
         """The band of a dense Hermitian array, validated.
 
-        Accepts any square, finite array whose entries all lie within the
-        rule of :func:`hermitian_part` of its Hermitian part ``(A + Aᴴ) / 2``
-        (else :class:`NonHermitianError`), and keeps the lower band of that
-        part up to the true bandwidth.
+        Accepts any square, finite array of numbers (:func:`_numbers`) whose
+        entries all lie within the rule of :func:`hermitian_part` of its
+        Hermitian part ``(A + Aᴴ) / 2`` (else :class:`NonHermitianError`), and
+        keeps the lower band of that part up to the true bandwidth.
         """
-        a = np.asarray(array)
+        a = _numbers(array, "matrix", np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        a = a.astype(np.complex128, copy=False)
         if not np.isfinite(a).all():
             raise ValidationError("matrix contains non-finite entries")
         (a,), first, dist = hermitian_part(a[None])
@@ -288,7 +308,8 @@ class BandedHermitian:
         return (self.n, self.n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``H @ v`` in O(n * bandwidth) (BLAS ``zhbmv``)."""
+        """``H @ v`` in O(n * bandwidth) (BLAS ``zhbmv``); ``v`` must hold numbers."""
+        v = _numbers(v, "vector", np.complex128)
         return zhbmv(self.bandwidth, 1.0, self.band, v, lower=1)
 
     def __repr__(self):
@@ -311,11 +332,12 @@ def spectral_scale(h) -> float:
     """Maximum row 1-norm of the matrix (its infinity norm).
 
     Used as the natural magnitude for residual and degeneracy tolerances.
-    A banded operator keeps its own, :attr:`BandedHermitian.scale`.
+    A banded operator keeps its own, :attr:`BandedHermitian.scale`; an array
+    must hold numbers (:func:`_numbers`, as ``matrix``).
     """
     if isinstance(h, BandedHermitian):
         return h.scale
-    a = np.asarray(h)
+    a = _numbers(h, "matrix", np.complex128)
     if a.size == 0:
         return 0.0
     return float(np.max(np.sum(np.abs(a), axis=1)))

@@ -51,7 +51,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .eigensolver import BandedHermitian, hermitian_part
+from .eigensolver import BandedHermitian, _numbers, hermitian_part
 from .errors import EnvelopeViolation, NonHermitianError, ValidationError
 
 # relative slack of envelope_violations: a block norm up to
@@ -63,8 +63,9 @@ ENVELOPE_RTOL = 1e-12
 class HoppingEnvelope:
     """Exponential envelope dominating all hopping norms.
 
-    A model respects the envelope when every off-diagonal block satisfies
-    ``block_norm(x, x') <= cv * exp(-mu * |x - x'|)``; ``cv, mu > 0``, finite.
+    A model respects the envelope when, for every pair (x, x'), the spectral
+    norm of the block of the pair (x, x') is at most
+    ``cv * exp(-mu * |x - x'|)``; ``cv, mu > 0``, finite.
     """
 
     cv: float
@@ -139,7 +140,7 @@ def _check_dims(length, n0) -> tuple[int, int]:
 
 
 def _as_block(block, n0: int, what: str) -> np.ndarray:
-    b = np.array(block, dtype=np.complex128)
+    b = _numbers(block, what, np.complex128)
     if b.shape != (n0, n0):
         raise ValidationError(f"{what} must have shape ({n0}, {n0}), got {b.shape}")
     return b
@@ -201,7 +202,9 @@ class ModelSpec:
 
     :meth:`from_arrays` builds the same model from block-band arrays.
     Every model, however built, ends in the same storage and the same
-    validation.  A zero block, given or not, is no hopping (or no on-site
+    validation; each block must hold numbers (the rule of
+    :func:`~gapbound.eigensolver._numbers`: a bool, string or object block
+    is refused).  A zero block, given or not, is no hopping (or no on-site
     term).  A model is immutable; its views, operator and block norms are
     cached properties (the module's one memo rule).  A pickled or copied
     model is rebuilt by :meth:`from_arrays`, so its arrays are read-only
@@ -268,14 +271,15 @@ class ModelSpec:
         ``hopping`` maps a distance ``d`` to an ``(L - d, N0, N0)`` array
         whose row ``x - 1`` is the block of the pair ``(x, x + d)``.
         ``onsite`` is an ``(L, N0, N0)`` array of on-site blocks (default:
-        none).  Zero blocks are no hopping and no on-site term.
+        none).  Zero blocks are no hopping and no on-site term.  Both must
+        hold numbers, as the blocks of the constructor must.
         """
         length, n0 = _check_dims(length, n0)
         bands = {}
         for d, blocks in (hopping or {}).items():
             if not _is_integer(d) or not 1 <= d < length:
                 raise ValidationError(f"hopping distance must lie in 1..{length - 1}, got {d!r}")
-            blocks = np.array(blocks, dtype=np.complex128, order="C")
+            blocks = _numbers(blocks, f"hopping band at distance {d}", np.complex128, copy=True)
             if blocks.shape != (length - int(d), n0, n0):
                 raise ValidationError(
                     f"hopping band at distance {d} must have shape "
@@ -285,7 +289,7 @@ class ModelSpec:
         if onsite is None:
             on = np.zeros((length, n0, n0), dtype=np.complex128)
         else:
-            on = np.array(onsite, dtype=np.complex128, order="C")
+            on = _numbers(onsite, "on-site blocks", np.complex128, copy=True)
             if on.shape != (length, n0, n0):
                 raise ValidationError(
                     f"on-site blocks must have shape ({length}, {n0}, {n0}), got {on.shape}"
@@ -365,44 +369,6 @@ class ModelSpec:
     def _hopping_norms(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         return _block_norms(self)
 
-    def flat_index(self, x: int, i: int) -> int:
-        """Site-major flat index of basis state (x, i), indices 1-based."""
-        if not _is_integer(x) or not 1 <= x <= self.length:
-            raise ValidationError(f"coordinate {x!r} must be an integer in 1..{self.length}")
-        if not _is_integer(i) or not 1 <= i <= self.n0:
-            raise ValidationError(f"internal index {i!r} must be an integer in 1..{self.n0}")
-        return (x - 1) * self.n0 + (i - 1)
-
-    def block(self, x: int, xp: int) -> np.ndarray | None:
-        """Hopping block from x' to x as placed in the matrix row block x.
-
-        Returns None when the block is zero: the pair carries no hopping
-        (or, for ``x == x'``, the site no on-site term).  ``block(x', x)``
-        is the conjugate transpose of ``block(x, x')``.  A coordinate off
-        the lattice is refused, as by :meth:`flat_index`.
-        """
-        if not all(_is_integer(v) for v in (x, xp)):
-            raise ValidationError(f"coordinates ({x!r}, {xp!r}) must be integers")
-        for v in (x, xp):
-            if not 1 <= v <= self.length:
-                raise ValidationError(f"coordinate {v!r} must be an integer in 1..{self.length}")
-        lo, hi = min(x, xp), max(x, xp)
-        if lo == hi:
-            b = self._onsite[lo - 1]
-        elif hi - lo in self._bands:
-            b = self._bands[hi - lo][lo - 1]
-        else:
-            return None
-        if not b.any():
-            return None
-        return b if x <= xp else b.conj().T
-
-    def with_shifted_onsite(self, c: float) -> "ModelSpec":
-        """New model with ``c * identity`` added to every on-site block."""
-        return ModelSpec.from_arrays(
-            self.length, self.n0, self._bands, self._onsite + c * np.eye(self.n0), self.label
-        )
-
     def __repr__(self):
         hoppings = sum(_nonzero(blocks).size for blocks in self._bands.values())
         return (
@@ -467,26 +433,12 @@ def _block_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], .
     return tuple(out)
 
 
-def block_norm(spec: ModelSpec, x: int, xp: int) -> float:
-    """Spectral norm of the hopping block between supersites x and x'.
-
-    Symmetric in its arguments; 0.0 when no block is specified.  A
-    coordinate off the lattice is refused.
-    """
-    if x == xp:
-        raise ValidationError("block_norm is defined for distinct supersites only")
-    lo, hi = min(x, xp), max(x, xp)
-    b = spec.block(lo, hi)
-    if b is None:
-        return 0.0
-    return float(_norms(b[None], [lo], hi - lo)[0])
-
-
 def fit_envelope(spec: ModelSpec, mu: float) -> HoppingEnvelope:
     """Tightest exponential envelope at decay rate mu.
 
     Returns ``HoppingEnvelope(cv, mu)`` with
-    ``cv = max over pairs of block_norm(x, x') * exp(mu * |x - x'|)``,
+    ``cv`` the largest, over pairs (x, x'), of the spectral norm of the block
+    of the pair (x, x') times ``exp(mu * |x - x'|)``,
     so the envelope holds with equality at the extremal pair.  A ``cv`` that
     overflows, in ``exp(mu * d)`` or in the product, is refused.
     """

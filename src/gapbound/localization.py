@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolver import _numbers
 from .errors import ValidationError
 from .lattice import ModelSpec, _real
 from .textfile import csv_text, write_text
@@ -34,12 +35,13 @@ FIT_MARGIN = 10
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Probability per supersite, indexed by x = 1..L; sums to one."""
+    """Probability per supersite, indexed by x = 1..L: real numbers (:func:`_numbers`)
+    that sum to one."""
 
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = _numbers(self.p, "density profile")
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("density profile must be a nonempty 1-d array")
         if not np.min(p) >= -DENSITY_NEGATIVE_TOL:  # NaN fails too
@@ -106,9 +108,10 @@ class DecayFit:
 def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
     """Particle density per supersite from a normalized coefficient vector.
 
-    Its squared norm, the density's sum, must be 1 within ``DENSITY_SUM_TOL``.
+    ``psi0`` must hold numbers (:func:`_numbers`), and its squared norm,
+    the density's sum, must be 1 within ``DENSITY_SUM_TOL``.
     """
-    psi = np.asarray(psi0, dtype=np.complex128)
+    psi = _numbers(psi0, "coefficient vector", np.complex128)
     if psi.ndim != 1 or psi.size != spec.dim:
         raise ValidationError(
             f"coefficient vector has size {psi.size}, model needs {spec.dim}"
@@ -153,8 +156,10 @@ def tail(profile: DensityProfile, mean: float, r):
     """Tail probability ``P(|x - mean| >= r)`` over the integer sites.
 
     ``r`` may be a scalar (returns a float) or an array of radii (returns
-    an array); both are read off :func:`tail_steps`.  A NaN radius is refused.
+    an array) of real numbers (:func:`_numbers`); both are read off
+    :func:`tail_steps`.  A NaN radius is refused.
     """
+    r = _numbers(r, "tail radius")
     if np.isnan(r).any():
         raise ValidationError("tail radius must not be NaN")
     radii, tails = tail_steps(profile, mean)

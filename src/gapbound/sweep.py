@@ -31,6 +31,8 @@ identical configurations.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +40,7 @@ import numpy as np
 # ``density``, ``position_stats`` and ``verify_envelope`` are unused here but
 # kept: the benchmark tracer wraps them in gapbound.sweep
 from .bounds import GroundState, theorem1_bound, theorem2_bound, verify_envelope  # noqa: F401
-from .eigensolver import lowest_two
+from .eigensolver import _numbers, lowest_two
 from .errors import GapboundError, ValidationError
 from .lattice import (
     HoppingEnvelope,
@@ -80,7 +82,8 @@ def default_h0_grid(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of one tightness sweep; ``s`` must lie in (0, 1) and ``mu`` be > 0."""
+    """Configuration of one tightness sweep: an ``h0_grid`` of negative, finite real numbers
+    (:func:`_numbers`), ``s`` in (0, 1), ``mu`` > 0; :func:`run_sweep` checks ``output_path``."""
 
     L: int = 500
     h0_grid: np.ndarray = field(default_factory=default_h0_grid)
@@ -90,7 +93,7 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_impurity_length(self.L)  # as impurity_model would at every point
-        grid = np.asarray(self.h0_grid, dtype=float)
+        grid = _numbers(self.h0_grid, "h0 grid")
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError("h0 grid must be a nonempty 1-d array")
         nonfinite = grid[~np.isfinite(grid)]
@@ -187,11 +190,36 @@ def sweep_point(
     )
 
 
+def _check_output_path(out) -> None:
+    """Refuse an output name that can never be written (see :func:`run_sweep`)."""
+    if not out or not isinstance(out, (str, bytes, os.PathLike)):
+        raise ValidationError(f"out must be a nonempty file name, got {out!r}")
+    try:
+        os.fsencode(out)
+    except UnicodeEncodeError:
+        raise ValidationError(
+            f"out {out!r} cannot be encoded as a file name "
+            f"in the file-system encoding {sys.getfilesystemencoding()!r}"
+        ) from None
+    if os.path.isdir(out):
+        raise ValidationError(f"out {out!r} is an existing directory")
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise ValidationError(f"out {out!r}: {directory!r} is not an existing directory")
+
+
 def run_sweep(config: SweepConfig, write: bool = True) -> list[SweepRow]:
     """Run the sweep; rows come back in grid order.
 
     Writes the CSV to ``config.output_path`` unless ``write`` is False.
+    Before the first point is solved, ``write=True`` refuses an output
+    name that can never be written (:class:`ValidationError`): an empty
+    one or one that is not a path, one the file system cannot encode, an existing directory or one
+    in a directory that does not exist, which is not created.
+    ``write=False`` checks nothing.
     """
+    if write:
+        _check_output_path(config.output_path)
     rows = [sweep_point(config.L, h0, config.s, config.mu) for h0 in config.h0_grid]
     if write:
         write_sweep_csv(rows, config.output_path)

@@ -163,6 +163,13 @@ def band_to_dense(h) -> np.ndarray:
     return m
 
 
+def shifted_onsite(spec, c: float):
+    """The model with ``c * identity`` added to every on-site block, built
+    through :meth:`ModelSpec.from_arrays` from the model's stored arrays."""
+    onsite = spec._onsite + c * np.eye(spec.n0)
+    return ModelSpec.from_arrays(spec.length, spec.n0, spec.hopping_bands, onsite, spec.label)
+
+
 def random_block(rng: np.random.Generator, n0: int, target_norm: float) -> np.ndarray:
     """One hopping block drawn and scaled on its own: the per-block reference
     for the batched draws of :func:`gapbound.fuzz.random_model`."""

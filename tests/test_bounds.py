@@ -54,6 +54,7 @@ from oracles import (
     envelope_coupling_partial,
     reference_appendixB,
     reference_g_expectations,
+    shifted_onsite,
 )
 
 _E = math.e
@@ -265,7 +266,7 @@ def test_ground_state_record_matches_per_call_formulas():
 def test_potential_shift_invariance():
     spec = impurity_model(10, -0.7)
     res, prof, stats = _solve(spec)
-    shifted_spec = spec.with_shifted_onsite(3.3)
+    shifted_spec = shifted_onsite(spec, 3.3)
     res2, prof2, stats2 = _solve(shifted_spec)
     assert res2.gap == pytest.approx(res.gap, abs=1e-10)
     np.testing.assert_allclose(prof2.p, prof.p, atol=1e-12)

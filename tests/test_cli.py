@@ -15,6 +15,8 @@ from gapbound import impurity_model
 from gapbound.cli import main
 from gapbound.modelfile import dump_model
 
+from test_sweep import BAD_OUTPUTS
+
 
 @pytest.fixture()
 def model_path(tmp_path):
@@ -239,6 +241,21 @@ def test_sweep_out_in_a_missing_directory_exits_1_before_any_point(tmp_path, cap
     assert capsys.readouterr().err == message
     assert calls == []
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("name", BAD_OUTPUTS)
+def test_sweep_refuses_a_bad_out_before_any_point(tmp_path, capsys, monkeypatch, name):
+    # run_sweep's refusal, exit 1 before a point is solved, nothing written
+    import gapbound.sweep as sweep_mod
+
+    out, message = BAD_OUTPUTS[name]
+    calls = []
+    monkeypatch.setattr(sweep_mod, "sweep_point", lambda *a: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--L", "40", "--points", "2", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_config_rejects_unknown_keys(tmp_path, capsys):

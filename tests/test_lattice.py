@@ -20,7 +20,6 @@ from gapbound import (
     NonHermitianError,
     ValidationError,
     assemble,
-    block_norm,
     check_nearest_neighbor,
     envelope_violations,
     fit_envelope,
@@ -38,7 +37,7 @@ import gapbound.lattice as lattice_mod
 from gapbound.lattice import ENVELOPE_RTOL, hopping_norms
 from gapbound.modelfile import format_model, parse_model
 
-from oracles import band_to_dense, charpoly_eigenvalues, dense_assembly
+from oracles import band_to_dense, charpoly_eigenvalues, dense_assembly, shifted_onsite
 
 MODEL_FILES = (
     "L 2\nN0 1\nlabel dimer\nV 1 1 1 -0.5 0\nT 1 2 1 1 -1 0\n",
@@ -58,7 +57,7 @@ def _model_families():
     for family in FAMILIES:
         for i in range(50):
             yield random_model(trial_rng(900, i), family=family)[0]
-    yield random_model(trial_rng(901, 0))[0].with_shifted_onsite(1.7)
+    yield shifted_onsite(random_model(trial_rng(901, 0))[0], 1.7)
 
 
 def test_two_site_assembly():
@@ -215,20 +214,8 @@ def test_model_memos_are_built_once(monkeypatch):
     assert spec.onsite is spec.onsite
     for _ in range(3):
         assert list(spec.offdiag) == [(1, 3), (2, 3)] and list(spec.onsite) == [2]
-        assert spec.block(1, 3) is not None and spec.block(3, 1) is not None
+        assert spec.offdiag[(1, 3)] is not None
     assert len(seen) == len(spec.hopping_bands) + 1
-
-
-def test_flat_index_site_major():
-    spec = ModelSpec(3, 2)
-    assert spec.flat_index(1, 1) == 0
-    assert spec.flat_index(1, 2) == 1
-    assert spec.flat_index(2, 1) == 2
-    assert spec.flat_index(3, 2) == 5
-    with pytest.raises(ValidationError):
-        spec.flat_index(4, 1)
-    with pytest.raises(ValidationError):
-        spec.flat_index(1, 3)
 
 
 @pytest.mark.parametrize(
@@ -237,45 +224,9 @@ def test_flat_index_site_major():
         (lambda: strip_model(3.5, 2), "length must be a positive integer, got 3.5"),
         (lambda: strip_model(3, 2.0), "n0 must be a positive integer, got 2.0"),
         (lambda: strip_model(0, 2), "length must be a positive integer, got 0"),
-        (lambda: ModelSpec(3, 2).flat_index(1.5, 1), "coordinate 1.5 must be an integer in 1..3"),
-        (lambda: ModelSpec(3, 2).flat_index(1.0, 1), "coordinate 1.0 must be an integer in 1..3"),
-        (
-            lambda: ModelSpec(3, 2).flat_index(1, 1.5),
-            "internal index 1.5 must be an integer in 1..2",
-        ),
-        (lambda: impurity_model(4, -0.5).block(1.5, 2), "coordinates (1.5, 2) must be integers"),
-        (
-            lambda: impurity_model(4, -0.5).block(1.0, 1.0),
-            "coordinates (1.0, 1.0) must be integers",
-        ),
-        (
-            lambda: block_norm(impurity_model(4, -0.5), 1.5, 2),
-            "coordinates (1.5, 2) must be integers",
-        ),
-        (
-            lambda: block_norm(impurity_model(4, -0.5), 2, 1.0),
-            "coordinates (1.0, 2) must be integers",
-        ),
-        (lambda: ModelSpec(4, 2).block(0, 1), "coordinate 0 must be an integer in 1..4"),
-        (lambda: ModelSpec(4, 2).block(4, 5), "coordinate 5 must be an integer in 1..4"),
-        (lambda: impurity_model(4, -0.5).block(-1, 2), "coordinate -1 must be an integer in 1..5"),
-        (
-            lambda: block_norm(impurity_model(4, -0.5), 0, 1),
-            "coordinate 0 must be an integer in 1..5",
-        ),
-        (
-            lambda: block_norm(impurity_model(4, -0.5), 4, 9),
-            "coordinate 9 must be an integer in 1..5",
-        ),
         # a bool is not an integer, although Python's int accepts it
         (lambda: ModelSpec(True, 1), "length must be a positive integer, got True"),
         (lambda: ModelSpec(3, True), "n0 must be a positive integer, got True"),
-        (lambda: ModelSpec(3, 2).flat_index(True, 1), "coordinate True must be an integer in 1..3"),
-        (
-            lambda: ModelSpec(3, 2).flat_index(1, True),
-            "internal index True must be an integer in 1..2",
-        ),
-        (lambda: ModelSpec(3, 2).block(True, 2), "coordinates (True, 2) must be integers"),
         # the tuple constructor refuses them too, rather than truncate them with int()
         (lambda: ModelSpec(3, 1, [(1, 2.9, [[1.0]])]), "hopping pair (1, 2.9) must hold integers"),
         (lambda: ModelSpec(3, 1, [(1.0, 2, [[1.0]])]), "hopping pair (1.0, 2) must hold integers"),
@@ -306,12 +257,9 @@ def test_flat_index_site_major():
             "size range must be a pair of integers, got (True, 40)",
         ),
     ],
-    ids=["strip-length", "strip-width", "strip-empty", "x-half", "x-float", "i-half",
-         "block-half", "block-float", "norm-half", "norm-float", "block-below", "block-above",
-         "block-negative", "norm-below", "norm-above", "length-bool", "width-bool", "x-bool",
-         "i-bool", "block-bool", "pair-float", "pair-whole-float", "pair-bool", "pair-str",
-         "onsite-float", "onsite-bool", "onsite-str", "fuzz-seed-bool", "fuzz-trials-bool",
-         "fuzz-size-bool"],
+    ids=["strip-length", "strip-width", "strip-empty", "length-bool", "width-bool",
+         "pair-float", "pair-whole-float", "pair-bool", "pair-str", "onsite-float",
+         "onsite-bool", "onsite-str", "fuzz-seed-bool", "fuzz-trials-bool", "fuzz-size-bool"],
 )
 def test_non_integer_dimensions_and_coordinates_are_refused(call, match):
     with pytest.raises(ValidationError, match=re.escape(match)):
@@ -320,8 +268,8 @@ def test_non_integer_dimensions_and_coordinates_are_refused(call, match):
 
 def test_the_tuple_constructor_accepts_numpy_integer_coordinates():
     spec = ModelSpec(3, 1, [(np.int64(1), np.int32(2), [[1.0]])], [(np.uint8(2), [[0.5]])])
-    assert spec.block(1, 2) == [[1.0]]
-    assert spec.block(2, 2) == [[0.5]]
+    assert spec.offdiag[(1, 2)] == [[1.0]]
+    assert spec.onsite[2] == [[0.5]]
     assert list(spec.hopping_bands) == [1]
 
 
@@ -351,20 +299,13 @@ def test_zero_block_is_the_same_model_as_no_block():
         assert list(spec.hopping_bands) == list(ref.hopping_bands) == [1], name
         assert list(spec.offdiag) == list(ref.offdiag) == [(1, 2), (2, 3), (3, 4)], name
         assert list(spec.onsite) == list(ref.onsite) == [2], name
-        assert spec.block(1, 3) is None and spec.block(1, 1) is None, name
+        assert (1, 3) not in spec.offdiag and 1 not in spec.onsite, name
         assert repr(spec) == repr(ref), name
         back = parse_model(format_model(spec))
         assert list(back.hopping_bands) == list(spec.hopping_bands), name
         for d, blocks in spec.hopping_bands.items():
             assert back.hopping_bands[d].tobytes() == blocks.tobytes(), name
         assert back._onsite.tobytes() == spec._onsite.tobytes(), name
-
-
-def test_block_accessor_symmetry():
-    b = np.array([[1 + 1j]])
-    spec = ModelSpec(3, 1, [(1, 2, b)])
-    np.testing.assert_array_equal(spec.block(2, 1), b.conj().T)
-    assert spec.block(1, 3) is None
 
 
 @pytest.mark.parametrize(
@@ -378,7 +319,8 @@ def test_block_accessor_symmetry():
 def test_block_norm_values(block, expected):
     n0 = len(block)
     spec = ModelSpec(2, n0, [(1, 2, block)])
-    assert block_norm(spec, 1, 2) == pytest.approx(expected, abs=1e-14)
+    ((_, _, norms),) = hopping_norms(spec)
+    assert norms[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_block_norm_svd_oracle():
@@ -389,15 +331,14 @@ def test_block_norm_svd_oracle():
     tr = m[0, 0].real + m[1, 1].real
     det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
     lam_max = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
-    assert block_norm(spec, 1, 2) == pytest.approx(math.sqrt(lam_max), rel=1e-12)
+    ((_, _, norms),) = hopping_norms(spec)
+    assert norms[0] == pytest.approx(math.sqrt(lam_max), rel=1e-12)
 
 
-def test_block_norm_symmetric_and_absent():
-    spec = ModelSpec(4, 1, [(1, 3, [[2.0]])])
-    assert block_norm(spec, 1, 3) == block_norm(spec, 3, 1) == 2.0
-    assert block_norm(spec, 1, 2) == 0.0
-    with pytest.raises(ValidationError):
-        block_norm(spec, 2, 2)
+def test_hopping_norms_list_only_the_nonzero_blocks():
+    spec = ModelSpec(4, 1, [(1, 3, [[2.0]]), (2, 3, [[0.0]])])
+    ((d, xs, norms),) = hopping_norms(spec)
+    assert (d, xs.tolist(), norms.tolist()) == (2, [1], [2.0])
 
 
 def test_fit_envelope_nearest_neighbor_chain():
@@ -428,7 +369,7 @@ def test_fit_envelope_dominates_with_equality_somewhere():
     gaps = []
     for (x, xp) in spec.offdiag:
         allowed = env.value(xp - x)
-        norm = block_norm(spec, x, xp)
+        norm = np.linalg.svd(spec.offdiag[(x, xp)], compute_uv=False)[0]
         assert norm <= allowed + 1e-12
         gaps.append(allowed - norm)
     assert min(gaps) <= 1e-12
@@ -595,14 +536,6 @@ def test_strip_model_matches_brute_2d_assembly():
     np.testing.assert_array_equal(h, ref)
 
 
-def test_with_shifted_onsite():
-    spec = impurity_model(4, -0.5)
-    shifted = spec.with_shifted_onsite(2.5)
-    h0 = band_to_dense(assemble(spec))
-    h1 = band_to_dense(assemble(shifted))
-    np.testing.assert_allclose(h1, h0 + 2.5 * np.eye(5), atol=1e-15)
-
-
 def test_band_is_lower_triangle_of_dense_placement():
     for spec in _model_families():
         h = assemble(spec)
@@ -630,14 +563,11 @@ def test_accessors_are_read_only_views():
     spec = ModelSpec(4, 2, [(1, 3, b), (2, 3, 0.5 * b)], [(2, onsite)])
     assert list(spec.offdiag) == [(1, 3), (2, 3)]
     assert list(spec.onsite) == [2]
-    for block in (*spec.offdiag.values(), *spec.onsite.values(), spec.block(1, 3)):
+    for block in (*spec.offdiag.values(), *spec.onsite.values()):
         assert not block.flags.writeable
         assert block.base is not None
-    np.testing.assert_array_equal(spec.block(1, 3), b)
-    np.testing.assert_array_equal(spec.block(3, 1), b.conj().T)
-    np.testing.assert_array_equal(spec.block(2, 2), onsite)
-    for x, xp in ((1, 2), (2, 4), (1, 4), (1, 1), (3, 3)):
-        assert spec.block(x, xp) is None
+    np.testing.assert_array_equal(spec.offdiag[(1, 3)], b)
+    np.testing.assert_array_equal(spec.onsite[2], onsite)
     assert spec.hopping_bands.keys() == {1, 2}
     blocks = spec.hopping_bands[2]
     assert blocks.shape == (2, 2, 2) and not blocks[1].any()
@@ -703,7 +633,7 @@ def test_assemble_is_memoised_on_the_model():
     assert lowest_two(h).gap > 0
     assert assemble(spec) is h
     # a new model gets a new operator
-    assert assemble(spec.with_shifted_onsite(1.0)) is not h
+    assert assemble(shifted_onsite(spec, 1.0)) is not h
 
 
 def test_dropping_an_assembled_model_leaves_no_cycle():
@@ -780,8 +710,7 @@ _OVERFLOWED = {
     lambda spec, pair: check_nearest_neighbor(spec),
     lambda spec, pair: fit_envelope(spec, 1.0),
     lambda spec, pair: require_envelope(spec, NNBound(1.0)),
-    lambda spec, pair: block_norm(spec, pair[1], pair[0]),
-], ids=["check-nn", "fit-envelope", "require-envelope", "block-norm"])
+], ids=["check-nn", "fit-envelope", "require-envelope"])
 def test_an_overflowed_block_norm_names_its_block(model, call):
     spec, (x, xp) = _OVERFLOWED[model]
     message = f"hopping block ({x},{xp}) has spectral norm inf: its entries are too large"

@@ -22,7 +22,7 @@ from gapbound import (
 from gapbound.fuzz import FAMILIES, random_model, trial_rng
 from gapbound.modelfile import dump_model, format_model, load_model
 
-from oracles import band_to_dense, reference_format_model, reference_parse_model
+from oracles import band_to_dense, reference_format_model, reference_parse_model, shifted_onsite
 from test_lattice import MODEL_FILES
 
 
@@ -165,7 +165,7 @@ def _valid_specs():
     for family in FAMILIES:
         for i in range(15):
             yield random_model(trial_rng(505, i), family=family)[0]
-    yield random_model(trial_rng(506, 0))[0].with_shifted_onsite(-0.4)
+    yield shifted_onsite(random_model(trial_rng(506, 0))[0], -0.4)
     yield strip_model(6, 3, t_along=0.8, t_across=0.6)
     yield strip_model(1, 4)
     yield _disordered_strip(12, 5, 1)

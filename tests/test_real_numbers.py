@@ -1,27 +1,39 @@
-"""The one real-number rule: every scalar argument goes through ``lattice._real``."""
+"""The one real-number rule: every scalar argument goes through ``lattice._real``.
+
+The one numeric-array rule: every array argument goes through
+``eigensolver._numbers`` (``ARRAY_SITES``).
+"""
 
 import dataclasses
 import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gapbound import (
+    BandedHermitian,
+    DensityProfile,
     GroundState,
     HoppingEnvelope,
     ModelSpec,
     NNBound,
     ValidationError,
+    WeightFunction,
     assemble,
     best_s,
+    chebyshev_tail_bound,
+    density,
     fit_envelope,
     fit_localization_length,
     impurity_model,
     lowest_two,
     position_weight,
+    spectral_scale,
     strip_model,
+    tail,
     theorem1_bound,
     theorem2_bound,
     trapezoid_g,
@@ -132,6 +144,8 @@ def _same(a, b) -> bool:
     """Equal values, whatever the numeric types: models by their operator's band."""
     if isinstance(a, ModelSpec):
         return _same(assemble(a).band, assemble(b).band)
+    if isinstance(a, BandedHermitian):
+        return _same(a.band, b.band)
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
@@ -155,3 +169,72 @@ def test_numpy_and_integer_values_act_as_the_equal_float(site):
 def test_an_impurity_label_keeps_the_defect_as_given():
     assert impurity_model(40, -1).label == "impurity chain (L=40, h0=-1)"
     assert impurity_model(40, np.float64(-1.5)).label == "impurity chain (L=40, h0=-1.5)"
+
+
+# site id -> (argument name in the message, "real" or "complex", an accepted
+# value with integer entries, the call with the value in the argument's place)
+ARRAY_SITES = {
+    "weight-function": ("weight function", "real", [1, 2, 3], WeightFunction),
+    "density-profile": ("density profile", "real", [0, 1, 0], DensityProfile),
+    "h0-grid": ("h0 grid", "real", [-2, -1], lambda v: SweepConfig(L=40, h0_grid=v)),
+    "chebyshev-radius": ("radius", "real", [1, 2, 30],
+                         lambda v: chebyshev_tail_bound(NNBound(1.0), 10, 0.5, v)),
+    "envelope-radius": ("radius", "real", [10, 20], lambda v: _envelope().evaluate(v)),
+    "tail-radius": ("tail radius", "real", [1, 5, 30], lambda v: tail(_state().profile, 30.0, v)),
+    "hod-explicit": ("weight function", "real", list(range(61)),
+                     lambda v: _state().hod_explicit(v)),
+    "hod-commutator": ("weight function", "real", list(range(61)),
+                       lambda v: _state().hod_commutator(v)),
+    "band": ("band", "complex", [[2, 0], [1, 0]], BandedHermitian),
+    "from-dense": ("matrix", "complex", [[2, 1], [1, 0]], BandedHermitian.from_dense),
+    "lowest-two": ("matrix", "complex", [[2, 1], [1, 0]], lowest_two),
+    "spectral-scale": ("matrix", "complex", [[2, 1], [1, 0]], spectral_scale),
+    "matvec": ("vector", "complex", [0, 1, 0],
+               lambda v: assemble(impurity_model(2, 1.0)).matvec(v)),
+    "hopping-block": ("hopping block (1, 2)", "complex", [[1]],
+                      lambda v: ModelSpec(2, 1, [(1, 2, v)])),
+    "onsite-block": ("on-site block at x=2", "complex", [[3]],
+                     lambda v: ModelSpec(2, 1, [(1, 2, [[1.0]])], [(2, v)])),
+    "hopping-band": ("hopping band at distance 1", "complex", [[[1]]],
+                     lambda v: ModelSpec.from_arrays(2, 1, {1: v})),
+    "onsite-blocks": ("on-site blocks", "complex", [[[1]], [[2]]],
+                      lambda v: ModelSpec.from_arrays(2, 1, onsite=v)),
+    "density-psi": ("coefficient vector", "complex", [0, 1], lambda v: density(v, ModelSpec(2, 1))),
+    "ground-state-psi": ("coefficient vector", "complex", [0, 1],
+                         lambda v: GroundState.of(v, ModelSpec(2, 1))),
+}
+
+# not an array of numbers: the value and the detail its refusal quotes
+NOT_NUMBERS = {
+    "bool-array": (np.array([True, False]), "an array of bool"),
+    "numpy-bool": (np.True_, repr(np.True_)),
+    "string": ("2", "'2'"),
+    "strings": (["1", "2"], "an array of <U1"),
+    "none": (None, "None"),
+    "fraction": ([Fraction(1, 3), 2], "an array of object"),
+    "int-past-int64": ([10**30, 2], "an array of object"),
+    "ragged": ([[1, 2], [3]], "a ragged sequence"),
+    "complex": ([1j, 2], "an array of complex128"),  # at the real sites only
+}
+
+
+@pytest.mark.parametrize("site, case", [
+    pytest.param(site, case, id=f"{site}-{case}")
+    for site in ARRAY_SITES for case in NOT_NUMBERS
+    if not (case == "complex" and ARRAY_SITES[site][1] == "complex")
+    and not (site == "onsite-blocks" and case == "none")  # None is no on-site term
+])
+def test_an_array_that_does_not_hold_numbers_is_refused_by_name(site, case):
+    name, kind, _, call = ARRAY_SITES[site]
+    value, detail = NOT_NUMBERS[case]
+    message = f"{name} must hold {kind} numbers, got {detail}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_integer_and_float32_arrays_act_as_the_equal_float64_array(site):
+    good, call = ARRAY_SITES[site][2:]
+    expected = call(np.array(good, dtype=np.float64))
+    for value in (good, np.array(good, dtype=np.int64), np.array(good, dtype=np.float32)):
+        assert _same(call(value), expected), value

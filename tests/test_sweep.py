@@ -225,6 +225,39 @@ def test_sweep_refusals(call, error, message):
         call()
 
 
+# a bad output name -> the message that refuses it
+BAD_OUTPUTS = {
+    "empty": ("", "out must be a nonempty file name, got ''"),
+    "unencodable": ("\ud800.csv", "out '\\ud800.csv' cannot be encoded as a file name in the "
+                    f"file-system encoding {sys.getfilesystemencoding()!r}"),
+    "existing-directory": (".", "out '.' is an existing directory"),
+    "missing-directory": ("missing/x.csv",
+                          "out 'missing/x.csv': 'missing' is not an existing directory"),
+}
+
+# names only the library route can be given
+NOT_PATHS = {"integer": (3, "out must be a nonempty file name, got 3"),
+             "none": (None, "out must be a nonempty file name, got None")}
+
+
+@pytest.mark.parametrize("name", [*BAD_OUTPUTS, *NOT_PATHS])
+def test_run_sweep_refuses_a_bad_output_name_before_the_first_point(tmp_path, monkeypatch, name):
+    # refused before a point is solved; nothing is written and no directory
+    # is created.  write=False, the benchmark's call, checks nothing
+    import gapbound.sweep as sweep_mod
+
+    out, message = {**BAD_OUTPUTS, **NOT_PATHS}[name]
+    calls = []
+    monkeypatch.setattr(sweep_mod, "sweep_point", lambda *a: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    config = SweepConfig(L=40, h0_grid=[-1.0, -0.5], output_path=out)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run_sweep(config)
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+    assert len(run_sweep(config, write=False)) == len(calls) == 2
+
+
 def test_sweep_theorem1_columns_lie_outside_theorem1():
     # the sweep's theorem-1 envelope, cv = mu = 1, does not dominate the
     # chain by the package's own rule; the dominating fit at mu = 1 is
