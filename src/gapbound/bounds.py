@@ -245,8 +245,8 @@ class GroundState:
 
     @classmethod
     def of(cls, psi0: np.ndarray, spec: ModelSpec) -> "GroundState":
-        psi = _numbers(psi0, "coefficient vector", np.complex128)
-        profile = density(psi, spec)
+        profile = density(psi0, spec)  # refuses a psi0 that is not a vector of numbers
+        psi = np.asarray(psi0, dtype=np.complex128)
         return cls(spec, psi, profile, position_stats(profile))
 
     @cached_property
@@ -264,9 +264,21 @@ class GroundState:
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _stored_pair_products(self.psi.reshape(self.spec.length, self.spec.n0), self.spec)
 
-    def hod_explicit(self, gx: np.ndarray) -> float:
-        """<H_OD> as 2 * sum over hopping pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x')."""
+    def _weights(self, gx) -> np.ndarray:
+        """``gx`` as a table of real numbers (:func:`_numbers`), one per site of the model."""
         gx = _numbers(gx, "weight function")
+        if gx.shape != (self.spec.length,):
+            raise ValidationError(
+                f"weight function must have one value per site ({self.spec.length}), "
+                f"got shape {gx.shape}"
+            )
+        return gx
+
+    def hod_explicit(self, gx: np.ndarray) -> float:
+        """<H_OD> as 2 * sum over hopping pairs of (g(x)-g(x'))^2 Re(a_x^dag h a_x').
+
+        ``gx`` holds one real number per site."""
+        gx = self._weights(gx)
         left, right, pair = self._pairs
         dg = gx[left] - gx[right]
         return 2.0 * float(np.dot(dg * dg, pair))
@@ -292,9 +304,9 @@ class GroundState:
         ``[G, X]`` for the diagonal ``G`` is a row scaling minus a column
         scaling, so the band entry ``(k, j)`` of ``[G, [G, H]]`` is
         ``(g_{j+k} - g_j)^2 H[j+k, j]``; each lower entry stands for itself
-        and its conjugate mirror.
+        and its conjugate mirror.  ``gx`` holds one real number per site.
         """
-        gx = _numbers(gx, "weight function")
+        gx = self._weights(gx)
         row_site, col_site, prod = self._band_products
         dg = gx[row_site] - gx[col_site]
         return 2.0 * float(np.dot(dg * dg, prod))
@@ -465,8 +477,13 @@ def chebyshev_tail_bound(bound: HoppingEnvelope | NNBound, length: int, delta_e0
     bad = ~(r > 0)  # NaN fails too
     if np.any(bad):
         raise ValidationError(f"radius must be positive, got {r[bad][0]}")
-    out = np.minimum(1.0, variance_upper_bound(bound, length, delta_e0) / (r * r))
+    out = _power_law(variance_upper_bound(bound, length, delta_e0), r)
     return float(out) if out.ndim == 0 else out
+
+
+def _power_law(variance_bound: float, r: np.ndarray) -> np.ndarray:
+    """Chebyshev's ``min(1, variance_bound / R^2)`` at the positive radii ``r``."""
+    return np.minimum(1.0, variance_bound / (r * r))
 
 
 def _check_bound_params(delta_e0: float, s: float, delta_x: float):
@@ -506,10 +523,14 @@ class TailEnvelope:
     def evaluate(self, r) -> np.ndarray | float:
         """Envelope value at radius r, real numbers >= r1 (:func:`_numbers`)."""
         r = _numbers(r, "radius")
-        if not np.all(r >= self.r1 - ONSET_ATOL):  # NaN fails too
+        if not (r >= self.r1 - ONSET_ATOL).all():  # NaN fails too
             raise ValidationError(f"envelope defined for R >= r1 = {self.r1:g}")
-        out = self.prefactor * np.exp(-(r - self.r1) / self.xi)
+        out = self._values(r)
         return float(out) if out.ndim == 0 else out
+
+    def _values(self, r: np.ndarray) -> np.ndarray:
+        """The envelope at radii already known to be numbers >= r1."""
+        return self.prefactor * np.exp((self.r1 - r) / self.xi)
 
 
 def theorem1_bound(
@@ -581,9 +602,9 @@ def verify_envelope(profile: DensityProfile, mean: float, bound: TailEnvelope) -
 
 def _check_steps(radii: np.ndarray, tail_values: np.ndarray, bound: TailEnvelope) -> EnvelopeCheck:
     # the radii >= r1, and > 0 when r1 = 0
-    start = np.searchsorted(radii, bound.r1, side="left" if bound.r1 > 0 else "right")
+    start = radii.searchsorted(bound.r1, side="left" if bound.r1 > 0 else "right")
     radii, tail_values = radii[start:], tail_values[start:]
-    bound_values = bound.evaluate(radii)
+    bound_values = bound._values(radii)
     violations = radii[tail_values > bound_values + ENVELOPE_TOL]
     for arr in (radii, bound_values, tail_values, violations):
         arr.flags.writeable = False

@@ -39,16 +39,21 @@ from .bounds import (
     THEOREM1,
     GroundState,
     WeightFunction,
-    chebyshev_tail_bound,
+    _power_law,
     theorem1_bound,
     theorem2_bound,
     trapezoid_g,
     variance_upper_bound,
 )
 # unused here but kept: the benchmark tracer wraps gapbound.fuzz.density,
-# .position_stats, .tail, .verify_envelope, .g_expectations, .verify_appendixB
-# and .check_nearest_neighbor
-from .bounds import g_expectations, verify_appendixB, verify_envelope  # noqa: F401
+# .position_stats, .tail, .verify_envelope, .g_expectations, .verify_appendixB,
+# .chebyshev_tail_bound and .check_nearest_neighbor
+from .bounds import (  # noqa: F401
+    chebyshev_tail_bound,
+    g_expectations,
+    verify_appendixB,
+    verify_envelope,
+)
 from .eigensolver import lowest_two
 from .errors import DegenerateGroundState, ValidationError
 from .lattice import (
@@ -237,7 +242,8 @@ def _trial_problems(spec, declared, rng) -> list[str] | None:
     # law decreases in R: its values at the positive breakpoints are all of it
     radii, tails = state.steps
     r = radii[radii > 0]
-    power_law = chebyshev_tail_bound(declared, spec.length, res.gap, r)
+    # chebyshev_tail_bound at these radii, from the variance bound just computed
+    power_law = _power_law(vb, r)
     over = r[tails[radii > 0] > power_law + ENVELOPE_TOL]
     if over.size:
         problems.append(f"power-law tail bound violated at R={over[0]:.3g}")

@@ -109,6 +109,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# the ranges _real checks, by the text its messages quote
+_RULES = {
+    "": lambda x: True,
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    "in (0, 1)": lambda x: 0 < x < 1,
+}
+
+
 def _real(value, name: str, rule: str = "") -> float:
     """``value`` as a float, or :class:`ValidationError` naming the argument ``name``.
 
@@ -117,14 +126,16 @@ def _real(value, name: str, rule: str = "") -> float:
     too large for a float is not) and within ``rule``, one of ``""``,
     ``"> 0"``, ``">= 0"`` and ``"in (0, 1)"``, which the message quotes.
     """
-    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+    if type(value) is float:
+        x = value
+    elif isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    within = {"": True, "> 0": x > 0, ">= 0": x >= 0, "in (0, 1)": 0 < x < 1}[rule]
-    if not (math.isfinite(x) and within):
+    if not (math.isfinite(x) and _RULES[rule](x)):
         raise ValidationError(f"{name} must be finite{rule and ' and ' + rule}, got {value!r}")
     return x
 
@@ -148,29 +159,35 @@ def _as_block(block, n0: int, what: str) -> np.ndarray:
 
 def _first_nonfinite(blocks: np.ndarray) -> int | None:
     """Index of the first block with a non-finite entry, or None."""
-    ok = np.isfinite(blocks).reshape(blocks.shape[0], -1).all(axis=1)
-    return None if ok.all() else int(np.argmin(ok))
+    ok = np.isfinite(blocks)
+    if ok.all():
+        return None
+    return int(np.argmin(ok.reshape(blocks.shape[0], -1).all(axis=1)))
 
 
-def _norms(blocks: np.ndarray, xs: np.ndarray, d: int) -> np.ndarray:
-    """Spectral norm of every block of a ``(m, N0, N0)`` stack, the blocks of
-    the pairs ``(x, x + d)`` for ``x`` in ``xs``.
+def _norms(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based rows of the nonzero blocks of a band of distance ``d``
+    and their spectral norms.
 
+    A 1 x 1 block's norm is its modulus, which is 0 only for a zero block.
     Finite entries may still give a norm that overflows; that block is
     refused with :class:`ValidationError`.
     """
     if blocks.shape[1] == 1:
         norms = np.abs(blocks[:, 0, 0])
+        x0 = norms.nonzero()[0]
+        norms = norms[x0]
     else:
-        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+        x0 = _nonzero(blocks)
+        norms = np.linalg.norm(blocks[x0], 2, axis=(1, 2))
     bad = _first_nonfinite(norms)
     if bad is not None:
-        x = int(xs[bad])
+        x = int(x0[bad]) + 1
         raise ValidationError(
             f"hopping block ({x},{x + d}) has spectral norm {norms[bad]}: "
             "its entries are too large"
         )
-    return norms
+    return x0, norms
 
 
 def _nonzero(blocks: np.ndarray) -> np.ndarray:
@@ -399,16 +416,20 @@ def assemble(spec: ModelSpec) -> BandedHermitian:
 def _band_operator(spec: ModelSpec) -> BandedHermitian:
     n0, length = spec.n0, spec.length
     dmax = max(spec.hopping_bands, default=0)
-    band = np.zeros(((dmax + 1) * n0, spec.dim), dtype=np.complex128)
-    a, c = np.indices((n0, n0))
-    # lower-block entry (a, c) of block row x + d, block column x sits at
-    # band row d * N0 + a - c, column (x - 1) * N0 + c
-    lower = a >= c
-    band[(a - c)[lower], np.arange(length)[:, None] * n0 + c[lower]] = spec._onsite[:, lower]
+    # cells[r, x, c] = band[r, x * N0 + c] = H[x * N0 + c + r, x * N0 + c]: entry (a, c)
+    # of block row x + d, block column x sits at r = d * N0 + a - c.  Each
+    # diagonal a - c = k of a block stack fills one slice of one band row.
+    cells = np.zeros(((dmax + 1) * n0, length, n0), dtype=np.complex128)
+    for k in range(n0):  # on-site blocks: their lower triangles
+        cells[k, :, : n0 - k] = spec._onsite.diagonal(-k, axis1=1, axis2=2)
     for d, blocks in spec.hopping_bands.items():
-        cols = np.arange(length - d)[:, None, None] * n0 + c
-        band[d * n0 + a - c, cols] = blocks.conj().transpose(0, 2, 1)
-    return BandedHermitian(band)
+        # a stored block h of the pair (x, x + d) enters block row x + d as hᴴ,
+        # whose entry (c + k, c) is conj(h[c, c + k])
+        for k in range(1 - n0, n0):
+            cells[d * n0 + k, : length - d, max(0, -k) : n0 - max(0, k)] = (
+                blocks.diagonal(k, axis1=1, axis2=2).conj()
+            )
+    return BandedHermitian(cells.reshape(-1, spec.dim))
 
 
 def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -424,9 +445,8 @@ def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], 
 def _block_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     out = []
     for d, blocks in spec.hopping_bands.items():
-        x0 = _nonzero(blocks)
+        x0, norms = _norms(blocks, d)
         xs = x0 + 1
-        norms = _norms(blocks[x0], xs, d)
         xs.flags.writeable = False
         norms.flags.writeable = False
         out.append((d, xs, norms))
@@ -464,7 +484,7 @@ def check_nearest_neighbor(spec: ModelSpec) -> NNBound:
     :class:`EnvelopeViolation`.  Near-zero long-range hopping must go
     through the exponential-envelope route instead.
     """
-    v0 = max((float(np.max(n)) for d, _, n in hopping_norms(spec) if d == 1), default=0.0)
+    v0 = max((float(n.max()) for d, _, n in hopping_norms(spec) if d == 1), default=0.0)
     bound = NNBound(v0)
     require_envelope(spec, bound)
     return bound
@@ -483,8 +503,8 @@ def envelope_violations(
     bad = []
     for d, xs, norms in hopping_norms(spec):
         allowed = envelope.value(d)
-        over = norms > allowed * (1.0 + ENVELOPE_RTOL)
-        bad += [(int(x), int(x) + d, float(v), allowed) for x, v in zip(xs[over], norms[over])]
+        over = (norms > allowed * (1.0 + ENVELOPE_RTOL)).nonzero()[0]
+        bad += [(int(xs[i]), int(xs[i]) + d, float(norms[i]), allowed) for i in over]
     return sorted(bad)
 
 

@@ -44,8 +44,9 @@ class DensityProfile:
         p = _numbers(self.p, "density profile")
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("density profile must be a nonempty 1-d array")
-        if not np.min(p) >= -DENSITY_NEGATIVE_TOL:  # NaN fails too
-            raise ValidationError(f"negative or NaN density entry {np.min(p):.3e}")
+        lowest = p.min()
+        if not lowest >= -DENSITY_NEGATIVE_TOL:  # NaN fails too
+            raise ValidationError(f"negative or NaN density entry {lowest:.3e}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
         if not abs(total - 1.0) <= DENSITY_SUM_TOL:
@@ -116,7 +117,9 @@ def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
         raise ValidationError(
             f"coefficient vector has size {psi.size}, model needs {spec.dim}"
         )
-    p = (np.abs(psi.reshape(spec.length, spec.n0)) ** 2).sum(axis=1)
+    p = np.abs(psi) ** 2
+    if spec.n0 > 1:
+        p = p.reshape(spec.length, spec.n0).sum(axis=1)
     norm2 = float(p.sum())
     if not abs(norm2 - 1.0) <= DENSITY_SUM_TOL:
         raise ValidationError(
@@ -144,9 +147,9 @@ def tail_steps(profile: DensityProfile, mean: float) -> tuple[np.ndarray, np.nda
     """
     _real(mean, "mean position")
     dist = np.abs(profile.sites() - mean)
-    order = np.argsort(dist, kind="stable")
+    order = dist.argsort(kind="stable")
     dist = dist[order]
-    suffix = np.cumsum(profile.p[order[::-1]])[::-1]
+    suffix = profile.p[order[::-1]].cumsum()[::-1]
     first = np.ones(dist.size, dtype=bool)
     np.not_equal(dist[1:], dist[:-1], out=first[1:])
     return dist[first], suffix[first]
@@ -185,7 +188,7 @@ def fit_localization_length(profile: DensityProfile, center: float | None = None
     """
     p = profile.p
     if center is None:
-        center = float(np.argmax(p) + 1)
+        center = float(p.argmax() + 1)
     _real(center, "fit center")
     length = profile.length
     if not 1 <= center <= length:
@@ -194,18 +197,18 @@ def fit_localization_length(profile: DensityProfile, center: float | None = None
     def unavailable(reason: str) -> DecayFit:
         return DecayFit(math.nan, math.nan, math.nan, (math.nan, math.nan), float(center), reason)
 
-    x = profile.sites()
-    usable = (p >= FIT_FLOOR) & (x > FIT_MARGIN) & (x <= length - FIT_MARGIN)
-    if int(usable.sum()) < 4:
+    # the 0-based rows of the sites FIT_MARGIN < x <= L - FIT_MARGIN with p_x >= FIT_FLOOR
+    rows = FIT_MARGIN + (p[FIT_MARGIN : length - FIT_MARGIN] >= FIT_FLOOR).nonzero()[0]
+    if rows.size < 4:
         return unavailable(
-            f"only {int(usable.sum())} usable points (need >= 4); "
+            f"only {rows.size} usable points (need >= 4); "
             f"FIT_FLOOR={FIT_FLOOR:g}, FIT_MARGIN={FIT_MARGIN}"
         )
-    d = np.abs(x[usable] - center)
-    y = np.log(p[usable])
-    if np.ptp(y) == 0.0:
+    d = np.abs((rows + 1.0) - center)
+    y = np.log(p[rows])
+    if y.min() == y.max():
         return unavailable("profile is exactly flat over the fit window")
-    d_mean, y_mean = float(d.mean()), float(y.mean())
+    d_mean, y_mean = float(d.sum() / d.size), float(y.sum() / y.size)
     dc, yc = d - d_mean, y - y_mean
     slope = float(dc @ yc) / float(dc @ dc)  # >= 4 points hold >= 2 distinct distances
     if slope >= 0:

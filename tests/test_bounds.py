@@ -857,6 +857,11 @@ def test_best_s_search():
         best_s(env, 0.5, 50.0, 1.0)  # no feasible s
 
 
+def _chain_state():
+    spec = impurity_model(10, -1.0)
+    return GroundState.of(lowest_two(assemble(spec)).psi0, spec)
+
+
 def test_bound_and_envelope_csv(tmp_path):
     env = HoppingEnvelope(cv=1.0, mu=1.0)
     b1 = theorem1_bound(env, 1.0, 0.5, 1.0)
@@ -893,8 +898,15 @@ def test_bound_and_envelope_csv(tmp_path):
      "position spread must be finite and >= 0, got nan"),
     (lambda: best_s("theorem1", 0.5, 1.0, 30.0), ValidationError,
      "unsupported hopping bound str"),
+    (lambda: _chain_state().hod_explicit(np.arange(5.0)), ValidationError,
+     "weight function must have one value per site (11), got shape (5,)"),
+    (lambda: _chain_state().hod_commutator(np.arange(12.0)), ValidationError,
+     "weight function must have one value per site (11), got shape (12,)"),
+    (lambda: _chain_state().hod_explicit(np.ones((11, 1))), ValidationError,
+     "weight function must have one value per site (11), got shape (11, 1)"),
 ], ids=["weight-2d", "weight-empty", "weight-nan", "coupling-source", "spread-negative",
-        "spread-nan", "best-s-bound"])
+        "spread-nan", "best-s-bound", "hod-explicit-short", "hod-commutator-long",
+        "hod-explicit-column"])
 def test_bounds_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg.blas import zhbmv
 
 import gapbound.eigensolver as eigensolver_mod
 from gapbound import (
@@ -155,6 +156,9 @@ def test_slots_outside_the_matrix_are_read_as_zero():
     h = BandedHermitian(np.array([[1, 2, 3], [0, 0, 1]]))
     assert h.bandwidth == 0
     assert h.band.tobytes() == np.array([[1, 2, 3]], dtype=complex).tobytes()
+    # a band deeper than the matrix: its rows past n - 1 lie wholly outside
+    h = BandedHermitian(np.array([[1, 2], [0, 0], [0, 0], [5, 5]]))
+    assert (h.bandwidth, h.scale) == (0, 2.0)
 
 
 def test_from_dense_exact_symmetry_and_immutability():
@@ -592,6 +596,20 @@ def test_banded_matvec_and_scale_match_dense():
         assert spectral_scale(h) == pytest.approx(spectral_scale(dense), rel=1e-14)
 
 
+def test_real_tridiagonal_band_product_equals_zhbmv():
+    # a real band of bandwidth <= 1 is multiplied by numpy, every row at
+    # once; each entry must sum the same terms in the same order as BLAS
+    # zhbmv, which every other band still uses
+    rng = np.random.default_rng(12)
+    for rows, n in ((2, 40), (2, 2), (1, 7)):
+        band = rng.normal(size=(rows, n)) * (rng.random((rows, n)) < 0.8)  # signed, some zero
+        band[1:, n - 1] = 0.0
+        band = band.astype(complex)
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        ref = [zhbmv(rows - 1, 1.0, band, v, lower=1) for v in x]
+        assert np.array_equal(eigensolver_mod._band_product(band, x), ref)
+
+
 def _route_test_operators():
     rng = np.random.default_rng(990)
     for n in (3, 8, 31, 120):
@@ -1002,7 +1020,15 @@ def test_every_route_works_up_to_the_scale_limit(routes):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: BandedHermitian(np.zeros(3)), ValidationError,
      "expected a (bandwidth + 1, n) band, got shape (3,)"),
-], ids=["band-1d"])
+    (lambda: assemble(impurity_model(2, 1.0)).matvec([0, 1]), ValidationError,
+     "vector must have length 3, got shape (2,)"),
+    (lambda: assemble(impurity_model(2, 1.0)).matvec(np.ones((3, 1))), ValidationError,
+     "vector must have length 3, got shape (3, 1)"),
+    (lambda: spectral_scale([1.0, 2.0]), ValidationError,
+     "expected a square matrix, got shape (2,)"),
+    (lambda: spectral_scale([[1, 2, 3], [4, 5, 6]]), ValidationError,
+     "expected a square matrix, got shape (2, 3)"),
+], ids=["band-1d", "matvec-short", "matvec-column", "scale-1d", "scale-not-square"])
 def test_eigensolver_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -235,10 +235,16 @@ def test_trial_reports_a_broken_weight_gauge(monkeypatch, moved, message):
 
 
 def test_trial_reports_a_broken_variance_bound(monkeypatch):
+    # the power law is the variance bound over R^2, so it breaks with it, first
+    # at the smallest positive radius
     spec = impurity_model(40, -1.0)
-    variance = GroundState.of(lowest_two(assemble(spec)).psi0, spec).stats.variance
+    state = GroundState.of(lowest_two(assemble(spec)).psi0, spec)
+    radii = state.steps[0]
     monkeypatch.setattr(fuzz_mod, "variance_upper_bound", lambda *args: 0.0)
-    assert _failing_trial(monkeypatch) == f"variance bound violated ({variance:.6g} > 0)"
+    assert _failing_trial(monkeypatch) == (
+        f"variance bound violated ({state.stats.variance:.6g} > 0); "
+        f"power-law tail bound violated at R={radii[radii > 0][0]:.3g}"
+    )
 
 
 def test_trial_reports_a_broken_theorem1_envelope(monkeypatch):
@@ -338,7 +344,7 @@ def test_power_law_check_allows_the_envelope_tolerance(monkeypatch, below):
     # it mirrors: a tail above the power law by less passes, by more fails
     spec = impurity_model(40, -1.0)
     radii, tails = GroundState.of(lowest_two(assemble(spec)).psi0, spec).steps
-    monkeypatch.setattr(fuzz_mod, "chebyshev_tail_bound",
+    monkeypatch.setattr(fuzz_mod, "_power_law",
                         lambda *args: tails[radii > 0] - below * ENVELOPE_TOL)
     if below < 1:
         monkeypatch.setattr(fuzz_mod, "random_model",
@@ -482,7 +488,7 @@ def test_fuzz_builds_band_and_norms_once_per_model(family, monkeypatch):
 def test_fuzz_reads_one_record_per_ground_state(family, monkeypatch):
     # a call count, not a timing: the complementary checks of three weights
     # and the Appendix-B check share one density and one pair-product pass,
-    # and the power-law radii share one coupling profile
+    # and the variance bound and the power-law radii share one coupling profile
     counts = dict.fromkeys(("density", "_stored_pair_products", "site_coupling_profile"), 0)
     for owner, name in ((bounds_mod, "density"), (fuzz_mod, "density"),
                         (bounds_mod, "_stored_pair_products"),
@@ -498,7 +504,7 @@ def test_fuzz_reads_one_record_per_ground_state(family, monkeypatch):
     assert counts == {
         "density": report.passed,
         "_stored_pair_products": report.passed,
-        "site_coupling_profile": 2 * report.passed,
+        "site_coupling_profile": report.passed,
     }
 
 

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 import gapbound
+import gapbound.bounds as bounds_mod
+import gapbound.eigensolver as eigensolver_mod
+import gapbound.lattice as lattice_mod
+import gapbound.localization as localization_mod
 from gapbound import SweepConfig, ValidationError, read_sweep_csv, run_sweep
 from gapbound.lattice import impurity_model
 from gapbound.sweep import (
@@ -274,3 +278,44 @@ def test_sweep_theorem1_columns_lie_outside_theorem1():
     b1 = gapbound.theorem1_bound(fitted, row.gap, 0.5, row.delta_x)
     assert b1.xi / row.xi1 == pytest.approx(math.sqrt(math.e), rel=1e-12)
     assert row.ratio1 == pytest.approx(68.108, abs=1e-3)
+
+
+def test_a_sweep_point_makes_each_call_once(monkeypatch):
+    # a call count, not a timing: over a spread of the default grid each point
+    # proves its pair with one bisection by index, one stein and one Sturm
+    # count, builds one operator and one set of block norms, sorts its tail
+    # once and converts its ground-state vector once
+    calls = []
+    real_funcs = eigensolver_mod.get_lapack_funcs
+
+    def recording(names, *args, **kwargs):
+        def spy(name, f):
+            def call(*a, **k):
+                # stebz's third argument: 2 bisects by index, 1 counts by value
+                calls.append(name if name != "stebz" else ("stebz", a[2]))
+                return f(*a, **k)
+            return call
+        return tuple(spy(n, f) for n, f in zip(names, real_funcs(names, *args, **kwargs)))
+
+    monkeypatch.setattr(eigensolver_mod, "get_lapack_funcs", recording)
+    for owner, name in ((lattice_mod, "_band_operator"), (lattice_mod, "_block_norms"),
+                        (bounds_mod, "tail_steps"), (localization_mod, "tail_steps")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    for owner in (bounds_mod, localization_mod):
+        def converting(value, name, *args, _original=owner._numbers, **kwargs):
+            if name == "coefficient vector":
+                calls.append("convert psi0")
+            return _original(value, name, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "_numbers", converting)
+    for h0 in default_h0_grid()[::11]:
+        calls.clear()
+        row = sweep_point(500, h0)
+        assert (row.violations1, row.violations2) == (0, 0)
+        assert sorted(calls, key=str) == sorted(
+            [("stebz", 2), "stein", ("stebz", 1), "_band_operator", "_block_norms",
+             "tail_steps", "convert psi0"], key=str), h0
