@@ -223,10 +223,11 @@ class GroundState:
     """One solved model's ground state and what every check reads of it.
 
     Built once per solved model by :meth:`of`, which validates ``psi0`` and
-    the density ``profile`` (:func:`~gapbound.localization.density`) and
-    takes its :class:`PositionStats` ``stats`` (``<x>``, the variance and
-    ``deltaX``).  The rest is computed on first use and kept:
+    the density ``profile`` (:func:`~gapbound.localization.density`).  The
+    rest is computed on first use and kept:
 
+    * ``stats``: the :class:`PositionStats` (``<x>``, the variance and
+      ``deltaX``) of the profile;
     * ``steps``: ``(radii, tails)`` of :func:`tail_steps` about ``<x>``,
       read-only; :meth:`check` reads them for every envelope;
     * the pair products ``Re(a_x^dag h a_x')`` of the nonzero blocks and,
@@ -241,13 +242,16 @@ class GroundState:
     spec: ModelSpec
     psi: np.ndarray
     profile: DensityProfile
-    stats: PositionStats
 
     @classmethod
     def of(cls, psi0: np.ndarray, spec: ModelSpec) -> "GroundState":
         profile = density(psi0, spec)  # refuses a psi0 that is not a vector of numbers
         psi = np.asarray(psi0, dtype=np.complex128)
-        return cls(spec, psi, profile, position_stats(profile))
+        return cls(spec, psi, profile)
+
+    @cached_property
+    def stats(self) -> PositionStats:
+        return position_stats(self.profile)
 
     @cached_property
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +296,9 @@ class GroundState:
         Row ``k = 0`` is left out: ``[G, [G, H]]`` has a zero diagonal.
         """
         band = assemble(self.spec).band
-        k, j = np.nonzero(band[1:])
-        k += 1
+        n = band.shape[1]
+        # the flat indices of rows 1.. are n past those of band[1:]
+        k, j = np.divmod(np.flatnonzero(band[1:] != 0) + n, n)
         i = j + k
         prod = (self.psi[i].conj() * band[k, j] * self.psi[j]).real
         return i // self.spec.n0, j // self.spec.n0, prod
@@ -374,12 +379,21 @@ class GroundState:
 
         gx = g.g
         p = self.profile.p
-        x = np.arange(1, spec.length + 1, dtype=float)
-        v_direct = np.empty(spec.length)
-        for lo in range(0, spec.length, APPENDIX_B_ROWS):
+        length = spec.length
+        # V(x' - x), which is V(x - x'), as an L x L view of V at the 2L - 1
+        # distances 1 - L..L - 1: strengths[r, c] = table[L - 1 + c - r]
+        table = envelope.value(np.arange(1 - length, length, dtype=float))
+        strengths = np.ndarray((length, length), float, buffer=table,
+                               offset=(length - 1) * table.itemsize,
+                               strides=(-table.itemsize, table.itemsize))
+        v_direct = np.empty(length)
+        for lo in range(0, length, APPENDIX_B_ROWS):
             rows = slice(lo, lo + APPENDIX_B_ROWS)
-            dg2 = (gx[rows, None] - gx[None, :]) ** 2
-            v_direct[rows] = 2.0 * np.sum(dg2 * envelope.value(x[rows, None] - x[None, :]), axis=1)
+            terms = gx[rows, None] - gx[None, :]
+            terms *= terms  # (g(x) - g(x'))^2
+            terms *= strengths[rows]
+            v_direct[rows] = 2.0 * terms.sum(axis=1)
+        x = np.arange(1, length + 1, dtype=float)
 
         u = np.abs(x - center)
         a = r_inner + delta_r / 3.0

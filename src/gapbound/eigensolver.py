@@ -115,6 +115,19 @@ arithmetic summing each entry's terms in BLAS ``zhbmv``'s order, so its
 results are ``zhbmv``'s (about 12 µs for both vectors, against 30 µs for
 two ``zhbmv`` calls).
 
+On a ``strip-certify`` item (a disordered strip of 100 supersites, width
+4 to 8; same host) the inertia route's LAPACK calls take about 1.05 ms:
+about 35 ``pbtrf`` and 23 ``trtrs`` calls in 18 counts, 4 ``gbtrf``, 12
+``gbtrs`` and 4 ``zhbmv``.  The rest of :func:`lowest_two` took about
+0.88 ms and takes about 0.79 ms, with the same calls: the counts of one
+solve share one work band and one strided view of all its windows
+(:func:`_ldl_counter`) and the Schur update writes its window in one
+masked subtraction; the general band of inverse iteration is
+Fortran-ordered, so that ``gbtrf`` factors its copy in place, and its
+upper rows are one conjugated view of the band's lower rows; ``zhbmv``
+reads a Fortran-ordered band, which it would otherwise copy on every
+call.
+
 The acceptance rule is fixed; no caller sets a tolerance.  With ``scale``
 the spectral scale of the band (:attr:`BandedHermitian.scale`), which
 must not exceed ``MAX_SPECTRAL_SCALE``:
@@ -156,9 +169,10 @@ DEFAULT_DEGENERACY_TOL = 1e-8
 # HERMITIAN_TOL * max(1, largest |entry| of the matrix) from the matrix's
 # Hermitian part (A + Aᴴ) / 2, which replaces it (hermitian_part).
 HERMITIAN_TOL = 1e-12
-# Inverse-iteration solves per eigenvector on the band route.  Each solve
-# multiplies the other eigenvectors' share by about |E_k - lambda_k| / gap,
-# at most n * eps / DEFAULT_DEGENERACY_TOL (2e-5 for n = 1000).
+# Inverse-iteration solves per eigenvector (_band_inverse_iteration), on the
+# band route and the inertia route alike.  Each solve multiplies the other
+# eigenvectors' share by about |E_k - lambda_k| / gap, at most
+# n * eps / DEFAULT_DEGENERACY_TOL (2e-5 for n = 1000).
 _INVERSE_STEPS = 3
 # Seed of the inverse-iteration start vector.  It is pseudo-random, not
 # all-ones, because a reflection-symmetric model's odd excited state is
@@ -190,9 +204,12 @@ _INERTIA_WIDE_B = 16
 # L = 5000, at the threshold itself on 3 of the 100 points at L = 500 and
 # 19 of the 20 at L = 5000.
 _COARSE_FRACTION = 1 / 64
+# Machine epsilon and the smallest normal float (np.finfo costs a microsecond a call)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Absolute part of the tridiagonal count's pad: stebz sets an e_j with
 # e_j^2 below the underflow threshold to zero and floors its pivots there.
-_TINY_PAD = 4 * math.sqrt(np.finfo(float).tiny)
+_TINY_PAD = 4 * math.sqrt(_TINY)
 
 
 def hermitian_part(blocks: np.ndarray, *rest: np.ndarray):
@@ -210,8 +227,11 @@ def hermitian_part(blocks: np.ndarray, *rest: np.ndarray):
     else:
         half = 0.5 * blocks
         half_h = half.conj().swapaxes(1, 2)
-        dist = np.abs(half - half_h).reshape(len(half), -1).max(axis=1, initial=0.0)
+        diff = half - half_h
         half += half_h
+        if not diff.any():  # an exactly Hermitian stack: every distance is 0
+            return half, None, 0.0
+        dist = np.abs(diff).reshape(len(half), -1).max(axis=1, initial=0.0)
     far = np.flatnonzero(dist > HERMITIAN_TOL)
     if far.size:  # only then read the largest entry: a Hermitian input makes no extra pass
         largest = max(float(np.abs(a).max(initial=0.0)) for a in (blocks, *rest))
@@ -382,6 +402,7 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     does; any other band goes through ``zhbmv`` one row at a time.
     """
     if band.shape[0] > 2 or band[1:].imag.any():
+        band = np.asfortranarray(band)  # else zhbmv copies a C-ordered band on every call
         return np.array([zhbmv(band.shape[0] - 1, 1.0, band, v, lower=1) for v in x])
     out = band[0] * x
     if band.shape[0] == 2:
@@ -500,7 +521,6 @@ def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshol
         phases = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
     d = np.ascontiguousarray(hm.band[0].real)  # LAPACK would copy the strided view per call
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    eps = np.finfo(float).eps
     for abstol in (_COARSE_FRACTION * threshold, 0.0):
         m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 2, abstol, "B")
         _check_info(info, "stebz")
@@ -514,9 +534,9 @@ def _tridiagonal_pairs(hm: BandedHermitian, scale: float, limit: float, threshol
         if phases is not None:
             rows *= phases
         pairs = _proven(_rayleigh_pairs(hm, rows, w[order]),
-                        lambda x: 16 * eps * (scale + abs(x)) + _TINY_PAD,
+                        lambda x: 16 * _EPS * (scale + abs(x)) + _TINY_PAD,
                         lambda sigma: (_sturm_count(d, e, sigma, scale), 0.0),
-                        min(limit, n * eps * scale), threshold)
+                        min(limit, n * _EPS * scale), threshold)
         if pairs is not None:
             return pairs
     return None
@@ -567,7 +587,7 @@ def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
     (bevx,) = get_lapack_funcs((name,), (band,))
     w, _, m, _, info = bevx(
         band, 0.0, 1.0, 1, 2, compute_v=0, mmax=1, range=2, lower=1,
-        overwrite_ab=0, abstol=2 * np.finfo(float).tiny,
+        overwrite_ab=0, abstol=2 * _TINY,
     )
     _check_info(info, name)
     return w[:m]
@@ -599,16 +619,22 @@ def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndar
     """
     b, n = band.shape[0] - 1, band.shape[1]
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
-    # general band layout: A[i, j] at row 2b + i - j; rows 0..b-1 take the
-    # fill-in of the row interchanges
-    ab = np.zeros((3 * b + 1, n), dtype=band.dtype)
+    # general band layout, Fortran-ordered so that gbtrf factors a copy in
+    # place: A[i, j] at row 2b + i - j; rows 0..b-1 take the fill-in of the
+    # row interchanges.  The b columns past n take the zero slots past the
+    # end of band rows 1..b, so that one strided view writes every upper
+    # entry A[j, j + k] = conj(band[k, j]) at row 2b - k.
+    padded = np.zeros((3 * b + 1, n + b), dtype=band.dtype, order="F")
+    ab = padded[:, :n]
     ab[2 * b:] = band
-    for k in range(1, b + 1):
-        ab[2 * b - k, k:] = band[k, : n - k].conj()
-    floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
-    vecs = []
-    for energy in energies:
-        shifted = ab.copy()
+    item = padded.itemsize
+    upper = np.ndarray((b, n), padded.dtype, buffer=padded.T, offset=5 * b * item,
+                       strides=(3 * b * item, (3 * b + 1) * item))
+    np.conjugate(band[1:], out=upper)
+    floor = _EPS * max(scale, _TINY)
+    vecs = np.empty((len(energies), n), dtype=band.dtype)
+    for row, energy in enumerate(energies):
+        shifted = ab.copy(order="F")
         shifted[2 * b] -= energy
         lu, piv, info = gbtrf(shifted, b, b, overwrite_ab=True)
         if info < 0:
@@ -619,11 +645,11 @@ def _band_inverse_iteration(band: np.ndarray, energies, scale: float) -> np.ndar
         for _ in range(_INVERSE_STEPS):
             x, info = gbtrs(lu, b, b, x, piv)
             _check_info(info, "gbtrs")
-            for v in vecs:
+            for v in vecs[:row]:
                 x -= v * np.vdot(v, x)
-            x /= np.linalg.norm(x)
-        vecs.append(x)
-    return np.array(vecs).astype(np.complex128, copy=False)
+            x /= _norm(x)
+        vecs[row] = x
+    return vecs.astype(np.complex128, copy=False)
 
 
 @lru_cache(maxsize=256)
@@ -667,50 +693,79 @@ def _band_ldl(band: np.ndarray, sigma: float, floor: float, cap: int, factor: bo
     rank-1 Schur update of the next b x b window eliminates it, and
     ``pbtrf`` restarts at column k + 1.  Nothing reads the trailing band
     a failed ``pbtrf`` leaves behind, whose state depends on LAPACK's
-    blocking.  O(n * b^2) time, O(n * b) memory.
+    blocking.  O(n * b^2) time, O(n * b) memory.  A caller that counts
+    at many shifts of one band takes the counts from one
+    :func:`_ldl_counter`.
+    """
+    return _ldl_counter(band, floor)(sigma, cap, factor)
+
+
+def _ldl_counter(band: np.ndarray, floor: float):
+    """:func:`_band_ldl` of one band as a function ``count(sigma, cap, factor=False)``.
+
+    The LAPACK routines, the work band and a view of every window of it
+    are set up here once; each count copies the band into the work band
+    and shifts its diagonal.  The work band is padded by one largest
+    window's columns, so that every window view lies inside its buffer;
+    no count reads the padding into a result.  (Zero rows below the band
+    would spare the coupling block's mask, but ``pbtrf`` would then copy a
+    strided band on every call, which costs more.)
     """
     b, n = band.shape[0] - 1, band.shape[1]
     pbtrf, trtrs = get_lapack_funcs(("pbtrf", "trtrs"), (band,))
-    ab = band.copy(order="F")
-    ab[0] -= sigma
-    g = np.zeros_like(ab) if factor else None
-    signs = np.ones(n) if factor else None
-    negatives = start = 0
-    while True:
-        f, info = pbtrf(ab[:, start:], lower=1)
-        if info < 0:
-            _check_info(info, "pbtrf")
-        if info == 0:
+    size = 2 * b + 1  # the largest window: b tail columns and the b + 1 rows from k
+    padded = np.zeros((b + 1, n + size), dtype=band.dtype, order="F")
+    ab = padded[:, :n]
+    # windows[j0] = _band_window(ab, j0, size)
+    item = padded.itemsize
+    windows = np.ndarray((n, size, size), padded.dtype, buffer=padded.T,
+                         strides=((b + 1) * item, item, b * item))
+    diag = np.ascontiguousarray(band[0])
+
+    def count(sigma: float, cap: int, factor: bool = False):
+        np.copyto(ab, band)
+        np.subtract(diag, sigma, out=ab[0])
+        g = np.zeros((b + 1, n), dtype=band.dtype, order="F") if factor else None
+        signs = np.ones(n) if factor else None
+        negatives = start = 0
+        while True:
+            f, info = pbtrf(ab[:, start:], lower=1)
+            if info < 0:
+                _check_info(info, "pbtrf")
+            if info == 0:
+                if factor:
+                    g[:, start:] = f
+                return negatives, g, signs
+            k = start + info - 1
+            t0 = max(start, k - b)
+            m, w = k - t0, min(b, n - 1 - k) + 1  # tail columns t0..k-1, window rows k..k+w-1
+            window = windows[t0, : m + w, : m + w]
+            schur = window[m:, m:]  # only its lower triangle is read from here on
+            if m:
+                mask = _band_mask(b, m + w)[m:, :m]  # the coupling block's band entries
+                coupling, info = trtrs(_band_window(f, t0 - start, m),
+                                       np.where(mask, window[m:, :m], 0).conj().T, lower=1)
+                _check_info(info, "trtrs")
+                schur = schur - coupling.conj().T @ coupling
+            d = float(schur[0, 0].real)
+            if abs(d) < floor:  # zero to rounding: keep pbtrf's sign and bound the growth
+                d = -floor
+            negatives += d < 0
             if factor:
-                g[:, start:] = f
-            return negatives, g, signs
-        k = start + info - 1
-        t0 = max(start, k - b)
-        m, w = k - t0, min(b, n - 1 - k) + 1  # tail columns t0..k-1, window rows k..k+w-1
-        mask = _band_mask(b, m + w)
-        low = np.where(mask, _band_window(ab, t0, m + w), 0)
-        schur = low[m:, m:]  # only its lower triangle is read from here on
-        if m:
-            coupling, info = trtrs(_band_window(f, t0 - start, m), low[m:, :m].conj().T, lower=1)
-            _check_info(info, "trtrs")
-            schur -= coupling.conj().T @ coupling
-        d = float(schur[0, 0].real)
-        if abs(d) < floor:  # zero to rounding: keep pbtrf's sign and bound the growth
-            d = -floor
-        negatives += d < 0
-        if factor:
-            g[:, start:k] = f[:, : k - start]
-            if m:  # rows k.. of the tail columns: G[k + a, t0 + c] = conj(coupling[c, a])
-                window = _band_window(g, t0, m + w)[m:, :m]
-                np.copyto(window, coupling.conj().T, where=mask[m:, :m])
-            g[:w, k] = schur[:, 0] / math.sqrt(abs(d))
-            g[0, k] = math.copysign(math.sqrt(abs(d)), d)
-            signs[k] = math.copysign(1.0, d)
-        if negatives == cap or w == 1:
-            return negatives, g, signs
-        nxt = schur[1:, 1:] - schur[1:, :1] * (schur[1:, 0].conj() / d)
-        np.copyto(_band_window(ab, k + 1, w - 1), nxt, where=_band_mask(b, w - 1))
-        start = k + 1
+                g[:, start:k] = f[:, : k - start]
+                if m:  # rows k.. of the tail columns: G[k + a, t0 + c] = conj(coupling[c, a])
+                    np.copyto(_band_window(g, t0, m + w)[m:, :m], coupling.conj().T, where=mask)
+                g[:w, k] = schur[:, 0] / math.sqrt(abs(d))
+                g[0, k] = math.copysign(math.sqrt(abs(d)), d)
+                signs[k] = math.copysign(1.0, d)
+            if negatives == cap or w == 1:
+                return negatives, g, signs
+            # the rank-1 update lands on the lower triangle of window k + 1 = schur[1:, 1:]
+            np.subtract(schur[1:, 1:], schur[1:, :1] * (schur[1:, 0].conj() / d),
+                        out=windows[k + 1, : w - 1, : w - 1], where=_band_mask(b, w - 1))
+            start = k + 1
+
+    return count
 
 
 def _certified_count(band: np.ndarray, sigma: float, floor: float, scale: float):
@@ -749,17 +804,18 @@ def _certified_count(band: np.ndarray, sigma: float, floor: float, scale: float)
     for q in range(1, b + 1):
         growth[q:] += gabs[q, : n - q] * colsums[: n - q]
     residual = float(np.max(_abs_row_sums(product - band)))
-    rounding = 4 * (b + 2) * np.finfo(float).eps
+    rounding = 4 * (b + 2) * _EPS
     bound = 2 * residual + rounding * (float(np.max(growth)) + 2 * (scale + abs(sigma)))
     return negatives, bound
 
 
-def _bisect_two(band: np.ndarray, scale: float, floor: float, resolution: float):
+def _bisect_two(count, scale: float, resolution: float):
     """Midpoints of disjoint, narrow brackets of the two lowest eigenvalues.
 
-    Bisection on ``_band_ldl`` counts from ``[-scale, scale]``, which holds
-    the whole spectrum.  Bracket k of ``lambda_{k+1}`` (k = 0, 1, 2) keeps
-    ``count(lo) <= k`` and ``count(hi) >= k + 1``.  A bracket is narrow once
+    Bisection on the counts of ``count`` (an :func:`_ldl_counter`) from
+    ``[-scale, scale]``, which holds the whole spectrum.  Bracket k of
+    ``lambda_{k+1}`` (k = 0, 1, 2) keeps ``count(lo) <= k`` and
+    ``count(hi) >= k + 1``.  A bracket is narrow once
     its half-width is at most ``_BRACKET_RATIO`` times the distance from
     its midpoint to the nearest point that may hold another eigenvalue, so
     that inverse iteration at the midpoint converges; the third bracket
@@ -785,11 +841,11 @@ def _bisect_two(band: np.ndarray, scale: float, floor: float, resolution: float)
         mid = mids[k]
         if not lo[k] < mid < hi[k]:
             return None
-        count = _band_ldl(band, mid, floor, cap)[0]
+        below = count(mid, cap)[0]
         for j in range(3):
-            if j < count:
+            if j < below:
                 hi[j] = min(hi[j], mid)
-            elif count < cap:  # a capped count says only "at least cap"
+            elif below < cap:  # a capped count says only "at least cap"
                 lo[j] = max(lo[j], mid)
     return None
 
@@ -813,7 +869,9 @@ def _rayleigh_pairs(hm: BandedHermitian, vecs: np.ndarray, estimates):
 
 
 def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a contiguous complex vector, summed as :func:`numpy.linalg.norm` sums it."""
+    """The 2-norm of a contiguous vector, summed as :func:`numpy.linalg.norm` sums it."""
+    if v.dtype.kind != "c":
+        return math.sqrt(v.dot(v))
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
@@ -838,9 +896,9 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
     residual; else ``None``.
     """
     b = band.shape[0] - 1
-    floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
+    floor = _EPS * max(scale, _TINY)
     band = np.asfortranarray(band)
-    mids = _bisect_two(band, scale, floor, limit / 8)
+    mids = _bisect_two(_ldl_counter(band, floor), scale, limit / 8)
     if mids is None:
         return None
     w, psis, residuals = _rayleigh_pairs(hm, _band_inverse_iteration(band, mids, scale), mids)
@@ -849,7 +907,7 @@ def _inertia_pairs(hm: BandedHermitian, band: np.ndarray, scale: float, limit: f
         if max(residuals) <= limit:
             break
     return _proven((w, psis, residuals),
-                   lambda x: (b + 2) ** 2 * np.finfo(float).eps * (scale + abs(x)),
+                   lambda x: (b + 2) ** 2 * _EPS * (scale + abs(x)),
                    lambda sigma: _certified_count(band, sigma, floor, scale), limit, threshold)
 
 
@@ -875,7 +933,7 @@ def lowest_two(h) -> SpectrumResult:
             f"spectral scale {scale:.3e} exceeds the solver's limit {MAX_SPECTRAL_SCALE:.0e}"
         )
     limit = DEFAULT_RESIDUAL_TOL * max(1.0, scale)
-    threshold = DEFAULT_DEGENERACY_TOL * max(scale, np.finfo(float).tiny)
+    threshold = DEFAULT_DEGENERACY_TOL * max(scale, _TINY)
 
     pairs = _tridiagonal_pairs(hm, scale, limit, threshold) if hm.bandwidth <= 1 else None
     if pairs is None:

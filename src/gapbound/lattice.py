@@ -169,17 +169,22 @@ def _norms(blocks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The 0-based rows of the nonzero blocks of a band of distance ``d``
     and their spectral norms.
 
-    A 1 x 1 block's norm is its modulus, which is 0 only for a zero block.
-    Finite entries may still give a norm that overflows; that block is
-    refused with :class:`ValidationError`.
+    A block with no nonzero entry off its diagonal (every 1 x 1 block, and
+    every hopping block of :func:`strip_model`) has its largest diagonal
+    modulus as its norm, with no SVD; any other block takes the largest
+    singular value.  Finite entries may still give a norm that overflows;
+    that block is refused with :class:`ValidationError`.
     """
-    if blocks.shape[1] == 1:
-        norms = np.abs(blocks[:, 0, 0])
-        x0 = norms.nonzero()[0]
-        norms = norms[x0]
-    else:
-        x0 = _nonzero(blocks)
-        norms = np.linalg.norm(blocks[x0], 2, axis=(1, 2))
+    m, n0 = blocks.shape[:2]
+    moduli = np.abs(blocks.diagonal(axis1=1, axis2=2))
+    norms = moduli.max(axis=1) if n0 > 1 else moduli[:, 0]
+    # the off-diagonal entries of each block: its flat entries 1.. in rows of N0 + 1, less the last
+    off = blocks.reshape(m, -1)[:, 1:].reshape(m, n0 - 1, n0 + 1)[:, :, :n0]
+    dense = off.any(axis=(1, 2)).nonzero()[0]
+    if dense.size:
+        norms[dense] = np.linalg.norm(blocks[dense], 2, axis=(1, 2))
+    x0 = norms.nonzero()[0]  # a nonzero block has a positive norm
+    norms = norms[x0]
     bad = _first_nonfinite(norms)
     if bad is not None:
         x = int(x0[bad]) + 1
@@ -311,8 +316,15 @@ class ModelSpec:
                 raise ValidationError(
                     f"on-site blocks must have shape ({length}, {n0}, {n0}), got {on.shape}"
                 )
+        return cls._owning(length, n0, bands, on, label)
+
+    @classmethod
+    def _owning(cls, length: int, n0: int, bands: dict, onsite: np.ndarray, label: str):
+        """The model that owns ``bands`` and ``onsite``: new C-ordered complex
+        arrays of the model's shapes (:meth:`from_arrays`'s copies, the
+        parser's arrays), validated by :meth:`_store` and not copied again."""
         spec = cls.__new__(cls)
-        spec._store(length, n0, label, on, bands)
+        spec._store(length, n0, label, onsite, bands)
         return spec
 
     def _store(self, length, n0, label, onsite, bands):
@@ -416,20 +428,20 @@ def assemble(spec: ModelSpec) -> BandedHermitian:
 def _band_operator(spec: ModelSpec) -> BandedHermitian:
     n0, length = spec.n0, spec.length
     dmax = max(spec.hopping_bands, default=0)
-    # cells[r, x, c] = band[r, x * N0 + c] = H[x * N0 + c + r, x * N0 + c]: entry (a, c)
-    # of block row x + d, block column x sits at r = d * N0 + a - c.  Each
-    # diagonal a - c = k of a block stack fills one slice of one band row.
-    cells = np.zeros(((dmax + 1) * n0, length, n0), dtype=np.complex128)
-    for k in range(n0):  # on-site blocks: their lower triangles
-        cells[k, :, : n0 - k] = spec._onsite.diagonal(-k, axis1=1, axis2=2)
-    for d, blocks in spec.hopping_bands.items():
-        # a stored block h of the pair (x, x + d) enters block row x + d as hᴴ,
-        # whose entry (c + k, c) is conj(h[c, c + k])
-        for k in range(1 - n0, n0):
-            cells[d * n0 + k, : length - d, max(0, -k) : n0 - max(0, k)] = (
-                blocks.diagonal(k, axis1=1, axis2=2).conj()
-            )
-    return BandedHermitian(cells.reshape(-1, spec.dim))
+    # cells[N0 - 1 + r, x, c] = band[r, x * N0 + c] = H[x * N0 + c + r, x * N0 + c]:
+    # entry (a, c) of block row x + d, block column x sits at r = d * N0 + a - c.
+    # The N0 - 1 leading rows take the on-site blocks' upper triangles (a < c).
+    cells = np.zeros(((dmax + 2) * n0 - 1, length, n0), dtype=np.complex128)
+    # blocks[d, x, a, c] = cells[N0 - 1 + d * N0 + a - c, x, c]: entry (a, c) of
+    # the block at block row x + d, block column x
+    item, row = cells.itemsize, length * n0 * cells.itemsize
+    blocks = np.ndarray((dmax + 1, length, n0, n0), cells.dtype, buffer=cells,
+                        offset=(n0 - 1) * row, strides=(n0 * row, n0 * item, row, item - row))
+    blocks[0] = spec._onsite
+    for d, stack in spec.hopping_bands.items():
+        # a stored block h of the pair (x, x + d) enters block row x + d as hᴴ
+        np.conjugate(stack.transpose(0, 2, 1), out=blocks[d, : length - d])
+    return BandedHermitian(cells[n0 - 1 :].reshape(-1, spec.dim))
 
 
 def hopping_norms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:

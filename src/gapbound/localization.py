@@ -56,6 +56,19 @@ class DensityProfile:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
+    @classmethod
+    def _checked(cls, p: np.ndarray) -> "DensityProfile":
+        """The profile of a density :func:`density` has just built and checked.
+
+        ``p`` is a new 1-d float array of ``|psi|^2`` sums, each >= 0, whose
+        sum passed the rule above, so the constructor's checks would pass and
+        its copy would change no bit: they are not made again.
+        """
+        profile = object.__new__(cls)
+        p.flags.writeable = False
+        object.__setattr__(profile, "p", p)
+        return profile
+
     @property
     def length(self) -> int:
         return self.p.shape[0]
@@ -110,7 +123,9 @@ def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
     """Particle density per supersite from a normalized coefficient vector.
 
     ``psi0`` must hold numbers (:func:`_numbers`), and its squared norm,
-    the density's sum, must be 1 within ``DENSITY_SUM_TOL``.
+    the density's sum, must be 1 within ``DENSITY_SUM_TOL``.  That check
+    is the profile's only one: a density built from ``|psi|^2`` passes
+    every other rule of :class:`DensityProfile`.
     """
     psi = _numbers(psi0, "coefficient vector", np.complex128)
     if psi.ndim != 1 or psi.size != spec.dim:
@@ -126,7 +141,7 @@ def density(psi0: np.ndarray, spec: ModelSpec) -> DensityProfile:
             f"coefficient vector has squared norm {norm2!r}, "
             f"expected 1 within {DENSITY_SUM_TOL:g}"
         )
-    return DensityProfile(p=p)
+    return DensityProfile._checked(p)
 
 
 def position_stats(profile: DensityProfile) -> PositionStats:

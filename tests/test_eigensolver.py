@@ -927,6 +927,42 @@ def test_inertia_route_makes_one_certified_count(monkeypatch, routes):
     assert res.e0 + res.residual0 < calls[0] < res.e1 - res.residual1  # at sigma1
 
 
+# pbtrf and trtrs calls of one solve of a 100 x 6 disordered strip, counted
+# before the inertia route's numpy steps were trimmed; it may make no more
+_STRIP_SOLVE_CALLS = {0: (37, 25), 1: (39, 22), 2: (32, 17), 5: (44, 28)}
+
+
+@pytest.mark.parametrize("seed", sorted(_STRIP_SOLVE_CALLS))
+def test_a_strip_solve_makes_no_more_lapack_calls(monkeypatch, routes, seed):
+    # a call count, not a timing: the inertia route factors H - E I four
+    # times (two inverse-iteration passes of two energies), solves three
+    # times per factor, multiplies each vector once per Rayleigh pass and
+    # makes one certified count
+    calls = {}
+    real_funcs = eigensolver_mod.get_lapack_funcs
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+        return call
+
+    def recording(names, *args, **kwargs):
+        return tuple(counted(n, f) for n, f in zip(names, real_funcs(names, *args, **kwargs)))
+
+    monkeypatch.setattr(eigensolver_mod, "get_lapack_funcs", recording)
+    monkeypatch.setattr(eigensolver_mod, "zhbmv", counted("zhbmv", eigensolver_mod.zhbmv))
+    monkeypatch.setattr(eigensolver_mod, "_certified_count",
+                        counted("_certified_count", eigensolver_mod._certified_count))
+    res = lowest_two(assemble(_disordered_strip(100, 6, seed)))
+    assert routes == ["inertia"]
+    pbtrf, trtrs = _STRIP_SOLVE_CALLS[seed]
+    assert sorted(calls) == ["_certified_count", "gbtrf", "gbtrs", "pbtrf", "trtrs", "zhbmv"]
+    assert [calls[name] for name in ("gbtrf", "gbtrs", "zhbmv", "_certified_count")] == [4, 12, 4, 1]
+    assert calls["pbtrf"] <= pbtrf and calls["trtrs"] <= trtrs, calls
+    assert max(res.residual0, res.residual1) <= 1e-10 * max(1.0, res.matrix.scale)
+
+
 @pytest.mark.parametrize("pair", [(1, 2), (0, 2)], ids=["skips-lambda1", "skips-lambda2"])
 def test_certificate_rejects_a_pair_that_skips_an_eigenvalue(monkeypatch, routes, pair):
     # bisection steered to the wrong eigenvalues: both pairs pass the residual

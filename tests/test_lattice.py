@@ -335,6 +335,79 @@ def test_block_norm_svd_oracle():
     assert norms[0] == pytest.approx(math.sqrt(lam_max), rel=1e-12)
 
 
+def _svd_calls(monkeypatch):
+    """Record the shape of every array whose 2-norm ``np.linalg.norm`` takes (an SVD)."""
+    shapes, real_norm = [], np.linalg.norm
+
+    def recording(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(x))
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    return shapes
+
+
+def _diagonal_stack(rng, count, n0, complex_entries, zero_rows):
+    d = rng.normal(size=(count, n0)) + (1j * rng.normal(size=(count, n0)) if complex_entries else 0)
+    if zero_rows:
+        d[rng.random((count, n0)) < 0.3] = 0.0
+    blocks = np.zeros((count, n0, n0), dtype=complex)
+    blocks[:, np.arange(n0), np.arange(n0)] = d
+    return blocks
+
+
+def test_diagonal_block_norm_is_its_largest_diagonal_modulus(monkeypatch):
+    # a block with no nonzero entry off its diagonal takes max |d_i| as its
+    # norm, with no SVD; the SVD agrees with it to two ulps (it is off on up
+    # to 8% of the complex or 2 x 2 blocks here), and max |d_i| is exact for
+    # a real block
+    rng = np.random.default_rng(2014)
+    cases = []
+    for n0 in (2, 3, 6):
+        for complex_entries in (False, True):
+            for zero_rows in (False, True):
+                blocks = _diagonal_stack(rng, 400, n0, complex_entries, zero_rows)
+                svd = np.linalg.norm(blocks, 2, axis=(1, 2))
+                cases.append((blocks, svd, complex_entries))
+    strips = [strip_model(30, w, t_along=t) for w in (4, 8) for t in (1.0, -1.0)]
+    strip_svd = [np.linalg.norm(s.hopping_bands[1], 2, axis=(1, 2)) for s in strips]
+    svd_calls = _svd_calls(monkeypatch)
+    for spec, svd in zip(strips, strip_svd):
+        ((d, xs, norms),) = hopping_norms(spec)
+        assert d == 1 and xs.tolist() == list(range(1, 30))
+        assert norms.tobytes() == svd.tobytes()  # the strips' +-I blocks: exactly 1
+    for blocks, svd, complex_entries in cases:
+        spec = ModelSpec.from_arrays(len(blocks) + 1, blocks.shape[1], {1: blocks})
+        ((_, xs, norms),) = hopping_norms(spec)
+        nonzero = blocks.any(axis=(1, 2))
+        assert xs.tolist() == (np.flatnonzero(nonzero) + 1).tolist()
+        ulp = np.spacing(np.maximum(norms, svd[nonzero]))
+        assert np.all(np.abs(norms - svd[nonzero]) <= 2 * ulp)
+        largest = np.abs(np.diagonal(blocks, axis1=1, axis2=2)).max(axis=1)[nonzero]
+        assert norms.tobytes() == largest.tobytes()
+        if not complex_entries:  # |d_i| of a real entry is exact
+            assert norms.tolist() == [max(abs(v.real) for v in np.diag(b)) for b in blocks[nonzero]]
+    assert svd_calls == []
+
+
+def test_dense_blocks_keep_the_svd_norm(monkeypatch):
+    # a block with an entry off its diagonal still takes its largest singular
+    # value, bit for bit; a diagonal block beside it takes none
+    rng = np.random.default_rng(31)
+    blocks = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    blocks[1] = np.diag([0.5, -2.0, 1.0])
+    blocks[4] = 0.0
+    blocks[5] = np.diag([0.0, 0.0, 0.0]) + np.eye(3, k=1) * 1e-300  # one tiny entry above it
+    svd = np.linalg.norm(blocks, 2, axis=(1, 2))
+    svd_calls = _svd_calls(monkeypatch)
+    ((_, xs, norms),) = hopping_norms(ModelSpec.from_arrays(7, 3, {1: blocks}))
+    assert svd_calls == [(4, 3, 3)]  # blocks 0, 2, 3 and 5, in one call
+    assert xs.tolist() == [1, 2, 3, 4, 6]
+    assert norms[[0, 2, 3, 4]].tobytes() == svd[[0, 2, 3, 5]].tobytes()
+    assert norms[1] == 2.0
+
+
 def test_hopping_norms_list_only_the_nonzero_blocks():
     spec = ModelSpec(4, 1, [(1, 3, [[2.0]]), (2, 3, [[0.0]])])
     ((d, xs, norms),) = hopping_norms(spec)

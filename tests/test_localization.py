@@ -86,6 +86,34 @@ def test_density_profile_invariants():
             DensityProfile(p=np.array(p))
 
 
+def test_a_density_is_validated_once(monkeypatch):
+    # density checks the profile it builds; the profile's own checks run only
+    # when a caller builds one, and the two agree on every vector density takes
+    checked = []
+    original = DensityProfile.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(DensityProfile, "__post_init__", counting)
+    rng = np.random.default_rng(5)
+    for n0 in (1, 3):
+        spec = ModelSpec(7, n0)
+        psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi /= np.linalg.norm(psi)
+        profile = density(psi, spec)
+        assert checked == []
+        assert not profile.p.flags.writeable
+        again = DensityProfile(p=profile.p)
+        assert checked == [again]
+        assert again.p.tobytes() == profile.p.tobytes()
+        checked.clear()
+    with pytest.raises(ValidationError, match="^coefficient vector has squared norm nan"):
+        density(np.array([np.nan, 0.0, 0.0]), ModelSpec(3, 1))
+    assert checked == []
+
+
 def test_position_stats_examples():
     st = position_stats(_delta_profile(9, 5))
     assert st.mean == 5.0 and st.variance == 0.0
